@@ -13,7 +13,6 @@ from .cohomology import (
 )
 from .divisor import (
     Positivity,
-    QToricDivisor,
     ToricDivisor,
     canonical_divisor,
     ceil_div,
@@ -51,11 +50,9 @@ from .lowdeg import (
     toric_theorem_report,
 )
 from .plane import (
-    PlaneCurveSpec,
     PlaneReport,
     decomposition_chain,
     find_m,
-    gonality_floor,
     plane_degree_bound,
     plane_theorem_report,
     remark_inequality_check,

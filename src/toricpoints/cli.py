@@ -69,18 +69,29 @@ def parse_surface(text: str) -> ToricSurfaceFan:
         )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def surface_from_descriptor(desc) -> ToricSurfaceFan:
     if not isinstance(desc, dict):
         raise InputError("surface descriptor must be a JSON object")
+    if not isinstance(desc.get("name", ""), str):
+        raise InputError('"name" must be a string')
     if "rays" in desc:
         rays = desc["rays"]
         if not (
             isinstance(rays, list)
             and all(isinstance(r, list) and len(r) == 2 for r in rays)
+            and all(_is_int(c) for r in rays for c in r)
         ):
-            raise InputError('"rays" must be a list of [x, y] pairs')
-        return build_fan([(int(x), int(y)) for x, y in rays], name=desc.get("name"))
+            raise InputError('"rays" must be a list of [x, y] pairs of integers')
+        return build_fan(rays, name=desc.get("name"))
     if "builtin" in desc:
+        if not isinstance(desc["builtin"], str):
+            raise InputError('"builtin" must be a string')
+        if "m" in desc and not _is_int(desc["m"]):
+            raise InputError('"m" must be an integer')
         return builtin_surface(desc["builtin"], desc.get("m"))
     raise InputError('surface descriptor needs "rays" or "builtin"')
 
@@ -326,9 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

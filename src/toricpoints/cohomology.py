@@ -13,7 +13,6 @@ from typing import Tuple
 
 from . import geometry
 from .divisor import (
-    AnyDivisor,
     Positivity,
     ToricDivisor,
     canonical_divisor,
@@ -44,7 +43,7 @@ class CohomologyProfile:
     chi: int
 
 
-def divisor_polytope(D: AnyDivisor) -> DivisorPolytope:
+def divisor_polytope(D: ToricDivisor) -> DivisorPolytope:
     halfplanes = tuple((u, Fraction(-a)) for u, a in zip(D.fan.rays, D.coeffs))
     vertices = tuple(sorted(geometry.feasible_vertices(halfplanes)))
     return DivisorPolytope(
@@ -60,6 +59,7 @@ def lattice_point_count(P: DivisorPolytope) -> int:
 
 def euler_characteristic(D: ToricDivisor) -> int:
     """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1)."""
+    D.require_integral("euler_characteristic")
     K = canonical_divisor(D.fan)
     num = intersection_number(D, D) - intersection_number(K, D)
     if num % 2 != 0:
@@ -68,11 +68,12 @@ def euler_characteristic(D: ToricDivisor) -> int:
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:
-    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi."""
+    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi.
+    Defined on integral divisors only."""
+    chi = euler_characteristic(D)
     K = canonical_divisor(D.fan)
     h0 = lattice_point_count(divisor_polytope(D))
     h2 = lattice_point_count(divisor_polytope(K - D))
-    chi = euler_characteristic(D)
     h1 = h0 + h2 - chi
     if h1 < 0:
         raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")
@@ -92,7 +93,7 @@ class VanishingReport:
     dim_PD: int
 
 
-def vanishing_predicates(D: AnyDivisor) -> VanishingReport:
+def vanishing_predicates(D: ToricDivisor) -> VanishingReport:
     pos = positivity(D)
     nef = pos in (Positivity.AMPLE, Positivity.NEF_NOT_AMPLE)
     ample = pos is Positivity.AMPLE

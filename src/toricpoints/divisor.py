@@ -15,92 +15,69 @@ from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import geometry
-from .errors import FanMismatch
+from .errors import ContractViolation, FanMismatch
 from .fan import LatticePoint, ToricSurfaceFan, dot, prime_self_intersections
+
+
+Coefficient = Union[int, Fraction]
+
+
+def _exact(c) -> Coefficient:
+    """c as an exact coefficient: an int, or a Fraction only when it is not
+    integral.  Anything else (float, str, bool) is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise ContractViolation(f"divisor coefficient {c!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """Integral toric divisor sum(a_i D_i)."""
+    """Toric divisor sum(a_i D_i) with exact coefficients: integral classes
+    hold ints only, Q-divisors such as C/2 keep their Fractions."""
 
     fan: ToricSurfaceFan
-    coeffs: Tuple[int, ...]
+    coeffs: Tuple[Coefficient, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.fan.n:
             raise FanMismatch(
                 f"{len(self.coeffs)} coefficients for a fan with {self.fan.n} rays"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+
+    @property
+    def is_integral(self) -> bool:
+        return all(type(c) is int for c in self.coeffs)
+
+    def require_integral(self, operation: str) -> None:
+        """Refuse a Q-divisor in an operation defined on integral classes only."""
+        if not self.is_integral:
+            raise ContractViolation(
+                f"{operation} needs an integral divisor, got coefficients {self.coeffs}"
+            )
 
     def __add__(self, other):
-        return _combine(self, other, lambda a, b: a + b)
+        _check_same_fan(self, other)
+        return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        return _combine(self, other, lambda a, b: a - b)
+        _check_same_fan(self, other)
+        return ToricDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return ToricDivisor(self.fan, tuple(-c for c in self.coeffs))
 
     def __mul__(self, s):
-        return scale(self, s)
-
-    __rmul__ = __mul__
-
-    def as_rational(self) -> "QToricDivisor":
-        return QToricDivisor(self.fan, tuple(Fraction(c) for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class QToricDivisor:
-    """Toric Q-divisor: exact rational coefficients."""
-
-    fan: ToricSurfaceFan
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.fan.n:
-            raise FanMismatch(
-                f"{len(self.coeffs)} coefficients for a fan with {self.fan.n} rays"
-            )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    def __add__(self, other):
-        return _combine(self, other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return _combine(self, other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return QToricDivisor(self.fan, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, s):
-        return scale(self, s)
+        return ToricDivisor(self.fan, tuple(c * s for c in self.coeffs))
 
     __rmul__ = __mul__
 
 
-AnyDivisor = Union[ToricDivisor, QToricDivisor]
-
-
-def _check_same_fan(D: AnyDivisor, E: AnyDivisor) -> None:
+def _check_same_fan(D: ToricDivisor, E: ToricDivisor) -> None:
     if not D.fan.same_surface(E.fan):
         raise FanMismatch("divisors live on different fans")
-
-
-def _combine(D: AnyDivisor, E: AnyDivisor, op) -> AnyDivisor:
-    _check_same_fan(D, E)
-    coeffs = tuple(op(a, b) for a, b in zip(D.coeffs, E.coeffs))
-    if isinstance(D, ToricDivisor) and isinstance(E, ToricDivisor):
-        return ToricDivisor(D.fan, coeffs)
-    return QToricDivisor(D.fan, tuple(Fraction(c) for c in coeffs))
-
-
-def scale(D: AnyDivisor, s) -> AnyDivisor:
-    coeffs = tuple(c * s for c in D.coeffs)
-    if isinstance(D, ToricDivisor) and isinstance(s, int):
-        return ToricDivisor(D.fan, coeffs)
-    return QToricDivisor(D.fan, tuple(Fraction(c) for c in coeffs))
 
 
 def principal_divisor(fan: ToricSurfaceFan, m: LatticePoint) -> ToricDivisor:
@@ -130,37 +107,28 @@ def intersection_matrix(fan: ToricSurfaceFan) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in M)
 
 
-def intersection_number(D: AnyDivisor, E: AnyDivisor):
-    """Bilinear extension of the prime-divisor pairing.  Returns an int for
-    integral inputs, a Fraction otherwise."""
+def intersection_number(D: ToricDivisor, E: ToricDivisor):
+    """Bilinear extension of the prime-divisor pairing: an int when the value
+    is integral, a Fraction otherwise."""
     _check_same_fan(D, E)
     M = intersection_matrix(D.fan)
-    n = D.fan.n
     total = 0
     for i, a in enumerate(D.coeffs):
         if a == 0:
             continue
         row = M[i]
         total += a * sum(b * row[j] for j, b in enumerate(E.coeffs) if b != 0)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
+    return _exact(total)
 
 
-def intersect_primes(D: AnyDivisor) -> List:
+def intersect_primes(D: ToricDivisor) -> List:
     """The vector (D.D_1, ..., D.D_n)."""
     M = intersection_matrix(D.fan)
     n = D.fan.n
-    out = []
-    for j in range(n):
-        v = sum(D.coeffs[i] * M[i][j] for i in range(n))
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = int(v)
-        out.append(v)
-    return out
+    return [_exact(sum(D.coeffs[i] * M[i][j] for i in range(n))) for j in range(n)]
 
 
-def classes_equal(D: AnyDivisor, E: AnyDivisor) -> bool:
+def classes_equal(D: ToricDivisor, E: ToricDivisor) -> bool:
     """Linear equivalence test: D - E must be a principal divisor div(chi^m).
 
     The first two rays form a lattice basis (their det is 1), so m is pinned
@@ -180,13 +148,13 @@ def classes_equal(D: AnyDivisor, E: AnyDivisor) -> bool:
     return all(dot(m, u) == d for u, d in zip(D.fan.rays, diff))
 
 
-def floor_div(D: AnyDivisor) -> ToricDivisor:
+def floor_div(D: ToricDivisor) -> ToricDivisor:
     """Componentwise floor of the given representation (representation
     dependent by design)."""
     return ToricDivisor(D.fan, tuple(floor(c) for c in D.coeffs))
 
 
-def ceil_div(D: AnyDivisor) -> ToricDivisor:
+def ceil_div(D: ToricDivisor) -> ToricDivisor:
     """Componentwise ceiling of the given representation."""
     return ToricDivisor(D.fan, tuple(ceil(c) for c in D.coeffs))
 
@@ -197,7 +165,7 @@ class Positivity(enum.Enum):
     NOT_NEF = "not_nef"
 
 
-def positivity(D: AnyDivisor) -> Positivity:
+def positivity(D: ToricDivisor) -> Positivity:
     """Toric Kleiman classification from the n numbers D.D_i: nef iff all
     are >= 0, ample iff all are > 0."""
     pairings = intersect_primes(D)
@@ -219,6 +187,7 @@ def effective_representative(
     None when no lattice point is feasible (the class is not effective at
     those bounds).
     """
+    D.require_integral("effective_representative")
     n = D.fan.n
     if lower_bounds is None:
         lower_bounds = [0] * n

@@ -92,10 +92,9 @@ def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> Toric
                 f"det(u_{i}, u_{(i + 1) % n}) = {d} != 1 for rays "
                 f"{rays[i]}, {rays[(i + 1) % n]}"
             )
-    # All consecutive dets being +1 forces a single counterclockwise loop;
-    # re-check the winding as a redundant validation.
+    # Consecutive dets of +1 still allow rays that wind more than once.
     if _winding_number(rays) != 1:
-        raise InternalInconsistency("rays do not wind exactly once around the origin")
+        raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
     return ToricSurfaceFan(rays=rays, name=name)
 
 

@@ -26,7 +26,6 @@ from .divisor import (
     intersection_matrix,
     intersection_number,
     positivity,
-    scale,
 )
 from .errors import ContractViolation, InternalInconsistency, NotAmple, TooManyRays
 from .fan import ToricSurfaceFan, hirzebruch
@@ -52,6 +51,7 @@ class CurveOnSurface:
     multiplicities: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        self.curve_class.require_integral("CurveOnSurface")
         for d in self.multiplicities:
             if d < 2:
                 raise ContractViolation(f"singularity multiplicity {d} < 2")
@@ -92,6 +92,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
 
 def arithmetic_genus(fan: ToricSurfaceFan, C: ToricDivisor) -> int:
     """p_a = 1 + (K + C).C / 2."""
+    C.require_integral("arithmetic_genus")
     K = canonical_divisor(fan)
     num = intersection_number(K + C, C)
     if num % 2 != 0:
@@ -203,7 +204,7 @@ def interpolation_conditions(
     C2 = intersection_number(C_rep, C_rep)
     h1 = cohomology(D - C_rep).h1
     bound = mainprop_h0_bound(fan, C_rep, D, e)
-    half = scale(C_rep, Fraction(1, 2))
+    half = C_rep * Fraction(1, 2)
     return ConditionVerdicts(
         intersection_bound=PASS if CD < C2 else FAIL,
         surjectivity=PASS if h1 == 0 else FAIL,

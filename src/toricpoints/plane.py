@@ -10,25 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, InternalInconsistency
 
 # verdict labels shared with the toric reports
 from .lowdeg import FAIL, PASS
-
-
-@dataclass(frozen=True)
-class PlaneCurveSpec:
-    """Plane curve of degree d >= 4 with delta nodes/cusps."""
-
-    d: int
-    delta: int = 0
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        # delta <= (d-3)/3, kept in integers
-        return self.d >= 4 and 0 <= 3 * self.delta <= self.d - 3
 
 
 def _check_discriminant(d: int, delta: int) -> int:
@@ -41,13 +29,14 @@ def _check_discriminant(d: int, delta: int) -> int:
 def sqrt_ceil_term(d: int, delta: int) -> int:
     """ceil((d + sqrt(d^2 - 36 delta)) / 6), exactly.
 
-    The smallest integer t with 6t >= d and (6t - d)^2 >= d^2 - 36 delta.
+    The smallest integer t with 6t - d >= sqrt(disc), which for an integer
+    6t - d means 6t - d >= r = ceil(sqrt(disc)).
     """
     disc = _check_discriminant(d, delta)
-    t = -(-d // 6)  # ceil(d/6)
-    while (6 * t - d) ** 2 < disc:
-        t += 1
-    return t
+    r = isqrt(disc)
+    if r * r < disc:
+        r += 1
+    return -(-(d + r) // 6)
 
 
 def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -76,7 +65,11 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
                 # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6;
                 # squared test with sign guard
                 disc = d * d - 36 * delta
-                assert 6 * m - d < 0 or (6 * m - d) ** 2 < disc
+                if 6 * m - d >= 0 and (6 * m - d) ** 2 >= disc:
+                    raise InternalInconsistency(
+                        f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 "
+                        f"for d={d}, delta={delta}, e={e}"
+                    )
             return m
         m += 1
     return None
@@ -116,11 +109,7 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     bound = Fraction(e, 2)
     level = 1
     while True:
-        if bound + delta < d - 1:
-            levels.append(ChainLevel(level=level, degree_bound=bound, m=None))
-            return levels
-        # largest integer degree strictly below the bound
-        top = (bound.numerator - 1) // bound.denominator if bound.denominator > 1 else int(bound) - 1
+        top = ceil(bound) - 1  # largest integer degree strictly below the bound
         m = find_m(d, delta, top)
         levels.append(ChainLevel(level=level, degree_bound=bound, m=m))
         if m is None or m * d - top <= 0:
@@ -147,8 +136,10 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     guaranteed = all(v == PASS for v in hypotheses.values())
     m = find_m(d, delta, e)
     degB = m * d - e if m is not None else None
-    if guaranteed and degB is not None:
-        assert Fraction(degB) < Fraction(e, 2)
+    if guaranteed and degB is not None and 2 * degB >= e:
+        raise InternalInconsistency(
+            f"deg B = {degB} is not below e/2 for d={d}, delta={delta}, e={e}"
+        )
     return PlaneReport(
         d=d,
         delta=delta,
@@ -162,25 +153,6 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         chain=tuple(decomposition_chain(d, delta, e)),
         hypotheses=hypotheses,
         conclusion_guaranteed=guaranteed,
-    )
-
-
-@dataclass(frozen=True)
-class GonalityFloor:
-    """Whether a degree-e divisor is allowed to move (e + delta >= d - 1),
-    plus the m = 2 gonality hypothesis delta < d - 1 behind that floor."""
-
-    allows_moving: bool
-    m2_hypothesis: bool
-
-    def __bool__(self) -> bool:
-        return self.allows_moving
-
-
-def gonality_floor(d: int, delta: int, e: int) -> GonalityFloor:
-    return GonalityFloor(
-        allows_moving=e + delta >= d - 1,
-        m2_hypothesis=delta < d - 1,
     )
 
 

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from toricpoints.cli import main, parse_divisor, parse_surface
+import pytest
+
+import toricpoints
+from toricpoints.cli import main, parse_divisor, parse_surface, surface_from_descriptor
+from toricpoints.errors import InputError
 from toricpoints.fan import p2
 
 
@@ -159,3 +167,51 @@ def test_selftest_command(capsys):
         "positive-representation",
     ]:
         assert f"PASS {name}" in out
+
+
+def test_descriptor_with_string_m_exits_2(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"builtin": "hirzebruch", "m": "3"}))
+    code, out, err = run(capsys, "lambda", "--surface", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_descriptor_with_float_ray_exits_2(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": [[1.7, 0], [0, 1], [-1, -1]]}))
+    code, out, err = run(capsys, "lambda", "--surface", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_descriptor_field_types_are_strict():
+    p2_rays = [[1, 0], [0, 1], [-1, -1]]
+    for desc in [
+        {"rays": [[True, 0], [0, 1], [-1, -1]]},
+        {"rays": [[1, 0], [0, 1], [-1, "-1"]]},
+        {"rays": p2_rays, "name": 5},
+        {"builtin": "hirzebruch", "m": 3.0},
+        {"builtin": "hirzebruch", "m": True},
+        {"builtin": 2},
+    ]:
+        with pytest.raises(InputError):
+            surface_from_descriptor(desc)
+    assert surface_from_descriptor({"rays": p2_rays, "name": "P2"}).name == "P2"
+    assert surface_from_descriptor({"builtin": "hirzebruch", "m": 3}).name == "F3"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_plane_edge_exits_2_with_and_without_optimisation(flags):
+    # every hypothesis holds at 3 delta = d - 3 but deg B < e/2 does not
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["plane", "--d", "9", "--delta", "2", "--e", "6"]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "toricpoints.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")

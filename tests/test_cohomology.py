@@ -5,7 +5,6 @@ import pytest
 
 from toricpoints import (
     Positivity,
-    QToricDivisor,
     ToricDivisor,
     canonical_divisor,
     cohomology,
@@ -20,6 +19,7 @@ from toricpoints import (
     principal_divisor,
     vanishing_predicates,
 )
+from toricpoints.errors import ContractViolation
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
@@ -86,6 +86,13 @@ def test_cohomology_profiles():
     assert (prof.h0, prof.h1, prof.h2, prof.chi) == (0, 1, 253, 252)
 
 
+def test_integral_only_operations_refuse_q_divisors():
+    half = ToricDivisor(p2(), (Fraction(1, 2), 0, 0))
+    for operation in (cohomology, euler_characteristic, effective_representative):
+        with pytest.raises(ContractViolation):
+            operation(half)
+
+
 def test_cohomology_of_trivial_class():
     for fan in FANS:
         prof = cohomology(ToricDivisor(fan, (0,) * fan.n))
@@ -95,7 +102,7 @@ def test_cohomology_of_trivial_class():
 def test_vanishing_predicates():
     fan = p2()
     # C/2 for the quartic's positive representation (2,1,1)
-    half = QToricDivisor(fan, (Fraction(1), Fraction(1, 2), Fraction(1, 2)))
+    half = ToricDivisor(fan, (Fraction(1), Fraction(1, 2), Fraction(1, 2)))
     rep = vanishing_predicates(half)
     assert rep.ample and rep.anti_ceil_h0_h1_vanishing_expected
     assert rep.dim_PD == 2

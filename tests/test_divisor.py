@@ -5,7 +5,6 @@ import pytest
 
 from toricpoints import (
     Positivity,
-    QToricDivisor,
     ToricDivisor,
     canonical_divisor,
     ceil_div,
@@ -19,7 +18,7 @@ from toricpoints import (
     positivity,
     principal_divisor,
 )
-from toricpoints.errors import FanMismatch
+from toricpoints.errors import ContractViolation, FanMismatch
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
@@ -70,9 +69,29 @@ def test_canonical_square_hirzebruch(m):
     assert intersection_number(K, K) == 8
 
 
+def test_exact_coefficients():
+    fan = p2()
+    half = ToricDivisor(fan, (Fraction(1, 2), 0, 0))
+    assert half.coeffs == (Fraction(1, 2), 0, 0)
+    assert not half.is_integral
+    two = ToricDivisor(fan, (Fraction(4, 2), 0, 0))
+    assert two.coeffs == (2, 0, 0) and type(two.coeffs[0]) is int
+    assert two.is_integral
+    # arithmetic lands back on ints whenever the values are integral
+    assert (half * 2).coeffs == (1, 0, 0) and (2 * half).is_integral
+    assert (half + half).is_integral and not (half - two).is_integral
+    assert intersection_number(half, half) == Fraction(1, 4)
+    assert type(intersection_number(half, two)) is int
+    for bad in (1.7, "1", True):
+        with pytest.raises(ContractViolation):
+            ToricDivisor(fan, (bad, 0, 0))
+    with pytest.raises(ContractViolation):
+        half * 0.5
+
+
 def test_floor_ceil():
     fan = p2()
-    D = QToricDivisor(fan, (Fraction(3, 2), Fraction(1, 2), Fraction(5, 2)))
+    D = ToricDivisor(fan, (Fraction(3, 2), Fraction(1, 2), Fraction(5, 2)))
     assert floor_div(D).coeffs == (1, 0, 2)
     assert ceil_div(D).coeffs == (2, 1, 3)
 
@@ -81,7 +100,7 @@ def test_ceil_is_neg_floor_neg():
     rng = random.Random(7)
     fan = hirzebruch(2)
     for _ in range(50):
-        D = QToricDivisor(
+        D = ToricDivisor(
             fan,
             tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(4)),
         )
@@ -96,7 +115,7 @@ def test_positivity():
     assert positivity(ToricDivisor(f1, (1, 0, 0, 0))) is Positivity.NEF_NOT_AMPLE  # F
     # rational inputs accepted
     assert (
-        positivity(QToricDivisor(fan, (Fraction(1, 2), Fraction(0), Fraction(0))))
+        positivity(ToricDivisor(fan, (Fraction(1, 2), Fraction(0), Fraction(0))))
         is Positivity.AMPLE
     )
 

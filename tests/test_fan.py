@@ -55,6 +55,12 @@ def test_wrong_cyclic_order_rejected():
         build_fan([(-1, -1), (0, 1), (1, 0)])
 
 
+def test_rays_winding_twice_rejected():
+    # primitive, distinct, every consecutive det is 1, but two turns
+    with pytest.raises(NotSmoothOrNotComplete):
+        build_fan([(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)])
+
+
 def test_builtin_surfaces():
     assert builtin_surface("P2").rays == ((1, 0), (0, 1), (-1, -1))
     assert builtin_surface("hirzebruch", 1).rays == ((1, 0), (0, 1), (-1, 1), (0, -1))

@@ -72,6 +72,15 @@ def test_lambda_too_many_rays():
         lambda_invariant(fan)
 
 
+def test_curve_classes_must_be_integral():
+    fan = p2()
+    half = ToricDivisor(fan, (Fraction(9, 2), 0, 0))
+    with pytest.raises(ContractViolation):
+        arithmetic_genus(fan, half)
+    with pytest.raises(ContractViolation):
+        CurveOnSurface(fan=fan, curve_class=half)
+
+
 def test_arithmetic_genus():
     fan = p2()
     assert arithmetic_genus(fan, ToricDivisor(fan, (4, 0, 0))) == 3

@@ -6,14 +6,12 @@ import sympy
 from toricpoints import (
     decomposition_chain,
     find_m,
-    gonality_floor,
     plane_degree_bound,
     plane_theorem_report,
     remark_inequality_check,
     sqrt_ceil_term,
 )
-from toricpoints.errors import HypothesisViolation
-from toricpoints.plane import PlaneCurveSpec
+from toricpoints.errors import HypothesisViolation, InternalInconsistency
 
 
 def sympy_ceil_term(d, delta):
@@ -31,6 +29,16 @@ def test_sqrt_ceil_term_against_sympy():
     for d in range(4, 61):
         for delta in range(0, (d - 3) // 3 + 1):
             assert sqrt_ceil_term(d, delta) == sympy_ceil_term(d, delta)
+
+
+def test_sqrt_ceil_term_is_smallest_admissible_t():
+    # the defining search: smallest t with 6t >= d and (6t - d)^2 >= disc
+    for d in range(0, 120):
+        for delta in range(0, d * d // 36 + 1):
+            t = -(-d // 6)
+            while (6 * t - d) ** 2 < d * d - 36 * delta:
+                t += 1
+            assert sqrt_ceil_term(d, delta) == t
 
 
 def test_sqrt_ceil_smooth_closed_form():
@@ -56,6 +64,10 @@ def test_find_m_examples():
     assert find_m(8, 0, 7) == 1  # 7 <= 7 < 12: lines through one point
     assert find_m(10, 2, 10) == 1  # 9 <= 12 < 16
     assert find_m(9, 0, 5) is None  # below the gonality floor d - 1
+    # e + delta >= d - 1 is where a degree-e divisor can move
+    assert find_m(9, 0, 8) == 1  # 8 >= 8
+    assert find_m(9, 0, 7) is None  # 7 < 8
+    assert find_m(10, 2, 7) == 1  # 9 >= 9
 
 
 def test_find_m_sandwich_and_monotone():
@@ -80,6 +92,8 @@ def test_plane_report_debarre_klassen():
     assert r.m == 1 and r.degB == 1
     r = plane_theorem_report(10, 2, 10)
     assert r.m == 1 and r.degB == 0
+    # delta_small (3 delta <= d - 3) also gives the m = 2 gonality
+    # hypothesis delta < d - 1
     assert all(v == "pass" for v in r.hypotheses.values())
 
 
@@ -87,6 +101,20 @@ def test_plane_report_out_of_range_not_guaranteed():
     r = plane_theorem_report(8, 0, 20)
     assert not r.conclusion_guaranteed
     assert r.hypotheses["e_in_range"] == "fail"
+    r = plane_theorem_report(12, 4, 10)  # 3 delta = 12 > d - 3
+    assert r.hypotheses["delta_small"] == "fail"
+    assert not r.conclusion_guaranteed
+    r = plane_theorem_report(3, 0, 1)
+    assert r.hypotheses["degree_at_least_4"] == "fail"
+    with pytest.raises(HypothesisViolation):
+        plane_theorem_report(10, 3, 10)  # d^2 < 36 delta
+
+
+def test_plane_report_edge_raises_internal_inconsistency():
+    # every hypothesis holds at the edge 3 delta = d - 3, yet deg B >= e/2
+    for d, delta, e in [(9, 2, 6), (21, 6, 14), (27, 8, 18)]:
+        with pytest.raises(InternalInconsistency):
+            plane_theorem_report(d, delta, e)
 
 
 def test_decomposition_chains():
@@ -127,17 +155,3 @@ def test_remark_inequality_sweep_and_ceiled_equality():
                 assert delta == 0 and d % 3 == 0
             if delta == 0 and d % 3 == 0:
                 assert term2 == term1
-
-
-def test_gonality_floor():
-    assert gonality_floor(9, 0, 8).allows_moving
-    assert bool(gonality_floor(9, 0, 8))
-    assert not gonality_floor(9, 0, 7).allows_moving
-    assert gonality_floor(10, 2, 7).allows_moving  # 9 >= 9
-    assert gonality_floor(10, 2, 7).m2_hypothesis  # 2 < 9
-
-
-def test_plane_curve_spec_hypothesis():
-    assert PlaneCurveSpec(10, 2).hypothesis_ok
-    assert not PlaneCurveSpec(10, 3).hypothesis_ok
-    assert not PlaneCurveSpec(3, 0).hypothesis_ok
