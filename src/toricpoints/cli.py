@@ -54,19 +54,21 @@ def jsonable(obj):
 
 
 def parse_surface(text: str) -> ToricSurfaceFan:
-    if os.path.exists(text):
-        with open(text) as fh:
-            try:
-                desc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed JSON in {text}: {exc}") from exc
-        return surface_from_descriptor(desc)
+    """A builtin name (P2, P1xP1, F<m>), else the path of a JSON surface
+    descriptor.  Builtin names win, so a file named P2 is given as ./P2."""
     try:
         return builtin_surface(text)
     except InputError:
-        raise InputError(
-            f"unknown surface {text!r}: expected P2, P1xP1, F<m> or a JSON file path"
-        )
+        if not os.path.exists(text):
+            raise InputError(
+                f"unknown surface {text!r}: expected P2, P1xP1, F<m> or a JSON file path"
+            )
+    with open(text) as fh:
+        try:
+            desc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed JSON in {text}: {exc}") from exc
+    return surface_from_descriptor(desc)
 
 
 def _is_int(v) -> bool:
@@ -128,15 +130,16 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
         return ToricDivisor(fan, (f, c0, 0, 0))
     if text.startswith("["):
         try:
-            values = json.loads(text)
+            coeffs = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed divisor JSON: {exc}") from exc
+        if not (isinstance(coeffs, list) and all(_is_int(v) for v in coeffs)):
+            raise InputError(f"divisor coefficients must be integers: {text!r}")
     else:
-        values = text.split(",")
-    try:
-        coeffs = [int(str(v).strip()) for v in values]
-    except ValueError as exc:
-        raise InputError(f"divisor coefficients must be integers: {text!r}") from exc
+        try:
+            coeffs = [int(v.strip()) for v in text.split(",")]
+        except ValueError as exc:
+            raise InputError(f"divisor coefficients must be integers: {text!r}") from exc
     if len(coeffs) != fan.n:
         raise InputError(f"{len(coeffs)} coefficients for a fan with {fan.n} rays")
     return ToricDivisor(fan, tuple(coeffs))

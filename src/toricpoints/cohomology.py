@@ -8,7 +8,6 @@ difference.  Everything is exact; no floating point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from . import geometry
@@ -24,10 +23,11 @@ from .errors import InternalInconsistency
 
 @dataclass(frozen=True)
 class DivisorPolytope:
-    """P_D = {x : <x, u_i> >= -a_i}, with exact rational vertices.
+    """P_D = {x : <x, u_i> >= -a_i}, with its distinct exact rational
+    vertices, sorted.
 
-    dim is the affine dimension of the vertex hull: -1 empty, 0 point,
-    1 segment, 2 polygon.
+    dim is the affine dimension of P_D: -1 empty, 0 point, 1 segment,
+    2 polygon.
     """
 
     halfplanes: Tuple[geometry.HalfPlane, ...]
@@ -44,17 +44,17 @@ class CohomologyProfile:
 
 
 def divisor_polytope(D: ToricDivisor) -> DivisorPolytope:
-    halfplanes = tuple((u, Fraction(-a)) for u, a in zip(D.fan.rays, D.coeffs))
+    halfplanes = tuple((u, -a) for u, a in zip(D.fan.rays, D.coeffs))
     vertices = tuple(sorted(geometry.feasible_vertices(halfplanes)))
     return DivisorPolytope(
         halfplanes=halfplanes,
         vertices=vertices,
-        dim=geometry.hull_dimension(vertices),
+        dim=min(len(vertices), 3) - 1,
     )
 
 
 def lattice_point_count(P: DivisorPolytope) -> int:
-    return len(geometry.lattice_points(P.halfplanes, P.vertices))
+    return geometry.count_lattice_points(P.halfplanes, P.vertices)
 
 
 def euler_characteristic(D: ToricDivisor) -> int:

@@ -194,11 +194,10 @@ def effective_representative(
     if len(lower_bounds) != n:
         raise FanMismatch(f"{len(lower_bounds)} bounds for a fan with {n} rays")
     halfplanes = [
-        (u, Fraction(lb - a))
+        (u, lb - a)
         for u, a, lb in zip(D.fan.rays, D.coeffs, lower_bounds)
     ]
-    pts = geometry.lattice_points(halfplanes)
-    if not pts:
+    m = geometry.lexmin_lattice_point(halfplanes, geometry.feasible_vertices(halfplanes))
+    if m is None:
         return None
-    m = min(pts)
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -101,7 +101,8 @@ class PlaneReport:
 def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     """Numeric skeleton of the inductive decomposition: base-divisor degree
     bounds halve at every level (e/2, e/4, ...) until only non-moving and
-    singular points can remain."""
+    singular points can remain, or no positive degree is left below the
+    bound, so the chain has at most floor(log2 e) + 2 levels."""
     levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=find_m(d, delta, e))]
     m0 = levels[0].m
     if m0 is None or m0 * d - e <= 0:
@@ -112,7 +113,7 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
         top = ceil(bound) - 1  # largest integer degree strictly below the bound
         m = find_m(d, delta, top)
         levels.append(ChainLevel(level=level, degree_bound=bound, m=m))
-        if m is None or m * d - top <= 0:
+        if m is None or m * d - top <= 0 or top < 1:
             return levels
         bound = bound / 2
         level += 1

@@ -215,3 +215,48 @@ def test_plane_edge_exits_2_with_and_without_optimisation(flags):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:")
+
+
+def test_plane_with_large_delta_returns():
+    # delta >= d - 1 used to halve the chain's bound forever
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["plane", "--d", "40", "--delta", "39", "--e", "10", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricpoints.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["chain"]) <= 5  # floor(log2 10) + 2
+
+
+def test_cohomology_of_a_large_hirzebruch_class(capsys):
+    code, out, _ = run(
+        capsys, "cohomology", "--surface", "F3", "--divisor=1000C0+5000F", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["h1"], data["h2"]) == (0, 0)
+    assert data["h0"] == data["chi"]
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    (tmp_path / "P2").write_text(json.dumps({"builtin": "F1"}))
+    monkeypatch.chdir(tmp_path)
+    assert parse_surface("P2").rays == p2().rays
+    assert parse_surface("./P2").name == "F1"
+    code, out, _ = run(capsys, "lambda", "--surface", "P2")
+    assert code == 0
+    assert "lambda = -1/4" in out
+
+
+@pytest.mark.parametrize("text", ['["3",0,0]', "[true,0,0]", "[3.0,0,0]", "[[3],0,0]", '{"a": 1}'])
+def test_divisor_json_coefficients_must_be_integers(capsys, text):
+    with pytest.raises(InputError):
+        parse_divisor(p2(), text)
+    code, out, err = run(capsys, "cohomology", "--surface", "P2", f"--divisor={text}", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")

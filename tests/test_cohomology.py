@@ -52,6 +52,13 @@ def test_segment_polytope():
     assert P.dim == 1
 
 
+@pytest.mark.parametrize("d", [10**6, 10**12])
+def test_p2_counts_far_beyond_a_box_scan(d):
+    prof = cohomology(ToricDivisor(p2(), (d, 0, 0)))
+    assert (prof.h0, prof.h1, prof.h2) == ((d + 1) * (d + 2) // 2, 0, 0)
+    assert lattice_point_count(divisor_polytope(ToricDivisor(p2(), (-d - 3, 0, 0)))) == 0
+
+
 def test_big_f1_count_closed_form():
     # {x >= -21, y >= -23, y >= x, y <= 0}: sum_{j=1}^{22} j = 253
     P = divisor_polytope(ToricDivisor(hirzebruch(1), (21, 23, 0, 0)))

@@ -274,6 +274,14 @@ def test_hirzebruch_counterexample_26():
     assert r.surjectivity_fails
 
 
+def test_hirzebruch_counterexample_at_a_million():
+    n = 10**6
+    r = hirzebruch_counterexample(n)
+    assert (r.C2, r.deg_P) == (n * n + 2 * n, 3 * n + 1)
+    assert (r.h0_D, r.h1_D, r.h1_D_minus_C, r.h0_C_P) == (7, 0, 1, 8)
+    assert r.low_degree_regime and r.surjectivity_fails
+
+
 def test_hirzebruch_counterexample_regime_threshold():
     assert not hirzebruch_counterexample(25).low_degree_regime  # 9*76 > 675
     assert not hirzebruch_counterexample(1).low_degree_regime

@@ -133,6 +133,12 @@ def test_decomposition_chains():
     assert [(l.level, l.degree_bound, l.m) for l in chain] == [(0, Fraction(40), 2)]
 
 
+@pytest.mark.parametrize("d, delta, e", [(40, 39, 10), (40, 44, 1000), (36, 35, 1), (50, 60, 0)])
+def test_chain_stops_when_no_positive_degree_is_left(d, delta, e):
+    chain = decomposition_chain(d, delta, e)
+    assert len(chain) <= max(e, 1).bit_length() + 1  # floor(log2 e) + 2
+
+
 def test_chain_bounds_halve():
     for d, delta, e in [(9, 0, 8), (8, 0, 7), (30, 0, 80), (40, 3, 150)]:
         chain = decomposition_chain(d, delta, e)
