@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import os
 import re
@@ -98,8 +99,25 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
     raise InputError('surface descriptor needs "rays" or "builtin"')
 
 
-_H_RE = re.compile(r"^(\d*)H$")
-_TERM_RE = re.compile(r"^([+-]?\d*)(C0|F)$")
+# ASCII digits only: int() and \d would also take "1_0" and non-ASCII digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_H_RE = re.compile(r"([0-9]*)H")
+_TERM_RE = re.compile(r"([+-]?[0-9]*)(C0|F)")
+
+
+def _ascii_int(text: str) -> int:
+    """An optionally signed run of ASCII digits with whitespace around it;
+    also the argparse type of the integer options."""
+    if not _INT_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _int_list(text: str, what: str) -> List[int]:
+    try:
+        return [_ascii_int(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise InputError(f"{what} must be integers: {text!r}") from None
 
 
 def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
@@ -107,7 +125,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
     "dH" on P^2 and "aC0+bF" on a Hirzebruch surface (H -> D_1's class,
     C_0 -> D_2, F -> D_1)."""
     text = text.strip()
-    m = _H_RE.match(text)
+    m = _H_RE.fullmatch(text)
     if m:
         if fan.n != 3:
             raise InputError('"dH" shorthand only applies to P2')
@@ -118,7 +136,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
             raise InputError('"aC0+bF" shorthand only applies to Hirzebruch surfaces')
         c0 = f = 0
         for term in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
-            tm = _TERM_RE.match(term)
+            tm = _TERM_RE.fullmatch(term)
             if not tm:
                 raise InputError(f"cannot parse divisor term {term!r}")
             coeff = tm.group(1)
@@ -136,10 +154,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
         if not (isinstance(coeffs, list) and all(_is_int(v) for v in coeffs)):
             raise InputError(f"divisor coefficients must be integers: {text!r}")
     else:
-        try:
-            coeffs = [int(v.strip()) for v in text.split(",")]
-        except ValueError as exc:
-            raise InputError(f"divisor coefficients must be integers: {text!r}") from exc
+        coeffs = _int_list(text, "divisor coefficients")
     if len(coeffs) != fan.n:
         raise InputError(f"{len(coeffs)} coefficients for a fan with {fan.n} rays")
     return ToricDivisor(fan, tuple(coeffs))
@@ -148,10 +163,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
 def parse_multiplicities(text: Optional[str]) -> tuple:
     if not text:
         return ()
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"multiplicities must be integers: {text!r}") from exc
+    return tuple(_int_list(text, "multiplicities"))
 
 
 def _emit(args, payload: dict, human_lines: List[str]) -> None:
@@ -278,7 +290,9 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="toricpoints",
         description="Exact divisor arithmetic and low-degree point bounds on toric surfaces",
@@ -317,14 +331,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_toric)
 
     p = sub.add_parser("plane", help="plane-curve degree bounds and decomposition")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--d", type=_ascii_int, required=True)
+    p.add_argument("--delta", type=_ascii_int, default=0)
+    p.add_argument("--e", type=_ascii_int, required=True)
     common(p)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("hirzebruch-example", help="the F_1 surjectivity failure family")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     common(p)
     p.set_defaults(func=cmd_hirzebruch_example)
 

@@ -21,10 +21,6 @@ class FanMismatch(ToricError):
     pass
 
 
-class TooManyRays(ToricError):
-    pass
-
-
 class NotAmple(ToricError):
     pass
 

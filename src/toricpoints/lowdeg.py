@@ -9,7 +9,6 @@ family where surjectivity of restriction fails.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -23,12 +22,11 @@ from .divisor import (
     classes_equal,
     effective_representative,
     intersect_primes,
-    intersection_matrix,
     intersection_number,
     positivity,
 )
-from .errors import ContractViolation, InternalInconsistency, NotAmple, TooManyRays
-from .fan import ToricSurfaceFan, hirzebruch
+from .errors import ContractViolation, InternalInconsistency, NotAmple
+from .fan import ToricSurfaceFan, hirzebruch, prime_self_intersections
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -36,8 +34,6 @@ FAIL = "fail"
 NOT_CERTIFIED = "not_certified"
 CERTIFIED = "certified_ample"
 ASSUMED = "assumed"
-
-MAX_LAMBDA_RAYS = 24  # the subset scan is 2^n
 
 
 @dataclass(frozen=True)
@@ -67,27 +63,44 @@ class LambdaResult:
 def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     """lambda(S) = 2 + (1/4) min over subsets R of (sum_R D_i).(2K + sum_R D_i).
 
-    Scans all 2^n subsets including the empty one (which contributes 0, so
-    the value is always <= 2).  Ties broken by subset size, then lexicographic
-    index order.
+    On a smooth complete surface D_i.D_j = 1 for cyclic neighbours and 0 for
+    other i != j, and K.D_i = b_i - 2 with D_i^2 = -b_i, so the objective is
+    val(R) = sum_{i in R} (b_i - 4) + 2 #{i : i, i+1 in R}.  The empty subset
+    gives 0, so the value is always <= 2.  A two-state dynamic programme
+    around the cycle, run once with ray 0 out and once with it in, minimises
+    (val, |R|) in O(n); R is then rebuilt from ray 0 on, taking each ray
+    whenever the minimum is still reachable with it, which yields the
+    lexicographically smallest sorted R among the minimisers.
     """
     n = fan.n
-    if n > MAX_LAMBDA_RAYS:
-        raise TooManyRays(f"{n} rays; the subset scan is capped at {MAX_LAMBDA_RAYS}")
-    M = intersection_matrix(fan)
-    # K.D_j = -sum_i M[i][j]
-    kdot = [-sum(M[i][j] for i in range(n)) for j in range(n)]
-    best = None
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            e2 = sum(M[i][j] for i in subset for j in subset)
-            ke = sum(kdot[i] for i in subset)
-            val = e2 + 2 * ke
-            key = (val, len(subset), subset)
-            if best is None or key < best:
-                best = key
-    val, _, subset = best
-    return LambdaResult(value=Fraction(2) + Fraction(val, 4), inner_min=val, argmin_subset=subset)
+    # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
+    # stay exact because no partial |R| exceeds n < w
+    w = n + 1
+    edge = 2 * w  # two cyclic neighbours both in R
+    take = [(-s - 4) * w + 1 for s in prime_self_intersections(fan)]  # (b_i - 4, 1)
+    runs = []
+    for first in (1, 0):
+        # suf[i] = least key of rays i..n-1 with ray i-1 out, and with it in;
+        # the pair (n-1, 0) adds an edge when both ends are in
+        suf = [None] * (n + 1)
+        suf[n] = (0, edge * first)
+        for i in range(n - 1, 0, -1):
+            out, into = suf[i + 1]
+            suf[i] = (min(out, take[i] + into), min(out, take[i] + edge + into))
+        runs.append((first * take[0] + suf[1][first], first, suf))
+    best, first, suf = min(runs, key=lambda run: run[0])  # ties keep ray 0 in
+    subset = [0] if first else []
+    acc, prev = first * take[0], first
+    for i in range(1, n):
+        with_i = acc + take[i] + edge * prev
+        prev = int(with_i + suf[i + 1][1] == best)
+        if prev:
+            subset.append(i)
+            acc = with_i
+    val = best // w
+    return LambdaResult(
+        value=Fraction(2) + Fraction(val, 4), inner_min=val, argmin_subset=tuple(subset)
+    )
 
 
 def arithmetic_genus(fan: ToricSurfaceFan, C: ToricDivisor) -> int:

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 import toricpoints
-from toricpoints.cli import main, parse_divisor, parse_surface, surface_from_descriptor
+from toricpoints.cli import (
+    main,
+    make_parser,
+    parse_divisor,
+    parse_surface,
+    surface_from_descriptor,
+)
 from toricpoints.errors import InputError
 from toricpoints.fan import p2
 
@@ -260,3 +266,79 @@ def test_divisor_json_coefficients_must_be_integers(capsys, text):
     code, out, err = run(capsys, "cohomology", "--surface", "P2", f"--divisor={text}", "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--surface", "P2", "--divisor=1_0,0,0"],  # comma list
+        ["cohomology", "--surface", "P2", "--divisor=٣,0,0"],
+        ["cohomology", "--surface", "P2", "--divisor=٣H"],  # dH shorthand
+        ["cohomology", "--surface", "F1", "--divisor=1_0C0+F"],  # aC0+bF terms
+        ["cohomology", "--surface", "F1", "--divisor=C0+٣F"],
+        ["check-toric", "--surface", "P2", "--curve=9H", "--multiplicities", "2_0"],
+        ["check-toric", "--surface", "P2", "--curve=9H", "--multiplicities", "2,٣"],
+    ],
+)
+def test_text_integers_are_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plane", "--d", "1_0", "--e", "3"],
+        ["plane", "--d", "9", "--e", "٣"],
+        ["hirzebruch-example", "--n", "2_6"],
+    ],
+)
+def test_integer_options_are_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+def test_text_integers_take_signs_and_spaces(capsys):
+    f1 = parse_surface("F1")
+    assert parse_divisor(p2(), " 10, -2 ,+0").coeffs == (10, -2, 0)
+    assert parse_divisor(f1, "-2C0 + 3F").coeffs == (3, -2, 0, 0)
+    code, out, _ = run(
+        capsys, "check-toric", "--surface", "P2", "--curve=10H", "--multiplicities", "2, 2", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["blowup_C2"] == 92
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [
+        ["lambda", "--surface", "F2", "--json"],
+        ["cohomology", "--surface", "P2", "--divisor", "5H"],
+        ["plane", "--d", "12", "--delta", "1", "--e", "5", "--json"],
+        ["cohomology", "--surface", "P2", "--divisor=1_0,0,0"],
+        ["plane", "--d", "x", "--e", "5"],
+        ["no-such-command"],
+        ["check-toric", "--surface", "F1", "--curve", "26C0+27F", "--json"],
+        ["hirzebruch-example", "--n", "26"],
+        ["intersect", "--surface", "P2", "--divisor", "H"],
+        ["lambda", "--surface", "P2"],
+    ]
+    fresh = []
+    for argv in calls:
+        make_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    parser = make_parser()
+    for argv, expected in zip(calls + calls[::-1], fresh + fresh[::-1]):
+        assert _call(capsys, argv) == expected
+    assert make_parser() is parser
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 0]
