@@ -102,7 +102,9 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
 # ASCII digits only: int() and \d would also take "1_0" and non-ASCII digits
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _H_RE = re.compile(r"([0-9]*)H")
-_TERM_RE = re.compile(r"([+-]?[0-9]*)(C0|F)")
+# aC0+bF: terms such as 2C0, -F or +3F, with a sign between any two terms
+_FC_TERM = r"([+-]?)([0-9]*)(C0|F)"
+_FC_RE = re.compile(r"[+-]?[0-9]*(?:C0|F)(?:[+-][0-9]*(?:C0|F))*")
 
 
 def _ascii_int(text: str) -> int:
@@ -134,18 +136,13 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
     if "C0" in text or text.endswith("F"):
         if fan.n != 4:
             raise InputError('"aC0+bF" shorthand only applies to Hirzebruch surfaces')
-        c0 = f = 0
-        for term in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
-            tm = _TERM_RE.fullmatch(term)
-            if not tm:
-                raise InputError(f"cannot parse divisor term {term!r}")
-            coeff = tm.group(1)
-            coeff = int(coeff + "1") if coeff in ("", "+", "-") else int(coeff)
-            if tm.group(2) == "C0":
-                c0 += coeff
-            else:
-                f += coeff
-        return ToricDivisor(fan, (f, c0, 0, 0))
+        terms = text.replace(" ", "")
+        if not _FC_RE.fullmatch(terms):
+            raise InputError(f"cannot parse divisor {text!r} as aC0+bF")
+        coeff = {"C0": 0, "F": 0}
+        for sign, digits, name in re.findall(_FC_TERM, terms):
+            coeff[name] += int(sign + (digits or "1"))
+        return ToricDivisor(fan, (coeff["F"], coeff["C0"], 0, 0))
     if text.startswith("["):
         try:
             coeffs = json.loads(text)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import geometry
 from .errors import ContractViolation, FanMismatch
-from .fan import LatticePoint, ToricSurfaceFan, dot, prime_self_intersections
+from .fan import LatticePoint, ToricSurfaceFan, dot
 
 
 Coefficient = Union[int, Fraction]
@@ -90,42 +89,22 @@ def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
     return ToricDivisor(fan, (-1,) * fan.n)
 
 
-@lru_cache(maxsize=None)
-def intersection_matrix(fan: ToricSurfaceFan) -> Tuple[Tuple[int, ...], ...]:
-    """Pairing of prime divisors: D_i.D_j is 1 for cyclically adjacent rays,
-    0 for distinct non-adjacent ones, and the self-intersection on the
-    diagonal."""
-    n = fan.n
-    selfs = prime_self_intersections(fan)
-    M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        M[i][j] = 1
-        M[j][i] = 1
-    for i in range(n):
-        M[i][i] = selfs[i]
-    return tuple(tuple(row) for row in M)
+def intersect_primes(D: ToricDivisor) -> List:
+    """The vector (D.D_1, ..., D.D_n).  D_j meets only its two cyclic
+    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2."""
+    a = D.coeffs
+    n = len(a)
+    return [
+        _exact(a[j - 1] + a[(j + 1) % n] + a[j] * s)
+        for j, s in enumerate(D.fan.self_intersections)
+    ]
 
 
 def intersection_number(D: ToricDivisor, E: ToricDivisor):
     """Bilinear extension of the prime-divisor pairing: an int when the value
     is integral, a Fraction otherwise."""
     _check_same_fan(D, E)
-    M = intersection_matrix(D.fan)
-    total = 0
-    for i, a in enumerate(D.coeffs):
-        if a == 0:
-            continue
-        row = M[i]
-        total += a * sum(b * row[j] for j, b in enumerate(E.coeffs) if b != 0)
-    return _exact(total)
-
-
-def intersect_primes(D: ToricDivisor) -> List:
-    """The vector (D.D_1, ..., D.D_n)."""
-    M = intersection_matrix(D.fan)
-    n = D.fan.n
-    return [_exact(sum(D.coeffs[i] * M[i][j] for i in range(n))) for j in range(n)]
+    return _exact(sum(e * p for e, p in zip(E.coeffs, intersect_primes(D))))
 
 
 def classes_equal(D: ToricDivisor, E: ToricDivisor) -> bool:

@@ -8,7 +8,7 @@ det(u_i, u_{i+1}) = +1 for every consecutive pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
@@ -46,8 +46,22 @@ class ToricSurfaceFan:
     def n(self) -> int:
         return len(self.rays)
 
-    def ray(self, i: int) -> LatticePoint:
-        return self.rays[i % self.n]
+    @cached_property
+    def self_intersections(self) -> Tuple[int, ...]:
+        """(D_1^2, ..., D_n^2), computed on first use and kept with the fan.
+
+        On a smooth complete toric surface u_{i-1} + u_{i+1} = b_i u_i for a
+        unique integer b_i, and D_i^2 = -b_i.  Since det(u_i, u_{i+1}) = 1,
+        b_i = det(u_{i-1}, u_{i+1}).
+        """
+        out = []
+        for i, u in enumerate(self.rays):
+            prev, nxt = self.rays[i - 1], self.rays[(i + 1) % self.n]
+            b = det(prev, nxt)
+            if (prev[0] + nxt[0], prev[1] + nxt[1]) != (b * u[0], b * u[1]):
+                raise InternalInconsistency(f"u_{i - 1} + u_{i + 1} not a multiple of u_{i}")
+            out.append(-b)
+        return tuple(out)
 
     def same_surface(self, other: "ToricSurfaceFan") -> bool:
         return self.rays == other.rays
@@ -129,29 +143,6 @@ def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
     raise InputError(f"unknown builtin surface {name!r}")
 
 
-@lru_cache(maxsize=None)
 def prime_self_intersections(fan: ToricSurfaceFan) -> Tuple[int, ...]:
-    """Self-intersection numbers (D_1^2, ..., D_n^2).
-
-    On a smooth complete toric surface u_{i-1} + u_{i+1} = b_i u_i for a
-    unique integer b_i, and D_i^2 = -b_i.
-    """
-    out = []
-    for i in range(fan.n):
-        s = (
-            fan.ray(i - 1)[0] + fan.ray(i + 1)[0],
-            fan.ray(i - 1)[1] + fan.ray(i + 1)[1],
-        )
-        u = fan.rays[i]
-        if u[0] != 0:
-            if s[0] % u[0] != 0:
-                raise InternalInconsistency(f"u_{i - 1} + u_{i + 1} not a multiple of u_{i}")
-            b = s[0] // u[0]
-        else:
-            if s[1] % u[1] != 0:
-                raise InternalInconsistency(f"u_{i - 1} + u_{i + 1} not a multiple of u_{i}")
-            b = s[1] // u[1]
-        if (b * u[0], b * u[1]) != s:
-            raise InternalInconsistency(f"u_{i - 1} + u_{i + 1} not a multiple of u_{i}")
-        out.append(-b)
-    return tuple(out)
+    """Self-intersection numbers (D_1^2, ..., D_n^2) of the fan's prime divisors."""
+    return fan.self_intersections

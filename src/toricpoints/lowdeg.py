@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import floor
 from typing import Dict, Optional, Sequence, Tuple
 
-from .cohomology import cohomology, vanishing_predicates
+from .cohomology import cohomology
 from .divisor import (
     Positivity,
     ToricDivisor,
@@ -26,7 +26,7 @@ from .divisor import (
     positivity,
 )
 from .errors import ContractViolation, InternalInconsistency, NotAmple
-from .fan import ToricSurfaceFan, hirzebruch, prime_self_intersections
+from .fan import ToricSurfaceFan, hirzebruch
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -77,7 +77,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     # stay exact because no partial |R| exceeds n < w
     w = n + 1
     edge = 2 * w  # two cyclic neighbours both in R
-    take = [(-s - 4) * w + 1 for s in prime_self_intersections(fan)]  # (b_i - 4, 1)
+    take = [(-s - 4) * w + 1 for s in fan.self_intersections]  # (b_i - 4, 1)
     runs = []
     for first in (1, 0):
         # suf[i] = least key of rays i..n-1 with ray i-1 out, and with it in;
@@ -217,7 +217,6 @@ def interpolation_conditions(
     C2 = intersection_number(C_rep, C_rep)
     h1 = cohomology(D - C_rep).h1
     bound = mainprop_h0_bound(fan, C_rep, D, e)
-    half = C_rep * Fraction(1, 2)
     return ConditionVerdicts(
         intersection_bound=PASS if CD < C2 else FAIL,
         surjectivity=PASS if h1 == 0 else FAIL,
@@ -226,7 +225,7 @@ def interpolation_conditions(
         C2=C2,
         h1_D_minus_C=h1,
         h0_bound=bound,
-        half_curve_ample=vanishing_predicates(half).ample,
+        half_curve_ample=positivity(C_rep * Fraction(1, 2)) is Positivity.AMPLE,
     )
 
 

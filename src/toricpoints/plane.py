@@ -13,13 +13,15 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import HypothesisViolation, InternalInconsistency
+from .errors import ContractViolation, HypothesisViolation, InternalInconsistency
 
 # verdict labels shared with the toric reports
 from .lowdeg import FAIL, PASS
 
 
 def _check_discriminant(d: int, delta: int) -> int:
+    if d < 0 or delta < 0:
+        raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
     disc = d * d - 36 * delta
     if disc < 0:
         raise HypothesisViolation(f"d^2 < 36 delta for d={d}, delta={delta}")
@@ -130,7 +132,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     t = sqrt_ceil_term(d, delta)
     hypotheses = {
         "degree_at_least_4": PASS if d >= 4 else FAIL,
-        "delta_small": PASS if 3 * delta <= d - 3 and delta >= 0 else FAIL,
+        "delta_small": PASS if 3 * delta <= d - 3 else FAIL,
         "e_in_range": PASS if 0 < e < e_bound else FAIL,
         "blowup_ample_2delta_lt_d": PASS if 2 * delta < d else FAIL,
     }

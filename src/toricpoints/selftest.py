@@ -1,9 +1,9 @@
 """Cross-oracle self-test suites.
 
 Each suite pits two independent routes at each other (lattice counts vs
-Riemann-Roch, pairing vs class shifts, closed forms vs the subset scan) on
-seeded random inputs, so a fresh build can be sanity-checked from the CLI
-without the dev test harness.
+Riemann-Roch, pairing vs class shifts, lambda(S) vs its closed forms on P^2
+and F_m) on seeded random inputs, so a fresh build can be sanity-checked
+from the CLI without the dev test harness.
 """
 
 from __future__ import annotations

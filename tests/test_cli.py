@@ -158,6 +158,29 @@ def test_parse_divisor_shorthands():
     assert parse_divisor(f1, "26C0+27F").coeffs == (27, 26, 0, 0)
     assert parse_divisor(f1, "C0+3F").coeffs == (3, 1, 0, 0)
     assert parse_divisor(f1, "-F").coeffs == (-1, 0, 0, 0)
+    assert parse_divisor(f1, "2C0+3F").coeffs == (3, 2, 0, 0)
+    assert parse_divisor(f1, "+C0").coeffs == (0, 1, 0, 0)
+    assert parse_divisor(f1, "-C0+2F").coeffs == (2, -1, 0, 0)
+    assert parse_divisor(f1, "C0 + F").coeffs == (1, 1, 0, 0)
+    assert parse_divisor(f1, "12C0-7F").coeffs == (-7, 12, 0, 0)
+
+
+@pytest.mark.parametrize("text", ["C0+", "2C0++F", "2C0+-F", "C0F"])
+def test_hirzebruch_shorthand_needs_one_sign_between_terms(capsys, text):
+    with pytest.raises(InputError):
+        parse_divisor(parse_surface("F1"), text)
+    code, out, err = run(capsys, "cohomology", "--surface", "F1", f"--divisor={text}", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--d", "10", "--delta=-1", "--e", "3"], ["--d=-10", "--e", "3"]]
+)
+def test_plane_refuses_negative_d_and_delta(capsys, argv):
+    code, out, err = run(capsys, "plane", *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_selftest_command(capsys):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from math import inf
 
@@ -9,23 +11,29 @@ from hypothesis import strategies as st
 
 from toricpoints import (
     CurveOnSurface,
+    Positivity,
     ToricDivisor,
     arithmetic_genus,
     blowup_self_intersection,
     build_fan,
+    canonical_divisor,
+    cohomology,
     hirzebruch,
     hirzebruch_counterexample,
     interpolation_conditions,
     interpolation_divisor,
+    intersection_number,
     lambda_invariant,
     mainprop_h0_bound,
     p1xp1,
     p2,
     positive_curve_representation,
+    positivity,
+    prime_self_intersections,
     seshadri_ample_check,
     toric_theorem_report,
 )
-from toricpoints.divisor import intersection_matrix
+from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 
@@ -44,6 +52,17 @@ def random_smooth_fan(rng, extra=3):
     for _ in range(extra):
         rays = subdivide(rays, rng.randrange(len(rays)))
     return build_fan(rays)
+
+
+def intersection_matrix(fan):
+    """Oracle: the dense n x n pairing of prime divisors.  D_i.D_j is 1 for
+    cyclic neighbours, 0 for other i != j, and D_i^2 = -b_i."""
+    n = fan.n
+    b = wall_numbers(fan.rays)
+    return [
+        [-b[i] if i == j else int((i - j) % n in (1, n - 1)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def subset_scan(fan):
@@ -118,6 +137,91 @@ def test_lambda_matches_the_subset_scan(fan):
     res = lambda_invariant(fan)
     assert (res.inner_min, res.argmin_subset) == subset_scan(fan)
     assert res.value == 2 + Fraction(res.inner_min, 4)
+
+
+def exact(value, want):
+    """value equals want, and is an int exactly when want is integral."""
+    return value == want and type(value) is (int if Fraction(want).denominator == 1 else Fraction)
+
+
+def kleiman(pairings):
+    if all(p > 0 for p in pairings):
+        return Positivity.AMPLE
+    if all(p >= 0 for p in pairings):
+        return Positivity.NEF_NOT_AMPLE
+    return Positivity.NOT_NEF
+
+
+def polygon_class(fan, lengths):
+    """Oracle: the class of a lattice polygon with D.D_j = lengths[j], once
+    two adjacent lengths have grown by what closes the polygon.  The edge on
+    ray u_j runs along (u_j.y, -u_j.x), so it closes when sum l_j u_j = 0.
+    Returns the class and the final lengths."""
+    rays, n = fan.rays, fan.n
+    lengths = list(lengths)
+    rx = -sum(l * u[0] for l, u in zip(lengths, rays))
+    ry = -sum(l * u[1] for l, u in zip(lengths, rays))
+    for k in range(n):
+        (ux, uy), (vx, vy) = rays[k], rays[(k + 1) % n]
+        alpha, beta = rx * vy - ry * vx, ux * ry - uy * rx  # r = alpha u_k + beta u_k+1
+        if alpha >= 0 and beta >= 0:
+            lengths[k] += alpha
+            lengths[(k + 1) % n] += beta
+            break
+    # the vertex m_j on rays j and j+1 walks the edges from m_0 = 0
+    mx = my = 0
+    coeffs = []
+    for j, (ux, uy) in enumerate(rays):
+        if j:
+            mx, my = mx + lengths[j] * uy, my - lengths[j] * ux
+        coeffs.append(-(mx * ux + my * uy))
+    return ToricDivisor(fan, tuple(coeffs)), lengths
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_pairing_matches_the_dense_matrix(fan, data):
+    n = fan.n
+    M = intersection_matrix(fan)
+
+    def ints(lo, hi):
+        return data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    P, lengths = polygon_class(fan, ints(0, 5))  # nef; ample when no length is 0
+    for den in (1, 2):  # integral classes, then half-integral Q-divisors
+        D = ToricDivisor(fan, tuple(Fraction(k, den) for k in ints(-12, 12)))
+        E = P * Fraction(1, den)
+        for A in (D, E):
+            want = [sum(a * M[i][j] for i, a in enumerate(A.coeffs)) for j in range(n)]
+            assert all(exact(got, w) for got, w in zip(intersect_primes(A), want))
+            assert positivity(A) is kleiman(want)
+        assert intersect_primes(E) == [Fraction(l, den) for l in lengths]
+        want = sum(a * M[i][j] * e for i, a in enumerate(D.coeffs) for j, e in enumerate(E.coeffs))
+        assert exact(intersection_number(D, E), want)
+        assert exact(intersection_number(E, D), want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(blowup_fans())
+def test_wall_numbers_meet_noethers_formula(fan):
+    # chi(O) = 1 and e = n give K^2 = 12 - n; as K = -sum D_i and each D_i
+    # meets its two neighbours once, that is sum D_i^2 = 12 - 3n
+    assert sum(prime_self_intersections(fan)) == 12 - 3 * fan.n
+    K = canonical_divisor(fan)
+    assert exact(intersection_number(K, K), 12 - fan.n)
+
+
+def test_a_fan_is_freed_after_use():
+    fan = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+    C = ToricDivisor(fan, (2, 3, 2, 2, 3, 2))
+    cohomology(C)
+    intersection_number(C, C)
+    report = toric_theorem_report(CurveOnSurface(fan, C))
+    assert report.hypothesis_verdicts["curve_ample"] == PASS
+    ref = weakref.ref(fan)
+    del fan, C, report
+    gc.collect()
+    assert ref() is None
 
 
 def test_lambda_ties_take_the_lex_smallest_subset():

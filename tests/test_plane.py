@@ -11,7 +11,7 @@ from toricpoints import (
     remark_inequality_check,
     sqrt_ceil_term,
 )
-from toricpoints.errors import HypothesisViolation, InternalInconsistency
+from toricpoints.errors import ContractViolation, HypothesisViolation, InternalInconsistency
 
 
 def sympy_ceil_term(d, delta):
@@ -108,6 +108,15 @@ def test_plane_report_out_of_range_not_guaranteed():
     assert r.hypotheses["degree_at_least_4"] == "fail"
     with pytest.raises(HypothesisViolation):
         plane_theorem_report(10, 3, 10)  # d^2 < 36 delta
+
+
+@pytest.mark.parametrize("d, delta", [(10, -1), (-10, 0), (-1, -1)])
+def test_negative_d_or_delta_is_refused(d, delta):
+    for call in (sqrt_ceil_term, plane_degree_bound, remark_inequality_check):
+        with pytest.raises(ContractViolation):
+            call(d, delta)
+    with pytest.raises(ContractViolation):
+        plane_theorem_report(d, delta, 3)
 
 
 def test_plane_report_edge_raises_internal_inconsistency():

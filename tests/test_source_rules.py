@@ -1,6 +1,8 @@
 """Rules every library module keeps: exact arithmetic only (no float
-literal, no float() call), no `assert` (python -O strips it), and no
-dependency outside the standard library."""
+literal, no float() call), no `assert` (python -O strips it), no
+dependency outside the standard library, and no process-wide cache
+(functools.cache or lru_cache) on a function that takes parameters, since
+such a cache keeps every argument it has seen alive."""
 
 import ast
 import sys
@@ -8,12 +10,29 @@ from pathlib import Path
 
 import pytest
 
+CACHES = {"cache", "lru_cache"}
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
+
+
+def _cache_decorator(node):
+    # cache, lru_cache, functools.cache or functools.lru_cache, called or not
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "functools" and node.attr in CACHES
+    return isinstance(node, ast.Name) and node.id in CACHES
 
 
 def breaches(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assert):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if any(map(_cache_decorator, node.decorator_list)) and (
+                a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+            ):
+                yield node.lineno, f"cache on {node.name}(), which takes parameters"
+        elif isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
         elif isinstance(node, ast.Constant) and type(node.value) is float:
             yield node.lineno, f"float literal {node.value!r}"
@@ -39,10 +58,29 @@ def test_source_rules(path):
 
 
 def test_rules_catch_each_breach():
-    source = "import numpy\nfrom os import path\nassert x\ny = 0.5\nz = float(1)\n"
+    source = (
+        "import numpy\nfrom os import path\nassert x\ny = 0.5\nz = float(1)\n"
+        "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
+    )
     assert [what for _, what in breaches(ast.parse(source))] == [
         "import of numpy, outside the standard library",
         "assert statement",
+        "cache on f(), which takes parameters",
         "float literal 0.5",
         "float() call",
+    ]
+
+
+def test_caches_are_refused_on_functions_with_parameters():
+    source = (
+        "@functools.lru_cache(maxsize=None)\ndef a(fan): pass\n"
+        "@lru_cache(maxsize=128)\ndef b(*rays): pass\n"
+        "@functools.cache\ndef c(*, n): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@functools.cached_property\ndef e(self): pass\n"
+    )
+    assert sorted(what for _, what in breaches(ast.parse(source))) == [
+        "cache on a(), which takes parameters",
+        "cache on b(), which takes parameters",
+        "cache on c(), which takes parameters",
     ]
