@@ -31,7 +31,6 @@ from .fan import (
     hirzebruch,
     p1xp1,
     p2,
-    prime_self_intersections,
 )
 from .lowdeg import (
     CurveOnSurface,

@@ -163,7 +163,7 @@ def parse_multiplicities(text: Optional[str]) -> tuple:
     return tuple(_int_list(text, "multiplicities"))
 
 
-def _emit(args, payload: dict, human_lines: List[str]) -> None:
+def _emit(args, payload, human_lines: List[str]) -> None:
     if args.json:
         print(json.dumps(jsonable(payload), indent=2))
     else:
@@ -194,11 +194,8 @@ def cmd_cohomology(args) -> int:
     fan = parse_surface(args.surface)
     D = parse_divisor(fan, args.divisor)
     prof = cohomology(D)
-    _emit(
-        args,
-        {"h0": prof.h0, "h1": prof.h1, "h2": prof.h2, "chi": prof.chi},
-        [f"h0 = {prof.h0}", f"h1 = {prof.h1}", f"h2 = {prof.h2}", f"chi = {prof.chi}"],
-    )
+    lines = [f"h0 = {prof.h0}", f"h1 = {prof.h1}", f"h2 = {prof.h2}", f"chi = {prof.chi}"]
+    _emit(args, prof, lines)
     return 0
 
 
@@ -239,7 +236,7 @@ def cmd_check_toric(args) -> int:
         )
     if report.degB_table:
         lines.append("deg B by e: " + ", ".join(f"{e}->{b}" for e, b in report.degB_table))
-    _emit(args, jsonable(report), lines)
+    _emit(args, report, lines)
     if args.strict and any(v == FAIL for v in report.hypothesis_verdicts.values()):
         return 1
     return 0
@@ -257,7 +254,7 @@ def cmd_plane(args) -> int:
         lines.append(f"hypothesis {name}: {verdict}")
     for lvl in report.chain:
         lines.append(f"chain level {lvl.level}: degree bound {lvl.degree_bound}, m = {lvl.m}")
-    _emit(args, jsonable(report), lines)
+    _emit(args, report, lines)
     if args.strict and not report.conclusion_guaranteed:
         return 1
     return 0
@@ -273,7 +270,7 @@ def cmd_hirzebruch_example(args) -> int:
         f"h0(C,P) = {report.h0_C_P}",
         f"surjectivity fails: {report.surjectivity_fails}",
     ]
-    _emit(args, jsonable(report), lines)
+    _emit(args, report, lines)
     if args.strict and not report.surjectivity_fails:
         return 1
     return 0
@@ -298,9 +295,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument(
-            "--strict", action="store_true", help="exit 1 on hypothesis failure"
-        )
+
+    def common_strict(p):
+        common(p)
+        p.add_argument("--strict", action="store_true", help="exit 1 on hypothesis failure")
 
     p = sub.add_parser("lambda", help="surface invariant lambda(S)")
     p.add_argument("--surface", required=True)
@@ -324,19 +322,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--multiplicities", default=None)
-    common(p)
+    common_strict(p)
     p.set_defaults(func=cmd_check_toric)
 
     p = sub.add_parser("plane", help="plane-curve degree bounds and decomposition")
     p.add_argument("--d", type=_ascii_int, required=True)
     p.add_argument("--delta", type=_ascii_int, default=0)
     p.add_argument("--e", type=_ascii_int, required=True)
-    common(p)
+    common_strict(p)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("hirzebruch-example", help="the F_1 surjectivity failure family")
     p.add_argument("--n", type=_ascii_int, required=True)
-    common(p)
+    common_strict(p)
     p.set_defaults(func=cmd_hirzebruch_example)
 
     p = sub.add_parser("selftest", help="run the cross-oracle suites")

@@ -8,6 +8,7 @@ difference.  Everything is exact; no floating point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from . import geometry
@@ -23,16 +24,19 @@ from .errors import InternalInconsistency
 
 @dataclass(frozen=True)
 class DivisorPolytope:
-    """P_D = {x : <x, u_i> >= -a_i}, with its distinct exact rational
-    vertices, sorted.
-
-    dim is the affine dimension of P_D: -1 empty, 0 point, 1 segment,
-    2 polygon.
-    """
+    """P_D = {x : <x, u_i> >= -a_i}, given by its half-planes.  Its distinct
+    exact rational vertices, sorted, are clipped on first read."""
 
     halfplanes: Tuple[geometry.HalfPlane, ...]
-    vertices: Tuple[geometry.QPoint, ...]
-    dim: int
+
+    @cached_property
+    def vertices(self) -> Tuple[geometry.QPoint, ...]:
+        return tuple(sorted(geometry.feasible_vertices(self.halfplanes)))
+
+    @property
+    def dim(self) -> int:
+        """Affine dimension of P_D: -1 empty, 0 point, 1 segment, 2 polygon."""
+        return min(len(self.vertices), 3) - 1
 
 
 @dataclass(frozen=True)
@@ -44,17 +48,11 @@ class CohomologyProfile:
 
 
 def divisor_polytope(D: ToricDivisor) -> DivisorPolytope:
-    halfplanes = tuple((u, -a) for u, a in zip(D.fan.rays, D.coeffs))
-    vertices = tuple(sorted(geometry.feasible_vertices(halfplanes)))
-    return DivisorPolytope(
-        halfplanes=halfplanes,
-        vertices=vertices,
-        dim=min(len(vertices), 3) - 1,
-    )
+    return DivisorPolytope(tuple((u, -a) for u, a in zip(D.fan.rays, D.coeffs)))
 
 
 def lattice_point_count(P: DivisorPolytope) -> int:
-    return geometry.count_lattice_points(P.halfplanes, P.vertices)
+    return geometry.count_lattice_points(P.halfplanes)
 
 
 def euler_characteristic(D: ToricDivisor) -> int:

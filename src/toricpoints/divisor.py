@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import geometry
 from .errors import ContractViolation, FanMismatch
@@ -155,28 +155,16 @@ def positivity(D: ToricDivisor) -> Positivity:
     return Positivity.NOT_NEF
 
 
-def effective_representative(
-    D: ToricDivisor, lower_bounds: Optional[Sequence[int]] = None
-) -> Optional[ToricDivisor]:
-    """Linearly equivalent representative with coeffs[i] >= lower_bounds[i].
+def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
+    """Linearly equivalent representative with all coefficients >= 0.
 
     Shifts by a principal divisor div(chi^m); feasible m form a bounded
     rational polygon, and among its lattice points the lexicographically
     smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
-    None when no lattice point is feasible (the class is not effective at
-    those bounds).
+    None when no lattice point is feasible (the class is not effective).
     """
     D.require_integral("effective_representative")
-    n = D.fan.n
-    if lower_bounds is None:
-        lower_bounds = [0] * n
-    if len(lower_bounds) != n:
-        raise FanMismatch(f"{len(lower_bounds)} bounds for a fan with {n} rays")
-    halfplanes = [
-        (u, lb - a)
-        for u, a, lb in zip(D.fan.rays, D.coeffs, lower_bounds)
-    ]
-    m = geometry.lexmin_lattice_point(halfplanes, geometry.feasible_vertices(halfplanes))
+    m = geometry.lexmin_lattice_point([(u, -a) for u, a in zip(D.fan.rays, D.coeffs)])
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -142,7 +142,3 @@ def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
         return hirzebruch(int(key[1:]))
     raise InputError(f"unknown builtin surface {name!r}")
 
-
-def prime_self_intersections(fan: ToricSurfaceFan) -> Tuple[int, ...]:
-    """Self-intersection numbers (D_1^2, ..., D_n^2) of the fan's prime divisors."""
-    return fan.self_intersections

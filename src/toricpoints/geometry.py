@@ -14,7 +14,8 @@ normals are already sorted by slope, so one stack pass over each gives its
 envelope in O(n).  Lattice points are counted column by column: each
 integer x adds floor(U(x)) - ceil(L(x)) + 1, and the columns under one
 boundary line are summed at once with `floor_sum`, so the count costs
-O(n log max|offset|) instead of the area of the bounding box.
+O(n log max|offset|) instead of the area of the bounding box.  Each
+question (vertices, count, lex-min point) clips its half-planes once.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ HalfPlane = Tuple[LatticePoint, Union[int, Fraction]]
 # An envelope: its boundary lines left to right, and the x where each one
 # after the first takes over from its predecessor.
 Chain = Tuple[List[HalfPlane], List[Fraction]]
+# An end of the region in x, with the lower and upper lines active there.
+End = Tuple[Fraction, HalfPlane, HalfPlane]
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -133,9 +136,9 @@ def _within(x: Fraction, lo: Optional[Fraction], hi: Optional[Fraction]) -> bool
     return (lo is None or lo <= x) and (hi is None or x <= hi)
 
 
-def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
-    """The distinct vertices of the region, counterclockwise: [] when it is
-    empty, one point, the two ends of a segment, or the polygon's corners.
+def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
+    """The envelopes L and U, and the region's left and right ends, each
+    with the lower and upper line active there; no ends when it is empty.
 
     The region's x-extent is where U - L (a concave function) is >= 0 within
     [xlo, xhi].  Its ends lie among: xlo, xhi, the envelopes' breakpoints,
@@ -154,9 +157,18 @@ def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
             if _within(meet, start, end):
                 xs.append(meet)
         ends += [(x, l, u) for x in xs if _within(x, xlo, xhi)]
+    if ends:
+        ends = [min(ends, key=itemgetter(0)), max(ends, key=itemgetter(0))]
+    return lower, upper, ends
+
+
+def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
+    """The distinct vertices of the region, counterclockwise: [] when it is
+    empty, one point, the two ends of a segment, or the polygon's corners."""
+    lower, upper, ends = _clip(halfplanes)
     if not ends:
         return []
-    (xa, la, ua), (xb, lb, ub) = min(ends, key=itemgetter(0)), max(ends, key=itemgetter(0))
+    (xa, la, ua), (xb, lb, ub) = ends
     ring = [(xa, _y(la, xa))]
     ring += [(x, _y(h, x)) for h, x in zip(*lower) if xa < x < xb]
     ring += [(xb, _y(lb, xb)), (xb, _y(ub, xb))]
@@ -188,35 +200,23 @@ def _columns(lower: Chain, upper: Chain, a: int, b: int) -> int:
     return b - a + 1 + _column_sum(lower, a, b) + _column_sum(upper, a, b)
 
 
-def _integer_extent(vertices: Sequence[QPoint]) -> Tuple[int, int]:
-    """The integer columns a..b that the region spans; a > b when none."""
-    if not vertices:
-        return 1, 0
-    return ceil(min(v[0] for v in vertices)), floor(max(v[0] for v in vertices))
-
-
-def count_lattice_points(halfplanes: Sequence[HalfPlane], vertices: Sequence[QPoint]) -> int:
-    """Number of lattice points in the region whose vertices (from
-    `feasible_vertices`) are given."""
-    a, b = _integer_extent(vertices)
-    if a > b:
-        return 0
-    lower, upper, _, _ = _chains(halfplanes)
+def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
+    """Number of lattice points in the region."""
+    lower, upper, ends = _clip(halfplanes)
+    a, b = (ceil(ends[0][0]), floor(ends[1][0])) if ends else (1, 0)
     return _columns(lower, upper, a, b)
 
 
-def lexmin_lattice_point(
-    halfplanes: Sequence[HalfPlane], vertices: Sequence[QPoint]
-) -> Optional[LatticePoint]:
+def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:
     """The lattice point of the region that is smallest in (x, y), or None.
 
     The first non-empty column is found by bisection on the count of the
     columns up to x, so a thin sliver costs O(log width) counts.
     """
-    a, b = _integer_extent(vertices)
-    if a > b:
+    lower, upper, ends = _clip(halfplanes)
+    if not ends:
         return None
-    lower, upper, _, _ = _chains(halfplanes)
+    a, b = ceil(ends[0][0]), floor(ends[1][0])
     if _columns(lower, upper, a, b) == 0:
         return None
     while a < b:

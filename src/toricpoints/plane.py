@@ -19,9 +19,13 @@ from .errors import ContractViolation, HypothesisViolation, InternalInconsistenc
 from .lowdeg import FAIL, PASS
 
 
-def _check_discriminant(d: int, delta: int) -> int:
+def _check_signs(d: int, delta: int) -> None:
     if d < 0 or delta < 0:
         raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
+
+
+def _check_discriminant(d: int, delta: int) -> int:
+    _check_signs(d, delta)
     disc = d * d - 36 * delta
     if disc < 0:
         raise HypothesisViolation(f"d^2 < 36 delta for d={d}, delta={delta}")
@@ -55,8 +59,10 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
     """The curve degree m with m(d-m) <= e + delta < (m+1)(d-(m+1)).
 
     Returns None when e + delta < d - 1 (degree-e divisors cannot move, by
-    the gonality floor) or when no m < d/2 satisfies the sandwich.
+    the gonality floor) or when no m < d/2 satisfies the sandwich.  A
+    negative d or delta is refused.
     """
+    _check_signs(d, delta)
     if e + delta < d - 1:
         return None
     m = 1

@@ -183,6 +183,36 @@ def test_plane_refuses_negative_d_and_delta(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--surface", "P2"],
+        ["cohomology", "--surface", "P2", "--divisor", "2H"],
+        ["intersect", "--surface", "P2", "--divisor", "H", "--curve", "H"],
+        ["selftest"],
+    ],
+)
+def test_strict_is_refused_where_it_means_nothing(capsys, argv):
+    # only check-toric, plane and hirzebruch-example have a hypothesis to fail
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--strict"])
+    assert exc.value.code == 2
+    assert "--strict" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["plane", "--d", "10", "--delta", "2", "--e", "7"], 0),
+        (["hirzebruch-example", "--n", "26"], 0),
+        (["hirzebruch-example", "--n", "2"], 1),  # surjectivity does not fail
+    ],
+)
+def test_strict_is_kept_where_a_hypothesis_can_fail(capsys, argv, code):
+    # check-toric --strict and a failing plane --strict are golden cases
+    assert run(capsys, *argv, "--strict")[0] == code
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

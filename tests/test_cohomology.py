@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from toricpoints import (
+    CurveOnSurface,
     Positivity,
     ToricDivisor,
+    build_fan,
     canonical_divisor,
     cohomology,
     divisor_polytope,
@@ -17,11 +19,27 @@ from toricpoints import (
     p2,
     positivity,
     principal_divisor,
+    geometry,
+    toric_theorem_report,
     vanishing_predicates,
 )
 from toricpoints.errors import ContractViolation
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+HEXAGON = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls to geometry.<name> from here on."""
+    calls = []
+    fn = getattr(geometry, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
 
 
 def test_polytope_of_2h():
@@ -172,3 +190,38 @@ def test_count_invariant_under_principal_shift():
             for m in [(1, 0), (0, -2), (3, 1)]:
                 shifted = D + principal_divisor(fan, m)
                 assert lattice_point_count(divisor_polytope(shifted)) == base
+
+
+def test_polytope_vertices_are_clipped_on_first_read(monkeypatch):
+    rings = count_calls(monkeypatch, "feasible_vertices")
+    P = divisor_polytope(ToricDivisor(HEXAGON, (1,) * 6))  # the hexagon of -K
+    assert lattice_point_count(P) == 7 and rings == []
+    assert P.dim == 2 and P.vertices is P.vertices
+    assert P.vertices == tuple(sorted(P.vertices)) and len(rings) == 1
+
+
+def test_h0_h2_and_the_effective_representative_clip_once_each(monkeypatch):
+    clips = count_calls(monkeypatch, "_chains")
+    rings = count_calls(monkeypatch, "feasible_vertices")
+    rng = random.Random(43)
+    for fan in FANS + [HEXAGON]:
+        for _ in range(10):
+            D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
+            clips.clear()
+            cohomology(D)
+            assert len(clips) <= 2
+            clips.clear()
+            effective_representative(D)
+            assert len(clips) == 1
+    assert rings == []
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs",
+    [(p2(), (9, 0, 0)), (hirzebruch(1), (27, 26, 0, 0)), (HEXAGON, (2, 3, 2, 2, 3, 2))],
+)
+def test_the_report_builds_no_vertex_ring(monkeypatch, fan, coeffs):
+    rings = count_calls(monkeypatch, "feasible_vertices")
+    report = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs)))
+    assert report.conditions is not None  # it got as far as h1(D - C)
+    assert rings == []

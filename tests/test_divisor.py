@@ -128,8 +128,9 @@ def test_effective_representative_examples():
     f1 = hirzebruch(1)
     # negative of an effective nonzero class
     assert effective_representative(ToricDivisor(f1, (-1, 0, 0, 0))) is None
-    # all-ones lower bounds; lex-min m = (-3, 1)
-    got = effective_representative(ToricDivisor(fan, (4, 0, 0)), [1, 1, 1])
+    # coefficients >= 1 by shifting through (1, 1, 1); lex-min m = (-3, 1)
+    ones = ToricDivisor(fan, (1, 1, 1))
+    got = effective_representative(ToricDivisor(fan, (4, 0, 0)) - ones) + ones
     assert got.coeffs == (1, 1, 2)
     assert all(c >= 1 for c in got.coeffs)
     assert classes_equal(got, ToricDivisor(fan, (4, 0, 0)))

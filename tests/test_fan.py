@@ -7,7 +7,6 @@ from toricpoints import (
     lambda_invariant,
     p1xp1,
     p2,
-    prime_self_intersections,
 )
 from toricpoints.errors import (
     DuplicateRay,
@@ -75,17 +74,17 @@ def test_builtin_surfaces():
 
 def test_prime_self_intersections_p2():
     # (0,1) + (-1,-1) = -1*(1,0) etc: all lines, self-intersection 1
-    assert prime_self_intersections(p2()) == (1, 1, 1)
+    assert p2().self_intersections == (1, 1, 1)
 
 
 def test_prime_self_intersections_hirzebruch():
-    assert prime_self_intersections(hirzebruch(1)) == (0, -1, 0, 1)
-    assert prime_self_intersections(hirzebruch(2)) == (0, -2, 0, 2)
+    assert hirzebruch(1).self_intersections == (0, -1, 0, 1)
+    assert hirzebruch(2).self_intersections == (0, -2, 0, 2)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_hirzebruch_self_intersection_pattern(m):
-    selfs = sorted(prime_self_intersections(hirzebruch(m)))
+    selfs = sorted(hirzebruch(m).self_intersections)
     assert selfs == [-m, 0, 0, m]
 
 
@@ -95,6 +94,6 @@ def test_rotation_gives_same_surface_invariants():
     for k in range(1, 4):
         rotated = build_fan(base[k:] + base[:k])
         assert lambda_invariant(rotated).value == lam
-        assert sorted(prime_self_intersections(rotated)) == sorted(
-            prime_self_intersections(build_fan(base))
+        assert sorted(rotated.self_intersections) == sorted(
+            build_fan(base).self_intersections
         )

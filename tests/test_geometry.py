@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricpoints import geometry
 from toricpoints.errors import ContractViolation
 from toricpoints.fan import build_fan
 from toricpoints.geometry import (
@@ -72,8 +73,8 @@ def check_against_oracles(halfplanes):
     assert set(vertices) == set(expected)
     assert min(len(vertices), 3) - 1 == hull_dimension(expected)
     points = box_lattice_points(halfplanes, expected)
-    assert count_lattice_points(halfplanes, vertices) == len(points)
-    assert lexmin_lattice_point(halfplanes, vertices) == (min(points) if points else None)
+    assert count_lattice_points(halfplanes) == len(points)
+    assert lexmin_lattice_point(halfplanes) == (min(points) if points else None)
     return vertices
 
 
@@ -143,6 +144,29 @@ def test_each_kind_of_region(rays, offsets, dim):
     halfplanes = [(u, Fraction(c)) for u, c in zip(build_fan(rays).rays, offsets)]
     vertices = check_against_oracles(halfplanes)
     assert min(len(vertices), 3) - 1 == dim
+
+
+def count_clips(monkeypatch):
+    """Count the calls to geometry._chains, the stack passes of one clip."""
+    calls = []
+    chains = geometry._chains
+
+    def counted(halfplanes):
+        calls.append(halfplanes)
+        return chains(halfplanes)
+
+    monkeypatch.setattr(geometry, "_chains", counted)
+    return calls
+
+
+@pytest.mark.parametrize("question", [feasible_vertices, count_lattice_points, lexmin_lattice_point])
+@pytest.mark.parametrize(
+    "offsets", [[1, 0, 0, 0], [0, 0, 0, 0], [2, -1, -2, -3], [0, 0, -3, -2], [Fraction(1, 3), -5, 0, -7]]
+)
+def test_each_question_clips_once(monkeypatch, question, offsets):
+    calls = count_clips(monkeypatch)
+    question([(u, c) for u, c in zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets)])
+    assert len(calls) == 1
 
 
 @settings(derandomize=True, deadline=None)

@@ -29,7 +29,6 @@ from toricpoints import (
     p2,
     positive_curve_representation,
     positivity,
-    prime_self_intersections,
     seshadri_ample_check,
     toric_theorem_report,
 )
@@ -206,9 +205,41 @@ def test_pairing_matches_the_dense_matrix(fan, data):
 def test_wall_numbers_meet_noethers_formula(fan):
     # chi(O) = 1 and e = n give K^2 = 12 - n; as K = -sum D_i and each D_i
     # meets its two neighbours once, that is sum D_i^2 = 12 - 3n
-    assert sum(prime_self_intersections(fan)) == 12 - 3 * fan.n
+    assert sum(fan.self_intersections) == 12 - 3 * fan.n
     K = canonical_divisor(fan)
     assert exact(intersection_number(K, K), 12 - fan.n)
+
+
+def peeled_h0(D, A):
+    """Oracle: h0(D) without a polygon, for an ample class A, by peeling the
+    fixed components off D curve by curve (Zariski decomposition).  Returns
+    h0 and the number of curves peeled."""
+    fan, n = D.fan, D.fan.n
+    M = intersection_matrix(fan)
+    a = list(D.coeffs)
+    for peeled in itertools.count():
+        p = [sum(a[i] * M[i][j] for i in range(n)) for j in range(n)]  # D.D_j
+        if sum(c * pj for c, pj in zip(A.coeffs, p)) < 0:
+            return 0, peeled  # D.A < 0: not effective
+        negative = [j for j in range(n) if p[j] < 0]
+        if not negative:
+            # nef, so h0 = chi = 1 + (D^2 - K.D)/2 by Demazure vanishing
+            return 1 + (sum(ai * pi for ai, pi in zip(a, p)) + sum(p)) // 2, peeled
+        j = negative[0]
+        if M[j][j] >= 0:
+            return 0, peeled  # D_j is nef and D.D_j < 0: not effective
+        a[j] -= 1  # D_j^2 < 0 and D.D_j < 0: D_j lies in every member of |D|
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(blowup_fans(), st.data())
+def test_h0_and_h2_match_the_peeling_oracle(fan, data):
+    A, _ = polygon_class(fan, [1] * fan.n)  # every length >= 1: ample
+    coeffs = data.draw(st.lists(st.integers(-6, 9), min_size=fan.n, max_size=fan.n))
+    D = ToricDivisor(fan, tuple(coeffs))
+    prof = cohomology(D)
+    assert prof.h0 == peeled_h0(D, A)[0]
+    assert prof.h2 == peeled_h0(canonical_divisor(fan) - D, A)[0]  # Serre duality
 
 
 def test_a_fan_is_freed_after_use():

@@ -142,6 +142,20 @@ def test_decomposition_chains():
     assert [(l.level, l.degree_bound, l.m) for l in chain] == [(0, Fraction(40), 2)]
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (find_m, (10, -1, 3)),  # below the gonality floor
+        (find_m, (-10, 0, 3)),
+        (find_m, (10, -1, 30)),  # no sandwich solution
+        (decomposition_chain, (-10, 0, 3)),
+    ],
+)
+def test_negative_d_or_delta_is_refused_on_entry(call, args):
+    with pytest.raises(ContractViolation):
+        call(*args)
+
+
 @pytest.mark.parametrize("d, delta, e", [(40, 39, 10), (40, 44, 1000), (36, 35, 1), (50, 60, 0)])
 def test_chain_stops_when_no_positive_degree_is_left(d, delta, e):
     chain = decomposition_chain(d, delta, e)
