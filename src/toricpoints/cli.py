@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: lambda, cohomology, intersect, check-toric, plane,
-hirzebruch-example, selftest.  Exit codes: 0 success, 1 hypothesis failure
-under --strict, 2 malformed input.  Rationals are printed as exact "p/q"
-strings, never floats, so outputs are stable goldens.
+hirzebruch-example, selftest: one row each in COMMANDS.  Exit codes: 0
+success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
+malformed input or a result too long to print.  Rationals are printed as
+exact "p/q" strings, never floats, so outputs are stable goldens.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import cohomology
 from .divisor import ToricDivisor, intersection_number
@@ -43,8 +44,6 @@ def jsonable(obj):
         return obj.value
     if isinstance(obj, ToricDivisor):
         return list(obj.coeffs)
-    if isinstance(obj, ToricSurfaceFan):
-        return {"rays": [list(u) for u in obj.rays], "name": obj.name}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -64,11 +63,13 @@ def parse_surface(text: str) -> ToricSurfaceFan:
             raise InputError(
                 f"unknown surface {text!r}: expected P2, P1xP1, F<m> or a JSON file path"
             )
-    with open(text) as fh:
-        try:
+    try:
+        with open(text) as fh:
             desc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {text}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {text}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long integers
+        raise InputError(f"malformed JSON in {text}: {exc}") from exc
     return surface_from_descriptor(desc)
 
 
@@ -112,7 +113,10 @@ def _ascii_int(text: str) -> int:
     also the argparse type of the integer options."""
     if not _INT_RE.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"integer too long: {len(text)} characters") from None
 
 
 def _int_list(text: str, what: str) -> List[int]:
@@ -131,9 +135,8 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
     if m:
         if fan.n != 3:
             raise InputError('"dH" shorthand only applies to P2')
-        d = int(m.group(1) or "1")
-        return ToricDivisor(fan, (d, 0, 0))
-    if "C0" in text or text.endswith("F"):
+        text = (m.group(1) or "1") + ",0,0"  # the vector (d, 0, 0), read below
+    elif "C0" in text or text.endswith("F"):
         if fan.n != 4:
             raise InputError('"aC0+bF" shorthand only applies to Hirzebruch surfaces')
         terms = text.replace(" ", "")
@@ -141,12 +144,12 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
             raise InputError(f"cannot parse divisor {text!r} as aC0+bF")
         coeff = {"C0": 0, "F": 0}
         for sign, digits, name in re.findall(_FC_TERM, terms):
-            coeff[name] += int(sign + (digits or "1"))
+            coeff[name] += _int_list(sign + (digits or "1"), "divisor coefficients")[0]
         return ToricDivisor(fan, (coeff["F"], coeff["C0"], 0, 0))
     if text.startswith("["):
         try:
             coeffs = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long integers
             raise InputError(f"malformed divisor JSON: {exc}") from exc
         if not (isinstance(coeffs, list) and all(_is_int(v) for v in coeffs)):
             raise InputError(f"divisor coefficients must be integers: {text!r}")
@@ -163,125 +166,148 @@ def parse_multiplicities(text: Optional[str]) -> tuple:
     return tuple(_int_list(text, "multiplicities"))
 
 
-def _emit(args, payload, human_lines: List[str]) -> None:
-    if args.json:
-        print(json.dumps(jsonable(payload), indent=2))
-    else:
-        for line in human_lines:
-            print(line)
+class Command(NamedTuple):
+    """One subcommand: `run` maps the parsed arguments to the result, `human`
+    maps the result to the lines printed without --json, and `failed` is the
+    test behind exit 1, read under --strict where the row offers it and
+    always where it does not (selftest)."""
+
+    help: str
+    options: Tuple[Tuple[str, dict], ...]
+    run: Callable[[argparse.Namespace], object]
+    human: Callable[[object], List[str]]
+    failed: Optional[Callable[[object], bool]] = None
 
 
-def cmd_lambda(args) -> int:
+def _lambda(args) -> dict:
     fan = parse_surface(args.surface)
     res = lambda_invariant(fan)
-    _emit(
-        args,
-        {
-            "surface": fan.name or "custom",
-            "lambda": res.value,
-            "inner_min": res.inner_min,
-            "argmin_subset": list(res.argmin_subset),
-        },
-        [
-            f"lambda = {res.value}",
-            f"inner minimum = {res.inner_min} at subset {list(res.argmin_subset)}",
-        ],
-    )
-    return 0
+    return {
+        "surface": fan.name or "custom",
+        "lambda": res.value,
+        "inner_min": res.inner_min,
+        "argmin_subset": list(res.argmin_subset),
+    }
 
 
-def cmd_cohomology(args) -> int:
+def _intersect(args) -> dict:
     fan = parse_surface(args.surface)
     D = parse_divisor(fan, args.divisor)
-    prof = cohomology(D)
-    lines = [f"h0 = {prof.h0}", f"h1 = {prof.h1}", f"h2 = {prof.h2}", f"chi = {prof.chi}"]
-    _emit(args, prof, lines)
-    return 0
+    return {"intersection": intersection_number(D, parse_divisor(fan, args.curve))}
 
 
-def cmd_intersect(args) -> int:
-    fan = parse_surface(args.surface)
-    D = parse_divisor(fan, args.divisor)
-    E = parse_divisor(fan, args.curve)
-    val = intersection_number(D, E)
-    _emit(args, {"intersection": val}, [f"D.E = {val}"])
-    return 0
-
-
-def cmd_check_toric(args) -> int:
+def _check_toric(args):
     fan = parse_surface(args.surface)
     C = parse_divisor(fan, args.curve)
-    curve = CurveOnSurface(
-        fan=fan, curve_class=C, multiplicities=parse_multiplicities(args.multiplicities)
-    )
-    report = toric_theorem_report(curve)
+    mults = parse_multiplicities(args.multiplicities)
+    return toric_theorem_report(CurveOnSurface(fan=fan, curve_class=C, multiplicities=mults))
+
+
+def _check_toric_lines(r) -> List[str]:
     lines = [
-        f"lambda = {report.lambda_value}",
-        f"C^2 = {report.C2}, blowup C~^2 = {report.blowup_C2}",
-        f"degree bound = {report.degree_bound}, e_max = {report.e_max}",
+        f"lambda = {r.lambda_value}",
+        f"C^2 = {r.C2}, blowup C~^2 = {r.blowup_C2}",
+        f"degree bound = {r.degree_bound}, e_max = {r.e_max}",
     ]
-    if report.positive_rep is not None:
-        lines.append(f"positive representation = {list(report.positive_rep.coeffs)}")
+    if r.positive_rep is not None:
+        lines.append(f"positive representation = {list(r.positive_rep.coeffs)}")
+        lines.append(f"interpolation divisor = {list(r.interp_divisor.coeffs)}, C.D = {r.CD}")
+    lines += [f"hypothesis {name}: {verdict}" for name, verdict in r.hypothesis_verdicts.items()]
+    if r.conditions is not None:
+        c = r.conditions
         lines.append(
-            f"interpolation divisor = {list(report.interp_divisor.coeffs)}, C.D = {report.CD}"
+            f"conditions at e_max: (1) {c.intersection_bound} "
+            f"(2) {c.surjectivity} (3) {c.section_lift}"
         )
-    for name, verdict in report.hypothesis_verdicts.items():
-        lines.append(f"hypothesis {name}: {verdict}")
-    if report.conditions is not None:
-        lines.append(
-            "conditions at e_max: "
-            f"(1) {report.conditions.intersection_bound} "
-            f"(2) {report.conditions.surjectivity} "
-            f"(3) {report.conditions.section_lift}"
-        )
-    if report.degB_table:
-        lines.append("deg B by e: " + ", ".join(f"{e}->{b}" for e, b in report.degB_table))
-    _emit(args, report, lines)
-    if args.strict and any(v == FAIL for v in report.hypothesis_verdicts.values()):
-        return 1
-    return 0
+    if r.degB_table:
+        lines.append("deg B by e: " + ", ".join(f"{e}->{b}" for e, b in r.degB_table))
+    return lines
 
 
-def cmd_plane(args) -> int:
-    report = plane_theorem_report(args.d, args.delta, args.e)
-    lines = [
+def _plane_lines(report) -> List[str]:
+    return [
         f"e bound = {report.e_bound} (terms {report.term1}, {report.term2}; "
         f"ceil term {report.ceil_term})",
         f"m = {report.m}, deg B = {report.degB}",
         f"conclusion guaranteed: {report.conclusion_guaranteed}",
+        *(f"hypothesis {name}: {verdict}" for name, verdict in report.hypotheses.items()),
+        *(f"chain level {l.level}: degree bound {l.degree_bound}, m = {l.m}" for l in report.chain),
     ]
-    for name, verdict in report.hypotheses.items():
-        lines.append(f"hypothesis {name}: {verdict}")
-    for lvl in report.chain:
-        lines.append(f"chain level {lvl.level}: degree bound {lvl.degree_bound}, m = {lvl.m}")
-    _emit(args, report, lines)
-    if args.strict and not report.conclusion_guaranteed:
-        return 1
-    return 0
 
 
-def cmd_hirzebruch_example(args) -> int:
-    report = hirzebruch_counterexample(args.n)
-    lines = [
-        f"n = {report.n}: C^2 = {report.C2}, deg P = {report.deg_P}",
-        f"low degree regime (9 deg P < C^2): {report.low_degree_regime}",
-        f"h0(S,D) = {report.h0_D}, h1(S,D) = {report.h1_D}, "
-        f"h1(S,D-C) = {report.h1_D_minus_C}",
-        f"h0(C,P) = {report.h0_C_P}",
-        f"surjectivity fails: {report.surjectivity_fails}",
-    ]
-    _emit(args, report, lines)
-    if args.strict and not report.surjectivity_fails:
-        return 1
-    return 0
+_SURFACE = ("--surface", {"required": True})
+_DIVISOR = ("--divisor", {"required": True})
+_CURVE = ("--curve", {"required": True})
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
+_STRICT = ("--strict", {"action": "store_true", "help": "exit 1 on hypothesis failure"})
 
-
-def cmd_selftest(args) -> int:
-    results = run_selftest()
-    payload = [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
-    _emit(args, {"suites": payload}, lines)
-    return 0 if all(r.ok for r in results) else 1
+COMMANDS = {
+    "lambda": Command(
+        "surface invariant lambda(S)",
+        (_SURFACE, _JSON),
+        _lambda,
+        lambda r: [
+            f"lambda = {r['lambda']}",
+            f"inner minimum = {r['inner_min']} at subset {r['argmin_subset']}",
+        ],
+    ),
+    "cohomology": Command(
+        "h0/h1/h2/chi of a toric divisor",
+        (_SURFACE, _DIVISOR, _JSON),
+        lambda args: cohomology(parse_divisor(parse_surface(args.surface), args.divisor)),
+        lambda p: [f"h0 = {p.h0}", f"h1 = {p.h1}", f"h2 = {p.h2}", f"chi = {p.chi}"],
+    ),
+    "intersect": Command(
+        "intersection number of two divisors",
+        (_SURFACE, _DIVISOR, _CURVE, _JSON),
+        _intersect,
+        lambda r: [f"D.E = {r['intersection']}"],
+    ),
+    "check-toric": Command(
+        "full interpolation report for a curve class",
+        (_SURFACE, _CURVE, ("--multiplicities", {"default": None}), _JSON, _STRICT),
+        _check_toric,
+        _check_toric_lines,
+        lambda report: any(v == FAIL for v in report.hypothesis_verdicts.values()),
+    ),
+    "plane": Command(
+        "plane-curve degree bounds and decomposition",
+        (
+            ("--d", {"type": _ascii_int, "required": True}),
+            ("--delta", {"type": _ascii_int, "default": 0}),
+            ("--e", {"type": _ascii_int, "required": True}),
+            _JSON,
+            _STRICT,
+        ),
+        lambda args: plane_theorem_report(args.d, args.delta, args.e),
+        _plane_lines,
+        lambda report: not report.conclusion_guaranteed,
+    ),
+    "hirzebruch-example": Command(
+        "the F_1 surjectivity failure family",
+        (("--n", {"type": _ascii_int, "required": True}), _JSON, _STRICT),
+        lambda args: hirzebruch_counterexample(args.n),
+        lambda r: [
+            f"n = {r.n}: C^2 = {r.C2}, deg P = {r.deg_P}",
+            f"low degree regime (9 deg P < C^2): {r.low_degree_regime}",
+            f"h0(S,D) = {r.h0_D}, h1(S,D) = {r.h1_D}, h1(S,D-C) = {r.h1_D_minus_C}",
+            f"h0(C,P) = {r.h0_C_P}",
+            f"surjectivity fails: {r.surjectivity_fails}",
+        ],
+        lambda report: not report.surjectivity_fails,
+    ),
+    "selftest": Command(
+        "run the cross-oracle suites",
+        (_JSON,),
+        lambda args: {
+            "suites": [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in run_selftest()]
+        },
+        lambda r: [
+            f"{'PASS' if s['ok'] else 'FAIL'} {s['suite']}: {s['detail']}" for s in r["suites"]
+        ],
+        lambda r: not all(s["ok"] for s in r["suites"]),
+    ),
+}
 
 
 @functools.cache
@@ -292,66 +318,37 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact divisor arithmetic and low-degree point bounds on toric surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    def common_strict(p):
-        common(p)
-        p.add_argument("--strict", action="store_true", help="exit 1 on hypothesis failure")
-
-    p = sub.add_parser("lambda", help="surface invariant lambda(S)")
-    p.add_argument("--surface", required=True)
-    common(p)
-    p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser("cohomology", help="h0/h1/h2/chi of a toric divisor")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--divisor", required=True)
-    common(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("intersect", help="intersection number of two divisors")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--curve", required=True)
-    common(p)
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("check-toric", help="full interpolation report for a curve class")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--multiplicities", default=None)
-    common_strict(p)
-    p.set_defaults(func=cmd_check_toric)
-
-    p = sub.add_parser("plane", help="plane-curve degree bounds and decomposition")
-    p.add_argument("--d", type=_ascii_int, required=True)
-    p.add_argument("--delta", type=_ascii_int, default=0)
-    p.add_argument("--e", type=_ascii_int, required=True)
-    common_strict(p)
-    p.set_defaults(func=cmd_plane)
-
-    p = sub.add_parser("hirzebruch-example", help="the F_1 surjectivity failure family")
-    p.add_argument("--n", type=_ascii_int, required=True)
-    common_strict(p)
-    p.set_defaults(func=cmd_hirzebruch_example)
-
-    p = sub.add_parser("selftest", help="run the cross-oracle suites")
-    common(p)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse and compute, then format and print the result in one step."""
     parser = make_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads "--surface=--" as an empty list
+        parser.error("an option's value cannot be '--'")
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        result = command.run(args)
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        if args.json:
+            text = json.dumps(jsonable(result), indent=2)
+        else:
+            text = "\n".join(command.human(result))
+    except ValueError:  # an integer with more digits than str() converts
+        print("error: result too long to print: an integer has too many digits", file=sys.stderr)
+        return 2
+    print(text)
+    if command.failed is not None and getattr(args, "strict", True) and command.failed(result):
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -128,7 +128,8 @@ def p1xp1() -> ToricSurfaceFan:
 
 
 def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
-    """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m) or F<m>."""
+    """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m) or
+    F<m>, with m in ASCII digits."""
     key = name.strip().lower()
     if key == "p2":
         return p2()
@@ -138,7 +139,12 @@ def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
         if m is None:
             raise InputError("hirzebruch surface needs the parameter m")
         return hirzebruch(m)
-    if key.startswith("f") and key[1:].isdigit():
-        return hirzebruch(int(key[1:]))
+    digits = key[1:]
+    if key.startswith("f") and digits.isascii() and digits.isdigit():
+        try:
+            m = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"Hirzebruch parameter of {len(digits)} digits is too long") from None
+        return hirzebruch(m)
     raise InputError(f"unknown builtin surface {name!r}")
 

@@ -32,17 +32,18 @@ def _check_discriminant(d: int, delta: int) -> int:
     return disc
 
 
+def _ceil_sqrt(n: int) -> int:
+    r = isqrt(n)
+    return r if r * r == n else r + 1
+
+
 def sqrt_ceil_term(d: int, delta: int) -> int:
     """ceil((d + sqrt(d^2 - 36 delta)) / 6), exactly.
 
     The smallest integer t with 6t - d >= sqrt(disc), which for an integer
     6t - d means 6t - d >= r = ceil(sqrt(disc)).
     """
-    disc = _check_discriminant(d, delta)
-    r = isqrt(disc)
-    if r * r < disc:
-        r += 1
-    return -(-(d + r) // 6)
+    return -(-(d + _ceil_sqrt(_check_discriminant(d, delta))) // 6)
 
 
 def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -56,31 +57,25 @@ def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction
 
 
 def find_m(d: int, delta: int, e: int) -> Optional[int]:
-    """The curve degree m with m(d-m) <= e + delta < (m+1)(d-(m+1)).
+    """The curve degree m with m(d-m) <= e + delta < (m+1)(d-(m+1)), 1 <= m < d/2.
 
-    Returns None when e + delta < d - 1 (degree-e divisors cannot move, by
-    the gonality floor) or when no m < d/2 satisfies the sandwich.  A
-    negative d or delta is refused.
+    m(d - m) rises for m < d/2, so m is the largest m with m(d - m) <= s =
+    e + delta: (d - ceil(sqrt(d^2 - 4s))) // 2.  None when s < d - 1
+    (degree-e divisors cannot move, by the gonality floor), and when d < 3 or
+    s >= floor(d^2/4), where no such m exists.  A negative d or delta is refused.
     """
     _check_signs(d, delta)
-    if e + delta < d - 1:
+    s = e + delta
+    if d < 3 or s < d - 1 or s >= d * d // 4:
         return None
-    m = 1
-    while 2 * m < d:
-        if m * (d - m) <= e + delta < (m + 1) * (d - (m + 1)):
-            bound, _, _ = plane_degree_bound(d, delta)
-            if e < bound:
-                # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6;
-                # squared test with sign guard
-                disc = d * d - 36 * delta
-                if 6 * m - d >= 0 and (6 * m - d) ** 2 >= disc:
-                    raise InternalInconsistency(
-                        f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 "
-                        f"for d={d}, delta={delta}, e={e}"
-                    )
-            return m
-        m += 1
-    return None
+    m = (d - _ceil_sqrt(d * d - 4 * s)) // 2
+    bound, _, _ = plane_degree_bound(d, delta)
+    # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6
+    if e < bound and m >= sqrt_ceil_term(d, delta):
+        raise InternalInconsistency(
+            f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 for d={d}, delta={delta}, e={e}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,8 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         "blowup_ample_2delta_lt_d": PASS if 2 * delta < d else FAIL,
     }
     guaranteed = all(v == PASS for v in hypotheses.values())
-    m = find_m(d, delta, e)
+    chain = tuple(decomposition_chain(d, delta, e))
+    m = chain[0].m
     degB = m * d - e if m is not None else None
     if guaranteed and degB is not None and 2 * degB >= e:
         raise InternalInconsistency(
@@ -159,7 +155,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         term2=term2,
         m=m,
         degB=degB,
-        chain=tuple(decomposition_chain(d, delta, e)),
+        chain=chain,
         hypotheses=hypotheses,
         conclusion_guaranteed=guaranteed,
     )

@@ -15,7 +15,7 @@ from toricpoints.cli import (
     surface_from_descriptor,
 )
 from toricpoints.errors import InputError
-from toricpoints.fan import p2
+from toricpoints.fan import builtin_surface, p2
 
 
 def run(capsys, *argv):
@@ -395,3 +395,99 @@ def test_parser_is_built_once_and_reused(capsys):
         assert _call(capsys, argv) == expected
     assert make_parser() is parser
     assert [code for code, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 0]
+
+
+BIG = "9" * 5000  # more digits than int() converts
+LONG = "7" * 2200  # converts, but its square does not
+
+
+def refused(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    return (code, out, err.startswith("error:"), err.count("\n")) == (2, "", True, 1)
+
+
+@pytest.mark.parametrize("name", ["F²", "F٣", "F" + BIG], ids=["superscript", "arabic", "long"])
+def test_hirzebruch_names_take_ascii_digits_only(tmp_path, capsys, name):
+    with pytest.raises(InputError):
+        builtin_surface(name)
+    assert refused(capsys, "lambda", "--surface", name)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"builtin": name}))
+    assert refused(capsys, "lambda", "--surface", str(path), "--json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--surface", "P2", f"--divisor={BIG},0,0"],
+        ["cohomology", "--surface", "P2", f"--divisor={BIG}H"],
+        ["cohomology", "--surface", "F1", f"--divisor={BIG}C0+F"],
+        ["cohomology", "--surface", "F1", f"--divisor=C0-{BIG}F"],
+        ["cohomology", "--surface", "P2", f"--divisor=[{BIG},0,0]"],
+        ["intersect", "--surface", "P2", "--divisor=H", f"--curve=0,{BIG},0"],
+        ["check-toric", "--surface", "P2", "--curve=9H", f"--multiplicities=2,{BIG}"],
+    ],
+)
+def test_over_long_integers_exit_2(capsys, argv):
+    assert refused(capsys, *argv, "--json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"builtin": "hirzebruch", "m": %s}' % BIG,
+        '{"rays": [[1, 0], [0, 1], [-1, -%s]]}' % BIG,
+        "[" * 100000,
+    ],
+    ids=["long-m", "long-ray", "deep"],
+)
+def test_descriptors_json_cannot_read_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "fan.json"
+    path.write_text(text)
+    assert refused(capsys, "lambda", "--surface", str(path))
+
+
+def test_deeply_nested_divisor_json_exits_2(capsys):
+    assert refused(capsys, "cohomology", "--surface", "P2", "--divisor=" + "[" * 100000)
+
+
+@pytest.mark.parametrize(
+    "argv", [["plane", "--d", BIG, "--e", "5"], ["hirzebruch-example", "--n", BIG]], ids=["d", "n"]
+)
+def test_over_long_integer_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "integer too long: 5000 characters" in err
+
+
+def test_unreadable_surface_files_exit_2(tmp_path, capsys):
+    assert refused(capsys, "lambda", "--surface", str(tmp_path))  # a directory
+    path = tmp_path / "fan.json"
+    path.write_bytes(b'{"builtin": "P2"\xff}')  # not UTF-8
+    assert refused(capsys, "lambda", "--surface", str(path), "--json")
+    for text in (str(tmp_path), str(path)):
+        with pytest.raises(InputError):
+            parse_surface(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hirzebruch-example", "--n", LONG],
+        ["plane", "--d", LONG, "--e", "5"],
+        ["cohomology", "--surface", "P2", f"--divisor={LONG}H"],
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_result_too_long_to_print_exits_2(capsys, argv, flags):
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: result too long to print: an integer has too many digits\n"
+
+
+def test_a_long_result_that_prints_still_exits_0(capsys):
+    code, out, _ = run(capsys, "hirzebruch-example", "--n", "7" * 2000, "--json")
+    assert code == 0
+    assert json.loads(out)["n"] == int("7" * 2000)

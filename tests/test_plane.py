@@ -184,3 +184,53 @@ def test_remark_inequality_sweep_and_ceiled_equality():
                 assert delta == 0 and d % 3 == 0
             if delta == 0 and d % 3 == 0:
                 assert term2 == term1
+
+
+def stepping_find_m(d, delta, e):
+    """Oracle: the search find_m replaced, one m at a time."""
+    if d < 0 or delta < 0:
+        raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
+    if e + delta < d - 1:
+        return None
+    m = 1
+    while 2 * m < d:
+        if m * (d - m) <= e + delta < (m + 1) * (d - (m + 1)):
+            bound, _, _ = plane_degree_bound(d, delta)
+            disc = d * d - 36 * delta
+            if e < bound and 6 * m - d >= 0 and (6 * m - d) ** 2 >= disc:
+                raise InternalInconsistency(f"m = {m} for d={d}, delta={delta}, e={e}")
+            return m
+        m += 1
+    return None
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the exception type is part of the answer
+        return type(exc)
+
+
+def test_find_m_matches_the_stepping_search():
+    for d in range(40):
+        for delta in range(d * d // 36 + 2):
+            for e in range(-2, d * d // 4 + 3):
+                assert outcome(find_m, d, delta, e) == outcome(stepping_find_m, d, delta, e), (
+                    d, delta, e
+                )
+
+
+def test_find_m_is_none_exactly_outside_the_sandwich_range():
+    for d in range(50):
+        for delta in range(3):
+            for s in range(-2, d * d // 4 + 3):
+                none = outcome(find_m, d, delta, s - delta) is None
+                assert none == (d < 3 or s < d - 1 or s >= d * d // 4), (d, delta, s)
+
+
+def test_plane_report_takes_no_step_per_m():
+    r = plane_theorem_report(10**30, 0, 10**59)  # m is about 10**29
+    assert r.m * (r.d - r.m) <= r.e < (r.m + 1) * (r.d - r.m - 1)
+    assert r.m == r.chain[0].m and r.degB == r.m * r.d - r.e
+    r = plane_theorem_report(10**7, 0, 2 * 10**13)
+    assert r.m == 2763932 and len(r.chain) == 11
