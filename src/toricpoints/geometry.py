@@ -1,11 +1,13 @@
 """Exact half-plane intersection and lattice-point counting in the plane.
 
-All coordinates are Fractions; there is no floating point anywhere.  A
-half-plane is a pair (normal, offset) with normal a lattice vector and an
+A half-plane is a pair (normal, offset) with normal a lattice vector and an
 exact offset (int or Fraction), meaning <x, normal> >= offset.  The normals
 are those of a complete fan: they wind once counterclockwise around the
 origin, each turn less than a half-turn, so the region is bounded (or
-empty).
+empty).  The clip scales each half-plane by Q, the lcm of the offsets'
+denominators, and works in integers: an x-coordinate is a pair (num, den)
+with den > 0, compared by cross-multiplication.  Only `feasible_vertices`
+builds Fractions, for the vertices it returns; nothing is ever a float.
 
 The region is {xlo <= x <= xhi, L(x) <= y <= U(x)}: xlo and xhi come from
 the normals (+-1, 0), L is the maximum of the lower boundary lines (normals
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, floor
-from operator import itemgetter
+from functools import cmp_to_key
+from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ContractViolation
@@ -31,11 +33,12 @@ from .fan import LatticePoint, det
 
 QPoint = Tuple[Fraction, Fraction]
 HalfPlane = Tuple[LatticePoint, Union[int, Fraction]]
+X = Tuple[int, int]  # the x-coordinate num/den as (num, den), den > 0
+NEG_INF, INF = (-1, 0), (1, 0)  # the ends of the x-axis: _le puts them before and after every X
 # An envelope: its boundary lines left to right, and the x where each one
 # after the first takes over from its predecessor.
-Chain = Tuple[List[HalfPlane], List[Fraction]]
-# An end of the region in x, with the lower and upper lines active there.
-End = Tuple[Fraction, HalfPlane, HalfPlane]
+Chain = Tuple[List[HalfPlane], List[X]]
+End = Tuple[X, HalfPlane, HalfPlane]  # an end of the region, with the lines active there
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -56,28 +59,33 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _meet_x(h1: HalfPlane, h2: HalfPlane) -> Fraction:
+def _le(x: X, y: X) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def _ceil(x: X) -> int:
+    return -(-x[0] // x[1])
+
+
+_BY_X = cmp_to_key(lambda e, f: e[0][0] * f[0][1] - f[0][0] * e[0][1])  # orders ends by x
+
+
+def _meet_x(h1: HalfPlane, h2: HalfPlane) -> X:
     """x-coordinate where the boundary lines of two non-parallel half-planes meet."""
     (u, c1), (v, c2) = h1, h2
-    return Fraction(c1 * v[1] - c2 * u[1], det(u, v))
-
-
-def _y(h: HalfPlane, x: Fraction) -> Fraction:
-    """The boundary line of a non-vertical half-plane at x (a Fraction, so
-    the division is exact)."""
-    (ux, uy), c = h
-    return (c - ux * x) / uy
+    num, den = c1 * v[1] - c2 * u[1], det(u, v)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def _envelope(lines: Sequence[HalfPlane]) -> Chain:
     """The lines that reach the envelope, for lines given in the order in
     which they can appear on it from left to right."""
     hull: List[HalfPlane] = []
-    breaks: List[Fraction] = []
+    breaks: List[X] = []
     for h in lines:
         while hull:
             x = _meet_x(hull[-1], h)
-            if not breaks or x > breaks[-1]:
+            if not breaks or not _le(x, breaks[-1]):
                 breaks.append(x)
                 break
             hull.pop()
@@ -86,11 +94,9 @@ def _envelope(lines: Sequence[HalfPlane]) -> Chain:
     return hull, breaks
 
 
-def _chains(
-    halfplanes: Sequence[HalfPlane],
-) -> Tuple[Chain, Chain, Optional[Fraction], Optional[Fraction]]:
+def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
     """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
-    (None where there is none)."""
+    (+-INF where there is none), of the half-planes scaled by Q."""
     normals = [u for u, _ in halfplanes]
     n = len(normals)
     starts = [i for i in range(n) if normals[i][1] > 0 >= normals[i - 1][1]]
@@ -98,42 +104,41 @@ def _chains(
         raise ContractViolation(
             "half-plane normals must wind once counterclockwise, each turn under a half-turn"
         )
-    hs = list(halfplanes[starts[0]:]) + list(halfplanes[:starts[0]])
+    q = lcm(*(c.denominator for _, c in halfplanes))
+    hs = [((q * ux, q * uy), c.numerator * q // c.denominator) for (ux, uy), c in halfplanes]
+    hs = hs[starts[0]:] + hs[:starts[0]]
     # From the lower arc's start, the order is: lower arc (slopes rising
     # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
     lower = _envelope([h for h in hs if h[0][1] > 0])
     upper = _envelope([h for h in reversed(hs) if h[0][1] < 0])
-    xlo = xhi = None
+    xlo, xhi = NEG_INF, INF
     for (ux, uy), c in hs:
         if uy == 0 and ux > 0:
-            xlo = Fraction(c, ux)
+            xlo = (c, ux)
         elif uy == 0:
-            xhi = Fraction(c, ux)
+            xhi = (-c, -ux)
     return lower, upper, xlo, xhi
 
 
-def _pieces(
-    lower: Chain, upper: Chain
-) -> Iterator[Tuple[Optional[Fraction], Optional[Fraction], HalfPlane, HalfPlane]]:
+def _pieces(lower: Chain, upper: Chain) -> Iterator[Tuple[X, X, HalfPlane, HalfPlane]]:
     """(start, end, l, u) for each x-interval on which the lower line l and
-    the upper line u are the active ones, left to right; None stands for an
-    infinite end."""
+    the upper line u are the active ones, left to right from -INF to INF."""
     (lh, lb), (uh, ub) = lower, upper
+    lb, ub = lb + [INF], ub + [INF]
     i = j = 0
-    start = None
+    start = NEG_INF
     while True:
-        ends = lb[i:i + 1] + ub[j:j + 1]
-        end = min(ends) if ends else None
+        end = lb[i] if _le(lb[i], ub[j]) else ub[j]
         yield start, end, lh[i], uh[j]
-        if end is None:
+        if end is INF:
             return
-        i += lb[i:i + 1] == [end]
-        j += ub[j:j + 1] == [end]
+        i += _le(lb[i], end)
+        j += _le(ub[j], end)
         start = end
 
 
-def _within(x: Fraction, lo: Optional[Fraction], hi: Optional[Fraction]) -> bool:
-    return (lo is None or lo <= x) and (hi is None or x <= hi)
+def _within(x: X, lo: X, hi: X) -> bool:
+    return _le(lo, x) and _le(x, hi)
 
 
 def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
@@ -147,18 +152,16 @@ def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
     lower, upper, xlo, xhi = _chains(halfplanes)
     ends = []
     for start, end, l, u in _pieces(lower, upper):
-        xs = [
-            x
-            for x in (start, xlo, xhi)
-            if x is not None and _within(x, start, end) and _y(l, x) <= _y(u, x)
+        ((lx, ly), cl), ((ux, uy), cu) = l, u
+        meet = _meet_x(l, u) if det(l[0], u[0]) else NEG_INF  # where U = L; none if parallel
+        ends += [
+            ((n, d), l, u)
+            for n, d in (start, xlo, xhi, meet)
+            if d and _within((n, d), start, end) and _within((n, d), xlo, xhi)
+            and (cl * d - lx * n) * uy >= (cu * d - ux * n) * ly  # L <= U, times d l_y u_y < 0
         ]
-        if det(l[0], u[0]) != 0:
-            meet = _meet_x(l, u)  # where U = L, if it lies in the piece
-            if _within(meet, start, end):
-                xs.append(meet)
-        ends += [(x, l, u) for x in xs if _within(x, xlo, xhi)]
     if ends:
-        ends = [min(ends, key=itemgetter(0)), max(ends, key=itemgetter(0))]
+        ends = [min(ends, key=_BY_X), max(ends, key=_BY_X)]
     return lower, upper, ends
 
 
@@ -169,11 +172,12 @@ def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
     if not ends:
         return []
     (xa, la, ua), (xb, lb, ub) = ends
-    ring = [(xa, _y(la, xa))]
-    ring += [(x, _y(h, x)) for h, x in zip(*lower) if xa < x < xb]
-    ring += [(xb, _y(lb, xb)), (xb, _y(ub, xb))]
-    ring += [(x, _y(h, x)) for h, x in reversed(list(zip(*upper))) if xa < x < xb]
-    ring.append((xa, _y(ua, xa)))
+    lows, ups = (
+        [(x, h) for h, x in zip(*ch) if not (_le(x, xa) or _le(xb, x))] for ch in (lower, upper)
+    )
+    ring = [(xa, la), *lows, (xb, lb), (xb, ub), *reversed(ups), (xa, ua)]
+    # the point of each boundary line ((u_x, u_y), c) at x = n/d
+    ring = [(Fraction(n, d), Fraction(c * d - ux * n, uy * d)) for (n, d), ((ux, uy), c) in ring]
     # Only the ends can repeat: a point, a segment, or a vertical edge's end.
     return [p for i, p in enumerate(ring) if p != ring[i - 1]] or ring[:1]
 
@@ -186,12 +190,10 @@ def _column_sum(chain: Chain, a: int, b: int) -> int:
     hull, breaks = chain
     total = 0
     for k, ((ux, uy), c) in enumerate(hull):
-        lo = a if k == 0 else max(a, ceil(breaks[k - 1]))
-        hi = b if k == len(breaks) else min(b, ceil(breaks[k]) - 1)
+        lo = a if k == 0 else max(a, _ceil(breaks[k - 1]))
+        hi = b if k == len(breaks) else min(b, _ceil(breaks[k]) - 1)
         if lo <= hi:
-            # scale a rational offset p/q by its denominator
-            p, q = c.numerator, c.denominator
-            total += floor_sum(hi - lo + 1, q * abs(uy), q * ux, q * ux * lo - p)
+            total += floor_sum(hi - lo + 1, abs(uy), ux, ux * lo - c)
     return total
 
 
@@ -203,7 +205,7 @@ def _columns(lower: Chain, upper: Chain, a: int, b: int) -> int:
 def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
     """Number of lattice points in the region."""
     lower, upper, ends = _clip(halfplanes)
-    a, b = (ceil(ends[0][0]), floor(ends[1][0])) if ends else (1, 0)
+    a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
     return _columns(lower, upper, a, b)
 
 
@@ -214,9 +216,7 @@ def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoi
     columns up to x, so a thin sliver costs O(log width) counts.
     """
     lower, upper, ends = _clip(halfplanes)
-    if not ends:
-        return None
-    a, b = ceil(ends[0][0]), floor(ends[1][0])
+    a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
     if _columns(lower, upper, a, b) == 0:
         return None
     while a < b:
@@ -225,6 +225,6 @@ def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoi
             b = mid
         else:
             a = mid + 1
-    hull, breaks = lower
-    (ux, uy), c = hull[bisect_left(breaks, a)]
+    hull, breaks = lower  # the line active at a: the first break >= a, as floor(x) >= a iff x >= a
+    (ux, uy), c = hull[bisect_left(breaks, a, key=lambda x: x[0] // x[1])]
     return a, -((ux * a - c) // uy)

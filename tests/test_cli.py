@@ -219,6 +219,7 @@ def test_selftest_command(capsys):
     assert "FAIL" not in out
     for name in [
         "hrr-vs-count",
+        "peeled-h0",
         "serre-duality",
         "pairing",
         "lambda-hirzebruch",
@@ -290,6 +291,20 @@ def test_plane_with_large_delta_returns():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["chain"]) <= 5  # floor(log2 10) + 2
+
+
+def test_python_dash_m_toricpoints_runs_the_cli():
+    # an uninstalled checkout runs the package itself, selftest included
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricpoints", "lambda", "--surface", "P2", "--json"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (Path(__file__).parent / "golden" / "readme_lambda_p2.out").read_bytes()
 
 
 def test_cohomology_of_a_large_hirzebruch_class(capsys):

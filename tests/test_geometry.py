@@ -6,12 +6,14 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricpoints import geometry
+from toricpoints.cohomology import cohomology, vanishing_predicates
+from toricpoints.divisor import ToricDivisor, effective_representative
 from toricpoints.errors import ContractViolation
-from toricpoints.fan import build_fan
+from toricpoints.fan import build_fan, hirzebruch, p2
 from toricpoints.geometry import (
     count_lattice_points,
     feasible_vertices,
@@ -126,6 +128,80 @@ def regions(draw):
 @given(regions())
 def test_clip_count_and_lexmin_match_the_oracles(halfplanes):
     check_against_oracles(halfplanes)
+
+
+MIXED = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+HUGE = st.integers(10**20, 10**21) | st.integers(-(10**21), -(10**20))
+SIX_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+# denominators 5, 7, 8, 9, 11 and 12: the clip scales by their lcm, 27720
+MIXED_OFFSETS = [Fraction(-1, k) for k in (7, 8, 9, 11, 5, 12)]
+# two points, shifted by a lattice vector of size 10^20
+SHIFTED_POINTS = [
+    (Fraction(1, 7) + 10**20, Fraction(2, 9) - 3 * 10**20),
+    (Fraction(-3, 8) + 10**20, Fraction(5, 11) - 3 * 10**20),
+]
+
+
+@st.composite
+def mixed_regions(draw):
+    """Half-planes over fan rays whose offsets mix denominators 1..12, so the
+    lcm Q reaches the hundreds; or the support numbers of one to three such
+    points shifted by a lattice vector of size about 10^20, so the offsets
+    are huge while the region, and the box the oracle scans, stay small."""
+    rays = draw(fan_rays())
+    if draw(st.booleans()):
+        return [(u, draw(MIXED)) for u in rays]
+    sx, sy = draw(HUGE), draw(HUGE)
+    points = draw(st.lists(st.tuples(MIXED, MIXED), min_size=1, max_size=3))
+    return list(zip(rays, _support_numbers(rays, [(x + sx, y + sy) for x, y in points])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mixed_regions())
+@example(list(zip(SIX_RAYS, MIXED_OFFSETS)))
+@example(list(zip(SIX_RAYS, _support_numbers(SIX_RAYS, SHIFTED_POINTS))))
+def test_mixed_denominators_and_huge_offsets_match_the_oracles(halfplanes):
+    check_against_oracles(halfplanes)
+
+
+def _refuse_fraction(*args):
+    raise AssertionError(f"the integral path built Fraction{args}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(fan_rays(), st.data())
+def test_the_integral_path_builds_no_fraction(rays, data):
+    offsets = data.draw(st.lists(st.integers(-15, 15), min_size=len(rays), max_size=len(rays)))
+    halfplanes = list(zip(rays, offsets))
+    points = box_lattice_points(halfplanes, pairwise_vertices(halfplanes))
+    D = ToricDivisor(build_fan(rays), tuple(offsets))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "Fraction", _refuse_fraction)
+        assert count_lattice_points(halfplanes) == len(points)
+        assert lexmin_lattice_point(halfplanes) == (min(points) if points else None)
+        cohomology(D)
+        effective_representative(D)
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs, dim",
+    [
+        (p2(), (1, 1, 1), 2),
+        (p2(), (0, 0, 0), 0),
+        (p2(), (-1, 0, 0), -1),
+        (hirzebruch(1), (1, 1, 1, 1), 2),
+        (hirzebruch(1), (1, 0, 0, 0), 1),
+        (hirzebruch(1), (1, 0, -1, 0), 0),
+        (hirzebruch(1), (-1, 1, 0, 0), -1),
+        (build_fan(SIX_RAYS), (3, 5, 3, 5, 3, 5), 2),
+        (build_fan(SIX_RAYS), (1, 0, 0, 1, 0, 0), 0),
+        (build_fan(SIX_RAYS), (1, 0, 0, -1, 0, 0), -1),
+    ],
+)
+def test_the_polygon_of_half_a_class(fan, coeffs, dim):
+    # C/2 has half-integral offsets: the clip scales them by Q = 2
+    C = ToricDivisor(fan, coeffs)
+    assert vanishing_predicates(C * Fraction(1, 2)).dim_PD == dim
 
 
 @pytest.mark.parametrize(
