@@ -1,16 +1,7 @@
 """Exact divisor arithmetic and low-degree point interpolation bounds on
 smooth complete toric surfaces."""
 
-from .cohomology import (
-    CohomologyProfile,
-    DivisorPolytope,
-    VanishingReport,
-    cohomology,
-    divisor_polytope,
-    euler_characteristic,
-    lattice_point_count,
-    vanishing_predicates,
-)
+from .cohomology import CohomologyProfile, cohomology, euler_characteristic
 from .divisor import (
     Positivity,
     ToricDivisor,

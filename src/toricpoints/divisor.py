@@ -47,6 +47,11 @@ class ToricDivisor:
         object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     @property
+    def halfplanes(self) -> Tuple[geometry.HalfPlane, ...]:
+        """The polygon P_D = {m : <m, u_i> >= -a_i}, as its half-planes."""
+        return tuple((u, -a) for u, a in zip(self.fan.rays, self.coeffs))
+
+    @property
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)
 
@@ -164,7 +169,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     None when no lattice point is feasible (the class is not effective).
     """
     D.require_integral("effective_representative")
-    m = geometry.lexmin_lattice_point([(u, -a) for u, a in zip(D.fan.rays, D.coeffs)])
+    m = geometry.lexmin_lattice_point(D.halfplanes)
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -13,6 +13,7 @@ from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
+    ContractViolation,
     DuplicateRay,
     InputError,
     InternalInconsistency,
@@ -87,10 +88,13 @@ def _winding_number(rays: Sequence[LatticePoint]) -> int:
 def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> ToricSurfaceFan:
     """Validate rays and build the fan.
 
-    Rays must be given in counterclockwise cyclic order; the order is kept
-    as-is so prime divisor indices stay stable.
+    Rays must be given in counterclockwise cyclic order, with int
+    coordinates; the order is kept as-is so prime divisor indices stay
+    stable.
     """
-    rays = tuple((int(x), int(y)) for x, y in rays)
+    rays = tuple((x, y) for x, y in rays)
+    if any(type(c) is not int for u in rays for c in u):
+        raise ContractViolation(f"ray coordinates must be ints, got {rays}")
     n = len(rays)
     if n < 3:
         raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")

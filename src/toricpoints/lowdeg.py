@@ -19,13 +19,12 @@ from .divisor import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
-    classes_equal,
     effective_representative,
     intersect_primes,
     intersection_number,
     positivity,
 )
-from .errors import ContractViolation, InternalInconsistency, NotAmple
+from .errors import ContractViolation, FanMismatch, InternalInconsistency, NotAmple
 from .fan import ToricSurfaceFan, hirzebruch
 
 # verdict labels used throughout reports
@@ -38,17 +37,21 @@ ASSUMED = "assumed"
 
 @dataclass(frozen=True)
 class CurveOnSurface:
-    """Ample curve class C with singularity multiplicities delta_i >= 2
-    (empty list = smooth).  Ampleness is a hypothesis checked by the report
-    operations, not enforced here."""
+    """Ample curve class C on the surface of `fan`, with integer singularity
+    multiplicities delta_i >= 2 (empty = smooth).  Ampleness is a hypothesis
+    checked by the report operations, not enforced here."""
 
     fan: ToricSurfaceFan
     curve_class: ToricDivisor
     multiplicities: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not self.fan.same_surface(self.curve_class.fan):
+            raise FanMismatch("the curve class lives on a different fan")
         self.curve_class.require_integral("CurveOnSurface")
         for d in self.multiplicities:
+            if type(d) is not int:
+                raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
             if d < 2:
                 raise ContractViolation(f"singularity multiplicity {d} < 2")
 
@@ -103,11 +106,10 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     )
 
 
-def arithmetic_genus(fan: ToricSurfaceFan, C: ToricDivisor) -> int:
+def arithmetic_genus(C: ToricDivisor) -> int:
     """p_a = 1 + (K + C).C / 2."""
     C.require_integral("arithmetic_genus")
-    K = canonical_divisor(fan)
-    num = intersection_number(K + C, C)
+    num = intersection_number(canonical_divisor(C.fan) + C, C)
     if num % 2 != 0:
         raise InternalInconsistency("(K + C).C is odd")
     return 1 + num // 2
@@ -119,42 +121,33 @@ def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
     return C2 - sum(d * d for d in multiplicities)
 
 
-def seshadri_ample_check(
-    fan: ToricSurfaceFan, C: ToricDivisor, multiplicities: Sequence[int]
-) -> str:
+def seshadri_ample_check(C: ToricDivisor, multiplicities: Sequence[int]) -> str:
     """Sufficient ampleness certificate for the normalised curve on the
-    blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound).  Returns
-    CERTIFIED or NOT_CERTIFIED; the latter is not a refutation."""
+    blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
+    smooth curve (no delta_i) always meets.  Returns CERTIFIED or
+    NOT_CERTIFIED; the latter is not a refutation."""
     if positivity(C) is not Positivity.AMPLE:
         raise NotAmple("curve class is not ample")
-    if not multiplicities:
-        return CERTIFIED
     r = min(intersect_primes(C))
     return CERTIFIED if sum(multiplicities) < r else NOT_CERTIFIED
 
 
-def positive_curve_representation(
-    fan: ToricSurfaceFan, C: ToricDivisor
-) -> Optional[ToricDivisor]:
+def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
     """Representation C = sum a_i D_i with every a_i >= 1 and some a_j >= 2.
 
     Exists iff C + K > 0 (effective and not principal).  Built as the lex-min
-    non-negative representative of C + K plus (1,...,1); since C + K is
-    nonzero effective, some shifted coefficient is >= 2 automatically.
+    non-negative representative of C + K plus (1,...,1).  On a complete fan
+    a principal divisor with no negative coefficient is zero, so C + K is
+    principal exactly when that representative is zero; otherwise some
+    shifted coefficient is >= 2.
     """
-    K = canonical_divisor(fan)
-    ck = C + K
-    rep0 = effective_representative(ck)
-    if rep0 is None:
+    rep0 = effective_representative(C + canonical_divisor(C.fan))
+    if rep0 is None or not any(rep0.coeffs):
         return None
-    if classes_equal(ck, ToricDivisor(fan, (0,) * fan.n)):
-        return None
-    return ToricDivisor(fan, tuple(a + 1 for a in rep0.coeffs))
+    return ToricDivisor(C.fan, tuple(a + 1 for a in rep0.coeffs))
 
 
-def interpolation_divisor(
-    fan: ToricSurfaceFan, positive_rep: ToricDivisor
-) -> Tuple[ToricDivisor, int, int]:
+def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int, int]:
     """D = floor(C/2) componentwise for a positive representation of C.
 
     Returns (D, C.D, C^2).  Checks the proof-shape facts: D nonzero
@@ -165,7 +158,7 @@ def interpolation_divisor(
         raise ContractViolation(
             "positive representation must have all a_i >= 1 and some a_j >= 2"
         )
-    D = ToricDivisor(fan, tuple(c // 2 for c in a))
+    D = ToricDivisor(positive_rep.fan, tuple(c // 2 for c in a))
     if all(c == 0 for c in D.coeffs):
         raise InternalInconsistency("floor(C/2) is zero for a positive representation")
     rest = tuple(c - 2 * d for c, d in zip(a, D.coeffs))
@@ -178,13 +171,11 @@ def interpolation_divisor(
     return D, CD, C2
 
 
-def mainprop_h0_bound(
-    fan: ToricSurfaceFan, C_rep: ToricDivisor, D: ToricDivisor, e: int
-) -> Fraction:
+def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
     """Lower bound (1/4)(C-2D).(2K+C-2D) + 2 + C^2/4 - e for the sections of
     the residual divisor; positivity certifies that degree-e moving divisors
     lift."""
-    K = canonical_divisor(fan)
+    K = canonical_divisor(C_rep.fan)
     R = C_rep - 2 * D
     C2 = intersection_number(C_rep, C_rep)
     return (
@@ -210,13 +201,11 @@ class ConditionVerdicts:
     half_curve_ample: bool  # redundant cross-check: C/2 ample gives the vanishing
 
 
-def interpolation_conditions(
-    fan: ToricSurfaceFan, C_rep: ToricDivisor, D: ToricDivisor, e: int
-) -> ConditionVerdicts:
+def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> ConditionVerdicts:
     CD = intersection_number(C_rep, D)
     C2 = intersection_number(C_rep, C_rep)
     h1 = cohomology(D - C_rep).h1
-    bound = mainprop_h0_bound(fan, C_rep, D, e)
+    bound = mainprop_h0_bound(C_rep, D, e)
     return ConditionVerdicts(
         intersection_bound=PASS if CD < C2 else FAIL,
         surjectivity=PASS if h1 == 0 else FAIL,
@@ -225,7 +214,8 @@ def interpolation_conditions(
         C2=C2,
         h1_D_minus_C=h1,
         h0_bound=bound,
-        half_curve_ample=positivity(C_rep * Fraction(1, 2)) is Positivity.AMPLE,
+        # halving C changes the sign of no C.D_j, so C/2 is ample iff C is
+        half_curve_ample=positivity(C_rep) is Positivity.AMPLE,
     )
 
 
@@ -259,9 +249,8 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     Hypotheses the surface data cannot decide (geometric integrality of C,
     simplicity of its singularities) are echoed as "assumed".
     """
-    fan = curve.fan
     C = curve.curve_class
-    lam = lambda_invariant(fan)
+    lam = lambda_invariant(curve.fan)
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,
@@ -272,11 +261,11 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     ample = positivity(C) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
     if ample:
-        verdicts["blowup_ample"] = seshadri_ample_check(fan, C, curve.multiplicities)
+        verdicts["blowup_ample"] = seshadri_ample_check(C, curve.multiplicities)
     else:
         verdicts["blowup_ample"] = NOT_CERTIFIED
 
-    rep = positive_curve_representation(fan, C)
+    rep = positive_curve_representation(C)
     verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL
 
     bound = min(Fraction(bl2, 9), Fraction(C2, 4) + lam.value)
@@ -286,12 +275,12 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     table: Tuple[Tuple[int, int], ...] = ()
     conditions = None
     if rep is not None:
-        D, CD, rep_C2 = interpolation_divisor(fan, rep)
+        D, CD, rep_C2 = interpolation_divisor(rep)
         if rep_C2 != C2:
             raise InternalInconsistency("C^2 changed under re-representation")
         if e_max is not None:
             table = tuple((e, CD - e) for e in range(1, e_max + 1))
-            conditions = interpolation_conditions(fan, rep, D, e_max)
+            conditions = interpolation_conditions(rep, D, e_max)
 
     return InterpolationReport(
         lambda_value=lam.value,

@@ -208,13 +208,13 @@ def suite_positive_representation(count: int = 120) -> SuiteResult:
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(fan, C)
+        rep = positive_curve_representation(C)
         if rep is None:
             continue
-        D, CD, C2 = interpolation_divisor(fan, rep)
+        D, CD, C2 = interpolation_divisor(rep)
         lam = lambda_invariant(fan).value
         for e in (1, 2, 5):
-            if mainprop_h0_bound(fan, rep, D, e) < Fraction(C2, 4) + lam - e:
+            if mainprop_h0_bound(rep, D, e) < Fraction(C2, 4) + lam - e:
                 return SuiteResult(
                     "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={e}"
                 )

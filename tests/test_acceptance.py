@@ -142,16 +142,16 @@ def test_criterion_5e_positive_representations():
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(fan, C)
+        rep = positive_curve_representation(C)
         if rep is None:
             continue
         # interpolation_divisor validates the 0/1 shape of C - 2 floor(C/2)
-        D, CD, C2 = interpolation_divisor(fan, rep)
+        D, CD, C2 = interpolation_divisor(rep)
         rest = tuple(a - 2 * b for a, b in zip(rep.coeffs, D.coeffs))
         assert all(r in (0, 1) for r in rest)
         lam = lambda_invariant(fan).value
         for e in (1, 2, 6):
-            assert mainprop_h0_bound(fan, rep, D, e) >= Fraction(C2, 4) + lam - e
+            assert mainprop_h0_bound(rep, D, e) >= Fraction(C2, 4) + lam - e
         checked += 1
     print("PASS criterion 5e: C-2D in {0,1}^n and section bound >= C^2/4 + lambda - e")
 
@@ -159,17 +159,17 @@ def test_criterion_5e_positive_representations():
 def test_criterion_6_hypothesis_honesty():
     fan = p2()
     assert (
-        seshadri_ample_check(fan, ToricDivisor(fan, (4, 0, 0)), (2, 2))
+        seshadri_ample_check(ToricDivisor(fan, (4, 0, 0)), (2, 2))
         == NOT_CERTIFIED
     )
     f1 = hirzebruch(1)
     v = interpolation_conditions(
-        f1, ToricDivisor(f1, (27, 26, 0, 0)), ToricDivisor(f1, (3, 1, 0, 0)), 79
+        ToricDivisor(f1, (27, 26, 0, 0)), ToricDivisor(f1, (3, 1, 0, 0)), 79
     )
     assert v.surjectivity == FAIL
     assert v.intersection_bound == PASS and v.section_lift == PASS
     q = interpolation_conditions(
-        fan, ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
+        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
     )
     assert (q.intersection_bound, q.surjectivity, q.section_lift) == (PASS, PASS, PASS)
     print("PASS criterion 6: Seshadri not_certified honest; only condition (2) fails on F_1")

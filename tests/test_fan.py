@@ -9,6 +9,7 @@ from toricpoints import (
     p2,
 )
 from toricpoints.errors import (
+    ContractViolation,
     DuplicateRay,
     InputError,
     NonPrimitiveRay,
@@ -36,6 +37,25 @@ def test_non_smooth_rejected():
 def test_non_primitive_rejected():
     with pytest.raises(NonPrimitiveRay):
         build_fan([(2, 0), (0, 1), (-1, -1)])
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [(1.7, 0), (0, 1), (-1, -1)],  # int() would truncate it to P^2
+        [(1, 0), (0, 1), (-1.0, -1)],
+        [("1", 0), (0, True), (-1, -1)],
+    ],
+)
+def test_non_int_coordinates_rejected(rays):
+    with pytest.raises(ContractViolation):
+        build_fan(rays)
+
+
+def test_non_int_hirzebruch_parameter_rejected():
+    # a ray (-1, 1.5) is not truncated to F_1's (-1, 1)
+    with pytest.raises(ContractViolation):
+        hirzebruch(1.5)
 
 
 def test_duplicate_rejected():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricpoints import geometry
-from toricpoints.cohomology import cohomology, vanishing_predicates
+from toricpoints.cohomology import cohomology
 from toricpoints.divisor import ToricDivisor, effective_representative
 from toricpoints.errors import ContractViolation
 from toricpoints.fan import build_fan, hirzebruch, p2
@@ -201,7 +201,7 @@ def test_the_integral_path_builds_no_fraction(rays, data):
 def test_the_polygon_of_half_a_class(fan, coeffs, dim):
     # C/2 has half-integral offsets: the clip scales them by Q = 2
     C = ToricDivisor(fan, coeffs)
-    assert vanishing_predicates(C * Fraction(1, 2)).dim_PD == dim
+    assert min(len(feasible_vertices((C * Fraction(1, 2)).halfplanes)), 3) - 1 == dim
 
 
 @pytest.mark.parametrize(

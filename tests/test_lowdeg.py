@@ -17,6 +17,7 @@ from toricpoints import (
     blowup_self_intersection,
     build_fan,
     canonical_divisor,
+    classes_equal,
     cohomology,
     hirzebruch,
     hirzebruch_counterexample,
@@ -29,11 +30,12 @@ from toricpoints import (
     p2,
     positive_curve_representation,
     positivity,
+    principal_divisor,
     seshadri_ample_check,
     toric_theorem_report,
 )
 from toricpoints.divisor import intersect_primes
-from toricpoints.errors import ContractViolation, NotAmple
+from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
@@ -242,6 +244,42 @@ def test_h0_and_h2_match_the_peeling_oracle(fan, data):
     assert prof.h2 == peeled_h0(canonical_divisor(fan) - D, A)[0]  # Serre duality
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.booleans(), st.data())
+def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
+    # oracle: classify the Q-divisor C/2 itself; lengths >= 1 give an ample C
+    low = 1 if ample else -2
+    lengths = data.draw(st.lists(st.integers(low, 3), min_size=fan.n, max_size=fan.n))
+    m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
+    D = ToricDivisor(fan, tuple(c // 2 for c in C.coeffs))
+    verdicts = interpolation_conditions(C, D, 1)
+    assert verdicts.half_curve_ample == (positivity(C * Fraction(1, 2)) is Positivity.AMPLE)
+    assert verdicts.half_curve_ample or not ample
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.booleans(), st.data())
+def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_principal(
+    fan, anticanonical, data
+):
+    K = canonical_divisor(fan)
+    if anticanonical:  # C + K ~ 0
+        m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        C = principal_divisor(fan, m) - K
+    else:
+        coeffs = data.draw(st.lists(st.integers(-2, 6), min_size=fan.n, max_size=fan.n))
+        C = ToricDivisor(fan, tuple(coeffs))
+    A, _ = polygon_class(fan, [1] * fan.n)
+    CK = C + K
+    principal = classes_equal(CK, ToricDivisor(fan, (0,) * fan.n))
+    assert principal or not anticanonical
+    rep = positive_curve_representation(C)
+    assert (rep is None) == (peeled_h0(CK, A)[0] == 0 or principal)
+    if rep is not None:
+        assert classes_equal(rep, C) and min(rep.coeffs) >= 1 and max(rep.coeffs) >= 2
+
+
 def test_a_fan_is_freed_after_use():
     fan = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
     C = ToricDivisor(fan, (2, 3, 2, 2, 3, 2))
@@ -321,17 +359,34 @@ def test_curve_classes_must_be_integral():
     fan = p2()
     half = ToricDivisor(fan, (Fraction(9, 2), 0, 0))
     with pytest.raises(ContractViolation):
-        arithmetic_genus(fan, half)
+        arithmetic_genus(half)
     with pytest.raises(ContractViolation):
         CurveOnSurface(fan=fan, curve_class=half)
 
 
+@pytest.mark.parametrize(
+    "mults", [(2.5,), (3.0,), (Fraction(5, 2),), (Fraction(3),), (2, True), ("3",)]
+)
+def test_multiplicities_must_be_ints(mults):
+    fan = p2()
+    with pytest.raises(ContractViolation):
+        CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0)), mults)
+
+
+def test_a_curve_class_on_another_fan_is_refused():
+    with pytest.raises(FanMismatch):
+        CurveOnSurface(hirzebruch(1), ToricDivisor(p2(), (9, 0, 0)))
+    # the same rays under another name are the same surface
+    C = ToricDivisor(hirzebruch(0), (2, 2, 1, 1))
+    assert CurveOnSurface(p1xp1(), C).curve_class is C
+
+
 def test_arithmetic_genus():
     fan = p2()
-    assert arithmetic_genus(fan, ToricDivisor(fan, (4, 0, 0))) == 3
-    assert arithmetic_genus(fan, ToricDivisor(fan, (3, 0, 0))) == 1
+    assert arithmetic_genus(ToricDivisor(fan, (4, 0, 0))) == 3
+    assert arithmetic_genus(ToricDivisor(fan, (3, 0, 0))) == 1
     f1 = hirzebruch(1)
-    assert arithmetic_genus(f1, ToricDivisor(f1, (27, 26, 0, 0))) == 325
+    assert arithmetic_genus(ToricDivisor(f1, (27, 26, 0, 0))) == 325
 
 
 def test_blowup_self_intersection():
@@ -342,26 +397,26 @@ def test_blowup_self_intersection():
 
 def test_seshadri_check():
     fan = p2()
-    assert seshadri_ample_check(fan, ToricDivisor(fan, (10, 0, 0)), (2, 2)) == CERTIFIED
+    assert seshadri_ample_check(ToricDivisor(fan, (10, 0, 0)), (2, 2)) == CERTIFIED
     assert (
-        seshadri_ample_check(fan, ToricDivisor(fan, (4, 0, 0)), (2, 2)) == NOT_CERTIFIED
+        seshadri_ample_check(ToricDivisor(fan, (4, 0, 0)), (2, 2)) == NOT_CERTIFIED
     )
-    assert seshadri_ample_check(fan, ToricDivisor(fan, (5, 0, 0)), ()) == CERTIFIED
+    assert seshadri_ample_check(ToricDivisor(fan, (5, 0, 0)), ()) == CERTIFIED
     with pytest.raises(NotAmple):
         seshadri_ample_check(
-            hirzebruch(1), ToricDivisor(hirzebruch(1), (0, 1, 0, 0)), ()
+            ToricDivisor(hirzebruch(1), (0, 1, 0, 0)), ()
         )
 
 
 def test_positive_curve_representation():
     fan = p2()
     # lex-min m for C + K = H is (-1, 0), giving shifted coefficients (0,0,1)
-    rep = positive_curve_representation(fan, ToricDivisor(fan, (4, 0, 0)))
+    rep = positive_curve_representation(ToricDivisor(fan, (4, 0, 0)))
     assert rep.coeffs == (1, 1, 2)
-    rep9 = positive_curve_representation(fan, ToricDivisor(fan, (9, 0, 0)))
+    rep9 = positive_curve_representation(ToricDivisor(fan, (9, 0, 0)))
     assert rep9.coeffs == (1, 1, 7)
     # cubic: C + K is principal, so "> 0" fails
-    assert positive_curve_representation(fan, ToricDivisor(fan, (3, 0, 0))) is None
+    assert positive_curve_representation(ToricDivisor(fan, (3, 0, 0))) is None
 
 
 def test_positive_representation_contract():
@@ -374,7 +429,7 @@ def test_positive_representation_contract():
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(fan, C)
+        rep = positive_curve_representation(C)
         if rep is None:
             continue
         assert classes_equal(rep, C)
@@ -385,27 +440,27 @@ def test_positive_representation_contract():
 
 def test_interpolation_divisor():
     fan = p2()
-    D, CD, C2 = interpolation_divisor(fan, ToricDivisor(fan, (2, 1, 1)))
+    D, CD, C2 = interpolation_divisor(ToricDivisor(fan, (2, 1, 1)))
     assert D.coeffs == (1, 0, 0) and CD == 4 and C2 == 16
-    D, CD, C2 = interpolation_divisor(fan, ToricDivisor(fan, (7, 1, 1)))
+    D, CD, C2 = interpolation_divisor(ToricDivisor(fan, (7, 1, 1)))
     assert D.coeffs == (3, 0, 0) and CD == 27 and C2 == 81
     f1 = hirzebruch(1)
-    D, CD, C2 = interpolation_divisor(f1, ToricDivisor(f1, (1, 1, 1, 2)))
+    D, CD, C2 = interpolation_divisor(ToricDivisor(f1, (1, 1, 1, 2)))
     assert D.coeffs == (0, 0, 0, 1)
     with pytest.raises(ContractViolation):
-        interpolation_divisor(fan, ToricDivisor(fan, (1, 1, 1)))
+        interpolation_divisor(ToricDivisor(fan, (1, 1, 1)))
     with pytest.raises(ContractViolation):
-        interpolation_divisor(fan, ToricDivisor(fan, (3, 0, 2)))
+        interpolation_divisor(ToricDivisor(fan, (3, 0, 2)))
 
 
 def test_mainprop_h0_bound_values():
     fan = p2()
     # quartic rep (2,1,1), D = (1,0,0): C-2D ~ 2H, (2H).(2K+2H) = -8,
     # so the bound is -2 + 2 + 4 - 1 = 3
-    assert mainprop_h0_bound(fan, ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == 3
+    assert mainprop_h0_bound(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == 3
     # degree 9: C-2D ~ 3H, (3H).(2K+3H) = -9, bound = -9/4 + 2 + 81/4 - 8 = 12
     assert (
-        mainprop_h0_bound(fan, ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0)), 8)
+        mainprop_h0_bound(ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0)), 8)
         == 12
     )
 
@@ -420,15 +475,15 @@ def test_mainprop_bound_dominates_lambda_bound():
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(fan, C)
+        rep = positive_curve_representation(C)
         if rep is None:
             continue
-        D, CD, C2 = interpolation_divisor(fan, rep)
+        D, CD, C2 = interpolation_divisor(rep)
         # C - 2D must have 0/1 coefficients (checked inside) and the bound
         # must dominate C^2/4 + lambda - e
         lam = lambda_invariant(fan).value
         for e in (1, 3, 7):
-            assert mainprop_h0_bound(fan, rep, D, e) >= Fraction(C2, 4) + lam - e
+            assert mainprop_h0_bound(rep, D, e) >= Fraction(C2, 4) + lam - e
         assert 2 * CD <= C2
         checked += 1
 
@@ -436,7 +491,7 @@ def test_mainprop_bound_dominates_lambda_bound():
 def test_interpolation_conditions_quartic():
     fan = p2()
     v = interpolation_conditions(
-        fan, ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
+        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
     )
     assert (v.intersection_bound, v.surjectivity, v.section_lift) == (PASS, PASS, PASS)
     assert v.h1_D_minus_C == 0
@@ -446,7 +501,7 @@ def test_interpolation_conditions_quartic():
 def test_interpolation_conditions_oversized_divisor():
     fan = p2()
     v = interpolation_conditions(
-        fan, ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1
+        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1
     )
     assert v.intersection_bound == FAIL  # 20 >= 16
 
@@ -455,7 +510,7 @@ def test_interpolation_conditions_f1_counterexample():
     f1 = hirzebruch(1)
     C = ToricDivisor(f1, (27, 26, 0, 0))
     D = ToricDivisor(f1, (3, 1, 0, 0))
-    v = interpolation_conditions(f1, C, D, 79)
+    v = interpolation_conditions(C, D, 79)
     assert v.surjectivity == FAIL and v.h1_D_minus_C == 1
     assert v.intersection_bound == PASS and v.section_lift == PASS
 

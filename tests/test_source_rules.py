@@ -1,8 +1,10 @@
 """Rules every library module keeps: exact arithmetic only (no float
 literal, no float() call), no `assert` (python -O strips it), no
-dependency outside the standard library, and no process-wide cache
+dependency outside the standard library, no process-wide cache
 (functools.cache or lru_cache) on a function that takes parameters, since
-such a cache keeps every argument it has seen alive."""
+such a cache keeps every argument it has seen alive, and no function that
+takes a ToricSurfaceFan beside a ToricDivisor, since the divisor carries
+its fan and a second one could disagree with it."""
 
 import ast
 import sys
@@ -24,6 +26,17 @@ def _cache_decorator(node):
     return isinstance(node, ast.Name) and node.id in CACHES
 
 
+def _annotation(node):
+    # the type a parameter is annotated with: Name, module.Name or "Name"
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    return None
+
+
 def breaches(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -32,6 +45,9 @@ def breaches(tree):
                 a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
             ):
                 yield node.lineno, f"cache on {node.name}(), which takes parameters"
+            types = {_annotation(p.annotation) for p in a.posonlyargs + a.args + a.kwonlyargs}
+            if {"ToricSurfaceFan", "ToricDivisor"} <= types:
+                yield node.lineno, f"{node.name}() takes a fan beside a divisor"
         elif isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
         elif isinstance(node, ast.Constant) and type(node.value) is float:
@@ -61,13 +77,28 @@ def test_rules_catch_each_breach():
     source = (
         "import numpy\nfrom os import path\nassert x\ny = 0.5\nz = float(1)\n"
         "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
+        "def g(fan: ToricSurfaceFan, C: ToricDivisor): pass\n"
     )
     assert [what for _, what in breaches(ast.parse(source))] == [
         "import of numpy, outside the standard library",
         "assert statement",
         "cache on f(), which takes parameters",
+        "g() takes a fan beside a divisor",
         "float literal 0.5",
         "float() call",
+    ]
+
+
+def test_a_fan_beside_a_divisor_is_refused_however_annotated():
+    source = (
+        "def a(D: ToricDivisor, *, fan: fan.ToricSurfaceFan): pass\n"
+        "def b(fan: 'ToricSurfaceFan', D: 'divisor.ToricDivisor', /): pass\n"
+        "def c(fan: ToricSurfaceFan, m: LatticePoint) -> ToricDivisor: pass\n"
+        "def d(D: ToricDivisor, E: Optional[ToricDivisor]): pass\n"
+    )
+    assert [what for _, what in breaches(ast.parse(source))] == [
+        "a() takes a fan beside a divisor",
+        "b() takes a fan beside a divisor",
     ]
 
 
