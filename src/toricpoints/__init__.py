@@ -6,10 +6,7 @@ from .divisor import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
-    ceil_div,
-    classes_equal,
     effective_representative,
-    floor_div,
     intersection_number,
     positivity,
     principal_divisor,
@@ -28,7 +25,6 @@ from .lowdeg import (
     HirzebruchExampleReport,
     InterpolationReport,
     LambdaResult,
-    arithmetic_genus,
     blowup_self_intersection,
     hirzebruch_counterexample,
     interpolation_conditions,

@@ -3,8 +3,8 @@
 h0 is the number of lattice points of the polygon P_D
 (`ToricDivisor.halfplanes`, counted by `geometry.count_lattice_points`), h2
 comes from Serre duality as the count for K - D, chi from
-Hirzebruch-Riemann-Roch, and h1 by difference.  Everything is exact; no
-floating point in this module.
+Hirzebruch-Riemann-Roch, and h1 by difference.  A divisor's coefficients
+are ints, so every number here is an int.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class CohomologyProfile:
 
 def euler_characteristic(D: ToricDivisor) -> int:
     """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1)."""
-    D.require_integral("euler_characteristic")
     K = canonical_divisor(D.fan)
     num = intersection_number(D, D) - intersection_number(K, D)
     if num % 2 != 0:
@@ -35,8 +34,7 @@ def euler_characteristic(D: ToricDivisor) -> int:
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:
-    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi.
-    Defined on integral divisors only."""
+    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi."""
     chi = euler_characteristic(D)
     K = canonical_divisor(D.fan)
     h0 = geometry.count_lattice_points(D.halfplanes)

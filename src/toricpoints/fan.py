@@ -92,7 +92,10 @@ def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> Toric
     coordinates; the order is kept as-is so prime divisor indices stay
     stable.
     """
-    rays = tuple((x, y) for x, y in rays)
+    try:
+        rays = tuple((x, y) for x, y in rays)
+    except (TypeError, ValueError):  # not a sequence of pairs
+        raise ContractViolation(f"rays must be pairs of ints, got {rays!r}") from None
     if any(type(c) is not int for u in rays for c in u):
         raise ContractViolation(f"ray coordinates must be ints, got {rays}")
     n = len(rays)
@@ -121,6 +124,8 @@ def p2() -> ToricSurfaceFan:
 
 
 def hirzebruch(m: int) -> ToricSurfaceFan:
+    if type(m) is not int:
+        raise ContractViolation(f"Hirzebruch parameter {m!r} is not an int")
     if m < 0:
         raise InputError(f"Hirzebruch parameter must be >= 0, got {m}")
     return build_fan([(1, 0), (0, 1), (-1, m), (0, -1)], name=f"F{m}")

@@ -1,11 +1,11 @@
 """Exact half-plane intersection and lattice-point counting in the plane.
 
-A half-plane is a pair (normal, offset) with normal a lattice vector and an
-exact offset (int or Fraction), meaning <x, normal> >= offset.  The normals
-are those of a complete fan: they wind once counterclockwise around the
-origin, each turn less than a half-turn, so the region is bounded (or
-empty).  The clip scales each half-plane by Q, the lcm of the offsets'
-denominators, and works in integers: an x-coordinate is a pair (num, den)
+A half-plane is a pair (normal, offset) of a lattice vector and an int,
+meaning <x, normal> >= offset.  A rational offset p/q is written as the
+half-plane ((q u_x, q u_y), p), whose normal need not be primitive.  The
+normals are those of a complete fan: they wind once counterclockwise around
+the origin, each turn less than a half-turn, so the region is bounded (or
+empty).  The clip works in integers: an x-coordinate is a pair (num, den)
 with den > 0, compared by cross-multiplication.  Only `feasible_vertices`
 builds Fractions, for the vertices it returns; nothing is ever a float.
 
@@ -25,14 +25,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
 from .fan import LatticePoint, det
 
 QPoint = Tuple[Fraction, Fraction]
-HalfPlane = Tuple[LatticePoint, Union[int, Fraction]]
+HalfPlane = Tuple[LatticePoint, int]
 X = Tuple[int, int]  # the x-coordinate num/den as (num, den), den > 0
 NEG_INF, INF = (-1, 0), (1, 0)  # the ends of the x-axis: _le puts them before and after every X
 # An envelope: its boundary lines left to right, and the x where each one
@@ -96,7 +95,7 @@ def _envelope(lines: Sequence[HalfPlane]) -> Chain:
 
 def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
     """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
-    (+-INF where there is none), of the half-planes scaled by Q."""
+    (+-INF where there is none), of the half-planes."""
     normals = [u for u, _ in halfplanes]
     n = len(normals)
     starts = [i for i in range(n) if normals[i][1] > 0 >= normals[i - 1][1]]
@@ -104,9 +103,9 @@ def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
         raise ContractViolation(
             "half-plane normals must wind once counterclockwise, each turn under a half-turn"
         )
-    q = lcm(*(c.denominator for _, c in halfplanes))
-    hs = [((q * ux, q * uy), c.numerator * q // c.denominator) for (ux, uy), c in halfplanes]
-    hs = hs[starts[0]:] + hs[:starts[0]]
+    if any(type(c) is not int for _, c in halfplanes):
+        raise ContractViolation("half-plane offsets must be ints")
+    hs = [*halfplanes[starts[0]:], *halfplanes[:starts[0]]]
     # From the lower arc's start, the order is: lower arc (slopes rising
     # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
     lower = _envelope([h for h in hs if h[0][1] > 0])

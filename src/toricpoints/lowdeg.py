@@ -48,7 +48,6 @@ class CurveOnSurface:
     def __post_init__(self):
         if not self.fan.same_surface(self.curve_class.fan):
             raise FanMismatch("the curve class lives on a different fan")
-        self.curve_class.require_integral("CurveOnSurface")
         for d in self.multiplicities:
             if type(d) is not int:
                 raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
@@ -106,30 +105,22 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     )
 
 
-def arithmetic_genus(C: ToricDivisor) -> int:
-    """p_a = 1 + (K + C).C / 2."""
-    C.require_integral("arithmetic_genus")
-    num = intersection_number(canonical_divisor(C.fan) + C, C)
-    if num % 2 != 0:
-        raise InternalInconsistency("(K + C).C is odd")
-    return 1 + num // 2
-
-
 def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
     """Self-intersection of the normalised curve on the blowup:
     C^2 - sum delta_i^2."""
     return C2 - sum(d * d for d in multiplicities)
 
 
-def seshadri_ample_check(C: ToricDivisor, multiplicities: Sequence[int]) -> str:
+def seshadri_ample_check(curve: CurveOnSurface) -> str:
     """Sufficient ampleness certificate for the normalised curve on the
     blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
     smooth curve (no delta_i) always meets.  Returns CERTIFIED or
     NOT_CERTIFIED; the latter is not a refutation."""
+    C = curve.curve_class
     if positivity(C) is not Positivity.AMPLE:
         raise NotAmple("curve class is not ample")
     r = min(intersect_primes(C))
-    return CERTIFIED if sum(multiplicities) < r else NOT_CERTIFIED
+    return CERTIFIED if sum(curve.multiplicities) < r else NOT_CERTIFIED
 
 
 def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
@@ -175,6 +166,8 @@ def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
     """Lower bound (1/4)(C-2D).(2K+C-2D) + 2 + C^2/4 - e for the sections of
     the residual divisor; positivity certifies that degree-e moving divisors
     lift."""
+    if type(e) is not int:
+        raise ContractViolation(f"degree e = {e!r} is not an int")
     K = canonical_divisor(C_rep.fan)
     R = C_rep - 2 * D
     C2 = intersection_number(C_rep, C_rep)
@@ -261,7 +254,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     ample = positivity(C) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
     if ample:
-        verdicts["blowup_ample"] = seshadri_ample_check(C, curve.multiplicities)
+        verdicts["blowup_ample"] = seshadri_ample_check(curve)
     else:
         verdicts["blowup_ample"] = NOT_CERTIFIED
 

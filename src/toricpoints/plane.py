@@ -19,7 +19,10 @@ from .errors import ContractViolation, HypothesisViolation, InternalInconsistenc
 from .lowdeg import FAIL, PASS
 
 
-def _check_signs(d: int, delta: int) -> None:
+def _check_signs(d: int, delta: int, e: int = 0) -> None:
+    for name, v in (("d", d), ("delta", delta), ("e", e)):
+        if type(v) is not int:
+            raise ContractViolation(f"{name} = {v!r} is not an int")
     if d < 0 or delta < 0:
         raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
 
@@ -62,9 +65,10 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
     m(d - m) rises for m < d/2, so m is the largest m with m(d - m) <= s =
     e + delta: (d - ceil(sqrt(d^2 - 4s))) // 2.  None when s < d - 1
     (degree-e divisors cannot move, by the gonality floor), and when d < 3 or
-    s >= floor(d^2/4), where no such m exists.  A negative d or delta is refused.
+    s >= floor(d^2/4), where no such m exists.  A negative d or delta, or a
+    non-int d, delta or e, is refused.
     """
-    _check_signs(d, delta)
+    _check_signs(d, delta, e)
     s = e + delta
     if d < 3 or s < d - 1 or s >= d * d // 4:
         return None

@@ -159,7 +159,7 @@ def test_criterion_5e_positive_representations():
 def test_criterion_6_hypothesis_honesty():
     fan = p2()
     assert (
-        seshadri_ample_check(ToricDivisor(fan, (4, 0, 0)), (2, 2))
+        seshadri_ample_check(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)), (2, 2)))
         == NOT_CERTIFIED
     )
     f1 = hirzebruch(1)

@@ -20,7 +20,6 @@ from toricpoints import (
     geometry,
     toric_theorem_report,
 )
-from toricpoints.errors import ContractViolation
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 HEXAGON = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
@@ -113,13 +112,6 @@ def test_cohomology_profiles():
     # D - C at n = 26: h2 = 253 via K - (D - C), chi = 252, so h1 = 1
     prof = cohomology(ToricDivisor(f1, (-24, -25, 0, 0)))
     assert (prof.h0, prof.h1, prof.h2, prof.chi) == (0, 1, 253, 252)
-
-
-def test_integral_only_operations_refuse_q_divisors():
-    half = ToricDivisor(p2(), (Fraction(1, 2), 0, 0))
-    for operation in (cohomology, euler_characteristic, effective_representative):
-        with pytest.raises(ContractViolation):
-            operation(half)
 
 
 def test_cohomology_of_trivial_class():

@@ -45,6 +45,9 @@ def test_non_primitive_rejected():
         [(1.7, 0), (0, 1), (-1, -1)],  # int() would truncate it to P^2
         [(1, 0), (0, 1), (-1.0, -1)],
         [("1", 0), (0, True), (-1, -1)],
+        [(1, 0, 0), (0, 1), (-1, -1)],  # not a pair
+        [1, 2, 3],
+        None,
     ],
 )
 def test_non_int_coordinates_rejected(rays):
@@ -56,6 +59,8 @@ def test_non_int_hirzebruch_parameter_rejected():
     # a ray (-1, 1.5) is not truncated to F_1's (-1, 1)
     with pytest.raises(ContractViolation):
         hirzebruch(1.5)
+    with pytest.raises(ContractViolation):
+        hirzebruch("1")  # not compared with 0
 
 
 def test_duplicate_rejected():

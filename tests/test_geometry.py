@@ -68,15 +68,26 @@ def box_lattice_points(halfplanes, vertices):
     ]
 
 
+def integral(halfplanes):
+    """The same region with int offsets: <x, u> >= p/q becomes <x, q u> >= p."""
+    return [
+        ((c.denominator * ux, c.denominator * uy), c.numerator)
+        for (ux, uy), c in ((u, Fraction(c)) for u, c in halfplanes)
+    ]
+
+
 def check_against_oracles(halfplanes):
-    vertices = feasible_vertices(halfplanes)
+    """The clip sees the half-planes scaled to int offsets, the oracles the
+    rational ones."""
+    scaled = integral(halfplanes)
+    vertices = feasible_vertices(scaled)
     expected = pairwise_vertices(halfplanes)
     assert len(set(vertices)) == len(vertices)
     assert set(vertices) == set(expected)
     assert min(len(vertices), 3) - 1 == hull_dimension(expected)
     points = box_lattice_points(halfplanes, expected)
-    assert count_lattice_points(halfplanes) == len(points)
-    assert lexmin_lattice_point(halfplanes) == (min(points) if points else None)
+    assert count_lattice_points(scaled) == len(points)
+    assert lexmin_lattice_point(scaled) == (min(points) if points else None)
     return vertices
 
 
@@ -133,7 +144,7 @@ def test_clip_count_and_lexmin_match_the_oracles(halfplanes):
 MIXED = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 HUGE = st.integers(10**20, 10**21) | st.integers(-(10**21), -(10**20))
 SIX_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-# denominators 5, 7, 8, 9, 11 and 12: the clip scales by their lcm, 27720
+# denominators 5, 7, 8, 9, 11 and 12, so the scaled normals differ in length
 MIXED_OFFSETS = [Fraction(-1, k) for k in (7, 8, 9, 11, 5, 12)]
 # two points, shifted by a lattice vector of size 10^20
 SHIFTED_POINTS = [
@@ -145,9 +156,10 @@ SHIFTED_POINTS = [
 @st.composite
 def mixed_regions(draw):
     """Half-planes over fan rays whose offsets mix denominators 1..12, so the
-    lcm Q reaches the hundreds; or the support numbers of one to three such
-    points shifted by a lattice vector of size about 10^20, so the offsets
-    are huge while the region, and the box the oracle scans, stay small."""
+    scaled normals are up to 12 times a ray; or the support numbers of one
+    to three such points shifted by a lattice vector of size about 10^20, so
+    the offsets are huge while the region, and the box the oracle scans,
+    stay small."""
     rays = draw(fan_rays())
     if draw(st.booleans()):
         return [(u, draw(MIXED)) for u in rays]
@@ -199,9 +211,9 @@ def test_the_integral_path_builds_no_fraction(rays, data):
     ],
 )
 def test_the_polygon_of_half_a_class(fan, coeffs, dim):
-    # C/2 has half-integral offsets: the clip scales them by Q = 2
-    C = ToricDivisor(fan, coeffs)
-    assert min(len(feasible_vertices((C * Fraction(1, 2)).halfplanes)), 3) - 1 == dim
+    # P_{C/2} = {m : <m, u_i> >= -a_i/2}, written with the normals 2 u_i
+    halfplanes = [((2 * ux, 2 * uy), -a) for (ux, uy), a in zip(fan.rays, coeffs)]
+    assert min(len(feasible_vertices(halfplanes)), 3) - 1 == dim
 
 
 @pytest.mark.parametrize(
@@ -241,8 +253,15 @@ def count_clips(monkeypatch):
 )
 def test_each_question_clips_once(monkeypatch, question, offsets):
     calls = count_clips(monkeypatch)
-    question([(u, c) for u, c in zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets)])
+    question(integral(zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("question", [feasible_vertices, count_lattice_points, lexmin_lattice_point])
+@pytest.mark.parametrize("offset", [Fraction(1, 2), Fraction(2), 1.0, True])
+def test_offsets_must_be_ints(question, offset):
+    with pytest.raises(ContractViolation):
+        question([((1, 0), offset), ((0, 1), 0), ((-1, -1), -3)])
 
 
 @settings(derandomize=True, deadline=None)
@@ -263,4 +282,4 @@ def test_floor_sum_matches_the_sum(n, m, a, b):
 )
 def test_normals_must_wind_once_counterclockwise(normals):
     with pytest.raises(ContractViolation):
-        feasible_vertices([(u, Fraction(0)) for u in normals])
+        feasible_vertices([(u, 0) for u in normals])

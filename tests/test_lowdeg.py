@@ -13,11 +13,9 @@ from toricpoints import (
     CurveOnSurface,
     Positivity,
     ToricDivisor,
-    arithmetic_genus,
     blowup_self_intersection,
     build_fan,
     canonical_divisor,
-    classes_equal,
     cohomology,
     hirzebruch,
     hirzebruch_counterexample,
@@ -38,7 +36,16 @@ from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 
+from test_divisor import classes_equal
+
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+
+
+def arithmetic_genus(C):
+    """Oracle: p_a = 1 + (K + C).C / 2 by adjunction."""
+    num = intersection_number(canonical_divisor(C.fan) + C, C)
+    assert num % 2 == 0
+    return 1 + num // 2
 
 
 def subdivide(rays, i):
@@ -141,8 +148,8 @@ def test_lambda_matches_the_subset_scan(fan):
 
 
 def exact(value, want):
-    """value equals want, and is an int exactly when want is integral."""
-    return value == want and type(value) is (int if Fraction(want).denominator == 1 else Fraction)
+    """value equals want, and is an int."""
+    return value == want and type(value) is int
 
 
 def kleiman(pairings):
@@ -188,18 +195,16 @@ def test_pairing_matches_the_dense_matrix(fan, data):
     def ints(lo, hi):
         return data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
 
-    P, lengths = polygon_class(fan, ints(0, 5))  # nef; ample when no length is 0
-    for den in (1, 2):  # integral classes, then half-integral Q-divisors
-        D = ToricDivisor(fan, tuple(Fraction(k, den) for k in ints(-12, 12)))
-        E = P * Fraction(1, den)
-        for A in (D, E):
-            want = [sum(a * M[i][j] for i, a in enumerate(A.coeffs)) for j in range(n)]
-            assert all(exact(got, w) for got, w in zip(intersect_primes(A), want))
-            assert positivity(A) is kleiman(want)
-        assert intersect_primes(E) == [Fraction(l, den) for l in lengths]
-        want = sum(a * M[i][j] * e for i, a in enumerate(D.coeffs) for j, e in enumerate(E.coeffs))
-        assert exact(intersection_number(D, E), want)
-        assert exact(intersection_number(E, D), want)
+    E, lengths = polygon_class(fan, ints(0, 5))  # nef; ample when no length is 0
+    D = ToricDivisor(fan, tuple(ints(-12, 12)))
+    for A in (D, E):
+        want = [sum(a * M[i][j] for i, a in enumerate(A.coeffs)) for j in range(n)]
+        assert all(exact(got, w) for got, w in zip(intersect_primes(A), want))
+        assert positivity(A) is kleiman(want)
+    assert intersect_primes(E) == lengths
+    want = sum(a * M[i][j] * e for i, a in enumerate(D.coeffs) for j, e in enumerate(E.coeffs))
+    assert exact(intersection_number(D, E), want)
+    assert exact(intersection_number(E, D), want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -247,14 +252,17 @@ def test_h0_and_h2_match_the_peeling_oracle(fan, data):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.booleans(), st.data())
 def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
-    # oracle: classify the Q-divisor C/2 itself; lengths >= 1 give an ample C
+    # oracle: classify C/2 by its pairings with the primes, halved from the
+    # dense matrix; lengths >= 1 give an ample C
     low = 1 if ample else -2
     lengths = data.draw(st.lists(st.integers(low, 3), min_size=fan.n, max_size=fan.n))
     m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
     D = ToricDivisor(fan, tuple(c // 2 for c in C.coeffs))
     verdicts = interpolation_conditions(C, D, 1)
-    assert verdicts.half_curve_ample == (positivity(C * Fraction(1, 2)) is Positivity.AMPLE)
+    M = intersection_matrix(fan)
+    halved = [Fraction(sum(c * M[i][j] for i, c in enumerate(C.coeffs)), 2) for j in range(fan.n)]
+    assert verdicts.half_curve_ample == (kleiman(halved) is Positivity.AMPLE)
     assert verdicts.half_curve_ample or not ample
 
 
@@ -356,12 +364,10 @@ def test_lambda_reflection_invariant():
 
 
 def test_curve_classes_must_be_integral():
-    fan = p2()
-    half = ToricDivisor(fan, (Fraction(9, 2), 0, 0))
-    with pytest.raises(ContractViolation):
-        arithmetic_genus(half)
-    with pytest.raises(ContractViolation):
-        CurveOnSurface(fan=fan, curve_class=half)
+    # a class such as C/2 cannot be built, so no curve or report can hold one
+    for half in ((Fraction(9, 2), 0, 0), (Fraction(9, 1), 0, 0)):
+        with pytest.raises(ContractViolation):
+            ToricDivisor(p2(), half)
 
 
 @pytest.mark.parametrize(
@@ -397,15 +403,28 @@ def test_blowup_self_intersection():
 
 def test_seshadri_check():
     fan = p2()
-    assert seshadri_ample_check(ToricDivisor(fan, (10, 0, 0)), (2, 2)) == CERTIFIED
-    assert (
-        seshadri_ample_check(ToricDivisor(fan, (4, 0, 0)), (2, 2)) == NOT_CERTIFIED
-    )
-    assert seshadri_ample_check(ToricDivisor(fan, (5, 0, 0)), ()) == CERTIFIED
+
+    def check(coeffs, mults=()):
+        return seshadri_ample_check(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
+
+    assert check((10, 0, 0), (2, 2)) == CERTIFIED
+    assert check((4, 0, 0), (2, 2)) == NOT_CERTIFIED
+    assert check((5, 0, 0)) == CERTIFIED
+    f1 = hirzebruch(1)
     with pytest.raises(NotAmple):
-        seshadri_ample_check(
-            ToricDivisor(hirzebruch(1), (0, 1, 0, 0)), ()
-        )
+        seshadri_ample_check(CurveOnSurface(f1, ToricDivisor(f1, (0, 1, 0, 0))))
+
+
+@pytest.mark.parametrize("mults", [(1,), (2.5,), (0, 3), (-2,)])
+def test_seshadri_check_refuses_bad_multiplicities(mults):
+    # the multiplicities reach the check only through CurveOnSurface, which
+    # refuses these; a sum below min C.D_i = 10 would have certified them
+    fan = p2()
+    C = ToricDivisor(fan, (10, 0, 0))
+    with pytest.raises(ContractViolation):
+        seshadri_ample_check(CurveOnSurface(fan, C, mults))
+    with pytest.raises(TypeError):
+        seshadri_ample_check(C, mults)
 
 
 def test_positive_curve_representation():
@@ -421,7 +440,6 @@ def test_positive_curve_representation():
 
 def test_positive_representation_contract():
     rng = random.Random(53)
-    from toricpoints import classes_equal, positivity, Positivity
 
     checked = 0
     while checked < 60:
@@ -463,6 +481,15 @@ def test_mainprop_h0_bound_values():
         mainprop_h0_bound(ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0)), 8)
         == 12
     )
+
+
+@pytest.mark.parametrize("e", [0.5, 8.0, Fraction(8), True, "8"])
+def test_section_bound_refuses_a_non_int_degree(e):
+    fan = p2()
+    C, D = ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0))
+    for call in (mainprop_h0_bound, interpolation_conditions):
+        with pytest.raises(ContractViolation):
+            call(C, D, e)
 
 
 def test_mainprop_bound_dominates_lambda_bound():

@@ -119,6 +119,25 @@ def test_negative_d_or_delta_is_refused(d, delta):
         plane_theorem_report(d, delta, 3)
 
 
+@pytest.mark.parametrize(
+    "d, delta, e",
+    [
+        (9.0, 0, 5),
+        (9, 0.0, 5),
+        (9, 0, 2.5),
+        (9, 0, Fraction(5)),
+        (True, 0, 5),
+        (9, 0, True),
+        ("9", 0, 5),
+    ],
+)
+def test_non_int_d_delta_or_e_is_refused(d, delta, e):
+    with pytest.raises(ContractViolation):
+        plane_theorem_report(d, delta, e)
+    with pytest.raises(ContractViolation):
+        find_m(d, delta, e)
+
+
 def test_plane_report_edge_raises_internal_inconsistency():
     # every hypothesis holds at the edge 3 delta = d - 3, yet deg B >= e/2
     for d, delta, e in [(9, 2, 6), (21, 6, 14), (27, 8, 18)]:

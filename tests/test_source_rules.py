@@ -4,7 +4,9 @@ dependency outside the standard library, no process-wide cache
 (functools.cache or lru_cache) on a function that takes parameters, since
 such a cache keeps every argument it has seen alive, and no function that
 takes a ToricSurfaceFan beside a ToricDivisor, since the divisor carries
-its fan and a second one could disagree with it."""
+its fan and a second one could disagree with it.  The divisor and
+cohomology modules import nothing from fractions: a divisor's coefficients
+are ints, and so is every number computed from them there."""
 
 import ast
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 CACHES = {"cache", "lru_cache"}
+INTEGRAL = {"divisor.py", "cohomology.py"}
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
 
@@ -37,7 +40,7 @@ def _annotation(node):
     return None
 
 
-def breaches(tree):
+def breaches(tree, module=""):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
@@ -61,6 +64,8 @@ def breaches(tree):
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     yield node.lineno, f"import of {name}, outside the standard library"
+                if name == "fractions" and module in INTEGRAL:
+                    yield node.lineno, f"import of fractions in {module}, whose numbers are ints"
 
 
 def test_sources_found():
@@ -70,23 +75,28 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_rules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [f"{path.name}:{line}: {what}" for line, what in breaches(tree)] == []
+    assert [f"{path.name}:{line}: {what}" for line, what in breaches(tree, path.name)] == []
 
 
 def test_rules_catch_each_breach():
     source = (
-        "import numpy\nfrom os import path\nassert x\ny = 0.5\nz = float(1)\n"
+        "import numpy\nfrom os import path\nfrom fractions import Fraction\n"
+        "assert x\ny = 0.5\nz = float(1)\n"
         "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
         "def g(fan: ToricSurfaceFan, C: ToricDivisor): pass\n"
     )
-    assert [what for _, what in breaches(ast.parse(source))] == [
+    assert [what for _, what in breaches(ast.parse(source), "divisor.py")] == [
         "import of numpy, outside the standard library",
+        "import of fractions in divisor.py, whose numbers are ints",
         "assert statement",
         "cache on f(), which takes parameters",
         "g() takes a fan beside a divisor",
         "float literal 0.5",
         "float() call",
     ]
+    # fractions is refused in the integral modules only
+    assert len(list(breaches(ast.parse("import fractions\n"), "cohomology.py"))) == 1
+    assert list(breaches(ast.parse("import fractions\n"), "lowdeg.py")) == []
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
