@@ -22,6 +22,7 @@ from .fan import (
 )
 from .lowdeg import (
     CurveOnSurface,
+    DegBTable,
     HirzebruchExampleReport,
     InterpolationReport,
     LambdaResult,

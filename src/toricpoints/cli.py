@@ -26,6 +26,7 @@ from .errors import InputError, ToricError
 from .fan import ToricSurfaceFan, build_fan, builtin_surface
 from .lowdeg import (
     CurveOnSurface,
+    DegBTable,
     FAIL,
     hirzebruch_counterexample,
     lambda_invariant,
@@ -50,6 +51,8 @@ def jsonable(obj):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, DegBTable):  # rows of two ints
+        return [list(row) for row in obj]
     return obj
 
 

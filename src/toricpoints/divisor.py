@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from . import geometry
 from .errors import ContractViolation, FanMismatch
-from .fan import LatticePoint, ToricSurfaceFan, dot
+from .fan import LatticePoint, ToricSurfaceFan, dot, require_fan
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,18 @@ class ToricDivisor:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.fan.n:
-            raise FanMismatch(
-                f"{len(self.coeffs)} coefficients for a fan with {self.fan.n} rays"
-            )
-        if any(type(c) is not int for c in self.coeffs):
+        require_fan(self.fan)
+        try:
+            coeffs = tuple(self.coeffs)
+        except TypeError:
+            raise ContractViolation(
+                f"divisor coefficients {self.coeffs!r} are not a sequence"
+            ) from None
+        if len(coeffs) != self.fan.n:
+            raise FanMismatch(f"{len(coeffs)} coefficients for a fan with {self.fan.n} rays")
+        if any(type(c) is not int for c in coeffs):
             raise ContractViolation(f"divisor coefficients {self.coeffs!r} are not all ints")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def halfplanes(self) -> Tuple[geometry.HalfPlane, ...]:

@@ -68,6 +68,13 @@ class ToricSurfaceFan:
         return self.rays == other.rays
 
 
+def require_fan(fan) -> ToricSurfaceFan:
+    """`fan` itself; ContractViolation when it is not a ToricSurfaceFan."""
+    if not isinstance(fan, ToricSurfaceFan):
+        raise ContractViolation(f"{fan!r} is not a ToricSurfaceFan")
+    return fan
+
+
 def _winding_number(rays: Sequence[LatticePoint]) -> int:
     # Count crossings of the positive x-axis direction e = (1,0).  Each CCW
     # step spans an angle < pi, so e lies in [u_i, u_{i+1}) iff u_i sits on

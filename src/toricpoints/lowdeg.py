@@ -9,10 +9,11 @@ family where surjectivity of restriction fails.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cohomology import cohomology
 from .divisor import (
@@ -25,7 +26,7 @@ from .divisor import (
     positivity,
 )
 from .errors import ContractViolation, FanMismatch, InternalInconsistency, NotAmple
-from .fan import ToricSurfaceFan, hirzebruch
+from .fan import ToricSurfaceFan, hirzebruch, require_fan
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -38,21 +39,30 @@ ASSUMED = "assumed"
 @dataclass(frozen=True)
 class CurveOnSurface:
     """Ample curve class C on the surface of `fan`, with integer singularity
-    multiplicities delta_i >= 2 (empty = smooth).  Ampleness is a hypothesis
-    checked by the report operations, not enforced here."""
+    multiplicities delta_i >= 2 (empty = smooth), kept as a tuple.  Ampleness
+    is a hypothesis checked by the report operations, not enforced here."""
 
     fan: ToricSurfaceFan
     curve_class: ToricDivisor
     multiplicities: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.fan.same_surface(self.curve_class.fan):
+        if not isinstance(self.curve_class, ToricDivisor):
+            raise ContractViolation(f"curve class {self.curve_class!r} is not a ToricDivisor")
+        if not require_fan(self.fan).same_surface(self.curve_class.fan):
             raise FanMismatch("the curve class lives on a different fan")
-        for d in self.multiplicities:
+        try:
+            mults = tuple(self.multiplicities)
+        except TypeError:
+            raise ContractViolation(
+                f"multiplicities {self.multiplicities!r} are not a sequence"
+            ) from None
+        for d in mults:
             if type(d) is not int:
                 raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
             if d < 2:
                 raise ContractViolation(f"singularity multiplicity {d} < 2")
+        object.__setattr__(self, "multiplicities", mults)
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     whenever the minimum is still reachable with it, which yields the
     lexicographically smallest sorted R among the minimisers.
     """
-    n = fan.n
+    n = require_fan(fan).n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
     # stay exact because no partial |R| exceeds n < w
     w = n + 1
@@ -212,8 +222,63 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
     )
 
 
+class DegBTable(Sequence):
+    """The rows (e, CD - e) for e = 1..e_max: deg B = C.D - e for each
+    admissible degree e.  An immutable view of constant size that computes a
+    row when it is read, so a report costs the same however large e_max is.
+    It equals a tuple with the same rows, and another view with the same
+    rows.  Like a range, len() raises OverflowError past sys.maxsize (e_max
+    grows as C^2/9): test truth or read e_max instead."""
+
+    __slots__ = ("CD", "e_max")
+    __hash__ = None  # equal to tuples, whose hash needs every row
+
+    def __init__(self, CD: int = 0, e_max: int = 0):
+        if type(CD) is not int or type(e_max) is not int:
+            raise ContractViolation(f"deg B table of C.D = {CD!r}, e_max = {e_max!r}: not ints")
+        if e_max <= 0:  # every empty view is the same view
+            CD = e_max = 0
+        object.__setattr__(self, "CD", CD)
+        object.__setattr__(self, "e_max", e_max)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DegBTable is immutable")
+
+    def __reduce__(self):
+        return DegBTable, (self.CD, self.e_max)
+
+    def __len__(self) -> int:
+        return self.e_max
+
+    def __bool__(self) -> bool:
+        return self.e_max > 0
+
+    def __getitem__(self, i):
+        e = range(1, self.e_max + 1)[i]
+        if isinstance(e, range):
+            return tuple((k, self.CD - k) for k in e)
+        return e, self.CD - e
+
+    def __iter__(self):
+        return zip(range(1, self.e_max + 1), range(self.CD - 1, self.CD - self.e_max - 1, -1))
+
+    def __eq__(self, other):
+        if isinstance(other, DegBTable):
+            return (self.CD, self.e_max) == (other.CD, other.e_max)
+        if isinstance(other, tuple):
+            return len(other) == self.e_max and tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DegBTable(CD={self.CD}, e_max={self.e_max})"
+
+
 @dataclass(frozen=True)
 class InterpolationReport:
+    """Everything `toric_theorem_report` decides for one curve class.
+    `degB_table` is a DegBTable view of the rows (e, CD - e), e = 1..e_max,
+    not a stored tuple; it is empty when e_max or CD is None."""
+
     lambda_value: Fraction
     lambda_subset: Tuple[int, ...]
     positive_rep: Optional[ToricDivisor]
@@ -224,7 +289,7 @@ class InterpolationReport:
     degree_bound: Fraction
     e_max: Optional[int]
     hypothesis_verdicts: Dict[str, str]
-    degB_table: Tuple[Tuple[int, int], ...]
+    degB_table: DegBTable
     conditions: Optional[ConditionVerdicts]
 
 
@@ -265,14 +330,14 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     e_max = _largest_int_below(bound)
 
     D = CD = None
-    table: Tuple[Tuple[int, int], ...] = ()
+    table = DegBTable()
     conditions = None
     if rep is not None:
         D, CD, rep_C2 = interpolation_divisor(rep)
         if rep_C2 != C2:
             raise InternalInconsistency("C^2 changed under re-representation")
         if e_max is not None:
-            table = tuple((e, CD - e) for e in range(1, e_max + 1))
+            table = DegBTable(CD, e_max)
             conditions = interpolation_conditions(rep, D, e_max)
 
     return InterpolationReport(
@@ -308,6 +373,8 @@ class HirzebruchExampleReport:
 
 
 def hirzebruch_counterexample(n: int) -> HirzebruchExampleReport:
+    if type(n) is not int:
+        raise ContractViolation(f"n = {n!r} is not an int")
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
     fan = hirzebruch(1)

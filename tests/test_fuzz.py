@@ -8,8 +8,8 @@ a smooth complete fan, and raises a ToricError otherwise.
 
 Output is captured with contextlib.redirect_stdout/redirect_stderr, as in
 tests/test_golden.py, because Hypothesis refuses function-scoped fixtures.
-`check-toric` is fuzzed with a fixed small curve class only: its deg B table
-has one entry per e up to e_max, which grows with C^2.
+`check-toric` is fuzzed with a fixed small curve class only: it prints one
+deg B row per e up to e_max, which grows with C^2.
 """
 
 import contextlib

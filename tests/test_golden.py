@@ -1,7 +1,8 @@
-"""Golden corpus: exact `--json` stdout and exit code of `cli.main` per case.
+"""Golden corpus: exact stdout and exit code of `cli.main` per case.
 
 The cases live in tests/golden/cases.json; each case's stdout is stored in
-tests/golden/<name>.out and its exit code in cases.json.  A refactor that
+tests/golden/<name>.out and its exit code in cases.json.  A case runs with
+`--json` unless it says `"json": false`, which pins the human output.  A refactor that
 claims "same behaviour" must leave every case byte-identical.  After an
 intended output change, regenerate with
 
@@ -25,7 +26,9 @@ def load_cases():
 
 
 def run_case(case):
-    argv = [a.replace("{golden}", str(GOLDEN)) for a in case["argv"]] + ["--json"]
+    argv = [a.replace("{golden}", str(GOLDEN)) for a in case["argv"]]
+    if case.get("json", True):
+        argv.append("--json")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)

@@ -1,6 +1,9 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import inf
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from toricpoints import (
     CurveOnSurface,
+    DegBTable,
     Positivity,
     ToricDivisor,
     blowup_self_intersection,
@@ -32,6 +36,7 @@ from toricpoints import (
     seshadri_ample_check,
     toric_theorem_report,
 )
+from toricpoints.cli import jsonable
 from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
@@ -379,6 +384,38 @@ def test_multiplicities_must_be_ints(mults):
         CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0)), mults)
 
 
+MALFORMED_CALLS = {
+    "hirzebruch n a str": lambda: hirzebruch_counterexample("3"),
+    "hirzebruch n a float": lambda: hirzebruch_counterexample(2.5),
+    "hirzebruch n a bool": lambda: hirzebruch_counterexample(True),
+    "lambda of None": lambda: lambda_invariant(None),
+    "divisor coefficients None": lambda: ToricDivisor(p2(), None),
+    "divisor on no fan": lambda: ToricDivisor(None, (1, 0, 0)),
+    "multiplicities None": lambda: CurveOnSurface(p2(), ToricDivisor(p2(), (9, 0, 0)), None),
+    "curve class a tuple": lambda: CurveOnSurface(p2(), (9, 0, 0)),
+    "curve on no fan": lambda: CurveOnSurface(None, ToricDivisor(p2(), (9, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS.keys())
+def test_malformed_library_inputs_are_refused(call):
+    with pytest.raises(ContractViolation):
+        call()
+
+
+@pytest.mark.parametrize("n", ["3", 2.5, True, None])
+def test_hirzebruch_example_names_n_when_it_is_not_an_int(n):
+    with pytest.raises(ContractViolation, match=r"^n = "):
+        hirzebruch_counterexample(n)
+
+
+def test_multiplicities_are_kept_as_a_tuple():
+    fan = p2()
+    curve = CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0)), [2, 2])
+    assert type(curve.multiplicities) is tuple and curve.multiplicities == (2, 2)
+    assert toric_theorem_report(curve).blowup_C2 == 73
+
+
 def test_a_curve_class_on_another_fan_is_refused():
     with pytest.raises(FanMismatch):
         CurveOnSurface(hirzebruch(1), ToricDivisor(p2(), (9, 0, 0)))
@@ -561,6 +598,116 @@ def test_toric_report_degree_nine():
     assert r.e_max == 8
     assert r.degB_table[-1] == (8, 19)
     assert sum(r.interp_divisor.coeffs) == 3
+
+
+def materialised(CD, e_max):
+    """Oracle: the deg B table as a stored tuple of rows."""
+    return tuple((e, CD - e) for e in range(1, e_max + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.integers(-50, 10**30),
+    st.integers(-3, 40),
+    st.integers(-3, 40),
+    st.booleans(),
+    st.data(),
+)
+def test_degb_table_matches_the_materialised_rows(CD, e_max, other_e_max, same_cd, data):
+    view, rows = DegBTable(CD, e_max), materialised(CD, e_max)
+    assert tuple(view) == rows and tuple(reversed(view)) == rows[::-1]
+    assert bool(view) is bool(rows) and len(view) == len(rows)
+    for i in range(-len(rows) - 2, len(rows) + 2):
+        if -len(rows) <= i < len(rows):
+            assert view[i] == rows[i]
+        else:
+            with pytest.raises(IndexError):
+                view[i]
+    bounds, steps = st.none() | st.integers(-45, 45), st.none() | st.integers(-5, 5).filter(bool)
+    s = slice(data.draw(bounds), data.draw(bounds), data.draw(steps))
+    assert view[s] == rows[s]
+    other_CD = CD if same_cd else CD + data.draw(st.integers(1, 3))
+    other = materialised(other_CD, other_e_max)
+    want = rows == other
+    for a, b in ((view, other), (other, view), (view, DegBTable(other_CD, other_e_max))):
+        assert (a == b) is want and (a != b) is not want
+    assert view != list(rows)  # as for a tuple, a list is never equal
+    if rows:
+        assert view != tuple(map(list, rows))
+    assert all(row in view for row in rows[:3]) and (0, CD) not in view
+    assert jsonable(view) == jsonable(rows)
+    # the repr names the two numbers and lists no row; every empty view is one view
+    CD, e_max = (CD, e_max) if rows else (0, 0)
+    assert repr(view) == f"DegBTable(CD={CD}, e_max={e_max})"
+
+
+def test_the_empty_degb_table():
+    for view in (DegBTable(), DegBTable(27, 0), DegBTable(-4, -2)):
+        assert not view and tuple(view) == () and view == () and view == DegBTable()
+        assert view[:] == () and list(reversed(view)) == [] and jsonable(view) == []
+        with pytest.raises(IndexError):
+            view[0]
+    f1 = hirzebruch(1)
+    r = toric_theorem_report(CurveOnSurface(f1, ToricDivisor(f1, (0, 1, 0, 0))))
+    assert r.e_max is None and r.degB_table == () and not r.degB_table
+
+
+def test_a_huge_degb_table_is_read_without_len():
+    e_max = 10**23
+    view = DegBTable(10**24, e_max)
+    assert view and view[0] == (1, 10**24 - 1) and view[-1] == (e_max, 10**24 - e_max)
+    assert view[-2:] == ((e_max - 1, 10**24 - e_max + 1), (e_max, 10**24 - e_max))
+    assert next(iter(view)) == view[0]
+    assert view != () and view != DegBTable(10**24, e_max - 1) and view == DegBTable(10**24, e_max)
+    assert len(repr(view)) < 100
+    with pytest.raises(OverflowError):
+        len(view)
+    with pytest.raises(AttributeError):
+        view.e_max = 3
+    with pytest.raises(TypeError):
+        hash(view)
+    assert copy.deepcopy(view) == pickle.loads(pickle.dumps(view)) == view
+    for bad in ((27.0, 8), (27, Fraction(8)), (27, True), (None, 8)):
+        with pytest.raises(ContractViolation):
+            DegBTable(*bad)
+
+
+# One tracemalloc peak bound for every class below: the report's memory
+# does not grow with the class (a stored table of 10^3 H took 14 MB).
+REPORT_PEAK_BYTES = 64 * 1024
+
+
+def traced_peak(work):
+    tracemalloc.start()
+    try:
+        result = work()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [10, 10**3, 10**12, 10**100])
+def test_a_report_on_p2_is_the_same_size_for_every_degree(k):
+    fan = p2()
+    curve = CurveOnSurface(fan, ToricDivisor(fan, (k, 0, 0)))
+    r, peak = traced_peak(lambda: toric_theorem_report(curve))
+    assert peak < REPORT_PEAK_BYTES
+    assert r.e_max == (k * k - 1) // 9 and r.CD == (k // 2 - 1) * k
+    assert r.degB_table[0] == (1, r.CD - 1)
+    assert r.degB_table[-1] == (r.e_max, r.CD - r.e_max)
+
+
+def test_a_report_on_4096_blowups_of_p2_fits_in_memory():
+    rng = random.Random(4096)
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < 4096:
+        rays = subdivide(rays, rng.randrange(len(rays)))
+    C, _ = polygon_class(build_fan(rays), [1] * 4096)
+    r, peak = traced_peak(lambda: toric_theorem_report(CurveOnSurface(C.fan, C)))
+    # about 1.5 MB, all of it O(n) lists; the rows would be 10^11 tuples
+    assert peak < 8 * 1024 * 1024
+    assert r.hypothesis_verdicts["curve_ample"] == PASS and r.e_max > 10**10
+    assert r.degB_table[-1] == (r.e_max, r.CD - r.e_max)
 
 
 def test_toric_report_singular():
