@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
-from .divisor import ToricDivisor, canonical_divisor, intersection_number
+from .divisor import ToricDivisor, canonical_divisor, intersect_primes, pair
 from .errors import InternalInconsistency
 
 
@@ -25,9 +25,10 @@ class CohomologyProfile:
 
 
 def euler_characteristic(D: ToricDivisor) -> int:
-    """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1)."""
-    K = canonical_divisor(D.fan)
-    num = intersection_number(D, D) - intersection_number(K, D)
+    """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1),
+    with K.D = -sum_j D.D_j read off the same vector as D^2."""
+    pairings = intersect_primes(D)
+    num = pair(D, pairings, D) + sum(pairings)
     if num % 2 != 0:
         raise InternalInconsistency("D^2 - K.D is odd")
     return 1 + num // 2

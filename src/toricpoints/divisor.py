@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import geometry
 from .errors import ContractViolation, FanMismatch
@@ -60,8 +60,15 @@ class ToricDivisor:
     __rmul__ = __mul__
 
 
+def require_divisor(D) -> ToricDivisor:
+    """`D` itself; ContractViolation when it is not a ToricDivisor."""
+    if not isinstance(D, ToricDivisor):
+        raise ContractViolation(f"{D!r} is not a ToricDivisor")
+    return D
+
+
 def _check_same_fan(D: ToricDivisor, E: ToricDivisor) -> None:
-    if not D.fan.same_surface(E.fan):
+    if not require_divisor(D).fan.same_surface(require_divisor(E).fan):
         raise FanMismatch("divisors live on different fans")
 
 
@@ -77,8 +84,9 @@ def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
 
 def intersect_primes(D: ToricDivisor) -> List[int]:
     """The vector (D.D_1, ..., D.D_n).  D_j meets only its two cyclic
-    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2."""
-    a = D.coeffs
+    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2.  As
+    K = -sum D_j, the vector also gives K.D = -sum_j D.D_j."""
+    a = require_divisor(D).coeffs
     n = len(a)
     return [
         a[j - 1] + a[(j + 1) % n] + a[j] * s
@@ -88,8 +96,14 @@ def intersect_primes(D: ToricDivisor) -> List[int]:
 
 def intersection_number(D: ToricDivisor, E: ToricDivisor) -> int:
     """Bilinear extension of the prime-divisor pairing."""
+    return pair(D, intersect_primes(D), E)
+
+
+def pair(D: ToricDivisor, pairings: Sequence[int], E: ToricDivisor) -> int:
+    """D.E from pairings = intersect_primes(D), so that one vector serves
+    every pairing with D; FanMismatch when E lives on another fan."""
     _check_same_fan(D, E)
-    return sum(e * p for e, p in zip(E.coeffs, intersect_primes(D)))
+    return sum(e * p for e, p in zip(E.coeffs, pairings))
 
 
 class Positivity(enum.Enum):
@@ -101,7 +115,11 @@ class Positivity(enum.Enum):
 def positivity(D: ToricDivisor) -> Positivity:
     """Toric Kleiman classification from the n numbers D.D_i: nef iff all
     are >= 0, ample iff all are > 0."""
-    pairings = intersect_primes(D)
+    return classify_pairings(intersect_primes(D))
+
+
+def classify_pairings(pairings: Sequence[int]) -> Positivity:
+    """`positivity` of the divisor D with pairings = intersect_primes(D)."""
     if all(p > 0 for p in pairings):
         return Positivity.AMPLE
     if all(p >= 0 for p in pairings):
@@ -117,7 +135,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
     None when no lattice point is feasible (the class is not effective).
     """
-    m = geometry.lexmin_lattice_point(D.halfplanes)
+    m = geometry.lexmin_lattice_point(require_divisor(D).halfplanes)
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -146,6 +146,8 @@ def p1xp1() -> ToricSurfaceFan:
 def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
     """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m) or
     F<m>, with m in ASCII digits."""
+    if not isinstance(name, str):
+        raise ContractViolation(f"surface name {name!r} is not a str")
     key = name.strip().lower()
     if key == "p2":
         return p2()

@@ -16,8 +16,11 @@ normals are already sorted by slope, so one stack pass over each gives its
 envelope in O(n).  Lattice points are counted column by column: each
 integer x adds floor(U(x)) - ceil(L(x)) + 1, and the columns under one
 boundary line are summed at once with `floor_sum`, so the count costs
-O(n log max|offset|) instead of the area of the bounding box.  Each
-question (vertices, count, lex-min point) clips its half-planes once.
+O(n log max|offset|) instead of the area of the bounding box.  The lex-min
+point gallops over such counts from the region's left end, so it costs
+O(log(x* - a + 2)) counts for the first integer column a and the answer's
+column x*.  Each question (vertices, count, lex-min point) clips its
+half-planes once.
 """
 
 from __future__ import annotations
@@ -211,19 +214,33 @@ def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
 def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:
     """The lattice point of the region that is smallest in (x, y), or None.
 
-    The first non-empty column is found by bisection on the count of the
-    columns up to x, so a thin sliver costs O(log width) counts.
+    The first non-empty column x* is found by galloping from the region's
+    first integer column a: the columns a..a+2^k-1 are counted for
+    k = 0, 1, 2, ... until they hold a point, and only the last doubling is
+    then bisected (Bentley-Yao unbounded search).  That costs
+    O(log(x* - a + 2)) counts, exactly one when column a holds the point; a
+    region with no lattice point costs O(log width).
     """
     lower, upper, ends = _clip(halfplanes)
     a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
-    if _columns(lower, upper, a, b) == 0:
+    if a > b:
         return None
-    while a < b:
-        mid = (a + b) // 2
-        if _columns(lower, upper, a, mid) > 0:
-            b = mid
+    step = 1  # count the columns a..a+step-1 for step = 1, 2, 4, ...
+    while True:
+        hi = min(a + step - 1, b)
+        if _columns(lower, upper, a, hi) > 0:
+            break
+        if hi == b:
+            return None
+        step *= 2
+    lo = a + step // 2  # the columns before the last doubling hold no point
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _columns(lower, upper, lo, mid) > 0:
+            hi = mid
         else:
-            a = mid + 1
-    hull, breaks = lower  # the line active at a: the first break >= a, as floor(x) >= a iff x >= a
-    (ux, uy), c = hull[bisect_left(breaks, a, key=lambda x: x[0] // x[1])]
-    return a, -((ux * a - c) // uy)
+            lo = mid + 1
+    # the line active at lo: the first break >= lo, as floor(x) >= lo iff x >= lo
+    hull, breaks = lower
+    (ux, uy), c = hull[bisect_left(breaks, lo, key=lambda x: x[0] // x[1])]
+    return lo, -((ux * lo - c) // uy)

@@ -20,10 +20,12 @@ from .divisor import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
+    classify_pairings,
     effective_representative,
     intersect_primes,
     intersection_number,
-    positivity,
+    pair,
+    require_divisor,
 )
 from .errors import ContractViolation, FanMismatch, InternalInconsistency, NotAmple
 from .fan import ToricSurfaceFan, hirzebruch, require_fan
@@ -51,18 +53,27 @@ class CurveOnSurface:
             raise ContractViolation(f"curve class {self.curve_class!r} is not a ToricDivisor")
         if not require_fan(self.fan).same_surface(self.curve_class.fan):
             raise FanMismatch("the curve class lives on a different fan")
-        try:
-            mults = tuple(self.multiplicities)
-        except TypeError:
-            raise ContractViolation(
-                f"multiplicities {self.multiplicities!r} are not a sequence"
-            ) from None
-        for d in mults:
-            if type(d) is not int:
-                raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
-            if d < 2:
-                raise ContractViolation(f"singularity multiplicity {d} < 2")
-        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "multiplicities", _multiplicities(self.multiplicities))
+
+
+def _multiplicities(multiplicities) -> Tuple[int, ...]:
+    """The multiplicities as a tuple; ContractViolation unless each is an int >= 2."""
+    try:
+        mults = tuple(multiplicities)
+    except TypeError:
+        raise ContractViolation(f"multiplicities {multiplicities!r} are not a sequence") from None
+    for d in mults:
+        if type(d) is not int:
+            raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
+        if d < 2:
+            raise ContractViolation(f"singularity multiplicity {d} < 2")
+    return mults
+
+
+def _require_curve(curve) -> CurveOnSurface:
+    if not isinstance(curve, CurveOnSurface):
+        raise ContractViolation(f"{curve!r} is not a CurveOnSurface")
+    return curve
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,9 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
 def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
     """Self-intersection of the normalised curve on the blowup:
     C^2 - sum delta_i^2."""
-    return C2 - sum(d * d for d in multiplicities)
+    if type(C2) is not int:
+        raise ContractViolation(f"C^2 = {C2!r} is not an int")
+    return C2 - sum(d * d for d in _multiplicities(multiplicities))
 
 
 def seshadri_ample_check(curve: CurveOnSurface) -> str:
@@ -126,11 +139,10 @@ def seshadri_ample_check(curve: CurveOnSurface) -> str:
     blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
     smooth curve (no delta_i) always meets.  Returns CERTIFIED or
     NOT_CERTIFIED; the latter is not a refutation."""
-    C = curve.curve_class
-    if positivity(C) is not Positivity.AMPLE:
+    pairings = intersect_primes(_require_curve(curve).curve_class)
+    if classify_pairings(pairings) is not Positivity.AMPLE:
         raise NotAmple("curve class is not ample")
-    r = min(intersect_primes(C))
-    return CERTIFIED if sum(curve.multiplicities) < r else NOT_CERTIFIED
+    return CERTIFIED if sum(curve.multiplicities) < min(pairings) else NOT_CERTIFIED
 
 
 def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
@@ -142,7 +154,7 @@ def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
     principal exactly when that representative is zero; otherwise some
     shifted coefficient is >= 2.
     """
-    rep0 = effective_representative(C + canonical_divisor(C.fan))
+    rep0 = effective_representative(C + canonical_divisor(require_divisor(C).fan))
     if rep0 is None or not any(rep0.coeffs):
         return None
     return ToricDivisor(C.fan, tuple(a + 1 for a in rep0.coeffs))
@@ -154,6 +166,7 @@ def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int
     Returns (D, C.D, C^2).  Checks the proof-shape facts: D nonzero
     effective, C - 2D has 0/1 coefficients, and C.D <= C^2/2.
     """
+    pairings = intersect_primes(positive_rep)
     a = positive_rep.coeffs
     if any(c < 1 for c in a) or not any(c >= 2 for c in a):
         raise ContractViolation(
@@ -165,28 +178,24 @@ def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int
     rest = tuple(c - 2 * d for c, d in zip(a, D.coeffs))
     if any(r not in (0, 1) for r in rest):
         raise InternalInconsistency("C - 2 floor(C/2) has a coefficient outside {0,1}")
-    CD = intersection_number(positive_rep, D)
-    C2 = intersection_number(positive_rep, positive_rep)
+    CD = pair(positive_rep, pairings, D)
+    C2 = pair(positive_rep, pairings, positive_rep)
     if 2 * CD > C2:
         raise InternalInconsistency("C.D > C^2/2 for an interpolation divisor")
     return D, CD, C2
 
 
 def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
-    """Lower bound (1/4)(C-2D).(2K+C-2D) + 2 + C^2/4 - e for the sections of
-    the residual divisor; positivity certifies that degree-e moving divisors
-    lift."""
+    """Lower bound (1/4)R.(2K+R) + 2 + C^2/4 - e, with R = C - 2D, for the
+    sections of the residual divisor; positivity certifies that degree-e
+    moving divisors lift.  K.R = -sum_j R.D_j comes from R's vector, so no
+    K is built."""
     if type(e) is not int:
         raise ContractViolation(f"degree e = {e!r} is not an int")
-    K = canonical_divisor(C_rep.fan)
-    R = C_rep - 2 * D
     C2 = intersection_number(C_rep, C_rep)
-    return (
-        Fraction(intersection_number(R, 2 * K + R), 4)
-        + 2
-        + Fraction(C2, 4)
-        - e
-    )
+    R = C_rep - D - D  # not 2 * D, where a D that is no divisor would raise TypeError
+    pairings = intersect_primes(R)
+    return Fraction(pair(R, pairings, R) - 2 * sum(pairings) + 8 + C2 - 4 * e, 4)
 
 
 @dataclass(frozen=True)
@@ -205,8 +214,9 @@ class ConditionVerdicts:
 
 
 def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> ConditionVerdicts:
-    CD = intersection_number(C_rep, D)
-    C2 = intersection_number(C_rep, C_rep)
+    pairings = intersect_primes(C_rep)
+    CD = pair(C_rep, pairings, D)
+    C2 = pair(C_rep, pairings, C_rep)
     h1 = cohomology(D - C_rep).h1
     bound = mainprop_h0_bound(C_rep, D, e)
     return ConditionVerdicts(
@@ -218,7 +228,7 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
         h1_D_minus_C=h1,
         h0_bound=bound,
         # halving C changes the sign of no C.D_j, so C/2 is ample iff C is
-        half_curve_ample=positivity(C_rep) is Positivity.AMPLE,
+        half_curve_ample=classify_pairings(pairings) is Positivity.AMPLE,
     )
 
 
@@ -307,16 +317,17 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     Hypotheses the surface data cannot decide (geometric integrality of C,
     simplicity of its singularities) are echoed as "assumed".
     """
-    C = curve.curve_class
+    C = _require_curve(curve).curve_class
     lam = lambda_invariant(curve.fan)
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,
     }
 
-    C2 = intersection_number(C, C)
+    pairings = intersect_primes(C)
+    C2 = pair(C, pairings, C)
     bl2 = blowup_self_intersection(C2, curve.multiplicities)
-    ample = positivity(C) is Positivity.AMPLE
+    ample = classify_pairings(pairings) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
     if ample:
         verdicts["blowup_ample"] = seshadri_ample_check(curve)

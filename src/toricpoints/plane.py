@@ -110,6 +110,7 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     bounds halve at every level (e/2, e/4, ...) until only non-moving and
     singular points can remain, or no positive degree is left below the
     bound, so the chain has at most floor(log2 e) + 2 levels."""
+    _check_signs(d, delta, e)
     levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=find_m(d, delta, e))]
     m0 = levels[0].m
     if m0 is None or m0 * d - e <= 0:
@@ -133,6 +134,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     range we still compute m and deg B when the sandwich inequality has a
     solution, flagged via conclusion_guaranteed.
     """
+    _check_signs(d, delta, e)
     e_bound, term1, term2 = plane_degree_bound(d, delta)
     t = sqrt_ceil_term(d, delta)
     hypotheses = {

@@ -2,7 +2,8 @@
 
 Each suite pits two independent routes at each other (lattice counts vs
 Riemann-Roch, lattice counts vs peeling fixed components, pairing vs class
-shifts, lambda(S) vs its closed forms on P^2 and F_m) on seeded random
+shifts, lambda(S) vs its closed forms on P^2 and F_m, the galloping lex-min
+search vs a column-by-column scan) on seeded random
 inputs, so a fresh build can be sanity-checked from the CLI without the dev
 test harness.
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, List
 
+from . import geometry
 from .cohomology import cohomology, euler_characteristic
 from .divisor import (
     Positivity,
@@ -222,6 +225,43 @@ def suite_positive_representation(count: int = 120) -> SuiteResult:
     return SuiteResult("positive-representation", True, f"{count} ample curve classes")
 
 
+def _column_scan(halfplanes, x0: int, x1: int):
+    """The lex-min lattice point among the columns x0..x1, one column at a time."""
+    for x in range(x0, x1 + 1):
+        lo = max(-((ux * x - c) // uy) for (ux, uy), c in halfplanes if uy > 0)
+        hi = min((c - ux * x) // uy for (ux, uy), c in halfplanes if uy < 0)
+        if lo <= hi and all(ux * x >= c for (ux, uy), c in halfplanes if uy == 0):
+            return x, lo
+    return None
+
+
+def suite_lexmin(count: int = 200) -> SuiteResult:
+    """The lex-min lattice point against a column scan, on slivers along
+    q y - p x = k, whose lattice points lie q columns apart (some with a
+    break of the lower envelope just left of the first), and on P_{C+K} for
+    ample C: it lies in P_C, whose vertices have |x| <= B."""
+    rng = random.Random(SEED + 5)
+    for i in range(count):
+        if i % 2:
+            q, x0, k = rng.randint(1, 400), rng.randint(-99, 99), rng.randint(-999, 999)
+            p = next(p for p in range(rng.randint(-99, 99), 999) if gcd(p, q) == 1)
+            w = rng.randint(0, 2 * q)
+            hs = [((1, 0), x0), ((-p, q), k), ((-1, 0), -x0 - w), ((p, -q), -k)]
+            if i % 4 == 3:  # a lower line of slope p/q - 2 meets the sliver at x - 1/2
+                x = x0 + (-k * pow(p, -1, q) - x0) % q  # the first lattice column
+                hs.insert(1, ((2 * q - p, q), k + q * (2 * x - 1)))
+            lo, hi = x0, x0 + w
+        else:
+            fan = _random_blowup(rng)
+            m = (rng.randint(-9, 9), rng.randint(-9, 9))
+            C = _unit_polygon_class(fan) * rng.randint(1, 4) + principal_divisor(fan, m)
+            B = 2 * max(map(abs, C.coeffs)) * max(abs(c) for u in fan.rays for c in u)
+            hs, lo, hi = (C + canonical_divisor(fan)).halfplanes, -B, B
+        if geometry.lexmin_lattice_point(hs) != _column_scan(hs, lo, hi):
+            return SuiteResult("lexmin", False, f"half-planes {hs}")
+    return SuiteResult("lexmin", True, f"{count} slivers and polygons of C + K")
+
+
 ALL_SUITES: List[Callable[[], SuiteResult]] = [
     suite_hrr_vs_count,
     suite_peeled_h0,
@@ -230,6 +270,7 @@ ALL_SUITES: List[Callable[[], SuiteResult]] = [
     suite_lambda_table,
     suite_remark_inequality,
     suite_positive_representation,
+    suite_lexmin,
 ]
 
 

@@ -225,6 +225,7 @@ def test_selftest_command(capsys):
         "lambda-hirzebruch",
         "remark-inequality",
         "positive-representation",
+        "lexmin",
     ]:
         assert f"PASS {name}" in out
 

@@ -1,9 +1,10 @@
 """The polygon clip, the floor-sum count and the lex-min point against
-brute-force oracles: pairwise boundary-line intersections for the vertices
-and a bounding-box scan for the lattice points."""
+brute-force oracles: pairwise boundary-line intersections for the vertices,
+a bounding-box scan for the lattice points, and a column-by-column scan for
+the lex-min point."""
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, inf, log2
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +69,30 @@ def box_lattice_points(halfplanes, vertices):
     ]
 
 
+def column_scan(halfplanes, x0, x1):
+    """The lex-min lattice point among the columns x0..x1, found by scanning
+    them one at a time, or None."""
+    for x in range(x0, x1 + 1):
+        lo, hi = -inf, inf
+        for (ux, uy), c in halfplanes:
+            r = c - ux * x  # u_y y >= r
+            if uy > 0:
+                lo = max(lo, -(-r // uy))
+            elif uy < 0:
+                hi = min(hi, r // uy)
+            elif r > 0:
+                hi = -inf
+        if lo <= hi:
+            return x, lo
+    return None
+
+
+def integer_columns(vertices):
+    """The first and last integer column of the region with these vertices."""
+    xs = [v[0] for v in vertices]
+    return ceil(min(xs)), floor(max(xs))
+
+
 def integral(halfplanes):
     """The same region with int offsets: <x, u> >= p/q becomes <x, q u> >= p."""
     return [
@@ -88,6 +113,9 @@ def check_against_oracles(halfplanes):
     points = box_lattice_points(halfplanes, expected)
     assert count_lattice_points(scaled) == len(points)
     assert lexmin_lattice_point(scaled) == (min(points) if points else None)
+    if expected:
+        want = min(points) if points else None
+        assert column_scan(halfplanes, *integer_columns(expected)) == want
     return vertices
 
 
@@ -283,3 +311,120 @@ def test_floor_sum_matches_the_sum(n, m, a, b):
 def test_normals_must_wind_once_counterclockwise(normals):
     with pytest.raises(ContractViolation):
         feasible_vertices([(u, 0) for u in normals])
+
+
+def count_probes(monkeypatch, cap=200):
+    """Record the calls to geometry._columns, the counts the lex-min search
+    makes; past `cap` calls the search is taken not to stop."""
+    calls = []
+    columns = geometry._columns
+
+    def counted(lower, upper, a, b):
+        calls.append((a, b))
+        if len(calls) > cap:
+            raise AssertionError(f"{len(calls)} column counts: the search does not stop")
+        return columns(lower, upper, a, b)
+
+    monkeypatch.setattr(geometry, "_columns", counted)
+    return calls
+
+
+def sliver(p, q, point, d, lo, hi, kink=False, left=0, right=0):
+    """Half-planes, with rational offsets, of a thin sliver along the line
+    q y - p x = k through the lattice point `point`, gcd(p, q) = 1: the
+    levels lo <= q y - p x <= hi, cut by x >= point.x - d - left and
+    x <= point.x + right.  With lo in (k - 1, k] and hi in [k, k + 1) its
+    lattice points are those of the line, one every q columns, so for
+    0 <= left < 1 and 0 <= d < q the first lies d columns past the first
+    integer column.  With k - 1 < lo <= hi < k it holds none.  `kink` adds
+    a lower line of slope p/q - 2 that crosses the line q y - p x = lo half
+    a column before the point, so a break of the lower envelope lies in
+    (x - 1, x) and the search must pick the line to the break's right."""
+    x, _ = point
+    halfplanes = [
+        ((1, 0), Fraction(x - d) - left),
+        ((-p, q), Fraction(lo)),
+        ((-1, 0), -Fraction(x) - right),
+        ((p, -q), -Fraction(hi)),
+    ]
+    if kink:
+        halfplanes.insert(1, ((2 * q - p, q), lo + q * (2 * x - 1)))
+    return halfplanes
+
+
+FAR = 10**6 + 1
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=6).filter(lambda f: f < 1)
+BIG = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def slivers(draw):
+    """Slivers whose first lattice column lies 0 to 10^6 columns past the
+    first integer column (about as often within 2^j as within 2^(j+1)), some
+    with a kink just left of that column, and equally wide slivers that hold
+    no lattice point; the half-planes in a random rotation."""
+    j = draw(st.sampled_from(range(21)))
+    d = draw(st.integers(0, min(2**j, 10**6 + 1) - 1))
+    q = d + 1 + draw(st.integers(0, 3))
+    p = draw(BIG)
+    while gcd(p, q) != 1:
+        p += 1
+    point = draw(st.tuples(BIG, BIG))
+    k = q * point[1] - p * point[0]
+    kind = draw(st.sampled_from(["point", "point", "kink", "empty"]))
+    f, g = sorted(draw(st.tuples(UNIT, UNIT)))
+    if kind == "empty":
+        lo, hi = k - 1 + max(f, Fraction(1, 7)), k - 1 + max(g, Fraction(1, 7))
+    else:
+        lo, hi = k - f, k + g
+    left, right = draw(UNIT), draw(st.integers(0, 3))
+    halfplanes = sliver(p, q, point, d, lo, hi, kink=kind == "kink", left=left, right=right)
+    r = draw(st.integers(0, len(halfplanes) - 1))
+    return halfplanes[r:] + halfplanes[:r]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(slivers())
+@example(sliver(3, FAR, (5, -7), FAR - 1, -7 * FAR - 15, -7 * FAR - 15))
+@example(sliver(1, FAR, (0, 0), FAR - 1, Fraction(-1, 2), Fraction(-1, 3)))  # empty
+def test_the_lexmin_search_gallops_to_the_column_scan(halfplanes):
+    scaled = integral(halfplanes)
+    vertices = pairwise_vertices(halfplanes)
+    a, b = integer_columns(vertices) if vertices else (1, 0)
+    want = column_scan(scaled, a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        probes = count_probes(patch)
+        assert lexmin_lattice_point(scaled) == want
+    if want is None:
+        assert len(probes) <= max(0, ceil(log2(b - a + 2)) + 1)
+    elif want[0] == a:
+        assert len(probes) == 1
+    else:
+        assert len(probes) <= 2 * ceil(log2(want[0] - a + 2)) + 1
+
+
+@pytest.mark.parametrize(
+    "region, first",
+    [
+        (sliver(0, 1, (0, 0), 0, 0, 0), True),  # the segment y = 0, 0 <= x <= 0
+        (sliver(2, 7, (3, 1), 0, 1, 1, kink=True), True),
+        (sliver(2, 7, (3, 1), 1, 1, 1), False),
+        (sliver(2, 7, (3, 1), 6, 1, 1, right=3), False),
+        (sliver(-5, 1001, (-40, 9), 1000, Fraction(26426, 3), Fraction(17619, 2)), False),
+        (sliver(1, FAR, (7, 0), FAR - 1, -7, -7), False),
+        (sliver(1, FAR, (7, 0), FAR - 1, Fraction(-15, 2), Fraction(-29, 4)), False),  # empty
+    ],
+)
+def test_the_lexmin_search_counts_once_when_the_first_column_holds_the_point(
+    monkeypatch, region, first
+):
+    scaled = integral(region)
+    a, b = integer_columns(pairwise_vertices(region))
+    want = column_scan(scaled, a, b)
+    probes = count_probes(monkeypatch)
+    assert lexmin_lattice_point(scaled) == want
+    assert (want is not None and want[0] == a) == first
+    if first:
+        assert len(probes) == 1
+    else:
+        assert 1 < len(probes) <= 2 * ceil(log2((want[0] if want else b) - a + 2)) + 1

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -19,8 +20,11 @@ from toricpoints import (
     ToricDivisor,
     blowup_self_intersection,
     build_fan,
+    builtin_surface,
     canonical_divisor,
     cohomology,
+    effective_representative,
+    euler_characteristic,
     hirzebruch,
     hirzebruch_counterexample,
     interpolation_conditions,
@@ -36,6 +40,7 @@ from toricpoints import (
     seshadri_ample_check,
     toric_theorem_report,
 )
+from toricpoints import geometry
 from toricpoints.cli import jsonable
 from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
@@ -384,6 +389,7 @@ def test_multiplicities_must_be_ints(mults):
         CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0)), mults)
 
 
+H, NINE_H = ToricDivisor(p2(), (1, 0, 0)), ToricDivisor(p2(), (9, 0, 0))
 MALFORMED_CALLS = {
     "hirzebruch n a str": lambda: hirzebruch_counterexample("3"),
     "hirzebruch n a float": lambda: hirzebruch_counterexample(2.5),
@@ -394,6 +400,22 @@ MALFORMED_CALLS = {
     "multiplicities None": lambda: CurveOnSurface(p2(), ToricDivisor(p2(), (9, 0, 0)), None),
     "curve class a tuple": lambda: CurveOnSurface(p2(), (9, 0, 0)),
     "curve on no fan": lambda: CurveOnSurface(None, ToricDivisor(p2(), (9, 0, 0))),
+    "cohomology of a tuple": lambda: cohomology((1, 0, 0)),
+    "effective representative of a fan": lambda: effective_representative(p2()),
+    "pairing with None": lambda: intersection_number(H, None),
+    "pairing None with a class": lambda: intersection_number(None, H),
+    "h0 bound with D None": lambda: mainprop_h0_bound(NINE_H, None, 1),
+    "h0 bound with C None": lambda: mainprop_h0_bound(None, H, 1),
+    "conditions with D None": lambda: interpolation_conditions(NINE_H, None, 1),
+    "positivity of None": lambda: positivity(None),
+    "euler characteristic of None": lambda: euler_characteristic(None),
+    "interpolation divisor of None": lambda: interpolation_divisor(None),
+    "positive representation of None": lambda: positive_curve_representation(None),
+    "report of None": lambda: toric_theorem_report(None),
+    "seshadri check of None": lambda: seshadri_ample_check(None),
+    "surface named None": lambda: builtin_surface(None),
+    "blowup C^2 None": lambda: blowup_self_intersection(None, ()),
+    "blowup multiplicities None": lambda: blowup_self_intersection(81, None),
 }
 
 
@@ -770,3 +792,75 @@ def test_hirzebruch_more_sections_downstairs(n):
     r = hirzebruch_counterexample(n)
     if r.h1_D_minus_C > 0:
         assert r.h0_C_P > r.h0_D
+
+
+def count_calls(work, *functions):
+    """How often `work()` enters each function, by its code object, so calls
+    through every name a function was imported under are seen."""
+    codes = {f.__code__: f.__qualname__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
+    fan = p2()
+    curve = CurveOnSurface(fan, ToricDivisor(fan, (70, 0, 0)), (3,))
+    counts = count_calls(
+        lambda: toric_theorem_report(curve),
+        intersect_primes,
+        ToricDivisor.__post_init__,
+        geometry._columns,
+        geometry._clip,
+    )
+    # pairing vectors: C in the report and in the Seshadri check, C_rep in
+    # interpolation_divisor and interpolation_conditions, D - C for chi, and
+    # C_rep and R = C_rep - 2D for the h0 bound; the three clips are the
+    # lex-min point of P_{C+K}, h0(D - C) and h2(D - C)
+    assert counts == {
+        "intersect_primes": 7,
+        "ToricDivisor.__post_init__": 10,
+        "_columns": 3,
+        "_clip": 3,
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
+    def divisor(lo, hi):
+        coeffs = data.draw(st.lists(st.integers(lo, hi), min_size=fan.n, max_size=fan.n))
+        return ToricDivisor(fan, tuple(coeffs))
+
+    C, D, E = divisor(-9, 9), divisor(-5, 5), divisor(-9, 9)
+    e = data.draw(st.integers(-20, 20))
+    K = canonical_divisor(fan)
+    num = intersection_number(E, E) - intersection_number(K, E)
+    assert num % 2 == 0
+    assert exact(euler_characteristic(E), 1 + num // 2)
+    R = C - 2 * D
+    want = (
+        Fraction(intersection_number(R, 2 * K + R), 4)
+        + 2
+        + Fraction(intersection_number(C, C), 4)
+        - e
+    )
+    got = mainprop_h0_bound(C, D, e)
+    assert got == want and type(got) is Fraction
+
+
+def test_a_class_on_another_fan_with_as_many_rays_is_refused():
+    C = ToricDivisor(hirzebruch(1), (3, 2, 1, 1))
+    D = ToricDivisor(hirzebruch(2), (1, 1, 0, 0))
+    for call in (interpolation_conditions, mainprop_h0_bound):
+        with pytest.raises(FanMismatch):
+            call(C, D, 1)

@@ -138,6 +138,13 @@ def test_non_int_d_delta_or_e_is_refused(d, delta, e):
         find_m(d, delta, e)
 
 
+@pytest.mark.parametrize("d, delta", [(9, 0), (0, 0)])
+def test_a_degree_of_none_is_refused_before_any_arithmetic(d, delta):
+    for call in (plane_theorem_report, decomposition_chain):
+        with pytest.raises(ContractViolation, match=r"^e = None is not an int"):
+            call(d, delta, None)
+
+
 def test_plane_report_edge_raises_internal_inconsistency():
     # every hypothesis holds at the edge 3 delta = d - 3, yet deg B >= e/2
     for d, delta, e in [(9, 2, 6), (21, 6, 14), (27, 8, 18)]:
