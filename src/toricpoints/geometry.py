@@ -13,21 +13,22 @@ The region is {xlo <= x <= xhi, L(x) <= y <= U(x)}: xlo and xhi come from
 the normals (+-1, 0), L is the maximum of the lower boundary lines (normals
 with u_y > 0) and U the minimum of the upper ones (u_y < 0).  Both arcs of
 normals are already sorted by slope, so one stack pass over each gives its
-envelope in O(n).  Lattice points are counted column by column: each
-integer x adds floor(U(x)) - ceil(L(x)) + 1, and the columns under one
-boundary line are summed at once with `floor_sum`, so the count costs
-O(n log max|offset|) instead of the area of the bounding box.  The lex-min
-point gallops over such counts from the region's left end, so it costs
-O(log(x* - a + 2)) counts for the first integer column a and the answer's
-column x*.  Each question (vertices, count, lex-min point) clips its
-half-planes once.
+envelope in O(n).  The region's ends take one linear solve per piece of the
+envelopes.  The normals positively span the plane, so a region whose
+offsets are all > 0 is empty and is not clipped.  Lattice points are
+counted column by column: each integer x adds floor(U(x)) - ceil(L(x)) + 1,
+and the columns under one boundary line are summed at once with
+`floor_sum`, so the count costs O(n log max|offset|) instead of the area of
+the bounding box.  The lex-min point gallops over such counts from the
+region's left end, so it costs O(log(x* - a + 2)) counts for the first
+integer column a and the answer's column x*.  Each question (vertices,
+count, lex-min point) clips its half-planes once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
@@ -69,9 +70,6 @@ def _ceil(x: X) -> int:
     return -(-x[0] // x[1])
 
 
-_BY_X = cmp_to_key(lambda e, f: e[0][0] * f[0][1] - f[0][0] * e[0][1])  # orders ends by x
-
-
 def _meet_x(h1: HalfPlane, h2: HalfPlane) -> X:
     """x-coordinate where the boundary lines of two non-parallel half-planes meet."""
     (u, c1), (v, c2) = h1, h2
@@ -98,7 +96,7 @@ def _envelope(lines: Sequence[HalfPlane]) -> Chain:
 
 def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
     """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
-    (+-INF where there is none), of the half-planes."""
+    (+-INF where there is none); L and U are empty when every offset is > 0."""
     normals = [u for u, _ in halfplanes]
     n = len(normals)
     starts = [i for i in range(n) if normals[i][1] > 0 >= normals[i - 1][1]]
@@ -108,6 +106,8 @@ def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
         )
     if any(type(c) is not int for _, c in halfplanes):
         raise ContractViolation("half-plane offsets must be ints")
+    if all(c > 0 for _, c in halfplanes):
+        return ([], []), ([], []), NEG_INF, INF
     hs = [*halfplanes[starts[0]:], *halfplanes[:starts[0]]]
     # From the lower arc's start, the order is: lower arc (slopes rising
     # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
@@ -139,32 +139,32 @@ def _pieces(lower: Chain, upper: Chain) -> Iterator[Tuple[X, X, HalfPlane, HalfP
         start = end
 
 
-def _within(x: X, lo: X, hi: X) -> bool:
-    return _le(lo, x) and _le(x, hi)
-
-
 def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
     """The envelopes L and U, and the region's left and right ends, each
     with the lower and upper line active there; no ends when it is empty.
 
-    The region's x-extent is where U - L (a concave function) is >= 0 within
-    [xlo, xhi].  Its ends lie among: xlo, xhi, the envelopes' breakpoints,
-    and the points where the active lower and upper lines meet.
+    On each piece of the envelopes, clamped to [xlo, xhi], U >= L is the one
+    inequality g x <= cl uy - cu ly for the active lines l and u, with
+    g = det(l, u): it cuts the piece at the lines' meet (on the right when
+    g > 0, on the left when g < 0) or keeps or drops all of it (g = 0).
     """
     lower, upper, xlo, xhi = _chains(halfplanes)
-    ends = []
+    if not lower[0]:  # every offset is > 0
+        return lower, upper, []
+    first = last = None
     for start, end, l, u in _pieces(lower, upper):
+        lo = xlo if _le(start, xlo) else start
+        hi = end if _le(end, xhi) else xhi
         ((lx, ly), cl), ((ux, uy), cu) = l, u
-        meet = _meet_x(l, u) if det(l[0], u[0]) else NEG_INF  # where U = L; none if parallel
-        ends += [
-            ((n, d), l, u)
-            for n, d in (start, xlo, xhi, meet)
-            if d and _within((n, d), start, end) and _within((n, d), xlo, xhi)
-            and (cl * d - lx * n) * uy >= (cu * d - ux * n) * ly  # L <= U, times d l_y u_y < 0
-        ]
-    if ends:
-        ends = [min(ends, key=_BY_X), max(ends, key=_BY_X)]
-    return lower, upper, ends
+        g, r = lx * uy - ly * ux, cl * uy - cu * ly  # the meet is at x = r/g
+        if g > 0 and _le((r, g), hi):
+            hi = (r, g)
+        elif g < 0 and _le(lo, (-r, -g)):
+            lo = (-r, -g)
+        if (g or r >= 0) and _le(lo, hi):
+            first = first or (lo, l, u)
+            last = (hi, l, u)
+    return lower, upper, [first, last] if first else []
 
 
 def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:

@@ -139,10 +139,13 @@ def seshadri_ample_check(curve: CurveOnSurface) -> str:
     blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
     smooth curve (no delta_i) always meets.  Returns CERTIFIED or
     NOT_CERTIFIED; the latter is not a refutation."""
-    pairings = intersect_primes(_require_curve(curve).curve_class)
+    return _seshadri(intersect_primes(_require_curve(curve).curve_class), curve.multiplicities)
+
+
+def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
     if classify_pairings(pairings) is not Positivity.AMPLE:
         raise NotAmple("curve class is not ample")
-    return CERTIFIED if sum(curve.multiplicities) < min(pairings) else NOT_CERTIFIED
+    return CERTIFIED if sum(multiplicities) < min(pairings) else NOT_CERTIFIED
 
 
 def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
@@ -190,9 +193,12 @@ def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
     sections of the residual divisor; positivity certifies that degree-e
     moving divisors lift.  K.R = -sum_j R.D_j comes from R's vector, so no
     K is built."""
+    return _h0_bound(C_rep, intersection_number(C_rep, C_rep), D, e)
+
+
+def _h0_bound(C_rep: ToricDivisor, C2: int, D: ToricDivisor, e: int) -> Fraction:
     if type(e) is not int:
         raise ContractViolation(f"degree e = {e!r} is not an int")
-    C2 = intersection_number(C_rep, C_rep)
     R = C_rep - D - D  # not 2 * D, where a D that is no divisor would raise TypeError
     pairings = intersect_primes(R)
     return Fraction(pair(R, pairings, R) - 2 * sum(pairings) + 8 + C2 - 4 * e, 4)
@@ -218,7 +224,7 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
     CD = pair(C_rep, pairings, D)
     C2 = pair(C_rep, pairings, C_rep)
     h1 = cohomology(D - C_rep).h1
-    bound = mainprop_h0_bound(C_rep, D, e)
+    bound = _h0_bound(C_rep, C2, D, e)
     return ConditionVerdicts(
         intersection_bound=PASS if CD < C2 else FAIL,
         surjectivity=PASS if h1 == 0 else FAIL,
@@ -329,10 +335,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     bl2 = blowup_self_intersection(C2, curve.multiplicities)
     ample = classify_pairings(pairings) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
-    if ample:
-        verdicts["blowup_ample"] = seshadri_ample_check(curve)
-    else:
-        verdicts["blowup_ample"] = NOT_CERTIFIED
+    verdicts["blowup_ample"] = _seshadri(pairings, curve.multiplicities) if ample else NOT_CERTIFIED
 
     rep = positive_curve_representation(C)
     verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL

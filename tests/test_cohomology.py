@@ -21,6 +21,8 @@ from toricpoints import (
     toric_theorem_report,
 )
 
+from conftest import count_calls
+
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 HEXAGON = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 
@@ -33,19 +35,6 @@ def count(D):
 def dim(D):
     """Affine dimension of P_D: -1 empty, 0 point, 1 segment, 2 polygon."""
     return min(len(geometry.feasible_vertices(D.halfplanes)), 3) - 1
-
-
-def count_calls(monkeypatch, name):
-    """Record the calls to geometry.<name> from here on."""
-    calls = []
-    fn = getattr(geometry, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(geometry, name, counted)
-    return calls
 
 
 def test_polytope_of_2h():
@@ -174,35 +163,35 @@ def test_count_invariant_under_principal_shift():
                 assert count(D + principal_divisor(fan, m)) == base
 
 
-def test_polytope_vertices_are_clipped_on_first_read(monkeypatch):
-    rings = count_calls(monkeypatch, "feasible_vertices")
+def test_polytope_vertices_are_clipped_on_first_read():
     D = ToricDivisor(HEXAGON, (1,) * 6)  # the hexagon of -K
-    assert count(D) == 7 and rings == []
-    assert dim(D) == 2 and len(rings) == 1
+    seen = []
+    rings = count_calls(lambda: seen.append(count(D)), geometry.feasible_vertices)
+    assert seen == [7] and rings == {"feasible_vertices": 0}
+    rings = count_calls(lambda: seen.append(dim(D)), geometry.feasible_vertices)
+    assert seen == [7, 2] and rings == {"feasible_vertices": 1}
 
 
-def test_h0_h2_and_the_effective_representative_clip_once_each(monkeypatch):
-    clips = count_calls(monkeypatch, "_chains")
-    rings = count_calls(monkeypatch, "feasible_vertices")
+def test_h0_h2_and_the_effective_representative_clip_once_each():
     rng = random.Random(43)
     for fan in FANS + [HEXAGON]:
         for _ in range(10):
             D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-            clips.clear()
-            cohomology(D)
-            assert len(clips) <= 2
-            clips.clear()
-            effective_representative(D)
-            assert len(clips) == 1
-    assert rings == []
+            h = count_calls(lambda: cohomology(D), geometry._chains, geometry.feasible_vertices)
+            assert h["_chains"] <= 2 and h["feasible_vertices"] == 0
+            rep = count_calls(
+                lambda: effective_representative(D), geometry._chains, geometry.feasible_vertices
+            )
+            assert rep == {"_chains": 1, "feasible_vertices": 0}
 
 
 @pytest.mark.parametrize(
     "fan, coeffs",
     [(p2(), (9, 0, 0)), (hirzebruch(1), (27, 26, 0, 0)), (HEXAGON, (2, 3, 2, 2, 3, 2))],
 )
-def test_the_report_builds_no_vertex_ring(monkeypatch, fan, coeffs):
-    rings = count_calls(monkeypatch, "feasible_vertices")
-    report = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs)))
-    assert report.conditions is not None  # it got as far as h1(D - C)
-    assert rings == []
+def test_the_report_builds_no_vertex_ring(fan, coeffs):
+    curve = CurveOnSurface(fan, ToricDivisor(fan, coeffs))
+    reports = []
+    rings = count_calls(lambda: reports.append(toric_theorem_report(curve)), geometry.feasible_vertices)
+    assert reports[0].conditions is not None  # it got as far as h1(D - C)
+    assert rings == {"feasible_vertices": 0}

@@ -22,6 +22,8 @@ from toricpoints.geometry import (
     lexmin_lattice_point,
 )
 
+from conftest import count_calls
+
 
 def _feasible(halfplanes, p):
     return all(n[0] * p[0] + n[1] * p[1] >= c for n, c in halfplanes)
@@ -223,6 +225,25 @@ def test_the_integral_path_builds_no_fraction(rays, data):
         effective_representative(D)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(fan_rays(), st.data())
+def test_positive_offsets_leave_the_region_empty(rays, data):
+    # Normals that wind once, each turn under a half-turn, have a sum with
+    # positive weights that is 0: no x has <x, u_i> > 0 for every i, and
+    # with every <x, u_i> >= 0 only x = 0 is left.
+    n = len(rays)
+    scales = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    normals = [(k * x, k * y) for k, (x, y) in zip(scales, rays)]
+    offsets = data.draw(st.lists(st.integers(1, 10**21), min_size=n, max_size=n))
+    halfplanes = list(zip(normals, offsets))
+    assert feasible_vertices(halfplanes) == []
+    assert count_lattice_points(halfplanes) == 0
+    assert lexmin_lattice_point(halfplanes) is None
+    assert check_against_oracles([(u, 0) for u in normals]) == [(0, 0)]
+    i = data.draw(st.integers(0, n - 1))
+    assert check_against_oracles(halfplanes[:i] + [(normals[i], 0)] + halfplanes[i + 1:]) == []
+
+
 @pytest.mark.parametrize(
     "fan, coeffs, dim",
     [
@@ -262,34 +283,22 @@ def test_each_kind_of_region(rays, offsets, dim):
     assert min(len(vertices), 3) - 1 == dim
 
 
-def count_clips(monkeypatch):
-    """Count the calls to geometry._chains, the stack passes of one clip."""
-    calls = []
-    chains = geometry._chains
-
-    def counted(halfplanes):
-        calls.append(halfplanes)
-        return chains(halfplanes)
-
-    monkeypatch.setattr(geometry, "_chains", counted)
-    return calls
-
-
 @pytest.mark.parametrize("question", [feasible_vertices, count_lattice_points, lexmin_lattice_point])
 @pytest.mark.parametrize(
     "offsets", [[1, 0, 0, 0], [0, 0, 0, 0], [2, -1, -2, -3], [0, 0, -3, -2], [Fraction(1, 3), -5, 0, -7]]
 )
-def test_each_question_clips_once(monkeypatch, question, offsets):
-    calls = count_clips(monkeypatch)
-    question(integral(zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets)))
-    assert len(calls) == 1
+def test_each_question_clips_once(question, offsets):
+    halfplanes = integral(zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets))
+    assert count_calls(lambda: question(halfplanes), geometry._chains) == {"_chains": 1}
 
 
 @pytest.mark.parametrize("question", [feasible_vertices, count_lattice_points, lexmin_lattice_point])
 @pytest.mark.parametrize("offset", [Fraction(1, 2), Fraction(2), 1.0, True])
 def test_offsets_must_be_ints(question, offset):
-    with pytest.raises(ContractViolation):
-        question([((1, 0), offset), ((0, 1), 0), ((-1, -1), -3)])
+    # with the other offsets > 0 the region is empty, which skips no check
+    for others in ((0, -3), (1, 1)):
+        with pytest.raises(ContractViolation, match="offsets must be ints"):
+            question([((1, 0), offset), ((0, 1), others[0]), ((-1, -1), others[1])])
 
 
 @settings(derandomize=True, deadline=None)
@@ -309,8 +318,11 @@ def test_floor_sum_matches_the_sum(n, m, a, b):
     ],
 )
 def test_normals_must_wind_once_counterclockwise(normals):
-    with pytest.raises(ContractViolation):
-        feasible_vertices([(u, 0) for u in normals])
+    # offsets 1 would leave the region empty, and the winding is checked
+    # before the offsets
+    for offsets in ([0] * len(normals), [1] * len(normals), [1.0] + [1] * (len(normals) - 1)):
+        with pytest.raises(ContractViolation, match="wind once"):
+            feasible_vertices(list(zip(normals, offsets)))
 
 
 def count_probes(monkeypatch, cap=200):

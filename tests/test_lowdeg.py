@@ -3,7 +3,6 @@ import gc
 import itertools
 import pickle
 import random
-import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -46,6 +45,7 @@ from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 
+from conftest import count_calls
 from test_divisor import classes_equal
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
@@ -794,24 +794,6 @@ def test_hirzebruch_more_sections_downstairs(n):
         assert r.h0_C_P > r.h0_D
 
 
-def count_calls(work, *functions):
-    """How often `work()` enters each function, by its code object, so calls
-    through every name a function was imported under are seen."""
-    codes = {f.__code__: f.__qualname__ for f in functions}
-    counts = dict.fromkeys(codes.values(), 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-    return counts
-
-
 def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     fan = p2()
     curve = CurveOnSurface(fan, ToricDivisor(fan, (70, 0, 0)), (3,))
@@ -821,16 +803,19 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         ToricDivisor.__post_init__,
         geometry._columns,
         geometry._clip,
+        geometry._envelope,
     )
-    # pairing vectors: C in the report and in the Seshadri check, C_rep in
-    # interpolation_divisor and interpolation_conditions, D - C for chi, and
-    # C_rep and R = C_rep - 2D for the h0 bound; the three clips are the
-    # lex-min point of P_{C+K}, h0(D - C) and h2(D - C)
+    # pairing vectors: C in the report, C_rep in interpolation_divisor and
+    # interpolation_conditions, D - C for chi, and R = C_rep - 2D for the h0
+    # bound; the three clips are the lex-min point of P_{C+K}, h0(D - C) and
+    # h2(D - C), and the offsets of D - C, all >= 1, leave its polygon empty
+    # without an envelope
     assert counts == {
-        "intersect_primes": 7,
+        "intersect_primes": 5,
         "ToricDivisor.__post_init__": 10,
         "_columns": 3,
         "_clip": 3,
+        "_envelope": 4,
     }
 
 
