@@ -2,7 +2,7 @@
 
 h0 is the number of lattice points of the polygon P_D
 (`ToricDivisor.halfplanes`, counted by `geometry.count_lattice_points`), h2
-comes from Serre duality as the count for K - D, chi from
+comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
 Hirzebruch-Riemann-Roch, and h1 by difference.  A divisor's coefficients
 are ints, so every number here is an int.
 """
@@ -35,11 +35,11 @@ def euler_characteristic(D: ToricDivisor) -> int:
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:
-    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi."""
+    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi.
+    h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface."""
     chi = euler_characteristic(D)
-    K = canonical_divisor(D.fan)
     h0 = geometry.count_lattice_points(D.halfplanes)
-    h2 = geometry.count_lattice_points((K - D).halfplanes)
+    h2 = 0 if h0 else geometry.count_lattice_points((canonical_divisor(D.fan) - D).halfplanes)
     h1 = h0 + h2 - chi
     if h1 < 0:
         raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")

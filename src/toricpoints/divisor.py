@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import geometry
-from .errors import ContractViolation, FanMismatch
-from .fan import LatticePoint, ToricSurfaceFan, dot, require_fan
+from .errors import ContractViolation, FanMismatch, require, require_int, require_ints
+from .fan import LatticePoint, ToricSurfaceFan, dot
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,10 @@ class ToricDivisor:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self):
-        require_fan(self.fan)
-        try:
-            coeffs = tuple(self.coeffs)
-        except TypeError:
-            raise ContractViolation(
-                f"divisor coefficients {self.coeffs!r} are not a sequence"
-            ) from None
+        require(self.fan, ToricSurfaceFan)
+        coeffs = require_ints(self.coeffs, "divisor coefficients")
         if len(coeffs) != self.fan.n:
             raise FanMismatch(f"{len(coeffs)} coefficients for a fan with {self.fan.n} rays")
-        if any(type(c) is not int for c in coeffs):
-            raise ContractViolation(f"divisor coefficients {self.coeffs!r} are not all ints")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -55,38 +48,36 @@ class ToricDivisor:
         return ToricDivisor(self.fan, tuple(-c for c in self.coeffs))
 
     def __mul__(self, s):
+        require_int(s, "scalar")
         return ToricDivisor(self.fan, tuple(c * s for c in self.coeffs))
 
     __rmul__ = __mul__
 
 
-def require_divisor(D) -> ToricDivisor:
-    """`D` itself; ContractViolation when it is not a ToricDivisor."""
-    if not isinstance(D, ToricDivisor):
-        raise ContractViolation(f"{D!r} is not a ToricDivisor")
-    return D
-
-
 def _check_same_fan(D: ToricDivisor, E: ToricDivisor) -> None:
-    if not require_divisor(D).fan.same_surface(require_divisor(E).fan):
+    if not require(D, ToricDivisor).fan.same_surface(require(E, ToricDivisor).fan):
         raise FanMismatch("divisors live on different fans")
 
 
 def principal_divisor(fan: ToricSurfaceFan, m: LatticePoint) -> ToricDivisor:
     """div(chi^m) = sum <m, u_i> D_i."""
+    require(fan, ToricSurfaceFan)
+    m = require_ints(m, "lattice point coordinates")
+    if len(m) != 2:
+        raise ContractViolation(f"{m} is not a lattice point")
     return ToricDivisor(fan, tuple(dot(m, u) for u in fan.rays))
 
 
 def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
     """K = -sum D_i."""
-    return ToricDivisor(fan, (-1,) * fan.n)
+    return ToricDivisor(fan, (-1,) * require(fan, ToricSurfaceFan).n)
 
 
 def intersect_primes(D: ToricDivisor) -> List[int]:
     """The vector (D.D_1, ..., D.D_n).  D_j meets only its two cyclic
     neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2.  As
     K = -sum D_j, the vector also gives K.D = -sum_j D.D_j."""
-    a = require_divisor(D).coeffs
+    a = require(D, ToricDivisor).coeffs
     n = len(a)
     return [
         a[j - 1] + a[(j + 1) % n] + a[j] * s
@@ -135,7 +126,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
     None when no lattice point is feasible (the class is not effective).
     """
-    m = geometry.lexmin_lattice_point(require_divisor(D).halfplanes)
+    m = geometry.lexmin_lattice_point(require(D, ToricDivisor).halfplanes)
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -1,4 +1,5 @@
-"""Exception hierarchy for toricpoints."""
+"""Exception hierarchy for toricpoints, and the one home of the argument
+contracts whose breach raises ContractViolation."""
 
 
 class ToricError(Exception):
@@ -39,3 +40,31 @@ class InternalInconsistency(ToricError):
 
 class InputError(ToricError):
     """Malformed user input (CLI / JSON descriptors)."""
+
+
+def require(obj, cls):
+    """`obj` itself; ContractViolation when it is not a `cls`."""
+    if not isinstance(obj, cls):
+        raise ContractViolation(f"{obj!r} is not a {cls.__name__}")
+    return obj
+
+
+def require_int(value, name: str) -> int:
+    """`value` itself; ContractViolation naming it unless it is an int.  A
+    bool is not an int here, though Python makes it one."""
+    if type(value) is not int:
+        raise ContractViolation(f"{name} = {value!r} is not an int")
+    return value
+
+
+def require_ints(values, what: str) -> tuple:
+    """`values` as a tuple (itself, when it is one); ContractViolation unless
+    they are a sequence of ints, by the rule of `require_int`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ContractViolation(f"{what} {values!r} are not a sequence") from None
+    for v in values:
+        if type(v) is not int:
+            raise ContractViolation(f"{what} must be ints, got {v!r}")
+    return values

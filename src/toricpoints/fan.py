@@ -19,6 +19,9 @@ from .errors import (
     InternalInconsistency,
     NonPrimitiveRay,
     NotSmoothOrNotComplete,
+    require,
+    require_int,
+    require_ints,
 )
 
 LatticePoint = Tuple[int, int]
@@ -68,28 +71,19 @@ class ToricSurfaceFan:
         return self.rays == other.rays
 
 
-def require_fan(fan) -> ToricSurfaceFan:
-    """`fan` itself; ContractViolation when it is not a ToricSurfaceFan."""
-    if not isinstance(fan, ToricSurfaceFan):
-        raise ContractViolation(f"{fan!r} is not a ToricSurfaceFan")
-    return fan
-
-
-def _winding_number(rays: Sequence[LatticePoint]) -> int:
-    # Count crossings of the positive x-axis direction e = (1,0).  Each CCW
-    # step spans an angle < pi, so e lies in [u_i, u_{i+1}) iff u_i sits on
-    # the positive x-axis, or u_i is strictly below and u_{i+1} strictly
-    # above the axis.
-    n = len(rays)
-    crossings = 0
-    for i in range(n):
-        a = rays[i]
-        b = rays[(i + 1) % n]
-        if a[1] == 0 and a[0] > 0:
-            crossings += 1
-        elif a[1] < 0 and b[1] > 0:
-            crossings += 1
-    return crossings
+def lower_arc_start(rays: Sequence[LatticePoint]) -> Optional[int]:
+    """The one i at which the cycle enters the upper half-plane (u_{i-1} on
+    or below the x-axis, u_i above it), or None when there is not exactly
+    one.  For a cycle whose turns are all counterclockwise and under a
+    half-turn, such an entry is a crossing of the ray (1, 0), so this
+    decides whether the rays wind once around the origin."""
+    start = None
+    for i in range(len(rays)):
+        if rays[i][1] > 0 >= rays[i - 1][1]:
+            if start is not None:
+                return None
+            start = i
+    return start
 
 
 def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> ToricSurfaceFan:
@@ -103,8 +97,9 @@ def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> Toric
         rays = tuple((x, y) for x, y in rays)
     except (TypeError, ValueError):  # not a sequence of pairs
         raise ContractViolation(f"rays must be pairs of ints, got {rays!r}") from None
-    if any(type(c) is not int for u in rays for c in u):
-        raise ContractViolation(f"ray coordinates must be ints, got {rays}")
+    require_ints((c for u in rays for c in u), "ray coordinates")
+    if name is not None:
+        require(name, str)
     n = len(rays)
     if n < 3:
         raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
@@ -121,7 +116,7 @@ def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> Toric
                 f"{rays[i]}, {rays[(i + 1) % n]}"
             )
     # Consecutive dets of +1 still allow rays that wind more than once.
-    if _winding_number(rays) != 1:
+    if lower_arc_start(rays) is None:
         raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
     return ToricSurfaceFan(rays=rays, name=name)
 
@@ -131,9 +126,7 @@ def p2() -> ToricSurfaceFan:
 
 
 def hirzebruch(m: int) -> ToricSurfaceFan:
-    if type(m) is not int:
-        raise ContractViolation(f"Hirzebruch parameter {m!r} is not an int")
-    if m < 0:
+    if require_int(m, "Hirzebruch parameter m") < 0:
         raise InputError(f"Hirzebruch parameter must be >= 0, got {m}")
     return build_fan([(1, 0), (0, 1), (-1, m), (0, -1)], name=f"F{m}")
 
@@ -146,9 +139,7 @@ def p1xp1() -> ToricSurfaceFan:
 def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
     """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m) or
     F<m>, with m in ASCII digits."""
-    if not isinstance(name, str):
-        raise ContractViolation(f"surface name {name!r} is not a str")
-    key = name.strip().lower()
+    key = require(name, str).strip().lower()
     if key == "p2":
         return p2()
     if key == "p1xp1":

@@ -31,8 +31,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ContractViolation
-from .fan import LatticePoint, det
+from .errors import ContractViolation, require_ints
+from .fan import LatticePoint, det, lower_arc_start
 
 QPoint = Tuple[Fraction, Fraction]
 HalfPlane = Tuple[LatticePoint, int]
@@ -98,17 +98,15 @@ def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
     """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
     (+-INF where there is none); L and U are empty when every offset is > 0."""
     normals = [u for u, _ in halfplanes]
-    n = len(normals)
-    starts = [i for i in range(n) if normals[i][1] > 0 >= normals[i - 1][1]]
-    if len(starts) != 1 or any(det(normals[i - 1], normals[i]) <= 0 for i in range(n)):
+    start = lower_arc_start(normals)
+    if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):
         raise ContractViolation(
             "half-plane normals must wind once counterclockwise, each turn under a half-turn"
         )
-    if any(type(c) is not int for _, c in halfplanes):
-        raise ContractViolation("half-plane offsets must be ints")
-    if all(c > 0 for _, c in halfplanes):
+    offsets = require_ints((c for _, c in halfplanes), "half-plane offsets")
+    if min(offsets) > 0:
         return ([], []), ([], []), NEG_INF, INF
-    hs = [*halfplanes[starts[0]:], *halfplanes[:starts[0]]]
+    hs = [*halfplanes[start:], *halfplanes[:start]]
     # From the lower arc's start, the order is: lower arc (slopes rising
     # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
     lower = _envelope([h for h in hs if h[0][1] > 0])

@@ -25,10 +25,17 @@ from .divisor import (
     intersect_primes,
     intersection_number,
     pair,
-    require_divisor,
 )
-from .errors import ContractViolation, FanMismatch, InternalInconsistency, NotAmple
-from .fan import ToricSurfaceFan, hirzebruch, require_fan
+from .errors import (
+    ContractViolation,
+    FanMismatch,
+    InternalInconsistency,
+    NotAmple,
+    require,
+    require_int,
+    require_ints,
+)
+from .fan import ToricSurfaceFan, hirzebruch
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -49,31 +56,19 @@ class CurveOnSurface:
     multiplicities: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.curve_class, ToricDivisor):
-            raise ContractViolation(f"curve class {self.curve_class!r} is not a ToricDivisor")
-        if not require_fan(self.fan).same_surface(self.curve_class.fan):
+        require(self.curve_class, ToricDivisor)
+        if not require(self.fan, ToricSurfaceFan).same_surface(self.curve_class.fan):
             raise FanMismatch("the curve class lives on a different fan")
         object.__setattr__(self, "multiplicities", _multiplicities(self.multiplicities))
 
 
 def _multiplicities(multiplicities) -> Tuple[int, ...]:
     """The multiplicities as a tuple; ContractViolation unless each is an int >= 2."""
-    try:
-        mults = tuple(multiplicities)
-    except TypeError:
-        raise ContractViolation(f"multiplicities {multiplicities!r} are not a sequence") from None
+    mults = require_ints(multiplicities, "singularity multiplicities")
     for d in mults:
-        if type(d) is not int:
-            raise ContractViolation(f"singularity multiplicity {d!r} is not an int")
         if d < 2:
             raise ContractViolation(f"singularity multiplicity {d} < 2")
     return mults
-
-
-def _require_curve(curve) -> CurveOnSurface:
-    if not isinstance(curve, CurveOnSurface):
-        raise ContractViolation(f"{curve!r} is not a CurveOnSurface")
-    return curve
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     whenever the minimum is still reachable with it, which yields the
     lexicographically smallest sorted R among the minimisers.
     """
-    n = require_fan(fan).n
+    n = require(fan, ToricSurfaceFan).n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
     # stay exact because no partial |R| exceeds n < w
     w = n + 1
@@ -129,9 +124,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
 def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
     """Self-intersection of the normalised curve on the blowup:
     C^2 - sum delta_i^2."""
-    if type(C2) is not int:
-        raise ContractViolation(f"C^2 = {C2!r} is not an int")
-    return C2 - sum(d * d for d in _multiplicities(multiplicities))
+    return require_int(C2, "C^2") - sum(d * d for d in _multiplicities(multiplicities))
 
 
 def seshadri_ample_check(curve: CurveOnSurface) -> str:
@@ -139,7 +132,8 @@ def seshadri_ample_check(curve: CurveOnSurface) -> str:
     blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
     smooth curve (no delta_i) always meets.  Returns CERTIFIED or
     NOT_CERTIFIED; the latter is not a refutation."""
-    return _seshadri(intersect_primes(_require_curve(curve).curve_class), curve.multiplicities)
+    C = require(curve, CurveOnSurface).curve_class
+    return _seshadri(intersect_primes(C), curve.multiplicities)
 
 
 def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
@@ -157,7 +151,7 @@ def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
     principal exactly when that representative is zero; otherwise some
     shifted coefficient is >= 2.
     """
-    rep0 = effective_representative(C + canonical_divisor(require_divisor(C).fan))
+    rep0 = effective_representative(C + canonical_divisor(require(C, ToricDivisor).fan))
     if rep0 is None or not any(rep0.coeffs):
         return None
     return ToricDivisor(C.fan, tuple(a + 1 for a in rep0.coeffs))
@@ -197,8 +191,7 @@ def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
 
 
 def _h0_bound(C_rep: ToricDivisor, C2: int, D: ToricDivisor, e: int) -> Fraction:
-    if type(e) is not int:
-        raise ContractViolation(f"degree e = {e!r} is not an int")
+    require_int(e, "degree e")
     R = C_rep - D - D  # not 2 * D, where a D that is no divisor would raise TypeError
     pairings = intersect_primes(R)
     return Fraction(pair(R, pairings, R) - 2 * sum(pairings) + 8 + C2 - 4 * e, 4)
@@ -250,8 +243,7 @@ class DegBTable(Sequence):
     __hash__ = None  # equal to tuples, whose hash needs every row
 
     def __init__(self, CD: int = 0, e_max: int = 0):
-        if type(CD) is not int or type(e_max) is not int:
-            raise ContractViolation(f"deg B table of C.D = {CD!r}, e_max = {e_max!r}: not ints")
+        require_ints((CD, e_max), "deg B table's C.D and e_max")
         if e_max <= 0:  # every empty view is the same view
             CD = e_max = 0
         object.__setattr__(self, "CD", CD)
@@ -323,7 +315,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     Hypotheses the surface data cannot decide (geometric integrality of C,
     simplicity of its singularities) are echoed as "assumed".
     """
-    C = _require_curve(curve).curve_class
+    C = require(curve, CurveOnSurface).curve_class
     lam = lambda_invariant(curve.fan)
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
@@ -387,9 +379,7 @@ class HirzebruchExampleReport:
 
 
 def hirzebruch_counterexample(n: int) -> HirzebruchExampleReport:
-    if type(n) is not int:
-        raise ContractViolation(f"n = {n!r} is not an int")
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
     fan = hirzebruch(1)
     # class dictionary on F_1: F ~ D_1, C_0 ~ D_2

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ContractViolation, HypothesisViolation, InternalInconsistency
+from .errors import ContractViolation, HypothesisViolation, InternalInconsistency, require_int
 
 # verdict labels shared with the toric reports
 from .lowdeg import FAIL, PASS
@@ -21,8 +21,7 @@ from .lowdeg import FAIL, PASS
 
 def _check_signs(d: int, delta: int, e: int = 0) -> None:
     for name, v in (("d", d), ("delta", delta), ("e", e)):
-        if type(v) is not int:
-            raise ContractViolation(f"{name} = {v!r} is not an int")
+        require_int(v, name)
     if d < 0 or delta < 0:
         raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
 

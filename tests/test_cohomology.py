@@ -186,6 +186,21 @@ def test_h0_h2_and_the_effective_representative_clip_once_each():
 
 
 @pytest.mark.parametrize(
+    "coeffs, profile, clips",
+    [((3, 0, -1), (6, 0, 0, 6), 1), ((-4, 0, 0), (0, 0, 3, 3), 2)],
+)
+def test_h2_is_counted_only_when_h0_is_0(coeffs, profile, clips):
+    # h0(D) > 0 gives h2(D) = h0(K - D) = 0, since h0(K) = 0; the K - D
+    # offsets of (3, 0, -1) are (4, 1, 0), not all > 0, so its clip is
+    # skipped by this rule alone
+    D = ToricDivisor(p2(), coeffs)
+    seen = []
+    calls = count_calls(lambda: seen.append(cohomology(D)), geometry._chains, geometry._envelope)
+    assert (seen[0].h0, seen[0].h1, seen[0].h2, seen[0].chi) == profile
+    assert calls == {"_chains": clips, "_envelope": 2 * clips}
+
+
+@pytest.mark.parametrize(
     "fan, coeffs",
     [(p2(), (9, 0, 0)), (hirzebruch(1), (27, 26, 0, 0)), (HEXAGON, (2, 3, 2, 2, 3, 2))],
 )

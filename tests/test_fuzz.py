@@ -6,6 +6,9 @@ stdout and an `error:` line on stderr, and no other exception escapes.
 Whatever rays `build_fan` is given, it returns a fan exactly when they form
 a smooth complete fan, and raises a ToricError otherwise.
 
+Whatever arguments a name that `toricpoints` exports is called with, it
+returns or raises a ToricError, and what it returns holds no float.
+
 Output is captured with contextlib.redirect_stdout/redirect_stderr, as in
 tests/test_golden.py, because Hypothesis refuses function-scoped fixtures.
 `check-toric` is fuzzed with a fixed small curve class only: it prints one
@@ -13,13 +16,34 @@ deg B row per e up to e_max, which grows with C^2.
 """
 
 import contextlib
+import dataclasses
+import enum
+import inspect
 import io
 import json
+from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricpoints
+from toricpoints import (
+    CohomologyProfile,
+    CurveOnSurface,
+    DegBTable,
+    HirzebruchExampleReport,
+    InterpolationReport,
+    LambdaResult,
+    PlaneReport,
+    Positivity,
+    ToricDivisor,
+    ToricSurfaceFan,
+    hirzebruch,
+    p1xp1,
+    p2,
+)
 from toricpoints.cli import main
 from toricpoints.errors import ToricError
 from toricpoints.fan import build_fan, det
@@ -195,3 +219,124 @@ def test_build_fan_accepts_exactly_the_fans(case):
         assert (fan is not None) == expected
     if fan is not None:
         assert sum(fan.self_intersections) == 12 - 3 * fan.n  # Noether
+
+
+# Exported names the walk does not call.  The result records are plain
+# dataclasses that validate nothing, and a ToricSurfaceFan built directly is
+# documented as unvalidated (build_fan validates).  Calling an Enum looks a
+# member up by its value, and raises ValueError for any other value.
+RECORDS = {
+    LambdaResult,
+    CohomologyProfile,
+    InterpolationReport,
+    HirzebruchExampleReport,
+    PlaneReport,
+    ToricSurfaceFan,
+}
+LOOKUPS = {Positivity}
+
+
+# The divisor's operators, which no exported signature lists.  `self` is
+# the divisor the operator is called on, and is always a valid one.
+def divisor_sum(self: "ToricDivisor", E: "ToricDivisor"):
+    return self + E
+
+
+def divisor_difference(self: "ToricDivisor", E: "ToricDivisor"):
+    return self - E
+
+
+def divisor_multiple(self: "ToricDivisor", s: "int"):
+    return self * s
+
+
+def multiple_of_divisor(s: "int", self: "ToricDivisor"):
+    return s * self
+
+
+EXPORTED = sorted(
+    (name, obj)
+    for name, obj in vars(toricpoints).items()
+    if (inspect.isfunction(obj) or inspect.isclass(obj))
+    and obj.__module__.startswith("toricpoints")
+    and obj not in RECORDS | LOOKUPS
+)
+WALKED = EXPORTED + [
+    (f.__name__, f) for f in (divisor_sum, divisor_difference, divisor_multiple, multiple_of_divisor)
+]
+WALK_FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+# not one of WALK_FANS, so a divisor on it is on another fan
+ELSEWHERE = ToricDivisor(build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]), (1,) * 6)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),  # nan and inf included
+    st.sampled_from(["3", "12"]),
+    st.sampled_from([Fraction(1, 2), Fraction(3)]),
+    st.sampled_from([(), (1,), (1, 2, 3, 4, 5)]),
+    st.just(ELSEWHERE),
+)
+
+
+def valid(fan, name, annotation):
+    """Values of a parameter that the name should answer for on `fan`."""
+    ints = st.integers(-3, 40)
+    coeffs = st.lists(st.integers(-6, 9), min_size=fan.n, max_size=fan.n).map(tuple)
+    mults = st.lists(st.integers(2, 4), max_size=3).map(tuple)
+    divisors = coeffs.map(lambda a: ToricDivisor(fan, a))
+    if annotation == "ToricSurfaceFan":
+        return st.just(fan)
+    if annotation == "ToricDivisor":
+        return divisors
+    if annotation == "CurveOnSurface":
+        return st.builds(CurveOnSurface, st.just(fan), divisors, mults)
+    if annotation == "LatticePoint":
+        return st.tuples(ints, ints)
+    if annotation == "Sequence[LatticePoint]":
+        return st.just(list(fan.rays))
+    if name == "coeffs":
+        return coeffs
+    if name == "multiplicities":
+        return mults
+    if "str" in annotation:
+        return st.sampled_from(["P2", "P1xP1", "F3", "hirzebruch", "Q"])
+    return (ints | st.none()) if annotation.startswith("Optional") else ints
+
+
+def floats_in(obj):
+    """Every float inside a returned value."""
+    if isinstance(obj, float):
+        return [obj]
+    if isinstance(obj, DegBTable):  # its rows are computed from these two
+        obj = (obj.CD, obj.e_max)
+    elif isinstance(obj, enum.Enum):
+        obj = obj.value
+    elif dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = [*obj, *obj.values()]
+    if isinstance(obj, (tuple, list)):
+        return [x for item in obj for x in floats_in(item)]
+    return []
+
+
+@pytest.mark.parametrize("name, function", WALKED, ids=[name for name, _ in WALKED])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_exported_name_answers_or_raises_a_toric_error(name, function, data):
+    fan = data.draw(st.sampled_from(WALK_FANS))
+    args = []
+    for p in inspect.signature(function).parameters.values():
+        junk = p.name != "self" and data.draw(st.booleans())
+        args.append(data.draw(JUNK if junk else valid(fan, p.name, p.annotation), label=p.name))
+    try:
+        result = function(*args)
+    except ToricError:
+        return
+    assert floats_in(result) == [], (name, args)
+
+
+def test_the_walk_reaches_every_exported_name():
+    names = {name for name, _ in EXPORTED}
+    assert {"build_fan", "principal_divisor", "ToricDivisor", "toric_theorem_report"} <= names
+    assert names.isdisjoint({"LambdaResult", "ToricSurfaceFan", "Positivity", "LatticePoint"})

@@ -416,6 +416,12 @@ MALFORMED_CALLS = {
     "surface named None": lambda: builtin_surface(None),
     "blowup C^2 None": lambda: blowup_self_intersection(None, ()),
     "blowup multiplicities None": lambda: blowup_self_intersection(81, None),
+    "principal divisor on no fan": lambda: principal_divisor(None, (1, 0)),
+    "principal divisor of None": lambda: principal_divisor(p2(), None),
+    "principal divisor of a 1-tuple": lambda: principal_divisor(p2(), (1,)),
+    "canonical divisor on no fan": lambda: canonical_divisor(None),
+    "divisor times None": lambda: H * None,
+    "fan named 5": lambda: build_fan(p2().rays, name=5),
 }
 
 

@@ -6,7 +6,9 @@ such a cache keeps every argument it has seen alive, and no function that
 takes a ToricSurfaceFan beside a ToricDivisor, since the divisor carries
 its fan and a second one could disagree with it.  The divisor and
 cohomology modules import nothing from fractions: a divisor's coefficients
-are ints, and so is every number computed from them there."""
+are ints, and so is every number computed from them there.  Only errors.py
+compares type(...) with int: its helpers are the one home of the rule that
+an argument must be an int, and a bool is not one."""
 
 import ast
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 CACHES = {"cache", "lru_cache"}
 INTEGRAL = {"divisor.py", "cohomology.py"}
+CONTRACTS = "errors.py"
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
 
@@ -40,6 +43,15 @@ def _annotation(node):
     return None
 
 
+def _type_vs_int(node):
+    # type(x) compared with int, either side, by any operator
+    sides = [node.left, *node.comparators]
+    return any(
+        isinstance(s, ast.Call) and isinstance(s.func, ast.Name) and s.func.id == "type"
+        for s in sides
+    ) and any(isinstance(s, ast.Name) and s.id == "int" for s in sides)
+
+
 def breaches(tree, module=""):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -57,6 +69,8 @@ def breaches(tree, module=""):
             yield node.lineno, f"float literal {node.value!r}"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             yield node.lineno, "float() call"
+        elif isinstance(node, ast.Compare) and module != CONTRACTS and _type_vs_int(node):
+            yield node.lineno, f"type(...) compared with int outside {CONTRACTS}"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 continue
@@ -84,6 +98,7 @@ def test_rules_catch_each_breach():
         "assert x\ny = 0.5\nz = float(1)\n"
         "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
         "def g(fan: ToricSurfaceFan, C: ToricDivisor): pass\n"
+        "if type(c) is not int: pass\n"
     )
     assert [what for _, what in breaches(ast.parse(source), "divisor.py")] == [
         "import of numpy, outside the standard library",
@@ -93,10 +108,15 @@ def test_rules_catch_each_breach():
         "g() takes a fan beside a divisor",
         "float literal 0.5",
         "float() call",
+        "type(...) compared with int outside errors.py",
     ]
     # fractions is refused in the integral modules only
     assert len(list(breaches(ast.parse("import fractions\n"), "cohomology.py"))) == 1
     assert list(breaches(ast.parse("import fractions\n"), "lowdeg.py")) == []
+    # the int contract lives in errors.py, whichever way round it is written
+    for check in ("type(c) is not int", "int == type(c)"):
+        assert len(list(breaches(ast.parse(check), "plane.py"))) == 1
+        assert list(breaches(ast.parse(check), "errors.py")) == []
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
