@@ -3,8 +3,9 @@
 Subcommands: lambda, cohomology, intersect, check-toric, plane,
 hirzebruch-example, selftest: one row each in COMMANDS.  Exit codes: 0
 success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
-malformed input or a result too long to print.  Rationals are printed as
-exact "p/q" strings, never floats, so outputs are stable goldens.
+malformed input or a result too long to print.  Rationals are printed as exact
+"p/q" strings, never floats, so outputs are stable goldens.  The --json text
+of a result r is exactly json.dumps(jsonable(r), indent=2).
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import cohomology
 from .divisor import ToricDivisor, intersection_number
-from .errors import InputError, ToricError
+from .errors import InputError, ToricError, is_int
 from .fan import ToricSurfaceFan, build_fan, builtin_surface
 from .lowdeg import (
     CurveOnSurface,
@@ -39,6 +42,8 @@ from .selftest import run_selftest
 def jsonable(obj):
     """Recursive conversion to JSON-safe values; Fractions become exact
     strings in lowest terms."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, enum.Enum):
@@ -54,6 +59,24 @@ def jsonable(obj):
     if isinstance(obj, DegBTable):  # rows of two ints
         return [list(row) for row in obj]
     return obj
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for jsonable's plain data in one pass (the C
+    encoder skips indent); `pad` is the line break and indent of obj's level."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join(map(_json_text, obj, repeat(inner))) + pad + "]"
 
 
 def parse_surface(text: str) -> ToricSurfaceFan:
@@ -76,10 +99,6 @@ def parse_surface(text: str) -> ToricSurfaceFan:
     return surface_from_descriptor(desc)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def surface_from_descriptor(desc) -> ToricSurfaceFan:
     if not isinstance(desc, dict):
         raise InputError("surface descriptor must be a JSON object")
@@ -90,14 +109,14 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
         if not (
             isinstance(rays, list)
             and all(isinstance(r, list) and len(r) == 2 for r in rays)
-            and all(_is_int(c) for r in rays for c in r)
+            and all(is_int(c) for r in rays for c in r)
         ):
             raise InputError('"rays" must be a list of [x, y] pairs of integers')
         return build_fan(rays, name=desc.get("name"))
     if "builtin" in desc:
         if not isinstance(desc["builtin"], str):
             raise InputError('"builtin" must be a string')
-        if "m" in desc and not _is_int(desc["m"]):
+        if "m" in desc and not is_int(desc["m"]):
             raise InputError('"m" must be an integer')
         return builtin_surface(desc["builtin"], desc.get("m"))
     raise InputError('surface descriptor needs "rays" or "builtin"')
@@ -154,7 +173,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
             coeffs = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also over-long integers
             raise InputError(f"malformed divisor JSON: {exc}") from exc
-        if not (isinstance(coeffs, list) and all(_is_int(v) for v in coeffs)):
+        if not (isinstance(coeffs, list) and all(is_int(v) for v in coeffs)):
             raise InputError(f"divisor coefficients must be integers: {text!r}")
     else:
         coeffs = _int_list(text, "divisor coefficients")
@@ -214,6 +233,7 @@ def _check_toric_lines(r) -> List[str]:
     ]
     if r.positive_rep is not None:
         lines.append(f"positive representation = {list(r.positive_rep.coeffs)}")
+    if r.interp_divisor is not None:
         lines.append(f"interpolation divisor = {list(r.interp_divisor.coeffs)}, C.D = {r.CD}")
     lines += [f"hypothesis {name}: {verdict}" for name, verdict in r.hypothesis_verdicts.items()]
     if r.conditions is not None:
@@ -314,8 +334,8 @@ COMMANDS = {
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
+def make_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its map from command to sub-parser, built once."""
     parser = argparse.ArgumentParser(
         prog="toricpoints",
         description="Exact divisor arithmetic and low-degree point bounds on toric surfaces",
@@ -325,13 +345,18 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for flag, kwargs in command.options:
             p.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and compute, then format and print the result in one step."""
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    parser, subs = make_parser()
+    if argv and argv[0] in subs:  # the top-level parser's dispatch, inline
+        args, extra = subs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+    else:
+        args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse reads "--surface=--" as an empty list
         parser.error("an option's value cannot be '--'")
     command = COMMANDS[args.command]
@@ -342,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if args.json:
-            text = json.dumps(jsonable(result), indent=2)
+            text = _json_text(jsonable(result))
         else:
             text = "\n".join(command.human(result))
     except ValueError:  # an integer with more digits than str() converts

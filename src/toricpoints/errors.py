@@ -49,22 +49,26 @@ def require(obj, cls):
     return obj
 
 
+def is_int(value) -> bool:
+    """Whether `value` is an int; a bool is not one here, though Python makes it one."""
+    return type(value) is int
+
+
 def require_int(value, name: str) -> int:
-    """`value` itself; ContractViolation naming it unless it is an int.  A
-    bool is not an int here, though Python makes it one."""
-    if type(value) is not int:
+    """`value` itself; ContractViolation naming it unless `is_int(value)`."""
+    if not is_int(value):
         raise ContractViolation(f"{name} = {value!r} is not an int")
     return value
 
 
 def require_ints(values, what: str) -> tuple:
     """`values` as a tuple (itself, when it is one); ContractViolation unless
-    they are a sequence of ints, by the rule of `require_int`."""
+    they are a sequence of ints, by the rule of `is_int`."""
     try:
         values = tuple(values)
     except TypeError:
         raise ContractViolation(f"{what} {values!r} are not a sequence") from None
     for v in values:
-        if type(v) is not int:
+        if type(v) is not int:  # is_int, inline on this hot path
             raise ContractViolation(f"{what} must be ints, got {v!r}")
     return values

@@ -160,8 +160,8 @@ def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
 def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int, int]:
     """D = floor(C/2) componentwise for a positive representation of C.
 
-    Returns (D, C.D, C^2).  Checks the proof-shape facts: D nonzero
-    effective, C - 2D has 0/1 coefficients, and C.D <= C^2/2.
+    Returns (D, C.D, C^2).  R = C - 2D has 0/1 coefficients, so 2 C.D = C^2 -
+    C.R <= C^2 when C is nef; NotAmple refuses a C with C.D > C^2/2.
     """
     pairings = intersect_primes(positive_rep)
     a = positive_rep.coeffs
@@ -170,15 +170,10 @@ def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int
             "positive representation must have all a_i >= 1 and some a_j >= 2"
         )
     D = ToricDivisor(positive_rep.fan, tuple(c // 2 for c in a))
-    if all(c == 0 for c in D.coeffs):
-        raise InternalInconsistency("floor(C/2) is zero for a positive representation")
-    rest = tuple(c - 2 * d for c, d in zip(a, D.coeffs))
-    if any(r not in (0, 1) for r in rest):
-        raise InternalInconsistency("C - 2 floor(C/2) has a coefficient outside {0,1}")
     CD = pair(positive_rep, pairings, D)
     C2 = pair(positive_rep, pairings, positive_rep)
     if 2 * CD > C2:
-        raise InternalInconsistency("C.D > C^2/2 for an interpolation divisor")
+        raise NotAmple("C.D > C^2/2 for an interpolation divisor: the class is not nef")
     return D, CD, C2
 
 
@@ -285,7 +280,8 @@ class DegBTable(Sequence):
 class InterpolationReport:
     """Everything `toric_theorem_report` decides for one curve class.
     `degB_table` is a DegBTable view of the rows (e, CD - e), e = 1..e_max,
-    not a stored tuple; it is empty when e_max or CD is None."""
+    not a stored tuple; it is empty when e_max or CD is None.  interp_divisor
+    and CD are None unless C is ample and has a positive representation."""
 
     lambda_value: Fraction
     lambda_subset: Tuple[int, ...]
@@ -338,7 +334,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     D = CD = None
     table = DegBTable()
     conditions = None
-    if rep is not None:
+    if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
         D, CD, rep_C2 = interpolation_divisor(rep)
         if rep_C2 != C2:
             raise InternalInconsistency("C^2 changed under re-representation")

@@ -145,7 +145,7 @@ def test_criterion_5e_positive_representations():
         rep = positive_curve_representation(C)
         if rep is None:
             continue
-        # interpolation_divisor validates the 0/1 shape of C - 2 floor(C/2)
+        # C - 2 floor(C/2) has 0/1 coefficients
         D, CD, C2 = interpolation_divisor(rep)
         rest = tuple(a - 2 * b for a, b in zip(rep.coeffs, D.coeffs))
         assert all(r in (0, 1) for r in rest)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricpoints
+from toricpoints import cli
 from toricpoints.cli import (
+    _json_text,
     main,
     make_parser,
     parse_divisor,
@@ -507,3 +513,100 @@ def test_a_long_result_that_prints_still_exits_0(capsys):
     code, out, _ = run(capsys, "hirzebruch-example", "--n", "7" * 2000, "--json")
     assert code == 0
     assert json.loads(out)["n"] == int("7" * 2000)
+
+
+# A str may hold quotes, backslashes, control characters, non-ASCII and lone
+# surrogates, all of which json escapes
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé😀 a') | st.characters(blacklist_categories=())
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(JSON)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**5000, [1, {"k": [-(10**5000)]}], {"a": True, "b": int(LONG) ** 2}],
+    ids=["int", "nested", "square"],
+)
+def test_an_int_too_long_for_str_raises_value_error_in_both(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2)
+    with pytest.raises(ValueError):
+        _json_text(value)
+
+
+class Parsed(Exception):
+    """Raised by a command's run in place of its work; holds the namespace."""
+
+
+def _outcome(call, argv):
+    """(namespace or exit code, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parsed_by_main(argv):
+    try:
+        main(argv)
+    except Parsed as parsed:
+        return parsed.args[0]
+    raise AssertionError(f"main({argv}) ran no command")
+
+
+def _parsed_by_the_top_level(argv):
+    parser = make_parser()[0]
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # main's one rule beyond argparse's own
+        parser.error("an option's value cannot be '--'")
+    return args
+
+
+VALID = {
+    "lambda": ["--surface", "P2"],
+    "cohomology": ["--surface", "P2", "--divisor", "2H"],
+    "intersect": ["--surface", "P2", "--divisor", "H", "--curve", "H"],
+    "check-toric": ["--surface", "P2", "--curve", "9H", "--multiplicities", "2"],
+    "plane": ["--d", "8", "--delta", "0", "--e", "7"],
+    "hirzebruch-example": ["--n", "26"],
+    "selftest": [],
+}
+TAILS = [[], ["--json"], ["--strict"], ["--bogus"], ["stray"], ["--d", "x"], ["--surface=--"], ["-h"], ["--"]]
+COMMAND_LINES = (
+    [[name, *line, *tail] for name, line in VALID.items() for tail in TAILS]
+    + [[name] for name in VALID]  # a required option missing, but for selftest
+    + [
+        [],
+        ["--help"],
+        ["no-such-command"],
+        ["--json", "lambda", "--surface", "P2"],
+        ["-h", "lambda"],
+        ["lambda", "--", "--surface", "P2"],
+        ["cohomology", "--surface", "P2", "--div", "2H", "x", "--bogus=1"],
+        ["plane", "--d", "8", "--e=7", "--d", "9"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(monkeypatch, argv):
+    def run(args):
+        raise Parsed(args)
+
+    for name, row in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, row._replace(run=run))
+    assert _outcome(_parsed_by_main, argv) == _outcome(_parsed_by_the_top_level, argv)

@@ -756,6 +756,47 @@ def test_toric_report_cubic_fails_positivity():
     assert r.positive_rep is None and r.interp_divisor is None
 
 
+def _interpolation_is_gated_on_ampleness(r):
+    ample = r.hypothesis_verdicts["curve_ample"] == PASS
+    has_divisor = ample and r.positive_rep is not None
+    assert (r.interp_divisor is not None, r.CD is not None) == (has_divisor, has_divisor)
+    if r.conditions is not None or r.degB_table:
+        assert has_divisor and r.e_max is not None
+    if has_divisor:
+        assert 2 * r.CD <= r.C2
+
+
+def test_classes_that_are_not_ample_get_verdicts_and_no_interpolation():
+    # 2 C.D = C^2 - C.R bounds C.D by C^2/2 only for nef C: on F2, 9C0+7F
+    # has a positive representation whose D raised InternalInconsistency,
+    # and on F1, 8C0+5F printed C.D = -1
+    for m, a, b in [(2, 9, 7), (1, 8, 5)]:
+        fan = hirzebruch(m)
+        r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (b, a, 0, 0))))
+        assert r.hypothesis_verdicts["curve_ample"] == FAIL
+        assert r.positive_rep is not None
+        assert (r.interp_divisor, r.CD, r.conditions, r.degB_table) == (None, None, None, DegBTable())
+    # called on that representation itself, the divisor is refused as the
+    # input's fault, not the library's
+    with pytest.raises(NotAmple):
+        interpolation_divisor(ToricDivisor(hirzebruch(2), (1, 7, 2, 2)))
+    # every class aC0 + bF on F0-F4 with a, b in -3..11
+    for m, a, b in itertools.product(range(5), range(-3, 12), range(-3, 12)):
+        fan = hirzebruch(m)
+        _interpolation_is_gated_on_ampleness(
+            toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (b, a, 0, 0))))
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_a_report_on_any_class_raises_nothing(fan, data):
+    coeffs = data.draw(st.lists(st.integers(-10, 20), min_size=fan.n, max_size=fan.n))
+    mults = data.draw(st.lists(st.integers(2, 3), max_size=2))
+    C = ToricDivisor(fan, tuple(coeffs))
+    _interpolation_is_gated_on_ampleness(toric_theorem_report(CurveOnSurface(fan, C, tuple(mults))))
+
+
 @pytest.mark.parametrize("d", range(4, 61))
 def test_p2_interpolation_degree_closed_form(d):
     fan = p2()

@@ -7,8 +7,9 @@ takes a ToricSurfaceFan beside a ToricDivisor, since the divisor carries
 its fan and a second one could disagree with it.  The divisor and
 cohomology modules import nothing from fractions: a divisor's coefficients
 are ints, and so is every number computed from them there.  Only errors.py
-compares type(...) with int: its helpers are the one home of the rule that
-an argument must be an int, and a bool is not one."""
+compares type(...) with int or calls isinstance(..., bool): its helpers are
+the one home of the rule that an argument must be an int, and a bool is not
+one.  No module calls json.dumps: cli._json_text is the one JSON writer."""
 
 import ast
 import sys
@@ -52,6 +53,19 @@ def _type_vs_int(node):
     ) and any(isinstance(s, ast.Name) and s.id == "int" for s in sides)
 
 
+def _isinstance_bool(node):
+    # isinstance(x, bool), or bool among a tuple of types
+    if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+
+
+def _json_dumps(node):
+    # json.dumps, called or only named
+    return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr == "dumps"
+
+
 def breaches(tree, module=""):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -71,10 +85,17 @@ def breaches(tree, module=""):
             yield node.lineno, "float() call"
         elif isinstance(node, ast.Compare) and module != CONTRACTS and _type_vs_int(node):
             yield node.lineno, f"type(...) compared with int outside {CONTRACTS}"
+        elif isinstance(node, ast.Call) and module != CONTRACTS and _isinstance_bool(node):
+            yield node.lineno, f"isinstance(..., bool) outside {CONTRACTS}"
+        elif isinstance(node, ast.Attribute) and _json_dumps(node):
+            yield node.lineno, "json.dumps, where cli._json_text writes JSON"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 continue
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            imported = {a.name for a in node.names}
+            if isinstance(node, ast.ImportFrom) and node.module == "json" and "dumps" in imported:
+                yield node.lineno, "json.dumps, where cli._json_text writes JSON"
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     yield node.lineno, f"import of {name}, outside the standard library"
@@ -95,28 +116,43 @@ def test_source_rules(path):
 def test_rules_catch_each_breach():
     source = (
         "import numpy\nfrom os import path\nfrom fractions import Fraction\n"
+        "from json import dumps, loads\n"
         "assert x\ny = 0.5\nz = float(1)\n"
         "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
         "def g(fan: ToricSurfaceFan, C: ToricDivisor): pass\n"
         "if type(c) is not int: pass\n"
+        "b = isinstance(c, bool)\n"
+        "json.dumps(x)\n"
     )
     assert [what for _, what in breaches(ast.parse(source), "divisor.py")] == [
         "import of numpy, outside the standard library",
         "import of fractions in divisor.py, whose numbers are ints",
+        "json.dumps, where cli._json_text writes JSON",
         "assert statement",
         "cache on f(), which takes parameters",
         "g() takes a fan beside a divisor",
         "float literal 0.5",
         "float() call",
         "type(...) compared with int outside errors.py",
+        "isinstance(..., bool) outside errors.py",
+        "json.dumps, where cli._json_text writes JSON",
     ]
     # fractions is refused in the integral modules only
     assert len(list(breaches(ast.parse("import fractions\n"), "cohomology.py"))) == 1
     assert list(breaches(ast.parse("import fractions\n"), "lowdeg.py")) == []
     # the int contract lives in errors.py, whichever way round it is written
-    for check in ("type(c) is not int", "int == type(c)"):
+    for check in (
+        "type(c) is not int",
+        "int == type(c)",
+        "isinstance(c, bool)",
+        "not isinstance(c, (int, bool))",
+    ):
         assert len(list(breaches(ast.parse(check), "plane.py"))) == 1
         assert list(breaches(ast.parse(check), "errors.py")) == []
+    # json.dumps is refused everywhere, errors.py included; json.loads is not
+    for check in ("text = json.dumps(x, indent=2)", "write = json.dumps", "from json import dumps"):
+        assert len(list(breaches(ast.parse(check), "errors.py"))) == 1
+    assert list(breaches(ast.parse("import json\njson.loads(s)\nisinstance(c, int)"), "cli.py")) == []
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
