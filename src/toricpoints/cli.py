@@ -5,7 +5,8 @@ hirzebruch-example, selftest: one row each in COMMANDS.  Exit codes: 0
 success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
 malformed input or a result too long to print.  Rationals are printed as exact
 "p/q" strings, never floats, so outputs are stable goldens.  The --json text
-of a result r is exactly json.dumps(jsonable(r), indent=2).
+of a result r is exactly json.dumps(jsonable(r), indent=2), written in one
+walk from r itself by _json_text, without jsonable's plain-data copy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -61,22 +61,52 @@ def jsonable(obj):
     return obj
 
 
+# How each scalar is written, by its exact type: a Fraction as the exact
+# "p/q" string that jsonable makes of it
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    Fraction: lambda f: _quote(str(f)),
+}
+
+
 def _json_text(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for jsonable's plain data in one pass (the C
-    encoder skips indent); `pad` is the line break and indent of obj's level."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
+    """The text of json.dumps(jsonable(obj), indent=2), written in one walk
+    from obj itself with no plain-data copy (CPython's C encoder skips
+    indent); `pad` is the line break and indent of obj's level."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
     inner = pad + "  "
+    scalar = _SCALARS.get  # scalars written in place, saving a call each
+    pairs = None  # the (key, value) pairs of an object, None for an array
     if isinstance(obj, dict):
-        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        pairs = obj.items()
+    elif isinstance(obj, ToricDivisor):
+        obj = obj.coeffs
+    elif hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance, in field order
+        pairs = [(name, getattr(obj, name)) for name in obj.__dataclass_fields__]
+    elif isinstance(obj, enum.Enum):  # an IntEnum's value is the int it is
+        return _json_text(obj.value, pad)
+    elif not isinstance(obj, (list, tuple, DegBTable)):
+        for cls, write in _SCALARS.items():  # a subclass of a scalar type
+            if isinstance(obj, cls):
+                return write(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if pairs is not None:
+        if not pairs:
+            return "{}"
+        items = [
+            _quote(k) + ": " + (w(v) if (w := scalar(type(v))) else _json_text(v, inner))
+            for k, v in pairs
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return "[" + inner + ("," + inner).join(map(_json_text, obj, repeat(inner))) + pad + "]"
+    if not obj:
+        return "[]"
+    items = [w(v) if (w := scalar(type(v))) else _json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def parse_surface(text: str) -> ToricSurfaceFan:
@@ -367,7 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if args.json:
-            text = _json_text(jsonable(result))
+            text = _json_text(result)
         else:
             text = "\n".join(command.human(result))
     except ValueError:  # an integer with more digits than str() converts

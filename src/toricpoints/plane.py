@@ -4,6 +4,8 @@ Specialises the interpolation machinery to curves of degree d in P^2 with
 delta ordinary nodes and cusps.  The bounds involve sqrt(d^2 - 36 delta);
 all comparisons against it are done by squaring with sign guards, never with
 floats, because the interesting values sit right at integer boundaries.
+A report checks its arguments once and works out the (d, delta) terms
+(the ceiled root t, term1, term2 and e_bound) once, for every chain level.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ def _check_signs(d: int, delta: int, e: int = 0) -> None:
         raise ContractViolation(f"d and delta must be >= 0, got d={d}, delta={delta}")
 
 
-def _check_discriminant(d: int, delta: int) -> int:
-    _check_signs(d, delta)
+def _discriminant(d: int, delta: int) -> int:
     disc = d * d - 36 * delta
     if disc < 0:
         raise HypothesisViolation(f"d^2 < 36 delta for d={d}, delta={delta}")
@@ -39,23 +40,51 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def sqrt_ceil_term(d: int, delta: int) -> int:
-    """ceil((d + sqrt(d^2 - 36 delta)) / 6), exactly.
+def _terms(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction, int]:
+    """(e_bound, term1, term2, t) for a d and delta already checked: the one
+    place these numbers are worked out.
 
-    The smallest integer t with 6t - d >= sqrt(disc), which for an integer
-    6t - d means 6t - d >= r = ceil(sqrt(disc)).
+    t = ceil((d + sqrt(disc)) / 6) is the smallest integer t with
+    6t - d >= sqrt(disc), which for an integer 6t - d means
+    6t - d >= r = ceil(sqrt(disc)).
     """
-    return -(-(d + _ceil_sqrt(_check_discriminant(d, delta))) // 6)
+    t = -(-(d + _ceil_sqrt(_discriminant(d, delta))) // 6)
+    term1 = Fraction(d * d - 4 * delta, 9)
+    term2 = Fraction(t * (d - t) - delta, 2)
+    return max(term1, term2), term1, term2, t
+
+
+def sqrt_ceil_term(d: int, delta: int) -> int:
+    """ceil((d + sqrt(d^2 - 36 delta)) / 6), exactly."""
+    _check_signs(d, delta)
+    return _terms(d, delta)[3]
 
 
 def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(e_bound, term1, term2) with term1 = (d^2 - 4 delta)/9 and
     term2 = (t(d - t) - delta)/2 for the ceiled t; e_bound is their max."""
-    _check_discriminant(d, delta)
-    term1 = Fraction(d * d - 4 * delta, 9)
-    t = sqrt_ceil_term(d, delta)
-    term2 = Fraction(t * (d - t) - delta, 2)
-    return max(term1, term2), term1, term2
+    _check_signs(d, delta)
+    return _terms(d, delta)[:3]
+
+
+def _level_m(d: int, delta: int, e: int, terms=None) -> Optional[int]:
+    """find_m on checked arguments.  `terms` is (e_bound, t) of (d, delta);
+    when it is not given, it is worked out only for an s in range, since
+    d^2 < 36 delta is no error outside it."""
+    s = e + delta
+    if d < 3 or s < d - 1 or s >= d * d // 4:
+        return None
+    m = (d - _ceil_sqrt(d * d - 4 * s)) // 2
+    if terms is None:
+        e_bound, _, _, t = _terms(d, delta)
+    else:
+        e_bound, t = terms
+    # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6
+    if e < e_bound and m >= t:
+        raise InternalInconsistency(
+            f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 for d={d}, delta={delta}, e={e}"
+        )
+    return m
 
 
 def find_m(d: int, delta: int, e: int) -> Optional[int]:
@@ -68,17 +97,7 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
     non-int d, delta or e, is refused.
     """
     _check_signs(d, delta, e)
-    s = e + delta
-    if d < 3 or s < d - 1 or s >= d * d // 4:
-        return None
-    m = (d - _ceil_sqrt(d * d - 4 * s)) // 2
-    bound, _, _ = plane_degree_bound(d, delta)
-    # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6
-    if e < bound and m >= sqrt_ceil_term(d, delta):
-        raise InternalInconsistency(
-            f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 for d={d}, delta={delta}, e={e}"
-        )
-    return m
+    return _level_m(d, delta, e)
 
 
 @dataclass(frozen=True)
@@ -110,7 +129,12 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     singular points can remain, or no positive degree is left below the
     bound, so the chain has at most floor(log2 e) + 2 levels."""
     _check_signs(d, delta, e)
-    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=find_m(d, delta, e))]
+    return _chain(d, delta, e)
+
+
+def _chain(d: int, delta: int, e: int, terms=None) -> List[ChainLevel]:
+    # decomposition_chain on checked arguments; `terms` as in _level_m
+    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e, terms))]
     m0 = levels[0].m
     if m0 is None or m0 * d - e <= 0:
         return levels
@@ -118,7 +142,7 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     level = 1
     while True:
         top = ceil(bound) - 1  # largest integer degree strictly below the bound
-        m = find_m(d, delta, top)
+        m = _level_m(d, delta, top, terms)
         levels.append(ChainLevel(level=level, degree_bound=bound, m=m))
         if m is None or m * d - top <= 0 or top < 1:
             return levels
@@ -134,8 +158,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     solution, flagged via conclusion_guaranteed.
     """
     _check_signs(d, delta, e)
-    e_bound, term1, term2 = plane_degree_bound(d, delta)
-    t = sqrt_ceil_term(d, delta)
+    e_bound, term1, term2, t = _terms(d, delta)
     hypotheses = {
         "degree_at_least_4": PASS if d >= 4 else FAIL,
         "delta_small": PASS if 3 * delta <= d - 3 else FAIL,
@@ -143,7 +166,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         "blowup_ample_2delta_lt_d": PASS if 2 * delta < d else FAIL,
     }
     guaranteed = all(v == PASS for v in hypotheses.values())
-    chain = tuple(decomposition_chain(d, delta, e))
+    chain = tuple(_chain(d, delta, e, (e_bound, t)))
     m = chain[0].m
     degB = m * d - e if m is not None else None
     if guaranteed and degB is not None and 2 * degB >= e:
@@ -174,7 +197,8 @@ def remark_inequality_check(d: int, delta: int) -> bool:
     by the squared comparison under the sign guard d^2 >= 8 delta.  Holds on
     every admissible (d, delta).
     """
-    disc = _check_discriminant(d, delta)
+    _check_signs(d, delta)
+    disc = _discriminant(d, delta)
     lhs = d * d - 8 * delta
     if lhs < 0:
         return False

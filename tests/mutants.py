@@ -1,0 +1,282 @@
+"""A table of mutants of src/toricpoints, and the test files that must kill each.
+
+    python tests/mutants.py              # every mutant in the table
+    python tests/mutants.py NAME ...     # only the named ones
+
+For each mutant the runner copies src/, tests/ and pytest.ini to a
+temporary directory, replaces the mutant's snippet (which occurs exactly
+once) with its replacement, and runs `python -m pytest -x -q <files>` there.
+The mutant is killed when that run fails or outlives TIMEOUT_S seconds.
+The runner prints one line per mutant, killed or survived with the seconds
+taken, and exits 1 when any mutant survived.
+
+pytest does not collect this file, since only test_*.py files are test
+modules; tests/test_mutants.py checks that every snippet still occurs
+exactly once in src/, so the table cannot go stale unnoticed.  A change
+that adds a fast path or a check adds its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toricpoints"
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/toricpoints
+    snippet: str  # occurs exactly once in src/
+    replacement: str
+    tests: Tuple[str, ...]  # files under tests/ whose run must fail
+
+
+MUTANTS = (
+    # --json is written in one walk from the result
+    Mutant(
+        "json-fraction-unquoted",
+        "cli.py",
+        "    Fraction: lambda f: _quote(str(f)),",
+        "    Fraction: lambda f: str(f),",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-dataclass-fields-sorted",
+        "cli.py",
+        "for name in obj.__dataclass_fields__]",
+        "for name in sorted(obj.__dataclass_fields__)]",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-divisor-as-a-dataclass",
+        "cli.py",
+        "    elif isinstance(obj, ToricDivisor):\n        obj = obj.coeffs\n",
+        "",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-enum-by-name",
+        "cli.py",
+        "return _json_text(obj.value, pad)",
+        "return _json_text(obj.name, pad)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-empty-list-as-object",
+        "cli.py",
+        '    if not obj:\n        return "[]"',
+        '    if not obj:\n        return "{}"',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-big-int-written-short",
+        "cli.py",
+        "    int: int.__repr__,",
+        "    int: lambda i: int.__repr__(i % 10**4000),",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "main-copies-through-jsonable",
+        "cli.py",
+        "text = _json_text(result)",
+        "text = _json_text(jsonable(result))",
+        ("test_cli.py",),
+    ),
+    # the plane report works out its (d, delta) terms once
+    Mutant(
+        "plane-term1-for-e-bound",
+        "plane.py",
+        "chain = tuple(_chain(d, delta, e, (e_bound, t)))",
+        "chain = tuple(_chain(d, delta, e, (term1, t)))",
+        ("test_plane.py",),
+    ),
+    Mutant(
+        "plane-m-above-t",
+        "plane.py",
+        "    if e < e_bound and m >= t:",
+        "    if e < e_bound and m > t:",
+        ("test_plane.py",),
+    ),
+    Mutant(
+        "plane-terms-before-the-range",
+        "plane.py",
+        "    return _level_m(d, delta, e)",
+        "    return _level_m(d, delta, e, _terms(d, delta)[::3])",
+        ("test_plane.py",),
+    ),
+    Mutant(
+        "plane-arithmetic-before-the-contract",
+        "plane.py",
+        "    _check_signs(d, delta, e)\n    e_bound, term1, term2, t = _terms(d, delta)",
+        "    e_bound, term1, term2, t = _terms(d, delta)",
+        ("test_plane.py",),
+    ),
+    Mutant(
+        "plane-terms-per-level",
+        "plane.py",
+        "    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e, terms))]",
+        "    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e))]",
+        ("test_plane.py",),
+    ),
+    # the CLI parses with the command's own parser
+    Mutant(
+        "cli-leftovers-refused-by-the-sub-parser",
+        "cli.py",
+        '            parser.error("unrecognized arguments: "',
+        '            subs[argv[0]].error("unrecognized arguments: "',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli-parse-args-for-parse-known-args",
+        "cli.py",
+        "args, extra = subs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))",
+        "args, extra = subs[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0])), []",
+        ("test_cli.py",),
+    ),
+    # a class outside the ample cone gets verdicts
+    Mutant(
+        "report-without-the-ampleness-gate",
+        "lowdeg.py",
+        "    if ample and rep is not None:",
+        "    if rep is not None:",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "largest-int-below-takes-zero",
+        "lowdeg.py",
+        "    return e if e >= 1 else None",
+        "    return e if e >= 0 else None",
+        ("test_lowdeg.py",),
+    ),
+    # one home for each argument contract
+    Mutant(
+        "is-int-lets-bools-through",
+        "errors.py",
+        "    return type(value) is int",
+        "    return isinstance(value, int)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "require-ints-lets-bools-through",
+        "errors.py",
+        "        if type(v) is not int:",
+        "        if not isinstance(v, int):",
+        ("test_divisor.py", "test_geometry.py"),
+    ),
+    Mutant(
+        "lower-arc-start-without-the-second-entry-exit",
+        "fan.py",
+        "            if start is not None:\n                return None\n            start = i",
+        "            start = i",
+        ("test_fan.py",),
+    ),
+    # the clip: one solve per piece, and no clip for an empty polygon
+    Mutant(
+        "clip-exit-at-offsets-of-zero",
+        "geometry.py",
+        "    if min(offsets) > 0:",
+        "    if min(offsets) >= 0:",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "clip-meet-clamps-swapped",
+        "geometry.py",
+        "        if g > 0 and _le((r, g), hi):\n            hi = (r, g)\n"
+        "        elif g < 0 and _le(lo, (-r, -g)):\n            lo = (-r, -g)",
+        "        if g > 0 and _le(lo, (r, g)):\n            lo = (r, g)\n"
+        "        elif g < 0 and _le((-r, -g), hi):\n            hi = (-r, -g)",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "chains-empty-exit-before-the-winding-check",
+        "geometry.py",
+        "    start = lower_arc_start(normals)\n"
+        "    if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):",
+        "    start = lower_arc_start(normals)\n"
+        "    if min(c for _, c in halfplanes) > 0:\n"
+        "        return ([], []), ([], []), NEG_INF, INF\n"
+        "    if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):",
+        ("test_geometry.py",),
+    ),
+    # the lex-min point gallops from the first column
+    Mutant(
+        "lexmin-bisects-past-the-last-doubling",
+        "geometry.py",
+        "    lo = a + step // 2",
+        "    lo = a + step",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "lexmin-without-the-last-column-stop",
+        "geometry.py",
+        "        if hi == b:\n            return None\n",
+        "",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "lexmin-line-by-ceiled-break",
+        "geometry.py",
+        "key=lambda x: x[0] // x[1]",
+        "key=lambda x: -(-x[0] // x[1])",
+        ("test_geometry.py",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> Tuple[bool, float]:
+    """(killed, seconds) for one mutant, run in a scratch copy of the tree."""
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(
+            ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+        )
+        shutil.copy(ROOT / "pytest.ini", copy / "pytest.ini")
+        path = copy / "src" / "toricpoints" / mutant.file
+        source = path.read_text()
+        if source.count(mutant.snippet) != 1:
+            raise ValueError(f"{mutant.name}: the snippet does not occur exactly once in {mutant.file}")
+        path.write_text(source.replace(mutant.snippet, mutant.replacement))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            done = subprocess.run(
+                command + [f"tests/{name}" for name in mutant.tests],
+                cwd=copy,
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            )
+            killed = done.returncode != 0
+        except subprocess.TimeoutExpired:
+            killed = True
+    return killed, time.perf_counter() - started
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in chosen}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in chosen:
+        killed, seconds = run(mutant)
+        survived += not killed
+        print(f"{'killed' if killed else 'SURVIVED'} {mutant.name} ({seconds:.1f} s)", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

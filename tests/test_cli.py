@@ -1,4 +1,8 @@
+import argparse
 import contextlib
+import dataclasses
+import enum
+import inspect
 import io
 import json
 import os
@@ -11,17 +15,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricpoints
+from toricpoints import (
+    CurveOnSurface,
+    Positivity,
+    ToricDivisor,
+    cohomology,
+    hirzebruch_counterexample,
+    plane_theorem_report,
+    toric_theorem_report,
+)
 from toricpoints import cli
 from toricpoints.cli import (
     _json_text,
+    jsonable,
     main,
     make_parser,
     parse_divisor,
     parse_surface,
     surface_from_descriptor,
 )
-from toricpoints.errors import InputError
+from toricpoints.errors import InputError, InternalInconsistency
 from toricpoints.fan import builtin_surface, p2
+
+from conftest import count_calls
+from test_lowdeg import blowup_fans
 
 
 def run(capsys, *argv):
@@ -545,6 +562,122 @@ def test_an_int_too_long_for_str_raises_value_error_in_both(value):
         _json_text(value)
 
 
+def same_text(result):
+    """The one walk from a result writes what json.dumps writes of jsonable's copy."""
+    assert _json_text(result) == json.dumps(jsonable(result), indent=2)
+
+
+# Builtin surfaces, for the commands that read a surface by name
+NAMES = st.sampled_from(["P2", "P1xP1", *(f"F{m}" for m in range(8))])
+
+
+def on_the_edge_family(d, delta, e):
+    # (3t, t - 1, 2t): every hypothesis holds, yet the report raises
+    return d % 3 == 0 and delta == d // 3 - 1 and e == 2 * (d // 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_one_walk_writes_plane_reports_as_json_dumps_of_jsonable(data):
+    d = data.draw(st.integers(0, 10**5) | st.integers(0, 60))
+    delta = data.draw(st.integers(0, d * d // 36))
+    # e <= 0, below the gonality floor (m = None), in range and past it
+    e = data.draw(st.integers(-3, d + 3) | st.integers(-3, d * d // 4 + 3))
+    if on_the_edge_family(d, delta, e):
+        with pytest.raises(InternalInconsistency):
+            plane_theorem_report(d, delta, e)
+        return
+    same_text(plane_theorem_report(d, delta, e))
+
+
+def test_plane_reports_cover_the_cases_the_walk_must_write():
+    reports = [plane_theorem_report(*args) for args in [(8, 0, 7), (9, 0, 5), (8, 0, -4), (3, 0, 1)]]
+    assert reports[0].conclusion_guaranteed and reports[0].m == 1
+    assert reports[1].m is None and reports[2].e <= 0
+    assert reports[3].hypotheses["degree_at_least_4"] == "fail"
+    for r in reports:
+        same_text(r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(blowup_fans(), st.data())
+def test_one_walk_writes_reports_and_profiles_as_json_dumps_of_jsonable(fan, data):
+    coeffs = tuple(data.draw(st.lists(st.integers(-10, 20), min_size=fan.n, max_size=fan.n)))
+    mults = tuple(data.draw(st.lists(st.integers(2, 3), max_size=2)))
+    C = ToricDivisor(fan, coeffs)
+    # ample or not, with multiplicities or without
+    same_text(toric_theorem_report(CurveOnSurface(fan, C, mults)))
+    same_text(cohomology(C))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(NAMES, st.integers(1, 500), st.data())
+def test_one_walk_writes_every_other_command_as_json_dumps_of_jsonable(name, n, data):
+    n_rays = builtin_surface(name).n
+    vector = st.lists(st.integers(-50, 50), min_size=n_rays, max_size=n_rays).map(
+        lambda v: ",".join(map(str, v))
+    )
+    args = argparse.Namespace(surface=name, divisor=data.draw(vector), curve=data.draw(vector))
+    same_text(cli.COMMANDS["lambda"].run(args))
+    same_text(cli.COMMANDS["intersect"].run(args))
+    same_text(hirzebruch_counterexample(n))
+
+
+def test_one_walk_writes_the_selftest_result_as_json_dumps_of_jsonable():
+    same_text(cli.COMMANDS["selftest"].run(argparse.Namespace()))
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Positivity.AMPLE,
+        {"p": [Positivity.NOT_NEF, None]},
+        enum.IntEnum("Level", "LOW HIGH").HIGH,
+        Name("x\"y"),
+        {"k": [True, False, -(10**30)]},
+        (),
+        {},
+    ],
+    ids=repr,
+)
+def test_one_walk_writes_enums_subclasses_and_empty_containers_as_jsonable_does(value):
+    same_text(value)
+
+
+def test_one_walk_refuses_what_json_dumps_refuses():
+    for value in (object(), [1, {2, 3}]):
+        with pytest.raises(TypeError):
+            json.dumps(jsonable(value), indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def test_every_dataclass_lists_only_fields():
+    # the walk reads __dataclass_fields__, which would also list a ClassVar
+    classes = [
+        cls
+        for module in vars(toricpoints).values()
+        if inspect.ismodule(module) and module.__name__.startswith("toricpoints.")
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+    ]
+    assert len(classes) >= 9
+    for cls in classes:
+        assert list(cls.__dataclass_fields__) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_a_plane_result_past_the_digit_limit_raises_value_error_in_both():
+    r = plane_theorem_report(int(LONG), 0, 5)
+    with pytest.raises(ValueError):
+        json.dumps(jsonable(r), indent=2)
+    with pytest.raises(ValueError):
+        _json_text(r)
+
+
 class Parsed(Exception):
     """Raised by a command's run in place of its work; holds the namespace."""
 
@@ -610,3 +743,10 @@ def test_main_parses_as_the_top_level_parser_does(monkeypatch, argv):
     for name, row in cli.COMMANDS.items():
         monkeypatch.setitem(cli.COMMANDS, name, row._replace(run=run))
     assert _outcome(_parsed_by_main, argv) == _outcome(_parsed_by_the_top_level, argv)
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_main_writes_json_without_a_plain_data_copy(capsys, name):
+    argv = [name, *VALID[name], "--json"]
+    assert count_calls(lambda: main(argv), cli.jsonable) == {"jsonable": 0}
+    assert json.loads(capsys.readouterr().out)

@@ -766,6 +766,16 @@ def _interpolation_is_gated_on_ampleness(r):
         assert 2 * r.CD <= r.C2
 
 
+@pytest.mark.parametrize(
+    "d, bound, e_max",
+    [(1, 0, None), (2, Fraction(4, 9), None), (3, 1, None), (4, Fraction(16, 9), 1)],
+)
+def test_e_max_is_the_largest_positive_degree_strictly_below_the_bound(d, bound, e_max):
+    fan = p2()
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0))))
+    assert (r.degree_bound, r.e_max) == (bound, e_max)
+
+
 def test_classes_that_are_not_ample_get_verdicts_and_no_interpolation():
     # 2 C.D = C^2 - C.R bounds C.D by C^2/2 only for nef C: on F2, 9C0+7F
     # has a positive representation whose D raised InternalInconsistency,

@@ -2,16 +2,26 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpoints import (
+    CurveOnSurface,
+    ToricDivisor,
     decomposition_chain,
     find_m,
     plane_degree_bound,
     plane_theorem_report,
     remark_inequality_check,
     sqrt_ceil_term,
+    toric_theorem_report,
 )
+from toricpoints import plane
 from toricpoints.errors import ContractViolation, HypothesisViolation, InternalInconsistency
+from toricpoints.fan import p2
+from toricpoints.lowdeg import CERTIFIED, PASS
+
+from conftest import count_calls
 
 
 def sympy_ceil_term(d, delta):
@@ -260,3 +270,93 @@ def test_plane_report_takes_no_step_per_m():
     assert r.m == r.chain[0].m and r.degB == r.m * r.d - r.e
     r = plane_theorem_report(10**7, 0, 2 * 10**13)
     assert r.m == 2763932 and len(r.chain) == 11
+
+
+@pytest.mark.parametrize("args, levels_in_range", [((40, 3, 150), 3), ((9, 0, 8), 1)])
+def test_the_report_checks_once_and_works_out_its_terms_once(args, levels_in_range):
+    counts = count_calls(
+        lambda: plane_theorem_report(*args),
+        plane_degree_bound,
+        sqrt_ceil_term,
+        plane._check_signs,
+        plane._ceil_sqrt,
+    )
+    # one root for the discriminant, one per chain level whose s is in range
+    assert counts == {
+        "plane_degree_bound": 0,
+        "sqrt_ceil_term": 0,
+        "_check_signs": 1,
+        "_ceil_sqrt": 1 + levels_in_range,
+    }
+    chain = plane_theorem_report(*args).chain
+    assert sum(level.m is not None for level in chain) == levels_in_range
+
+
+@pytest.mark.parametrize("args", [(40, 3, 150), (9, 0, 8), (10**7, 0, 2 * 10**13), (30, 0, 80)])
+def test_every_chain_level_checks_m_against_the_reports_own_terms(monkeypatch, args):
+    seen = []
+    level_m = plane._level_m
+
+    def spy(d, delta, e, terms=None):
+        seen.append(terms)
+        return level_m(d, delta, e, terms)
+
+    monkeypatch.setattr(plane, "_level_m", spy)
+    r = plane_theorem_report(*args)
+    assert seen == [(r.e_bound, r.ceil_term)] * len(r.chain)
+    assert (r.e_bound, r.term1, r.term2) == plane_degree_bound(*args[:2])
+    assert r.ceil_term == sqrt_ceil_term(*args[:2])
+    assert list(r.chain) == decomposition_chain(*args)
+
+
+def test_the_find_m_check_fires_once_m_reaches_t():
+    # find_m(9, 0, 8) is 1: handed a t of 1, or 0, and an e below the
+    # bound, m is not below t
+    for t in (0, 1):
+        with pytest.raises(InternalInconsistency, match="is not below"):
+            plane._level_m(9, 0, 8, (Fraction(9), t))
+    assert plane._level_m(9, 0, 8, (Fraction(9), 2)) == 1
+    assert plane._level_m(9, 0, 8, (Fraction(8), 1)) == 1  # e is not below the bound
+
+
+def admissible_pairs(limit):
+    return [(d, delta) for d in range(1, limit) for delta in range(d * d // 36 + 1)]
+
+
+def test_plane_terms_specialise_the_toric_report_on_p2():
+    # C = dH with delta multiplicities of 2: blowup C~^2 = d^2 - 4 delta, and
+    # sum(multiplicities) = 2 delta < min C.D_i = d certifies the blowup ample
+    pairs = admissible_pairs(40)
+    assert len(pairs) == 598
+    fan = p2()
+    for d, delta in pairs:
+        toric = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0)), (2,) * delta))
+        r = plane_theorem_report(d, delta, 1)
+        assert r.term1 == Fraction(toric.blowup_C2, 9), (d, delta)
+        assert (r.hypotheses["blowup_ample_2delta_lt_d"] == PASS) == (
+            toric.hypothesis_verdicts["blowup_ample"] == CERTIFIED
+        ), (d, delta)
+
+
+def test_the_edge_family_raises_at_the_deg_b_site_for_every_t_below_27():
+    # (3t, t - 1, 2t), on the line 3 delta = d - 3: every hypothesis holds,
+    # yet m = 1 and deg B = t = e/2
+    for t in range(3, 27):
+        with pytest.raises(InternalInconsistency, match="deg B = "):
+            plane_theorem_report(3 * t, t - 1, 2 * t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(st.integers(0, 79).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, d * d // 36), st.integers(-2, d * d // 4 + 2))
+))
+def test_the_plane_layer_raises_internal_inconsistency_only_on_the_edge_family(args):
+    d, delta, e = args
+    find_m(d, delta, e)  # the find_m site never raises
+    decomposition_chain(d, delta, e)
+    try:
+        plane_theorem_report(d, delta, e)
+    except InternalInconsistency as exc:
+        t = d // 3
+        assert (d, delta, e) == (3 * t, t - 1, 2 * t)
+        assert str(exc).startswith("deg B = ")
