@@ -6,14 +6,13 @@ success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
 malformed input or a result too long to print.  Rationals are printed as exact
 "p/q" strings, never floats, so outputs are stable goldens.  The --json text
 of a result r is exactly json.dumps(jsonable(r), indent=2), written in one
-walk from r itself by _json_text, without jsonable's plain-data copy.
+walk from r itself by _json_text.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import functools
 import json
 import os
@@ -46,8 +45,6 @@ def jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, ToricDivisor):
         return list(obj.coeffs)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -88,12 +85,7 @@ def _json_text(obj, pad: str = "\n") -> str:
         obj = obj.coeffs
     elif hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance, in field order
         pairs = [(name, getattr(obj, name)) for name in obj.__dataclass_fields__]
-    elif isinstance(obj, enum.Enum):  # an IntEnum's value is the int it is
-        return _json_text(obj.value, pad)
     elif not isinstance(obj, (list, tuple, DegBTable)):
-        for cls, write in _SCALARS.items():  # a subclass of a scalar type
-            if isinstance(obj, cls):
-                return write(obj)
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if pairs is not None:
         if not pairs:

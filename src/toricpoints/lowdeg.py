@@ -208,6 +208,11 @@ class ConditionVerdicts:
 
 
 def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> ConditionVerdicts:
+    """For an ample C and e <= e_max each condition holds by proof; R = C_rep - 2D.
+    (1) C.R >= 0, so C.D <= C^2/2 < C^2, as C^2 > 9 when e_max exists.  (2) By
+    Serre duality h1(D - C) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg
+    vanishing makes 0 (Cox-Little-Schenck 9.3.5).  (3) R sums distinct D_i, so
+    R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0."""
     pairings = intersect_primes(C_rep)
     CD = pair(C_rep, pairings, D)
     C2 = pair(C_rep, pairings, C_rep)

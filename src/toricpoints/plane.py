@@ -4,8 +4,6 @@ Specialises the interpolation machinery to curves of degree d in P^2 with
 delta ordinary nodes and cusps.  The bounds involve sqrt(d^2 - 36 delta);
 all comparisons against it are done by squaring with sign guards, never with
 floats, because the interesting values sit right at integer boundaries.
-A report checks its arguments once and works out the (d, delta) terms
-(the ceiled root t, term1, term2 and e_bound) once, for every chain level.
 """
 
 from __future__ import annotations
@@ -67,24 +65,12 @@ def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction
     return _terms(d, delta)[:3]
 
 
-def _level_m(d: int, delta: int, e: int, terms=None) -> Optional[int]:
-    """find_m on checked arguments.  `terms` is (e_bound, t) of (d, delta);
-    when it is not given, it is worked out only for an s in range, since
-    d^2 < 36 delta is no error outside it."""
+def _level_m(d: int, delta: int, e: int) -> Optional[int]:
+    # find_m on checked arguments
     s = e + delta
     if d < 3 or s < d - 1 or s >= d * d // 4:
         return None
-    m = (d - _ceil_sqrt(d * d - 4 * s)) // 2
-    if terms is None:
-        e_bound, _, _, t = _terms(d, delta)
-    else:
-        e_bound, t = terms
-    # in range, m must stay below (d + sqrt(d^2 - 36 delta))/6
-    if e < e_bound and m >= t:
-        raise InternalInconsistency(
-            f"m = {m} is not below (d + sqrt(d^2 - 36 delta))/6 for d={d}, delta={delta}, e={e}"
-        )
-    return m
+    return (d - _ceil_sqrt(d * d - 4 * s)) // 2
 
 
 def find_m(d: int, delta: int, e: int) -> Optional[int]:
@@ -94,7 +80,9 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
     e + delta: (d - ceil(sqrt(d^2 - 4s))) // 2.  None when s < d - 1
     (degree-e divisors cannot move, by the gonality floor), and when d < 3 or
     s >= floor(d^2/4), where no such m exists.  A negative d or delta, or a
-    non-int d, delta or e, is refused.
+    non-int d, delta or e, is refused; d^2 < 36 delta is not.
+
+    Whenever e < e_bound, m is None or m < sqrt_ceil_term(d, delta).
     """
     _check_signs(d, delta, e)
     return _level_m(d, delta, e)
@@ -132,9 +120,9 @@ def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     return _chain(d, delta, e)
 
 
-def _chain(d: int, delta: int, e: int, terms=None) -> List[ChainLevel]:
-    # decomposition_chain on checked arguments; `terms` as in _level_m
-    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e, terms))]
+def _chain(d: int, delta: int, e: int) -> List[ChainLevel]:
+    # decomposition_chain on checked arguments
+    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e))]
     m0 = levels[0].m
     if m0 is None or m0 * d - e <= 0:
         return levels
@@ -142,7 +130,7 @@ def _chain(d: int, delta: int, e: int, terms=None) -> List[ChainLevel]:
     level = 1
     while True:
         top = ceil(bound) - 1  # largest integer degree strictly below the bound
-        m = _level_m(d, delta, top, terms)
+        m = _level_m(d, delta, top)
         levels.append(ChainLevel(level=level, degree_bound=bound, m=m))
         if m is None or m * d - top <= 0 or top < 1:
             return levels
@@ -166,7 +154,7 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         "blowup_ample_2delta_lt_d": PASS if 2 * delta < d else FAIL,
     }
     guaranteed = all(v == PASS for v in hypotheses.values())
-    chain = tuple(_chain(d, delta, e, (e_bound, t)))
+    chain = tuple(_chain(d, delta, e))
     m = chain[0].m
     degB = m * d - e if m is not None else None
     if guaranteed and degB is not None and 2 * degB >= e:

@@ -50,8 +50,8 @@ def _builtin_fans() -> List[ToricSurfaceFan]:
     return [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
 
-def _random_divisor(rng: random.Random, fan: ToricSurfaceFan, lo=-6, hi=9) -> ToricDivisor:
-    return ToricDivisor(fan, tuple(rng.randint(lo, hi) for _ in range(fan.n)))
+def _random_divisor(rng: random.Random, fan: ToricSurfaceFan) -> ToricDivisor:
+    return ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
 
 
 def _random_nef(rng: random.Random, fan: ToricSurfaceFan) -> ToricDivisor:
@@ -61,12 +61,12 @@ def _random_nef(rng: random.Random, fan: ToricSurfaceFan) -> ToricDivisor:
             return D
 
 
-def suite_hrr_vs_count(count: int = 200) -> SuiteResult:
+def suite_hrr_vs_count() -> SuiteResult:
     """On nef divisors h0 must equal chi with h1 = h2 = 0: the lattice count
     and the intersection-number formula are fully independent."""
     rng = random.Random(SEED)
     fans = _builtin_fans()
-    for k in range(count):
+    for k in range(200):
         fan = fans[k % len(fans)]
         D = _random_nef(rng, fan)
         prof = cohomology(D)
@@ -74,14 +74,14 @@ def suite_hrr_vs_count(count: int = 200) -> SuiteResult:
             return SuiteResult(
                 "hrr-vs-count", False, f"fan={fan.name} coeffs={D.coeffs} -> {prof}"
             )
-    return SuiteResult("hrr-vs-count", True, f"{count} nef divisors")
+    return SuiteResult("hrr-vs-count", True, "200 nef divisors")
 
 
-def _random_blowup(rng: random.Random, max_rays: int = 9) -> ToricSurfaceFan:
-    """P^2 or F_0..F_3 after random blowups, up to max_rays rays."""
+def _random_blowup(rng: random.Random) -> ToricSurfaceFan:
+    """P^2 or F_0..F_3 after random blowups, up to 9 rays."""
     m = rng.randint(0, 3)
     rays = rng.choice([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]])
-    for _ in range(rng.randint(0, max_rays - len(rays))):
+    for _ in range(rng.randint(0, 9 - len(rays))):
         i = rng.randrange(len(rays))
         u, v = rays[i], rays[(i + 1) % len(rays)]
         rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
@@ -130,11 +130,11 @@ def _peeled_h0(D: ToricDivisor, A: ToricDivisor) -> int:
         a[j] -= 1
 
 
-def suite_peeled_h0(count: int = 500) -> SuiteResult:
+def suite_peeled_h0() -> SuiteResult:
     """h0 and h2 = h0(K - D) by lattice counts against the peeling oracle,
     on divisors that are mostly not nef, where h0 and chi part."""
     rng = random.Random(SEED + 4)
-    for _ in range(count):
+    for _ in range(500):
         fan = _random_blowup(rng)
         A = _unit_polygon_class(fan)
         D = _random_divisor(rng, fan)
@@ -144,27 +144,27 @@ def suite_peeled_h0(count: int = 500) -> SuiteResult:
             return SuiteResult(
                 "peeled-h0", False, f"rays={fan.rays} coeffs={D.coeffs} -> {prof}, peeled {want}"
             )
-    return SuiteResult("peeled-h0", True, f"{count} divisors on blowups of P2 and F_0..F_3")
+    return SuiteResult("peeled-h0", True, "500 divisors on blowups of P2 and F_0..F_3")
 
 
-def suite_serre_duality(count: int = 500) -> SuiteResult:
+def suite_serre_duality() -> SuiteResult:
     rng = random.Random(SEED + 1)
     fans = _builtin_fans()
-    for k in range(count):
+    for k in range(500):
         fan = fans[k % len(fans)]
         D = _random_divisor(rng, fan)
         K = canonical_divisor(fan)
         if euler_characteristic(D) != euler_characteristic(K - D):
             return SuiteResult("serre-duality", False, f"fan={fan.name} coeffs={D.coeffs}")
-    return SuiteResult("serre-duality", True, f"{count} divisors")
+    return SuiteResult("serre-duality", True, "500 divisors")
 
 
-def suite_pairing(count: int = 500) -> SuiteResult:
+def suite_pairing() -> SuiteResult:
     """Bilinearity, symmetry and invariance under principal shifts."""
     rng = random.Random(SEED + 2)
     fans = _builtin_fans()
     grid = [(1, 0), (0, 1), (-1, 2), (3, -2)]
-    for k in range(count):
+    for k in range(500):
         fan = fans[k % len(fans)]
         D = _random_divisor(rng, fan)
         E = _random_divisor(rng, fan)
@@ -177,7 +177,7 @@ def suite_pairing(count: int = 500) -> SuiteResult:
         m = grid[k % len(grid)]
         if intersection_number(D + principal_divisor(fan, m), E) != de:
             return SuiteResult("pairing", False, f"class invariance fails on {fan.name}")
-    return SuiteResult("pairing", True, f"{count} random triples")
+    return SuiteResult("pairing", True, "500 random triples")
 
 
 def suite_lambda_table() -> SuiteResult:
@@ -200,13 +200,13 @@ def suite_remark_inequality() -> SuiteResult:
     return SuiteResult("remark-inequality", True, "d = 4..60, all admissible delta")
 
 
-def suite_positive_representation(count: int = 120) -> SuiteResult:
+def suite_positive_representation() -> SuiteResult:
     """For random ample C with C + K > 0: C - 2 floor(C/2) has 0/1
     coefficients and the section bound dominates C^2/4 + lambda - e."""
     rng = random.Random(SEED + 3)
     fans = _builtin_fans()
     done = 0
-    while done < count:
+    while done < 120:
         fan = fans[done % len(fans)]
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
@@ -222,7 +222,7 @@ def suite_positive_representation(count: int = 120) -> SuiteResult:
                     "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={e}"
                 )
         done += 1
-    return SuiteResult("positive-representation", True, f"{count} ample curve classes")
+    return SuiteResult("positive-representation", True, "120 ample curve classes")
 
 
 def _column_scan(halfplanes, x0: int, x1: int):
@@ -235,13 +235,13 @@ def _column_scan(halfplanes, x0: int, x1: int):
     return None
 
 
-def suite_lexmin(count: int = 200) -> SuiteResult:
+def suite_lexmin() -> SuiteResult:
     """The lex-min lattice point against a column scan, on slivers along
     q y - p x = k, whose lattice points lie q columns apart (some with a
     break of the lower envelope just left of the first), and on P_{C+K} for
     ample C: it lies in P_C, whose vertices have |x| <= B."""
     rng = random.Random(SEED + 5)
-    for i in range(count):
+    for i in range(200):
         if i % 2:
             q, x0, k = rng.randint(1, 400), rng.randint(-99, 99), rng.randint(-999, 999)
             p = next(p for p in range(rng.randint(-99, 99), 999) if gcd(p, q) == 1)
@@ -259,7 +259,7 @@ def suite_lexmin(count: int = 200) -> SuiteResult:
             hs, lo, hi = (C + canonical_divisor(fan)).halfplanes, -B, B
         if geometry.lexmin_lattice_point(hs) != _column_scan(hs, lo, hi):
             return SuiteResult("lexmin", False, f"half-planes {hs}")
-    return SuiteResult("lexmin", True, f"{count} slivers and polygons of C + K")
+    return SuiteResult("lexmin", True, "200 slivers and polygons of C + K")
 
 
 ALL_SUITES: List[Callable[[], SuiteResult]] = [

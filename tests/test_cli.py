@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import dataclasses
-import enum
 import inspect
 import io
 import json
@@ -627,29 +626,18 @@ def test_one_walk_writes_the_selftest_result_as_json_dumps_of_jsonable():
     same_text(cli.COMMANDS["selftest"].run(argparse.Namespace()))
 
 
-class Name(str):
-    pass
-
-
 @pytest.mark.parametrize(
     "value",
-    [
-        Positivity.AMPLE,
-        {"p": [Positivity.NOT_NEF, None]},
-        enum.IntEnum("Level", "LOW HIGH").HIGH,
-        Name("x\"y"),
-        {"k": [True, False, -(10**30)]},
-        (),
-        {},
-    ],
+    [{"k": [True, False, -(10**30)]}, (), {}],
     ids=repr,
 )
-def test_one_walk_writes_enums_subclasses_and_empty_containers_as_jsonable_does(value):
+def test_one_walk_writes_empty_containers_as_jsonable_does(value):
     same_text(value)
 
 
 def test_one_walk_refuses_what_json_dumps_refuses():
-    for value in (object(), [1, {2, 3}]):
+    # no result holds an Enum, so neither writer converts one
+    for value in (object(), [1, {2, 3}], Positivity.AMPLE, {"p": [Positivity.NOT_NEF]}):
         with pytest.raises(TypeError):
             json.dumps(jsonable(value), indent=2)
         with pytest.raises(TypeError):

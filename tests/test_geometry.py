@@ -105,7 +105,8 @@ def integral(halfplanes):
 
 def check_against_oracles(halfplanes):
     """The clip sees the half-planes scaled to int offsets, the oracles the
-    rational ones."""
+    rational ones.  The lex-min search may make about 2 log2(width) + 4
+    column counts; past that it is taken not to stop, and fails."""
     scaled = integral(halfplanes)
     vertices = feasible_vertices(scaled)
     expected = pairwise_vertices(halfplanes)
@@ -114,7 +115,10 @@ def check_against_oracles(halfplanes):
     assert min(len(vertices), 3) - 1 == hull_dimension(expected)
     points = box_lattice_points(halfplanes, expected)
     assert count_lattice_points(scaled) == len(points)
-    assert lexmin_lattice_point(scaled) == (min(points) if points else None)
+    a, b = integer_columns(expected) if expected else (1, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        count_probes(patch, cap=2 * max(b - a + 2, 1).bit_length() + 4)
+        assert lexmin_lattice_point(scaled) == (min(points) if points else None)
     if expected:
         want = min(points) if points else None
         assert column_scan(halfplanes, *integer_columns(expected)) == want

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricpoints import (
@@ -805,6 +805,26 @@ def test_a_report_on_any_class_raises_nothing(fan, data):
     mults = data.draw(st.lists(st.integers(2, 3), max_size=2))
     C = ToricDivisor(fan, tuple(coeffs))
     _interpolation_is_gated_on_ampleness(toric_theorem_report(CurveOnSurface(fan, C, tuple(mults))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data):
+    # the inequalities behind the verdicts, as proved in the
+    # interpolation_conditions docstring
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=fan.n, max_size=fan.n))
+    m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    mults = tuple(data.draw(st.lists(st.integers(2, 3), max_size=2)))
+    C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
+    r = toric_theorem_report(CurveOnSurface(fan, C, mults))
+    assume(r.e_max is not None and r.positive_rep is not None)
+    c, lam, e = r.conditions, r.lambda_value, r.e_max
+    R = r.positive_rep - r.interp_divisor - r.interp_divisor
+    assert 2 * c.CD <= c.C2 == r.C2 and c.C2 > 9
+    assert intersection_number(R, canonical_divisor(fan) * 2 + R) >= 4 * lam - 8
+    assert c.h0_bound >= lam + Fraction(c.C2, 4) - e > 0
+    assert c.h1_D_minus_C == cohomology(r.interp_divisor - C).h1 == 0
+    assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
 
 
 @pytest.mark.parametrize("d", range(4, 61))

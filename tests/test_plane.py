@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
 import sympy
@@ -231,10 +232,6 @@ def stepping_find_m(d, delta, e):
     m = 1
     while 2 * m < d:
         if m * (d - m) <= e + delta < (m + 1) * (d - (m + 1)):
-            bound, _, _ = plane_degree_bound(d, delta)
-            disc = d * d - 36 * delta
-            if e < bound and 6 * m - d >= 0 and (6 * m - d) ** 2 >= disc:
-                raise InternalInconsistency(f"m = {m} for d={d}, delta={delta}, e={e}")
             return m
         m += 1
     return None
@@ -293,30 +290,71 @@ def test_the_report_checks_once_and_works_out_its_terms_once(args, levels_in_ran
 
 
 @pytest.mark.parametrize("args", [(40, 3, 150), (9, 0, 8), (10**7, 0, 2 * 10**13), (30, 0, 80)])
-def test_every_chain_level_checks_m_against_the_reports_own_terms(monkeypatch, args):
-    seen = []
-    level_m = plane._level_m
-
-    def spy(d, delta, e, terms=None):
-        seen.append(terms)
-        return level_m(d, delta, e, terms)
-
-    monkeypatch.setattr(plane, "_level_m", spy)
+def test_the_report_agrees_with_the_public_functions(args):
     r = plane_theorem_report(*args)
-    assert seen == [(r.e_bound, r.ceil_term)] * len(r.chain)
     assert (r.e_bound, r.term1, r.term2) == plane_degree_bound(*args[:2])
     assert r.ceil_term == sqrt_ceil_term(*args[:2])
     assert list(r.chain) == decomposition_chain(*args)
+    assert r.m == find_m(*args)
 
 
-def test_the_find_m_check_fires_once_m_reaches_t():
-    # find_m(9, 0, 8) is 1: handed a t of 1, or 0, and an e below the
-    # bound, m is not below t
-    for t in (0, 1):
-        with pytest.raises(InternalInconsistency, match="is not below"):
-            plane._level_m(9, 0, 8, (Fraction(9), t))
-    assert plane._level_m(9, 0, 8, (Fraction(9), 2)) == 1
-    assert plane._level_m(9, 0, 8, (Fraction(8), 1)) == 1  # e is not below the bound
+def test_find_m_and_the_chain_answer_where_the_report_refuses():
+    # d^2 < 36 delta: there is no sqrt(d^2 - 36 delta), but m is defined
+    assert find_m(4, 1, 2) == 1
+    assert [(l.level, l.degree_bound, l.m) for l in decomposition_chain(4, 1, 2)] == [
+        (0, Fraction(2), 1),
+        (1, Fraction(1), None),
+    ]
+    with pytest.raises(HypothesisViolation):
+        plane_theorem_report(4, 1, 2)
+
+
+@st.composite
+def below_the_bound(draw):
+    """(d, delta, e) with 3 <= d <= 10^40, d^2 >= 36 delta and e < e_bound,
+    e often the largest such int, and often where m is defined."""
+    d = draw(st.integers(3, 10**40))
+    delta = draw(st.integers(0, d * d // 36))
+    top = ceil(plane_degree_bound(d, delta)[0]) - 1
+    e = draw(st.just(top) | st.integers(min(d - 1 - delta, top) - 2, top))
+    return d, delta, e
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(below_the_bound())
+def test_m_stays_below_the_ceiled_root_for_every_e_below_the_bound(args):
+    """For d >= 3, d^2 >= 36 delta and e < e_bound, find_m(d, delta, e) is
+    None or below t = sqrt_ceil_term(d, delta).
+
+    Let r = sqrt(d^2 - 36 delta), x = (d + r)/6 <= t and s = e + delta, and
+    let m be the largest m with m(d - m) <= s, so m < d/2.  Suppose m >= t.
+    Then x <= t <= m < d/2, and as y(d - y) rises on [0, d/2],
+    s >= m(d - m) >= t(d - t) >= x(d - x) = (d^2 + d r + 9 delta)/9.  But
+    s < e_bound + delta = max((d^2 + 5 delta)/9, (t(d - t) + delta)/2), and
+    both are <= t(d - t): the first as d r + 4 delta >= 0, the second as
+    t(d - t) >= x(d - x) >= delta.  So s < t(d - t) <= s, which is absurd.
+    Every chain level has a degree at most e, so the same holds there.
+    """
+    d, delta, e = args
+    t = sqrt_ceil_term(d, delta)
+    m = find_m(d, delta, e)
+    assert m is None or m < t
+    assert all(l.m is None or l.m < t for l in decomposition_chain(d, delta, e))
+
+
+def test_m_stays_below_the_ceiled_root_at_the_largest_e_below_the_bound():
+    # m never decreases as e grows, so the largest e below e_bound is the
+    # worst case; every (d, delta) with d < 150 and d^2 >= 36 delta
+    pairs, defined, tight = 0, 0, 0
+    for d in range(3, 150):
+        for delta in range(d * d // 36 + 1):
+            e = ceil(plane_degree_bound(d, delta)[0]) - 1
+            m, t = find_m(d, delta, e), sqrt_ceil_term(d, delta)
+            assert m is None or m < t, (d, delta, e)
+            pairs += 1
+            defined += m is not None
+            tight += m == t - 1
+    assert (pairs, defined, tight) == (31039, 31032, 17)
 
 
 def admissible_pairs(limit):
@@ -352,7 +390,7 @@ def test_the_edge_family_raises_at_the_deg_b_site_for_every_t_below_27():
 ))
 def test_the_plane_layer_raises_internal_inconsistency_only_on_the_edge_family(args):
     d, delta, e = args
-    find_m(d, delta, e)  # the find_m site never raises
+    find_m(d, delta, e)
     decomposition_chain(d, delta, e)
     try:
         plane_theorem_report(d, delta, e)
