@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import enum
 import inspect
 import io
 import json
@@ -635,13 +636,32 @@ def test_one_walk_writes_empty_containers_as_jsonable_does(value):
     same_text(value)
 
 
-def test_one_walk_refuses_what_json_dumps_refuses():
+@pytest.mark.parametrize(
+    "value",
     # no result holds an Enum, so neither writer converts one
-    for value in (object(), [1, {2, 3}], Positivity.AMPLE, {"p": [Positivity.NOT_NEF]}):
-        with pytest.raises(TypeError):
-            json.dumps(jsonable(value), indent=2)
-        with pytest.raises(TypeError):
-            _json_text(value)
+    [object(), [1, {2, 3}], Positivity.AMPLE, {"p": [Positivity.NOT_NEF, None]}],
+    ids=repr,
+)
+def test_one_walk_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(jsonable(value), indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [enum.IntEnum("Level", "LOW HIGH").HIGH, Name('x"y')], ids=repr
+)
+def test_one_walk_refuses_subclasses_of_its_scalars(value):
+    # it looks scalars up by exact type, and no result holds a subclass of one
+    with pytest.raises(TypeError):
+        _json_text(value)
+    with pytest.raises(TypeError):
+        _json_text({"k": [value]})
 
 
 def test_every_dataclass_lists_only_fields():
