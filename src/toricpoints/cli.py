@@ -127,6 +127,8 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
     if not isinstance(desc.get("name", ""), str):
         raise InputError('"name" must be a string')
     if "rays" in desc:
+        if "builtin" in desc or "m" in desc:
+            raise InputError('"rays" takes no "builtin" or "m" beside it')
         rays = desc["rays"]
         if not (
             isinstance(rays, list)

@@ -26,12 +26,10 @@ class CohomologyProfile:
 
 def euler_characteristic(D: ToricDivisor) -> int:
     """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1),
-    with K.D = -sum_j D.D_j read off the same vector as D^2."""
+    with K.D = -sum_j D.D_j read off the same vector as D^2.  The halving is
+    exact: D^2 - K.D = 2 sum a_j a_{j+1} + 2 sum a_j + sum D_j^2 a_j (a_j + 1)."""
     pairings = intersect_primes(D)
-    num = pair(D, pairings, D) + sum(pairings)
-    if num % 2 != 0:
-        raise InternalInconsistency("D^2 - K.D is odd")
-    return 1 + num // 2
+    return 1 + (pair(D, pairings, D) + sum(pairings)) // 2
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:

@@ -2,7 +2,8 @@
 
 A surface is described by its cyclically ordered primitive rays u_1,...,u_n
 (counterclockwise).  Smoothness and completeness together amount to
-det(u_i, u_{i+1}) = +1 for every consecutive pair.
+det(u_i, u_{i+1}) = +1 for every consecutive pair and rays that wind once
+around the origin; `ToricSurfaceFan` checks both when it is made.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import (
     ContractViolation,
     DuplicateRay,
     InputError,
-    InternalInconsistency,
     NonPrimitiveRay,
     NotSmoothOrNotComplete,
     require,
@@ -37,14 +37,44 @@ def det(a: LatticePoint, b: LatticePoint) -> int:
 
 @dataclass(frozen=True)
 class ToricSurfaceFan:
-    """Validated fan of a smooth complete toric surface.
+    """Fan of a smooth complete toric surface, validated when it is made.
 
-    Construct through :func:`build_fan` or :func:`builtin_surface`; direct
-    instantiation skips validation.  Immutable, safe to share.
+    Rays must be given in counterclockwise cyclic order, with int
+    coordinates; the order is kept as-is so prime divisor indices stay
+    stable.  Rays that make no such fan are refused with a `ToricError` when
+    the fan is made, however it is built.  Immutable, safe to share.
     """
 
     rays: Tuple[LatticePoint, ...]
     name: Optional[str] = None
+
+    def __post_init__(self):
+        try:
+            rays = tuple((x, y) for x, y in self.rays)
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise ContractViolation(f"rays must be pairs of ints, got {self.rays!r}") from None
+        require_ints((c for u in rays for c in u), "ray coordinates")
+        if self.name is not None:
+            require(self.name, str)
+        n = len(rays)
+        if n < 3:
+            raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
+        for u in rays:
+            if gcd(abs(u[0]), abs(u[1])) != 1:
+                raise NonPrimitiveRay(f"ray {u} is not primitive")
+        if len(set(rays)) != n:
+            raise DuplicateRay("fan contains a repeated ray")
+        for i in range(n):
+            d = det(rays[i], rays[(i + 1) % n])
+            if d != 1:
+                raise NotSmoothOrNotComplete(
+                    f"det(u_{i}, u_{(i + 1) % n}) = {d} != 1 for rays "
+                    f"{rays[i]}, {rays[(i + 1) % n]}"
+                )
+        # Consecutive dets of +1 still allow rays that wind more than once.
+        if lower_arc_start(rays) is None:
+            raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
+        object.__setattr__(self, "rays", rays)
 
     @property
     def n(self) -> int:
@@ -54,18 +84,12 @@ class ToricSurfaceFan:
     def self_intersections(self) -> Tuple[int, ...]:
         """(D_1^2, ..., D_n^2), computed on first use and kept with the fan.
 
-        On a smooth complete toric surface u_{i-1} + u_{i+1} = b_i u_i for a
-        unique integer b_i, and D_i^2 = -b_i.  Since det(u_i, u_{i+1}) = 1,
-        b_i = det(u_{i-1}, u_{i+1}).
+        u_{i-1} + u_{i+1} = b_i u_i with D_i^2 = -b_i.  Write u_{i-1} =
+        alpha u_i + beta u_{i+1}; det(u_{i-1}, u_i) = 1 forces beta = -1, so
+        b_i = alpha = det(u_{i-1}, u_{i+1}).
         """
-        out = []
-        for i, u in enumerate(self.rays):
-            prev, nxt = self.rays[i - 1], self.rays[(i + 1) % self.n]
-            b = det(prev, nxt)
-            if (prev[0] + nxt[0], prev[1] + nxt[1]) != (b * u[0], b * u[1]):
-                raise InternalInconsistency(f"u_{i - 1} + u_{i + 1} not a multiple of u_{i}")
-            out.append(-b)
-        return tuple(out)
+        rays, n = self.rays, self.n
+        return tuple(-det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
 
     def same_surface(self, other: "ToricSurfaceFan") -> bool:
         return self.rays == other.rays
@@ -87,38 +111,8 @@ def lower_arc_start(rays: Sequence[LatticePoint]) -> Optional[int]:
 
 
 def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> ToricSurfaceFan:
-    """Validate rays and build the fan.
-
-    Rays must be given in counterclockwise cyclic order, with int
-    coordinates; the order is kept as-is so prime divisor indices stay
-    stable.
-    """
-    try:
-        rays = tuple((x, y) for x, y in rays)
-    except (TypeError, ValueError):  # not a sequence of pairs
-        raise ContractViolation(f"rays must be pairs of ints, got {rays!r}") from None
-    require_ints((c for u in rays for c in u), "ray coordinates")
-    if name is not None:
-        require(name, str)
-    n = len(rays)
-    if n < 3:
-        raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
-    for u in rays:
-        if gcd(abs(u[0]), abs(u[1])) != 1:
-            raise NonPrimitiveRay(f"ray {u} is not primitive")
-    if len(set(rays)) != n:
-        raise DuplicateRay("fan contains a repeated ray")
-    for i in range(n):
-        d = det(rays[i], rays[(i + 1) % n])
-        if d != 1:
-            raise NotSmoothOrNotComplete(
-                f"det(u_{i}, u_{(i + 1) % n}) = {d} != 1 for rays "
-                f"{rays[i]}, {rays[(i + 1) % n]}"
-            )
-    # Consecutive dets of +1 still allow rays that wind more than once.
-    if lower_arc_start(rays) is None:
-        raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
-    return ToricSurfaceFan(rays=rays, name=name)
+    """The fan on `rays`, validated as :class:`ToricSurfaceFan` validates."""
+    return ToricSurfaceFan(rays, name)
 
 
 def p2() -> ToricSurfaceFan:
@@ -132,22 +126,23 @@ def hirzebruch(m: int) -> ToricSurfaceFan:
 
 
 def p1xp1() -> ToricSurfaceFan:
-    fan = hirzebruch(0)
-    return ToricSurfaceFan(rays=fan.rays, name="P1xP1")
+    return build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], name="P1xP1")
 
 
 def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:
-    """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m) or
-    F<m>, with m in ASCII digits."""
+    """Look up a builtin surface by name: P2, P1xP1, hirzebruch (needs m, the
+    only name that takes it) or F<m>, with m in ASCII digits."""
     key = require(name, str).strip().lower()
-    if key == "p2":
-        return p2()
-    if key == "p1xp1":
-        return p1xp1()
     if key == "hirzebruch":
         if m is None:
             raise InputError("hirzebruch surface needs the parameter m")
         return hirzebruch(m)
+    if m is not None:
+        raise InputError(f"only the hirzebruch surface takes the parameter m, not {name!r}")
+    if key == "p2":
+        return p2()
+    if key == "p1xp1":
+        return p1xp1()
     digits = key[1:]
     if key.startswith("f") and digits.isascii() and digits.isdigit():
         try:

@@ -29,7 +29,6 @@ from .divisor import (
 from .errors import (
     ContractViolation,
     FanMismatch,
-    InternalInconsistency,
     NotAmple,
     require,
     require_int,
@@ -132,13 +131,13 @@ def seshadri_ample_check(curve: CurveOnSurface) -> str:
     blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
     smooth curve (no delta_i) always meets.  Returns CERTIFIED or
     NOT_CERTIFIED; the latter is not a refutation."""
-    C = require(curve, CurveOnSurface).curve_class
-    return _seshadri(intersect_primes(C), curve.multiplicities)
+    pairings = intersect_primes(require(curve, CurveOnSurface).curve_class)
+    if classify_pairings(pairings) is not Positivity.AMPLE:
+        raise NotAmple("curve class is not ample")
+    return _seshadri(pairings, curve.multiplicities)
 
 
 def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
-    if classify_pairings(pairings) is not Positivity.AMPLE:
-        raise NotAmple("curve class is not ample")
     return CERTIFIED if sum(multiplicities) < min(pairings) else NOT_CERTIFIED
 
 
@@ -340,9 +339,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     table = DegBTable()
     conditions = None
     if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
-        D, CD, rep_C2 = interpolation_divisor(rep)
-        if rep_C2 != C2:
-            raise InternalInconsistency("C^2 changed under re-representation")
+        D, CD, _ = interpolation_divisor(rep)  # rep = C + div(chi^m) has rep^2 = C^2
         if e_max is not None:
             table = DegBTable(CD, e_max)
             conditions = interpolation_conditions(rep, D, e_max)

@@ -174,6 +174,51 @@ MUTANTS = (
         "            start = i",
         ("test_fan.py",),
     ),
+    # a fan is validated where it is made
+    Mutant(
+        "fan-takes-dets-above-one",
+        "fan.py",
+        "            if d != 1:",
+        "            if d < 1:",
+        ("test_fan.py",),
+    ),
+    Mutant(
+        "fan-without-the-winding-check",
+        "fan.py",
+        "        if lower_arc_start(rays) is None:\n"
+        '            raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")\n',
+        "",
+        ("test_fan.py",),
+    ),
+    Mutant(
+        "self-intersections-without-the-sign",
+        "fan.py",
+        "tuple(-det(rays[i - 1]",
+        "tuple(det(rays[i - 1]",
+        ("test_fan.py",),
+    ),
+    # a descriptor names one surface, and the Seshadri check refuses what is not ample
+    Mutant(
+        "descriptor-rays-beside-builtin",
+        "cli.py",
+        '        if "builtin" in desc or "m" in desc:',
+        '        if "m" in desc:',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "builtin-m-beside-another-name",
+        "fan.py",
+        "    if m is not None:\n        raise InputError(",
+        "    if False:\n        raise InputError(",
+        ("test_fan.py",),
+    ),
+    Mutant(
+        "seshadri-check-takes-any-class",
+        "lowdeg.py",
+        '    if classify_pairings(pairings) is not Positivity.AMPLE:\n        raise NotAmple("curve class is not ample")\n',
+        "",
+        ("test_lowdeg.py",),
+    ),
     # the clip: one solve per piece, and no clip for an empty polygon
     Mutant(
         "clip-exit-at-offsets-of-zero",

@@ -285,6 +285,25 @@ def test_descriptor_field_types_are_strict():
     assert surface_from_descriptor({"builtin": "hirzebruch", "m": 3}).name == "F3"
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"rays": [[1, 0], [0, 1], [-1, -1]], "builtin": "F1"},  # answered for P^2
+        {"rays": [[1, 0], [0, 1], [-1, -1]], "m": 1},
+        {"builtin": "F2", "m": 5},  # answered for F_2
+        {"builtin": "P2", "m": 0},
+    ],
+)
+def test_a_descriptor_that_names_two_surfaces_exits_2(tmp_path, capsys, desc):
+    with pytest.raises(InputError):
+        surface_from_descriptor(desc)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "lambda", "--surface", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_plane_edge_exits_2_with_and_without_optimisation(flags):
     # every hypothesis holds at 3 delta = d - 3 but deg B < e/2 does not

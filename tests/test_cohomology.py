@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpoints import (
     CurveOnSurface,
@@ -151,6 +153,34 @@ def test_effectivity_matches_h0():
             D = ToricDivisor(fan, tuple(rng.randint(-4, 5) for _ in range(fan.n)))
             has_rep = effective_representative(D) is not None
             assert has_rep == (cohomology(D).h0 > 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    st.lists(
+        st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**3), 10**3)), min_size=1, max_size=16
+    )
+)
+def test_d2_minus_kd_is_even_for_any_self_intersections(column):
+    """euler_characteristic halves D^2 - K.D exactly, with no parity check.
+
+    Write a_j for D's coefficients, s_j for D_j^2 and p_j = a_{j-1} + a_{j+1}
+    + s_j a_j for D.D_j, indices mod n.  As K = -sum D_j,
+    D^2 - K.D = sum_j a_j p_j + sum_j p_j = sum_j (a_j + 1) p_j
+              = 2 sum_j a_j a_{j+1} + 2 sum_j a_j + sum_j s_j a_j (a_j + 1),
+    and a_j (a_j + 1) is even.  Only the integrality of a and s is used, so
+    s is drawn here as any int vector, not only one that a fan gives."""
+    a, s = zip(*column)
+    n = len(a)
+    p = [a[j - 1] + a[(j + 1) % n] + s[j] * a[j] for j in range(n)]
+    num = sum(aj * pj for aj, pj in zip(a, p)) + sum(p)
+    assert num == sum((aj + 1) * pj for aj, pj in zip(a, p))
+    assert num == (
+        2 * sum(a[j] * a[(j + 1) % n] for j in range(n))
+        + 2 * sum(a)
+        + sum(sj * aj * (aj + 1) for aj, sj in zip(a, s))
+    )
+    assert num % 2 == 0
 
 
 def test_count_invariant_under_principal_shift():

@@ -1,6 +1,7 @@
 import pytest
 
 from toricpoints import (
+    ToricSurfaceFan,
     build_fan,
     builtin_surface,
     hirzebruch,
@@ -79,10 +80,57 @@ def test_wrong_cyclic_order_rejected():
         build_fan([(-1, -1), (0, 1), (1, 0)])
 
 
+# primitive, distinct, every consecutive det is 1, but two turns
+WINDS_TWICE = [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)]
+
+
 def test_rays_winding_twice_rejected():
-    # primitive, distinct, every consecutive det is 1, but two turns
     with pytest.raises(NotSmoothOrNotComplete):
-        build_fan([(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)])
+        build_fan(WINDS_TWICE)
+
+
+@pytest.mark.parametrize(
+    "rays, name, error",
+    [
+        ([(1, 0), (0, 1), (-1, -1), (1, 1)], None, NotSmoothOrNotComplete),
+        ([(1, 0), (2, 1), (0, 1), (-1, -1)], None, NotSmoothOrNotComplete),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)], None, DuplicateRay),
+        ([(2, 0), (0, 1), (-1, -1)], None, NonPrimitiveRay),
+        (WINDS_TWICE, None, NotSmoothOrNotComplete),
+        ([(1, 0), (0, 1)], None, NotSmoothOrNotComplete),
+        ([(-1, -1), (0, 1), (1, 0)], None, NotSmoothOrNotComplete),
+        ([(1.7, 0), (0, 1), (-1, -1)], None, ContractViolation),
+        ([(1, 0, 0), (0, 1), (-1, -1)], None, ContractViolation),
+        (None, None, ContractViolation),
+        ([(1, 0), (0, 1), (-1, -1)], 5, ContractViolation),
+    ],
+    ids=[
+        "det-0",
+        "det-2",
+        "repeat",
+        "not-primitive",
+        "winds-twice",
+        "two-rays",
+        "clockwise",
+        "float",
+        "triple",
+        "none",
+        "int-name",
+    ],
+)
+def test_direct_construction_refuses_what_build_fan_refuses(rays, name, error):
+    with pytest.raises(error) as built:
+        build_fan(rays, name)
+    with pytest.raises(error) as direct:
+        ToricSurfaceFan(rays=rays, name=name)
+    assert type(direct.value) is type(built.value)
+    assert str(direct.value) == str(built.value)
+
+
+def test_direct_construction_keeps_the_rays_as_tuples():
+    fan = ToricSurfaceFan([[1, 0], [0, 1], [-1, -1]], "P2")
+    assert fan == build_fan([(1, 0), (0, 1), (-1, -1)], "P2") == p2()
+    assert fan.rays == ((1, 0), (0, 1), (-1, -1))
 
 
 def test_builtin_surfaces():
@@ -95,6 +143,11 @@ def test_builtin_surfaces():
         builtin_surface("P3")
     with pytest.raises(InputError):
         builtin_surface("hirzebruch", -1)
+    assert p1xp1().name == "P1xP1"
+    # only hirzebruch takes m: F2 with m = 5 is not quietly F2
+    for name in ["F2", "P2", "P1xP1"]:
+        with pytest.raises(InputError, match="takes the parameter m"):
+            builtin_surface(name, 5)
 
 
 def test_prime_self_intersections_p2():

@@ -222,16 +222,14 @@ def test_build_fan_accepts_exactly_the_fans(case):
 
 
 # Exported names the walk does not call.  The result records are plain
-# dataclasses that validate nothing, and a ToricSurfaceFan built directly is
-# documented as unvalidated (build_fan validates).  Calling an Enum looks a
-# member up by its value, and raises ValueError for any other value.
+# dataclasses that validate nothing.  Calling an Enum looks a member up by
+# its value, and raises ValueError for any other value.
 RECORDS = {
     LambdaResult,
     CohomologyProfile,
     InterpolationReport,
     HirzebruchExampleReport,
     PlaneReport,
-    ToricSurfaceFan,
 }
 LOOKUPS = {Positivity}
 
@@ -292,7 +290,7 @@ def valid(fan, name, annotation):
         return st.builds(CurveOnSurface, st.just(fan), divisors, mults)
     if annotation == "LatticePoint":
         return st.tuples(ints, ints)
-    if annotation == "Sequence[LatticePoint]":
+    if annotation in ("Sequence[LatticePoint]", "Tuple[LatticePoint, ...]"):
         return st.just(list(fan.rays))
     if name == "coeffs":
         return coeffs
@@ -338,5 +336,6 @@ def test_every_exported_name_answers_or_raises_a_toric_error(name, function, dat
 
 def test_the_walk_reaches_every_exported_name():
     names = {name for name, _ in EXPORTED}
-    assert {"build_fan", "principal_divisor", "ToricDivisor", "toric_theorem_report"} <= names
-    assert names.isdisjoint({"LambdaResult", "ToricSurfaceFan", "Positivity", "LatticePoint"})
+    walked = {"build_fan", "ToricSurfaceFan", "principal_divisor", "ToricDivisor", "toric_theorem_report"}
+    assert walked <= names
+    assert names.isdisjoint({"LambdaResult", "Positivity", "LatticePoint"})

@@ -220,8 +220,18 @@ def test_pairing_matches_the_dense_matrix(fan, data):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(blowup_fans())
 def test_wall_numbers_meet_noethers_formula(fan):
-    # chi(O) = 1 and e = n give K^2 = 12 - n; as K = -sum D_i and each D_i
-    # meets its two neighbours once, that is sum D_i^2 = 12 - 3n
+    """chi(O) = 1 and e = n give K^2 = 12 - n; as K = -sum D_i and each D_i
+    meets its two neighbours once, that is sum D_i^2 = 12 - 3n.
+
+    Each D_i^2 = -b_i comes from the fan identity u_{i-1} + u_{i+1} = b_i u_i,
+    which self_intersections does not check: write u_{i-1} = alpha u_i +
+    beta u_{i+1} in the basis u_i, u_{i+1} (det 1).  Then det(u_{i-1}, u_i)
+    = -beta is 1, so u_{i-1} + u_{i+1} = alpha u_i, and alpha =
+    det(u_{i-1}, u_{i+1}) is the b_i the fan computes."""
+    rays, n = fan.rays, fan.n
+    for i, b in enumerate(-s for s in fan.self_intersections):
+        (px, py), (ux, uy), (qx, qy) = rays[i - 1], rays[i], rays[(i + 1) % n]
+        assert (px + qx, py + qy) == (b * ux, b * uy)
     assert sum(fan.self_intersections) == 12 - 3 * fan.n
     K = canonical_divisor(fan)
     assert exact(intersection_number(K, K), 12 - fan.n)
@@ -281,6 +291,14 @@ def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
 def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_principal(
     fan, anticanonical, data
 ):
+    """A representation pairs like C, so the report takes C^2 from C alone.
+
+    The representation is rep0 + (1, ..., 1), where rep0 = C + K + div(chi^m)
+    for some m, so rep = C + div(chi^m) as K = -(1, ..., 1).  By the fan
+    identity u_{j-1} + u_{j+1} = b_j u_j and D_j^2 = -b_j, div(chi^m).D_j =
+    <m, u_{j-1} + u_{j+1} - b_j u_j> = 0, so intersect_primes(rep) =
+    intersect_primes(C).  Then rep^2 = C^2 + <m, sum_j (C.D_j) u_j>, and
+    sum_j (C.D_j) u_j = sum_i c_i (u_{i-1} + u_{i+1} - b_i u_i) = 0."""
     K = canonical_divisor(fan)
     if anticanonical:  # C + K ~ 0
         m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
@@ -296,6 +314,10 @@ def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_princi
     assert (rep is None) == (peeled_h0(CK, A)[0] == 0 or principal)
     if rep is not None:
         assert classes_equal(rep, C) and min(rep.coeffs) >= 1 and max(rep.coeffs) >= 2
+        assert intersect_primes(rep) == intersect_primes(C)
+        assert intersection_number(rep, rep) == intersection_number(C, C)
+        if positivity(C) is not Positivity.NOT_NEF:
+            assert interpolation_divisor(rep)[2] == intersection_number(C, C)
 
 
 def test_a_fan_is_freed_after_use():
