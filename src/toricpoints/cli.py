@@ -124,6 +124,9 @@ def parse_surface(text: str) -> ToricSurfaceFan:
 def surface_from_descriptor(desc) -> ToricSurfaceFan:
     if not isinstance(desc, dict):
         raise InputError("surface descriptor must be a JSON object")
+    unknown = sorted(set(desc) - {"rays", "builtin", "m", "name"})
+    if unknown:
+        raise InputError(f"unknown surface descriptor keys: {', '.join(map(repr, unknown))}")
     if not isinstance(desc.get("name", ""), str):
         raise InputError('"name" must be a string')
     if "rays" in desc:
@@ -138,6 +141,8 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
             raise InputError('"rays" must be a list of [x, y] pairs of integers')
         return build_fan(rays, name=desc.get("name"))
     if "builtin" in desc:
+        if "name" in desc:
+            raise InputError('"builtin" takes no "name" beside it: a builtin surface has its own')
         if not isinstance(desc["builtin"], str):
             raise InputError('"builtin" must be a string')
         if "m" in desc and not is_int(desc["m"]):

@@ -3,8 +3,9 @@
 h0 is the number of lattice points of the polygon P_D
 (`ToricDivisor.halfplanes`, counted by `geometry.count_lattice_points`), h2
 comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
-Hirzebruch-Riemann-Roch, and h1 by difference.  A divisor's coefficients
-are ints, so every number here is an int.
+Hirzebruch-Riemann-Roch, and h1 by difference in `_h1`, which the
+interpolation report shares.  A divisor's coefficients are ints, so every
+number here is an int.
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ def cohomology(D: ToricDivisor) -> CohomologyProfile:
     chi = euler_characteristic(D)
     h0 = geometry.count_lattice_points(D.halfplanes)
     h2 = 0 if h0 else geometry.count_lattice_points((canonical_divisor(D.fan) - D).halfplanes)
+    return CohomologyProfile(h0=h0, h1=_h1(D, h0, h2, chi), h2=h2, chi=chi)
+
+
+def _h1(D: ToricDivisor, h0: int, h2: int, chi: int) -> int:
+    """h1(D) = h0 + h2 - chi; InternalInconsistency when it is negative."""
     h1 = h0 + h2 - chi
     if h1 < 0:
         raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")
-    return CohomologyProfile(h0=h0, h1=h1, h2=h2, chi=chi)
+    return h1
 

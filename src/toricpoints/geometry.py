@@ -22,7 +22,8 @@ and the columns under one boundary line are summed at once with
 the bounding box.  The lex-min point gallops over such counts from the
 region's left end, so it costs O(log(x* - a + 2)) counts for the first
 integer column a and the answer's column x*.  Each question (vertices,
-count, lex-min point) clips its half-planes once.
+count, lex-min point) clips its half-planes once, and one clip can answer
+both the lex-min point and the count of a residue class mod 2.
 """
 
 from __future__ import annotations
@@ -209,8 +210,33 @@ def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
     return _columns(lower, upper, a, b)
 
 
+def _class_count(lower: Chain, upper: Chain, ends: List[End], m: LatticePoint) -> int:
+    """Lattice points p = m (mod 2) of a clipped region, as the lattice points
+    q = (p - m)/2 of its image: a line <p, u> >= c becomes <q, 2u> >= c - <m, u>,
+    and an x-coordinate x becomes (x - m_x)/2, which keeps the envelopes' order."""
+    if not ends:
+        return 0
+    mx, my = m
+
+    def at(x: X) -> X:
+        num, den = x
+        return num - mx * den, 2 * den
+
+    lower, upper = (
+        ([((2 * ux, 2 * uy), c - mx * ux - my * uy) for (ux, uy), c in hull], list(map(at, breaks)))
+        for hull, breaks in (lower, upper)
+    )
+    a, (num, den) = (at(x) for x, _, _ in ends)
+    return _columns(lower, upper, _ceil(a), num // den)
+
+
 def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:
-    """The lattice point of the region that is smallest in (x, y), or None.
+    """The lattice point of the region that is smallest in (x, y), or None."""
+    return _lexmin(*_clip(halfplanes))
+
+
+def _lexmin(lower: Chain, upper: Chain, ends: List[End]) -> Optional[LatticePoint]:
+    """`lexmin_lattice_point` of a clipped region.
 
     The first non-empty column x* is found by galloping from the region's
     first integer column a: the columns a..a+2^k-1 are counted for
@@ -219,7 +245,6 @@ def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoi
     O(log(x* - a + 2)) counts, exactly one when column a holds the point; a
     region with no lattice point costs O(log width).
     """
-    lower, upper, ends = _clip(halfplanes)
     a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
     if a > b:
         return None

@@ -3,8 +3,10 @@
 Computes the surface invariant lambda(S), positive representations of an
 ample curve class C, the interpolation divisor floor(C/2), the admissible
 degree bound min((C^2 - sum delta_i^2)/9, C^2/4 + lambda), and the
-hypothesis/condition verdicts that go with them.  Also reproduces the F_1
-family where surjectivity of restriction fails.
+hypothesis/condition verdicts that go with them.  The report clips P_{C+K}
+once: its lex-min point gives the positive representation, and its points in
+that point's class mod 2 give h1(D - C).  Also reproduces the F_1 family
+where surjectivity of restriction fails.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from fractions import Fraction
 from math import floor
 from typing import Dict, Optional, Tuple
 
-from .cohomology import cohomology
+from . import geometry
+from .cohomology import _h1, cohomology, euler_characteristic
 from .divisor import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
     classify_pairings,
-    effective_representative,
     intersect_primes,
     intersection_number,
     pair,
@@ -34,7 +36,7 @@ from .errors import (
     require_int,
     require_ints,
 )
-from .fan import ToricSurfaceFan, hirzebruch
+from .fan import ToricSurfaceFan, dot, hirzebruch
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -150,10 +152,16 @@ def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
     principal exactly when that representative is zero; otherwise some
     shifted coefficient is >= 2.
     """
-    rep0 = effective_representative(C + canonical_divisor(require(C, ToricDivisor).fan))
-    if rep0 is None or not any(rep0.coeffs):
-        return None
-    return ToricDivisor(C.fan, tuple(a + 1 for a in rep0.coeffs))
+    return _positive_representation(C)[0]
+
+
+def _positive_representation(C: ToricDivisor):
+    """(rep, clip, m): the clip of P_{C+K}, its lex-min lattice point m, and
+    rep = C + div(chi^m), or None when m is None or C + K + div(chi^m) is 0."""
+    clip = geometry._clip((C + canonical_divisor(require(C, ToricDivisor).fan)).halfplanes)
+    m = geometry._lexmin(*clip)
+    rep = None if m is None else tuple(c + dot(m, u) for c, u in zip(C.coeffs, C.fan.rays))
+    return (ToricDivisor(C.fan, rep) if rep and set(rep) != {1} else None), clip, m
 
 
 def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int, int]:
@@ -162,7 +170,11 @@ def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int
     Returns (D, C.D, C^2).  R = C - 2D has 0/1 coefficients, so 2 C.D = C^2 -
     C.R <= C^2 when C is nef; NotAmple refuses a C with C.D > C^2/2.
     """
-    pairings = intersect_primes(positive_rep)
+    return _interpolation_divisor(positive_rep, intersect_primes(positive_rep))
+
+
+def _interpolation_divisor(positive_rep: ToricDivisor, pairings: Sequence[int]):
+    # pairings = intersect_primes(positive_rep), which every class it represents shares
     a = positive_rep.coeffs
     if any(c < 1 for c in a) or not any(c >= 2 for c in a):
         raise ContractViolation(
@@ -212,10 +224,14 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
     Serre duality h1(D - C) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg
     vanishing makes 0 (Cox-Little-Schenck 9.3.5).  (3) R sums distinct D_i, so
     R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0."""
-    pairings = intersect_primes(C_rep)
+    h1 = cohomology(require(D, ToricDivisor) - C_rep).h1
+    return _conditions(C_rep, intersect_primes(C_rep), D, e, h1)
+
+
+def _conditions(C_rep: ToricDivisor, pairings: Sequence[int], D: ToricDivisor, e: int, h1: int):
+    # the verdicts for pairings = intersect_primes(C_rep) and h1 = h1(D - C_rep)
     CD = pair(C_rep, pairings, D)
     C2 = pair(C_rep, pairings, C_rep)
-    h1 = cohomology(D - C_rep).h1
     bound = _h0_bound(C_rep, C2, D, e)
     return ConditionVerdicts(
         intersection_bound=PASS if CD < C2 else FAIL,
@@ -228,6 +244,14 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
         # halving C changes the sign of no C.D_j, so C/2 is ample iff C is
         half_curve_ample=classify_pairings(pairings) is Positivity.AMPLE,
     )
+
+
+def _h1_D_minus_C(C_rep: ToricDivisor, D: ToricDivisor, clip, m) -> int:
+    """h1(D - C_rep) for D = floor(C_rep/2) and (C_rep, clip, m) from
+    `_positive_representation`: h0 = 0, and h2 = h0(floor((C_rep + K)/2)) is
+    the number of points of the clip of P_{C+K} congruent to m mod 2."""
+    E = D - C_rep
+    return _h1(E, 0, geometry._class_count(*clip, m), euler_characteristic(E))
 
 
 class DegBTable(Sequence):
@@ -329,7 +353,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     verdicts["curve_ample"] = PASS if ample else FAIL
     verdicts["blowup_ample"] = _seshadri(pairings, curve.multiplicities) if ample else NOT_CERTIFIED
 
-    rep = positive_curve_representation(C)
+    rep, clip, m = _positive_representation(C)
     verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL
 
     bound = min(Fraction(bl2, 9), Fraction(C2, 4) + lam.value)
@@ -339,10 +363,10 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     table = DegBTable()
     conditions = None
     if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
-        D, CD, _ = interpolation_divisor(rep)  # rep = C + div(chi^m) has rep^2 = C^2
+        D, CD, _ = _interpolation_divisor(rep, pairings)
         if e_max is not None:
             table = DegBTable(CD, e_max)
-            conditions = interpolation_conditions(rep, D, e_max)
+            conditions = _conditions(rep, pairings, D, e_max, _h1_D_minus_C(rep, D, clip, m))
 
     return InterpolationReport(
         lambda_value=lam.value,

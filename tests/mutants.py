@@ -269,6 +269,50 @@ MUTANTS = (
         "key=lambda x: -(-x[0] // x[1])",
         ("test_geometry.py",),
     ),
+    # one clip per report: h1(D - C) from the points of P_{C+K} in m*'s class mod 2
+    Mutant(
+        "class-count-offset-dropped",
+        "geometry.py",
+        "    mx, my = m\n",
+        "    mx, my = 0, 0\n",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "class-count-break-not-halved",
+        "geometry.py",
+        "return num - mx * den, 2 * den",
+        "return num - mx * den, den",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "report-counts-the-class-of-zero",
+        "lowdeg.py",
+        "geometry._class_count(*clip, m)",
+        "geometry._class_count(*clip, (0, 0))",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "h1-check-refuses-zero",
+        "cohomology.py",
+        "    if h1 < 0:",
+        "    if h1 <= 0:",
+        ("test_cohomology.py",),
+    ),
+    # a surface descriptor refuses any key it does not read
+    Mutant(
+        "descriptor-takes-unknown-keys",
+        "cli.py",
+        '    unknown = sorted(set(desc) - {"rays", "builtin", "m", "name"})',
+        "    unknown = []",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "descriptor-takes-a-name-beside-builtin",
+        "cli.py",
+        '        if "name" in desc:\n',
+        "        if False:\n",
+        ("test_cli.py",),
+    ),
 )
 
 

@@ -304,6 +304,28 @@ def test_a_descriptor_that_names_two_surfaces_exits_2(tmp_path, capsys, desc):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "desc, word",
+    [
+        # misspelt keys were ignored, and the answer was for P^2
+        ({"rays": [[1, 0], [0, 1], [-1, -1]], "Builtin": "F1", "M": 3}, "'Builtin', 'M'"),
+        ({"builtin": "F1", "mm": 3}, "'mm'"),
+        ({"rays": [[1, 0], [0, 1], [-1, -1]], "comment": "P2"}, "'comment'"),
+        # a builtin surface has a fixed name, and another one was dropped
+        ({"builtin": "F1", "name": "Q"}, '"name"'),
+        ({"builtin": "hirzebruch", "m": 1, "name": "F1"}, '"name"'),
+    ],
+)
+def test_a_descriptor_key_that_is_not_read_exits_2(tmp_path, capsys, desc, word):
+    with pytest.raises(InputError, match=word):
+        surface_from_descriptor(desc)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "lambda", "--surface", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and word in err
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_plane_edge_exits_2_with_and_without_optimisation(flags):
     # every hypothesis holds at 3 delta = d - 3 but deg B < e/2 does not

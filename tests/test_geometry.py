@@ -1,8 +1,9 @@
 """The polygon clip, the floor-sum count and the lex-min point against
 brute-force oracles: pairwise boundary-line intersections for the vertices,
 a bounding-box scan for the lattice points, and a column-by-column scan for
-the lex-min point."""
+the lex-min point and, filtered by parity, for the count of a class mod 2."""
 
+import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, log2
 
@@ -71,9 +72,9 @@ def box_lattice_points(halfplanes, vertices):
     ]
 
 
-def column_scan(halfplanes, x0, x1):
-    """The lex-min lattice point among the columns x0..x1, found by scanning
-    them one at a time, or None."""
+def column_points(halfplanes, x0, x1):
+    """The lattice points among the columns x0..x1, scanned one column at a
+    time, each from the bottom: the first is the lex-min point."""
     for x in range(x0, x1 + 1):
         lo, hi = -inf, inf
         for (ux, uy), c in halfplanes:
@@ -85,8 +86,12 @@ def column_scan(halfplanes, x0, x1):
             elif r > 0:
                 hi = -inf
         if lo <= hi:
-            return x, lo
-    return None
+            yield from ((x, y) for y in range(lo, hi + 1))
+
+
+def column_scan(halfplanes, x0, x1):
+    """The lex-min lattice point among the columns x0..x1, or None."""
+    return next(column_points(halfplanes, x0, x1), None)
 
 
 def integer_columns(vertices):
@@ -208,6 +213,26 @@ def mixed_regions(draw):
 @example(list(zip(SIX_RAYS, _support_numbers(SIX_RAYS, SHIFTED_POINTS))))
 def test_mixed_denominators_and_huge_offsets_match_the_oracles(halfplanes):
     check_against_oracles(halfplanes)
+
+
+SHIFT = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+NO_SHIFTS = [(0, 0)] * 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(regions(), mixed_regions()), st.lists(SHIFT, min_size=4, max_size=4))
+@example(list(zip(SIX_RAYS, MIXED_OFFSETS)), NO_SHIFTS)
+@example([((1, 0), 2), ((0, 1), 1), ((-1, 0), -2), ((0, -1), -3)], NO_SHIFTS)  # a segment
+@example([((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)], NO_SHIFTS)  # the point 0
+@example([((1, 0), 1), ((0, 1), 0), ((-1, -1), 0)], NO_SHIFTS)  # empty
+def test_the_class_count_is_the_column_scan_filtered_by_parity(halfplanes, shifts):
+    # each class r mod 2, by a representative m = r + 2k drawn anywhere in it
+    vertices = pairwise_vertices(halfplanes)
+    points = list(column_points(halfplanes, *integer_columns(vertices))) if vertices else []
+    clip = geometry._clip(integral(halfplanes))
+    for (rx, ry), (kx, ky) in zip(itertools.product(range(2), repeat=2), shifts):
+        want = sum((x - rx) % 2 == 0 and (y - ry) % 2 == 0 for x, y in points)
+        assert geometry._class_count(*clip, (rx + 2 * kx, ry + 2 * ky)) == want
 
 
 def _refuse_fraction(*args):

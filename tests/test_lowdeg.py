@@ -44,6 +44,7 @@ from toricpoints.cli import jsonable
 from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
+from toricpoints.lowdeg import _h1_D_minus_C, _positive_representation
 
 from conftest import count_calls
 from test_divisor import classes_equal
@@ -849,6 +850,111 @@ def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data)
     assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
 
 
+def _halved(fan, coeffs):
+    # floor(E/2) componentwise
+    return ToricDivisor(fan, tuple(c // 2 for c in coeffs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
+    """h0(floor(E/2)) = #(P_E in 2Z^2) for every integral E.
+
+    For integers t = <m, u_i> and e = e_i, t >= -floor(e/2) holds exactly
+    when 2t >= -e: -floor(e/2) = ceil(-e/2), and an integer is >= -e/2
+    exactly when it is >= ceil(-e/2).  So m lies in P_{floor(E/2)} exactly
+    when 2m lies in P_E."""
+    coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=fan.n, max_size=fan.n))
+    E = ToricDivisor(fan, tuple(coeffs))
+    doubled = [((2 * ux, 2 * uy), c) for (ux, uy), c in E.halfplanes]  # {q : 2q in P_E}
+    even = geometry._class_count(*geometry._clip(E.halfplanes), (0, 0))
+    assert cohomology(_halved(fan, coeffs)).h0 == geometry.count_lattice_points(doubled) == even
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_the_reports_conditions_are_the_public_paths_on_ample_classes(fan, data):
+    """The report takes h1(D - C_rep) from its one clip of P_{C+K}; the
+    public interpolation_conditions takes it from cohomology(D - C_rep), and
+    both build the verdicts alike.
+
+    For C_rep = sum c_i D_i with every c_i >= 1 and D = floor(C_rep/2):
+    - D - C_rep has the coefficients floor(c_i/2) - c_i = -ceil(c_i/2) <= -1.
+      Every offset of P_{D-C} is then >= 1; the rays span the plane
+      positively, so sum w_i u_i = 0 for some w_i > 0, and an m in P_{D-C}
+      would give 0 = sum w_i <m, u_i> >= sum w_i > 0.  So h0(D - C) = 0.
+    - K - D + C_rep has the coefficients -1 - floor(c/2) + c = ceil(c/2) - 1
+      = floor((c - 1)/2), so K - D + C_rep = floor(rep0/2) for
+      rep0 = C_rep + K.
+    - C_rep = C + div(chi^m) for the lex-min point m of P_{C+K}, so
+      rep0 = C + K + div(chi^m), and p is in P_{rep0} exactly when
+      <p + m, u_i> >= -(C + K)_i: P_{rep0} = P_{C+K} - m.
+    So h2(D - C) = h0(floor(rep0/2)) counts the points of P_{C+K} - m in
+    2Z^2, the points of P_{C+K} congruent to m mod 2."""
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=fan.n, max_size=fan.n))
+    shift = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    C = polygon_class(fan, lengths)[0] + principal_divisor(fan, shift)
+    r = toric_theorem_report(CurveOnSurface(fan, C))
+    assume(r.conditions is not None)
+    rep, D, K = r.positive_rep, r.interp_divisor, canonical_divisor(fan)
+    assert all(d == -((c + 1) // 2) <= -1 for c, d in zip(rep.coeffs, (D - rep).coeffs))
+    assert cohomology(D - rep).h0 == 0
+    assert K - D + rep == _halved(fan, (rep + K).coeffs)
+    CK = C + K
+    m = geometry.lexmin_lattice_point(CK.halfplanes)
+    assert rep + K == CK + principal_divisor(fan, m)
+    assert geometry.lexmin_lattice_point((rep + K).halfplanes) == (0, 0)
+    assert geometry.count_lattice_points((rep + K).halfplanes) == cohomology(CK).h0
+    assert r.conditions == interpolation_conditions(rep, D, r.e_max)
+    assert r.conditions.h1_D_minus_C == cohomology(D - rep).h1 == 0
+
+
+# every class aC0 + bF on F_1 that is not nef, has a positive
+# representation and has h1(D - C) > 0, for 3 <= b < a <= 9
+F1_SURJECTIVITY_FAILS = [
+    (6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (8, 5),
+    (9, 3), (9, 4), (9, 5), (9, 6),
+]
+
+
+def _report_h1_against_cohomology(C):
+    # the report's h1 step on the positive representation of C, and the public one
+    rep, clip, m = _positive_representation(C)
+    D = _halved(C.fan, rep.coeffs)
+    got = _h1_D_minus_C(rep, D, clip, m)
+    assert got == cohomology(D - rep).h1
+    return got
+
+
+def test_the_class_count_gives_h1_where_surjectivity_fails():
+    """The identity behind the report's h1 holds for every positive
+    representation, nef or not (see the ample test above for its proof):
+    checked on every class aC0 + bF on F_0..F_3 with a, b in -2..11 that is
+    not nef and has a positive representation, F1 8C0+5F among them."""
+    positive = 0
+    for m, a, b in itertools.product(range(4), range(-2, 12), range(-2, 12)):
+        C = ToricDivisor(hirzebruch(m), (b, a, 0, 0))
+        if positivity(C) is Positivity.NOT_NEF and positive_curve_representation(C):
+            positive += _report_h1_against_cohomology(C) > 0
+    assert positive == 124
+    f1 = hirzebruch(1)
+    assert [
+        (a, b)
+        for a, b in itertools.product(range(3, 10), range(3, 10))
+        if b < a and _report_h1_against_cohomology(ToricDivisor(f1, (b, a, 0, 0))) > 0
+    ] == F1_SURJECTIVITY_FAILS
+    assert _report_h1_against_cohomology(ToricDivisor(f1, (5, 8, 0, 0))) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.data())
+def test_the_class_count_gives_h1_on_classes_that_are_not_nef(fan, data):
+    coeffs = data.draw(st.lists(st.integers(-3, 9), min_size=fan.n, max_size=fan.n))
+    C = ToricDivisor(fan, tuple(coeffs))
+    assume(positivity(C) is Positivity.NOT_NEF and positive_curve_representation(C))
+    _report_h1_against_cohomology(C)
+
+
 @pytest.mark.parametrize("d", range(4, 61))
 def test_p2_interpolation_degree_closed_form(d):
     fan = p2()
@@ -903,18 +1009,20 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         geometry._columns,
         geometry._clip,
         geometry._envelope,
+        cohomology,
     )
-    # pairing vectors: C in the report, C_rep in interpolation_divisor and
-    # interpolation_conditions, D - C for chi, and R = C_rep - 2D for the h0
-    # bound; the three clips are the lex-min point of P_{C+K}, h0(D - C) and
-    # h2(D - C), and the offsets of D - C, all >= 1, leave its polygon empty
-    # without an envelope
+    # pairing vectors: C in the report, which C_rep shares, D - C for chi,
+    # and R = C_rep - 2D for the h0 bound; divisors: K, C + K, C_rep, D,
+    # D - C_rep and the two steps of R; the one clip is P_{C+K}'s, and its
+    # two column counts are the lex-min probe and h2(D - C), the points of
+    # the clip congruent to the lex-min point mod 2
     assert counts == {
-        "intersect_primes": 5,
-        "ToricDivisor.__post_init__": 10,
-        "_columns": 3,
-        "_clip": 3,
-        "_envelope": 4,
+        "intersect_primes": 3,
+        "ToricDivisor.__post_init__": 7,
+        "_columns": 2,
+        "_clip": 1,
+        "_envelope": 2,
+        "cohomology": 0,
     }
 
 
