@@ -3,18 +3,20 @@
 h0 is the number of lattice points of the polygon P_D
 (`ToricDivisor.halfplanes`, counted by `geometry.count_lattice_points`), h2
 comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
-Hirzebruch-Riemann-Roch, and h1 by difference in `_h1`, which the
-interpolation report shares.  A divisor's coefficients are ints, so every
-number here is an int.
+Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`),
+and h1 by difference in `_h1`; the interpolation report shares both.  A
+divisor's coefficients are ints, so every number here is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
 from . import geometry
-from .divisor import ToricDivisor, canonical_divisor, intersect_primes, pair
-from .errors import InternalInconsistency
+from .divisor import ToricDivisor, intersect_primes
+from .errors import InternalInconsistency, require
 
 
 @dataclass(frozen=True)
@@ -26,26 +28,30 @@ class CohomologyProfile:
 
 
 def euler_characteristic(D: ToricDivisor) -> int:
-    """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1),
-    with K.D = -sum_j D.D_j read off the same vector as D^2.  The halving is
-    exact: D^2 - K.D = 2 sum a_j a_{j+1} + 2 sum a_j + sum D_j^2 a_j (a_j + 1)."""
-    pairings = intersect_primes(D)
-    return 1 + (pair(D, pairings, D) + sum(pairings)) // 2
+    """chi(D) = 1 + (D^2 - K.D)/2 by Hirzebruch-Riemann-Roch (chi(O) = 1)."""
+    return _chi(require(D, ToricDivisor).coeffs, intersect_primes(D))
+
+
+def _chi(a: Sequence[int], pairings: Sequence[int]) -> int:
+    """chi(D) for D = sum a_j D_j with pairings (D.D_j): D^2 = a.pairings, K.D = -sum pairings,
+    and D^2 - K.D = 2 sum a_j a_{j+1} + 2 sum a_j + sum D_j^2 a_j (a_j + 1) halves exactly."""
+    return 1 + (sum(map(mul, a, pairings)) + sum(pairings)) // 2
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:
     """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi.
-    h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface."""
+    h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface;
+    K - D has the coefficients -1 - a_i, so P_{K-D} = {m : <m, u_i> >= 1 + a_i}."""
     chi = euler_characteristic(D)
     h0 = geometry.count_lattice_points(D.halfplanes)
-    h2 = 0 if h0 else geometry.count_lattice_points((canonical_divisor(D.fan) - D).halfplanes)
-    return CohomologyProfile(h0=h0, h1=_h1(D, h0, h2, chi), h2=h2, chi=chi)
+    dual = ((u, 1 + a) for u, a in zip(D.fan.rays, D.coeffs))  # P_{K-D}, built when read
+    h2 = 0 if h0 else geometry.count_lattice_points(list(dual))
+    return CohomologyProfile(h0=h0, h1=_h1(D.coeffs, h0, h2, chi), h2=h2, chi=chi)
 
 
-def _h1(D: ToricDivisor, h0: int, h2: int, chi: int) -> int:
-    """h1(D) = h0 + h2 - chi; InternalInconsistency when it is negative."""
+def _h1(a: Sequence[int], h0: int, h2: int, chi: int) -> int:
+    """h1 = h0 + h2 - chi of sum a_j D_j; InternalInconsistency when it is < 0."""
     h1 = h0 + h2 - chi
     if h1 < 0:
-        raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")
+        raise InternalInconsistency(f"negative h1 = {h1} for coeffs {tuple(a)}")
     return h1
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from . import geometry
@@ -74,27 +75,21 @@ def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
 
 
 def intersect_primes(D: ToricDivisor) -> List[int]:
-    """The vector (D.D_1, ..., D.D_n).  D_j meets only its two cyclic
-    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2.  As
-    K = -sum D_j, the vector also gives K.D = -sum_j D.D_j."""
-    a = require(D, ToricDivisor).coeffs
+    """The vector (D.D_1, ..., D.D_n); it gives K.D = -sum_j D.D_j, as K = -sum D_j."""
+    return _pairings(require(D, ToricDivisor).coeffs, D.fan.self_intersections)
+
+
+def _pairings(a: Sequence[int], self_intersections: Sequence[int]) -> List[int]:
+    """(D.D_1, ..., D.D_n) for D = sum a_j D_j.  D_j meets only its two cyclic
+    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2."""
     n = len(a)
-    return [
-        a[j - 1] + a[(j + 1) % n] + a[j] * s
-        for j, s in enumerate(D.fan.self_intersections)
-    ]
+    return [a[j - 1] + a[(j + 1) % n] + a[j] * s for j, s in enumerate(self_intersections)]
 
 
 def intersection_number(D: ToricDivisor, E: ToricDivisor) -> int:
-    """Bilinear extension of the prime-divisor pairing."""
-    return pair(D, intersect_primes(D), E)
-
-
-def pair(D: ToricDivisor, pairings: Sequence[int], E: ToricDivisor) -> int:
-    """D.E from pairings = intersect_primes(D), so that one vector serves
-    every pairing with D; FanMismatch when E lives on another fan."""
+    """Bilinear extension of the prime-divisor pairing; FanMismatch across fans."""
     _check_same_fan(D, E)
-    return sum(e * p for e, p in zip(E.coeffs, pairings))
+    return sum(map(mul, E.coeffs, intersect_primes(D)))
 
 
 class Positivity(enum.Enum):

@@ -5,8 +5,9 @@ ample curve class C, the interpolation divisor floor(C/2), the admissible
 degree bound min((C^2 - sum delta_i^2)/9, C^2/4 + lambda), and the
 hypothesis/condition verdicts that go with them.  The report clips P_{C+K}
 once: its lex-min point gives the positive representation, and its points in
-that point's class mod 2 give h1(D - C).  Also reproduces the F_1 family
-where surjectivity of restriction fails.
+that point's class mod 2 give h1(D - C).  Every other number is a dot product
+of p = (C.D_j), which each representation of C shares, and q = (D.D_j).
+Also reproduces the F_1 family where surjectivity of restriction fails.
 """
 
 from __future__ import annotations
@@ -15,18 +16,19 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 from . import geometry
-from .cohomology import _h1, cohomology, euler_characteristic
+from .cohomology import _chi, _h1, cohomology
 from .divisor import (
     Positivity,
     ToricDivisor,
-    canonical_divisor,
+    _check_same_fan,
+    _pairings,
     classify_pairings,
     intersect_primes,
     intersection_number,
-    pair,
 )
 from .errors import (
     ContractViolation,
@@ -157,56 +159,56 @@ def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
 
 def _positive_representation(C: ToricDivisor):
     """(rep, clip, m): the clip of P_{C+K}, its lex-min lattice point m, and
-    rep = C + div(chi^m), or None when m is None or C + K + div(chi^m) is 0."""
-    clip = geometry._clip((C + canonical_divisor(require(C, ToricDivisor).fan)).halfplanes)
+    rep = C + div(chi^m), or None when m is None or C + K + div(chi^m) is 0.
+    C + K has the coefficients c_j - 1, so P_{C+K} = {m : <m, u_j> >= 1 - c_j}."""
+    rays = require(C, ToricDivisor).fan.rays
+    clip = geometry._clip([(u, 1 - c) for u, c in zip(rays, C.coeffs)])
     m = geometry._lexmin(*clip)
-    rep = None if m is None else tuple(c + dot(m, u) for c, u in zip(C.coeffs, C.fan.rays))
+    rep = None if m is None else tuple(c + dot(m, u) for c, u in zip(C.coeffs, rays))
     return (ToricDivisor(C.fan, rep) if rep and set(rep) != {1} else None), clip, m
+
+
+def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequence[int]):
+    """(C.D, C^2, b) for C_rep = sum a_j D_j and D = sum d_j D_j, from their
+    pairing vectors p = (C_rep.D_j) and q = (D.D_j): C.D = d.p, C^2 = a.p, and
+    the section bound at degree e is (b - 4e)/4.  R = C_rep - 2D pairs as p - 2q
+    and K.R = -sum_j R.D_j, so b = R.(2K + R) + 8 + C^2 = R.R - 2 sum_j R.D_j + 8 + C^2."""
+    C2 = sum(map(mul, a, p))
+    pR = [u - 2 * v for u, v in zip(p, q)]
+    RR = sum(map(mul, (x - 2 * y for x, y in zip(a, d)), pR))
+    return sum(map(mul, d, p)), C2, RR - 2 * sum(pR) + 8 + C2
 
 
 def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int, int]:
     """D = floor(C/2) componentwise for a positive representation of C.
 
     Returns (D, C.D, C^2).  R = C - 2D has 0/1 coefficients, so 2 C.D = C^2 -
-    C.R <= C^2 when C is nef; NotAmple refuses a C with C.D > C^2/2.
-    """
-    return _interpolation_divisor(positive_rep, intersect_primes(positive_rep))
-
-
-def _interpolation_divisor(positive_rep: ToricDivisor, pairings: Sequence[int]):
-    # pairings = intersect_primes(positive_rep), which every class it represents shares
-    a = positive_rep.coeffs
+    C.R <= C^2 when C is nef; NotAmple refuses a C with C.D > C^2/2."""
+    a = require(positive_rep, ToricDivisor).coeffs
     if any(c < 1 for c in a) or not any(c >= 2 for c in a):
-        raise ContractViolation(
-            "positive representation must have all a_i >= 1 and some a_j >= 2"
-        )
-    D = ToricDivisor(positive_rep.fan, tuple(c // 2 for c in a))
-    CD = pair(positive_rep, pairings, D)
-    C2 = pair(positive_rep, pairings, positive_rep)
+        raise ContractViolation("positive representation must have all a_i >= 1 and some a_j >= 2")
+    d = tuple(c // 2 for c in a)
+    q = _pairings(d, positive_rep.fan.self_intersections)
+    CD, C2, _ = _interpolation(a, intersect_primes(positive_rep), d, q)
     if 2 * CD > C2:
         raise NotAmple("C.D > C^2/2 for an interpolation divisor: the class is not nef")
-    return D, CD, C2
+    return ToricDivisor(positive_rep.fan, d), CD, C2
 
 
 def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
     """Lower bound (1/4)R.(2K+R) + 2 + C^2/4 - e, with R = C - 2D, for the
     sections of the residual divisor; positivity certifies that degree-e
-    moving divisors lift.  K.R = -sum_j R.D_j comes from R's vector, so no
-    K is built."""
-    return _h0_bound(C_rep, intersection_number(C_rep, C_rep), D, e)
-
-
-def _h0_bound(C_rep: ToricDivisor, C2: int, D: ToricDivisor, e: int) -> Fraction:
-    require_int(e, "degree e")
-    R = C_rep - D - D  # not 2 * D, where a D that is no divisor would raise TypeError
-    pairings = intersect_primes(R)
-    return Fraction(pair(R, pairings, R) - 2 * sum(pairings) + 8 + C2 - 4 * e, 4)
+    moving divisors lift.  R pairs as p - 2q for the pairing vectors p, q of C_rep and D."""
+    _check_same_fan(C_rep, D)
+    b = _interpolation(C_rep.coeffs, intersect_primes(C_rep), D.coeffs, intersect_primes(D))[2]
+    return Fraction(b - 4 * require_int(e, "degree e"), 4)
 
 
 @dataclass(frozen=True)
 class ConditionVerdicts:
     """Verdicts for the three defining conditions of a degree-e interpolation
-    divisor, with the numbers behind them."""
+    divisor, with the numbers behind them: CD, C2 and h0_bound are dot products
+    of the pairing vectors of C_rep and D, h1_D_minus_C is a lattice count."""
 
     intersection_bound: str  # C.D < C^2
     surjectivity: str  # h1(D - C) = 0 forces H0(S,D) ->> H0(C,D|_C)
@@ -223,35 +225,18 @@ def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Co
     (1) C.R >= 0, so C.D <= C^2/2 < C^2, as C^2 > 9 when e_max exists.  (2) By
     Serre duality h1(D - C) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg
     vanishing makes 0 (Cox-Little-Schenck 9.3.5).  (3) R sums distinct D_i, so
-    R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0."""
+    R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0.
+    The numbers are the report's, but h1(D - C_rep) comes from `cohomology`."""
     h1 = cohomology(require(D, ToricDivisor) - C_rep).h1
-    return _conditions(C_rep, intersect_primes(C_rep), D, e, h1)
+    p = intersect_primes(C_rep)
+    CD, C2, b = _interpolation(C_rep.coeffs, p, D.coeffs, intersect_primes(D))
+    return _verdicts(CD, C2, h1, Fraction(b - 4 * require_int(e, "degree e"), 4), p)
 
 
-def _conditions(C_rep: ToricDivisor, pairings: Sequence[int], D: ToricDivisor, e: int, h1: int):
-    # the verdicts for pairings = intersect_primes(C_rep) and h1 = h1(D - C_rep)
-    CD = pair(C_rep, pairings, D)
-    C2 = pair(C_rep, pairings, C_rep)
-    bound = _h0_bound(C_rep, C2, D, e)
-    return ConditionVerdicts(
-        intersection_bound=PASS if CD < C2 else FAIL,
-        surjectivity=PASS if h1 == 0 else FAIL,
-        section_lift=PASS if bound > 0 else FAIL,
-        CD=CD,
-        C2=C2,
-        h1_D_minus_C=h1,
-        h0_bound=bound,
-        # halving C changes the sign of no C.D_j, so C/2 is ample iff C is
-        half_curve_ample=classify_pairings(pairings) is Positivity.AMPLE,
-    )
-
-
-def _h1_D_minus_C(C_rep: ToricDivisor, D: ToricDivisor, clip, m) -> int:
-    """h1(D - C_rep) for D = floor(C_rep/2) and (C_rep, clip, m) from
-    `_positive_representation`: h0 = 0, and h2 = h0(floor((C_rep + K)/2)) is
-    the number of points of the clip of P_{C+K} congruent to m mod 2."""
-    E = D - C_rep
-    return _h1(E, 0, geometry._class_count(*clip, m), euler_characteristic(E))
+def _verdicts(CD: int, C2: int, h1: int, bound: Fraction, p: Sequence[int]) -> ConditionVerdicts:
+    # p is C's pairing vector; halving C changes the sign of no C.D_j, so C/2 is ample iff C is
+    verdicts = (PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0))
+    return ConditionVerdicts(*verdicts, CD, C2, h1, bound, classify_pairings(p) is Positivity.AMPLE)
 
 
 class DegBTable(Sequence):
@@ -346,12 +331,12 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
         "simple_singularities": ASSUMED,
     }
 
-    pairings = intersect_primes(C)
-    C2 = pair(C, pairings, C)
+    p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
+    C2 = sum(map(mul, C.coeffs, p))
     bl2 = blowup_self_intersection(C2, curve.multiplicities)
-    ample = classify_pairings(pairings) is Positivity.AMPLE
+    ample = classify_pairings(p) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
-    verdicts["blowup_ample"] = _seshadri(pairings, curve.multiplicities) if ample else NOT_CERTIFIED
+    verdicts["blowup_ample"] = _seshadri(p, curve.multiplicities) if ample else NOT_CERTIFIED
 
     rep, clip, m = _positive_representation(C)
     verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL
@@ -359,14 +344,21 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     bound = min(Fraction(bl2, 9), Fraction(C2, 4) + lam.value)
     e_max = _largest_int_below(bound)
 
-    D = CD = None
+    D = CD = conditions = None
     table = DegBTable()
-    conditions = None
     if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
-        D, CD, _ = _interpolation_divisor(rep, pairings)
+        # rep is positive by construction, and 2 C.D <= C^2 as C is nef
+        a = rep.coeffs
+        d = tuple(c // 2 for c in a)
+        q = _pairings(d, curve.fan.self_intersections)
+        CD, _, b = _interpolation(a, p, d, q)
+        D = ToricDivisor(curve.fan, d)
         if e_max is not None:
             table = DegBTable(CD, e_max)
-            conditions = _conditions(rep, pairings, D, e_max, _h1_D_minus_C(rep, D, clip, m))
+            E = tuple(y - x for x, y in zip(a, d))  # D - C_rep, which pairs as q - p
+            # h0(E) = 0, and h2(E) counts the points of the clip in m's class mod 2
+            h1 = _h1(E, 0, geometry._class_count(*clip, m), _chi(E, [v - u for u, v in zip(p, q)]))
+            conditions = _verdicts(CD, C2, h1, Fraction(b - 4 * e_max, 4), p)
 
     return InterpolationReport(
         lambda_value=lam.value,

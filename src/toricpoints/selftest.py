@@ -29,10 +29,13 @@ from .divisor import (
 )
 from .fan import ToricSurfaceFan, build_fan, det, hirzebruch, p1xp1, p2
 from .lowdeg import (
+    CurveOnSurface,
+    interpolation_conditions,
     interpolation_divisor,
     lambda_invariant,
     mainprop_h0_bound,
     positive_curve_representation,
+    toric_theorem_report,
 )
 from .plane import remark_inequality_check
 
@@ -202,7 +205,8 @@ def suite_remark_inequality() -> SuiteResult:
 
 def suite_positive_representation() -> SuiteResult:
     """For random ample C with C + K > 0: C - 2 floor(C/2) has 0/1
-    coefficients and the section bound dominates C^2/4 + lambda - e."""
+    coefficients, the section bound dominates C^2/4 + lambda - e, and the
+    report's conditions (h1 by a class count) are interpolation_conditions'."""
     rng = random.Random(SEED + 3)
     fans = _builtin_fans()
     done = 0
@@ -215,12 +219,15 @@ def suite_positive_representation() -> SuiteResult:
         if rep is None:
             continue
         D, CD, C2 = interpolation_divisor(rep)
-        lam = lambda_invariant(fan).value
-        for e in (1, 2, 5):
-            if mainprop_h0_bound(rep, D, e) < Fraction(C2, 4) + lam - e:
-                return SuiteResult(
-                    "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={e}"
-                )
+        r = toric_theorem_report(CurveOnSurface(fan, C))
+        lam, e_max = r.lambda_value, r.e_max
+        bad = [e for e in (1, 2, 5) if mainprop_h0_bound(rep, D, e) < Fraction(C2, 4) + lam - e]
+        if e_max is not None and r.conditions != interpolation_conditions(rep, D, e_max):
+            bad.append(e_max)
+        if bad:
+            return SuiteResult(
+                "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={bad[0]}"
+            )
         done += 1
     return SuiteResult("positive-representation", True, "120 ample curve classes")
 

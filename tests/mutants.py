@@ -298,6 +298,42 @@ MUTANTS = (
         "    if h1 <= 0:",
         ("test_cohomology.py",),
     ),
+    # the interpolation report reads every number from two pairing vectors
+    Mutant(
+        "r-pairs-as-p-minus-q",
+        "lowdeg.py",
+        "pR = [u - 2 * v for u, v in zip(p, q)]",
+        "pR = [u - v for u, v in zip(p, q)]",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "chi-subtracts-the-pairing-sum",
+        "cohomology.py",
+        "+ sum(pairings)) // 2",
+        "- sum(pairings)) // 2",
+        ("test_cohomology.py",),
+    ),
+    Mutant(
+        "pairing-without-the-self-intersection",
+        "divisor.py",
+        "a[(j + 1) % n] + a[j] * s for",
+        "a[(j + 1) % n] for",
+        ("test_divisor.py",),
+    ),
+    Mutant(
+        "k-minus-d-offsets-without-the-one",
+        "cohomology.py",
+        "((u, 1 + a) for u, a in",
+        "((u, a) for u, a in",
+        ("test_cohomology.py",),
+    ),
+    Mutant(
+        "c-plus-k-offsets-without-the-one",
+        "lowdeg.py",
+        "[(u, 1 - c) for u, c in",
+        "[(u, -c) for u, c in",
+        ("test_lowdeg.py",),
+    ),
     # a surface descriptor refuses any key it does not read
     Mutant(
         "descriptor-takes-unknown-keys",
