@@ -1,26 +1,32 @@
 """Command-line front end.
 
 Subcommands: lambda, cohomology, intersect, check-toric, plane,
-hirzebruch-example, selftest: one row each in COMMANDS.  Exit codes: 0
+hirzebruch-example, selftest: one row each in COMMANDS, and the row's
+options are the whole grammar.  argv[0] names the command; each option is
+one of the row's exact flags, written `--flag value` or `--flag=value`, and
+given at most once; a flag option (--json, --strict) takes no value; a value
+given as the next token must not start with `--`; every required option must
+be given.  `-h` or `--help` prints the usage of the commands, or anywhere
+after a command name that of its options, and exits 0.  Exit codes: 0
 success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
-malformed input or a result too long to print.  Rationals are printed as exact
-"p/q" strings, never floats, so outputs are stable goldens.  The --json text
-of a result r is exactly json.dumps(jsonable(r), indent=2), written in one
-walk from r itself by _json_text.
+malformed input (the command line included), a result too long to print or
+a closed stdout; exit 2 prints one `error:` line on stderr and nothing on
+stdout.  Rationals are printed as exact "p/q" strings, never floats, so
+outputs are stable goldens.  The --json text of a result r is exactly
+json.dumps(jsonable(r), indent=2), written in one walk from r itself by
+_json_text.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import cohomology
 from .divisor import ToricDivisor, intersection_number
@@ -161,19 +167,19 @@ _FC_RE = re.compile(r"[+-]?[0-9]*(?:C0|F)(?:[+-][0-9]*(?:C0|F))*")
 
 def _ascii_int(text: str) -> int:
     """An optionally signed run of ASCII digits with whitespace around it;
-    also the argparse type of the integer options."""
+    also the reader of the integer options."""
     if not _INT_RE.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise InputError(f"not an integer: {text!r}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        raise argparse.ArgumentTypeError(f"integer too long: {len(text)} characters") from None
+        raise InputError(f"integer too long: {len(text)} characters") from None
 
 
 def _int_list(text: str, what: str) -> List[int]:
     try:
         return [_ascii_int(v) for v in text.split(",")]
-    except argparse.ArgumentTypeError:
+    except InputError:
         raise InputError(f"{what} must be integers: {text!r}") from None
 
 
@@ -217,21 +223,35 @@ def parse_multiplicities(text: Optional[str]) -> tuple:
     return tuple(_int_list(text, "multiplicities"))
 
 
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class Option(NamedTuple):
+    """One option of a command: `read` turns the text of its value into what
+    the command is given, and is None for a flag, which takes no value and
+    is True when given; `default` is the value when the option is left out."""
+
+    read: Optional[Callable[[str], object]]
+    default: object = _REQUIRED
+    help: str = ""
+
+
 class Command(NamedTuple):
-    """One subcommand: `run` maps the parsed arguments to the result, `human`
-    maps the result to the lines printed without --json, and `failed` is the
-    test behind exit 1, read under --strict where the row offers it and
-    always where it does not (selftest)."""
+    """One subcommand: `options` maps each flag to its Option, `run` maps the
+    option values (keyed by the flag without its dashes) to the result,
+    `human` maps the result to the lines printed without --json, and
+    `failed` is the test behind exit 1, read under --strict where the row
+    offers it and always where it does not (selftest)."""
 
     help: str
-    options: Tuple[Tuple[str, dict], ...]
-    run: Callable[[argparse.Namespace], object]
+    options: Dict[str, Option]
+    run: Callable[[Dict[str, object]], object]
     human: Callable[[object], List[str]]
     failed: Optional[Callable[[object], bool]] = None
 
 
 def _lambda(args) -> dict:
-    fan = parse_surface(args.surface)
+    fan = parse_surface(args["surface"])
     res = lambda_invariant(fan)
     return {
         "surface": fan.name or "custom",
@@ -242,15 +262,15 @@ def _lambda(args) -> dict:
 
 
 def _intersect(args) -> dict:
-    fan = parse_surface(args.surface)
-    D = parse_divisor(fan, args.divisor)
-    return {"intersection": intersection_number(D, parse_divisor(fan, args.curve))}
+    fan = parse_surface(args["surface"])
+    D = parse_divisor(fan, args["divisor"])
+    return {"intersection": intersection_number(D, parse_divisor(fan, args["curve"]))}
 
 
 def _check_toric(args):
-    fan = parse_surface(args.surface)
-    C = parse_divisor(fan, args.curve)
-    mults = parse_multiplicities(args.multiplicities)
+    fan = parse_surface(args["surface"])
+    C = parse_divisor(fan, args["curve"])
+    mults = parse_multiplicities(args["multiplicities"])
     return toric_theorem_report(CurveOnSurface(fan=fan, curve_class=C, multiplicities=mults))
 
 
@@ -287,16 +307,16 @@ def _plane_lines(report) -> List[str]:
     ]
 
 
-_SURFACE = ("--surface", {"required": True})
-_DIVISOR = ("--divisor", {"required": True})
-_CURVE = ("--curve", {"required": True})
-_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
-_STRICT = ("--strict", {"action": "store_true", "help": "exit 1 on hypothesis failure"})
+_SURFACE = ("--surface", Option(str))
+_DIVISOR = ("--divisor", Option(str))
+_CURVE = ("--curve", Option(str))
+_JSON = ("--json", Option(None, False, "emit a JSON report"))
+_STRICT = ("--strict", Option(None, False, "exit 1 on hypothesis failure"))
 
 COMMANDS = {
     "lambda": Command(
         "surface invariant lambda(S)",
-        (_SURFACE, _JSON),
+        dict((_SURFACE, _JSON)),
         _lambda,
         lambda r: [
             f"lambda = {r['lambda']}",
@@ -305,40 +325,42 @@ COMMANDS = {
     ),
     "cohomology": Command(
         "h0/h1/h2/chi of a toric divisor",
-        (_SURFACE, _DIVISOR, _JSON),
-        lambda args: cohomology(parse_divisor(parse_surface(args.surface), args.divisor)),
+        dict((_SURFACE, _DIVISOR, _JSON)),
+        lambda args: cohomology(parse_divisor(parse_surface(args["surface"]), args["divisor"])),
         lambda p: [f"h0 = {p.h0}", f"h1 = {p.h1}", f"h2 = {p.h2}", f"chi = {p.chi}"],
     ),
     "intersect": Command(
         "intersection number of two divisors",
-        (_SURFACE, _DIVISOR, _CURVE, _JSON),
+        dict((_SURFACE, _DIVISOR, _CURVE, _JSON)),
         _intersect,
         lambda r: [f"D.E = {r['intersection']}"],
     ),
     "check-toric": Command(
         "full interpolation report for a curve class",
-        (_SURFACE, _CURVE, ("--multiplicities", {"default": None}), _JSON, _STRICT),
+        dict((_SURFACE, _CURVE, ("--multiplicities", Option(str, None)), _JSON, _STRICT)),
         _check_toric,
         _check_toric_lines,
         lambda report: any(v == FAIL for v in report.hypothesis_verdicts.values()),
     ),
     "plane": Command(
         "plane-curve degree bounds and decomposition",
-        (
-            ("--d", {"type": _ascii_int, "required": True}),
-            ("--delta", {"type": _ascii_int, "default": 0}),
-            ("--e", {"type": _ascii_int, "required": True}),
-            _JSON,
-            _STRICT,
+        dict(
+            (
+                ("--d", Option(_ascii_int)),
+                ("--delta", Option(_ascii_int, 0)),
+                ("--e", Option(_ascii_int)),
+                _JSON,
+                _STRICT,
+            )
         ),
-        lambda args: plane_theorem_report(args.d, args.delta, args.e),
+        lambda args: plane_theorem_report(args["d"], args["delta"], args["e"]),
         _plane_lines,
         lambda report: not report.conclusion_guaranteed,
     ),
     "hirzebruch-example": Command(
         "the F_1 surjectivity failure family",
-        (("--n", {"type": _ascii_int, "required": True}), _JSON, _STRICT),
-        lambda args: hirzebruch_counterexample(args.n),
+        dict((("--n", Option(_ascii_int)), _JSON, _STRICT)),
+        lambda args: hirzebruch_counterexample(args["n"]),
         lambda r: [
             f"n = {r.n}: C^2 = {r.C2}, deg P = {r.deg_P}",
             f"low degree regime (9 deg P < C^2): {r.low_degree_regime}",
@@ -350,7 +372,7 @@ COMMANDS = {
     ),
     "selftest": Command(
         "run the cross-oracle suites",
-        (_JSON,),
+        dict((_JSON,)),
         lambda args: {
             "suites": [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in run_selftest()]
         },
@@ -362,48 +384,109 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def make_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its map from command to sub-parser, built once."""
-    parser = argparse.ArgumentParser(
-        prog="toricpoints",
-        description="Exact divisor arithmetic and low-degree point bounds on toric surfaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag, kwargs in command.options:
-            p.add_argument(flag, **kwargs)
-    return parser, sub.choices
+def read_command_line(argv: Sequence[str]) -> Tuple[Command, Dict[str, object]]:
+    """The command that argv names and the values of its options, read by
+    its COMMANDS row; InputError for any other command line."""
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise InputError(f"{what}: expected one of {', '.join(COMMANDS)}")
+    name = argv[0]
+    command = COMMANDS[name]
+    options = command.options
+    args: Dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            raise InputError(f"{name} does not take {flag!r}: its options are {', '.join(options)}")
+        key = flag[2:]
+        if key in args:
+            raise InputError(f"{flag} is given twice")
+        if option.read is None:
+            if eq:
+                raise InputError(f"{flag} takes no value")
+            args[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise InputError(f"{flag} needs a value")
+        args[key] = option.read(value)
+    for flag, option in options.items():
+        args.setdefault(flag[2:], option.default)
+    if _REQUIRED in args.values():
+        missing = [flag for flag in options if args[flag[2:]] is _REQUIRED]
+        raise InputError(f"{name} needs {', '.join(missing)}")
+    return command, args
+
+
+def usage(name: Optional[str] = None) -> str:
+    """What -h prints: every command with its help, or one command's options."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join(
+            [
+                "usage: toricpoints COMMAND [OPTIONS]",
+                "",
+                "Exact divisor arithmetic and low-degree point bounds on toric surfaces",
+                "",
+                "commands:",
+                *(f"  {n:<{width}}  {c.help}" for n, c in COMMANDS.items()),
+                "",
+                "toricpoints COMMAND -h lists the options of COMMAND.",
+            ]
+        )
+    command = COMMANDS[name]
+    words = []
+    for flag, option in command.options.items():
+        word = flag if option.read is None else f"{flag} {flag[2:].upper()}"
+        words.append(word if option.default is _REQUIRED else f"[{word}]")
+    lines = [f"usage: toricpoints {name} {' '.join(words)}", "", command.help]
+    helped = [(flag, option.help) for flag, option in command.options.items() if option.help]
+    if helped:
+        lines += ["", "options:", *(f"  {flag:<8}  {text}" for flag, text in helped)]
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse and compute, then format and print the result in one step."""
-    parser, subs = make_parser()
-    if argv and argv[0] in subs:  # the top-level parser's dispatch, inline
-        args, extra = subs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:
-            parser.error("unrecognized arguments: " + " ".join(extra))
-    else:
-        args = parser.parse_args(argv)
-    if [] in vars(args).values():  # argparse reads "--surface=--" as an empty list
-        parser.error("an option's value cannot be '--'")
-    command = COMMANDS[args.command]
+    """Read the command line and compute, then format and print the result
+    in one step; returns the exit code and never raises SystemExit."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in ("-h", "--help"):
+        print(usage())
+        return 0
+    if argv and argv[0] in COMMANDS and ("-h" in argv or "--help" in argv):
+        print(usage(argv[0]))
+        return 0
     try:
+        command, args = read_command_line(argv)
         result = command.run(args)
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.json:
+        if args["json"]:
             text = _json_text(result)
         else:
             text = "\n".join(command.human(result))
     except ValueError:  # an integer with more digits than str() converts
         print("error: result too long to print: an integer has too many digits", file=sys.stderr)
         return 2
-    print(text)
-    if command.failed is not None and getattr(args, "strict", True) and command.failed(result):
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull, so that the
+        # flush at exit writes nothing and adds no "Exception ignored" message
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # no descriptor behind stdout
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print("error: cannot print the result: stdout is closed", file=sys.stderr)
+        return 2
+    if command.failed is not None and args.get("strict", True) and command.failed(result):
         return 1
     return 0
 

@@ -122,19 +122,34 @@ MUTANTS = (
         "    return (d - isqrt(d * d - 4 * s)) // 2",
         ("test_plane.py",),
     ),
-    # the CLI parses with the command's own parser
+    # the command line is read by the grammar of the command's COMMANDS row
     Mutant(
-        "cli-leftovers-refused-by-the-sub-parser",
+        "cli-required-options-left-out",
         "cli.py",
-        '            parser.error("unrecognized arguments: "',
-        '            subs[argv[0]].error("unrecognized arguments: "',
+        "    if _REQUIRED in args.values():",
+        "    if False:",
         ("test_cli.py",),
     ),
     Mutant(
-        "cli-parse-args-for-parse-known-args",
+        "cli-repeated-option-last-wins",
         "cli.py",
-        "args, extra = subs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))",
-        "args, extra = subs[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0])), []",
+        "        if key in args:",
+        "        if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli-flag-takes-a-value",
+        "cli.py",
+        "            if eq:\n",
+        "            if False:\n",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli-flags-matched-by-prefix",
+        "cli.py",
+        "        option = options.get(flag)\n",
+        "        flag = next((f for f in options if f.startswith(flag)), flag)\n"
+        "        option = options.get(flag)\n",
         ("test_cli.py",),
     ),
     # a class outside the ample cone gets verdicts

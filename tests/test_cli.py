@@ -1,5 +1,3 @@
-import argparse
-import contextlib
 import dataclasses
 import enum
 import inspect
@@ -29,7 +27,6 @@ from toricpoints.cli import (
     _json_text,
     jsonable,
     main,
-    make_parser,
     parse_divisor,
     parse_surface,
     surface_from_descriptor,
@@ -45,6 +42,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refused(capsys, *argv, says=""):
+    """main(argv) exits 2 with empty stdout and one `error:` line holding `says`."""
+    code, out, err = run(capsys, *argv)
+    return (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:") and says in err
 
 
 def test_lambda_p2(capsys):
@@ -217,10 +220,7 @@ def test_plane_refuses_negative_d_and_delta(capsys, argv):
 )
 def test_strict_is_refused_where_it_means_nothing(capsys, argv):
     # only check-toric, plane and hirzebruch-example have a hypothesis to fail
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--strict"])
-    assert exc.value.code == 2
-    assert "--strict" in capsys.readouterr().err
+    assert refused(capsys, *argv, "--strict", says="'--strict'")
 
 
 @pytest.mark.parametrize(
@@ -428,10 +428,7 @@ def test_text_integers_are_ascii_digits_only(capsys, argv):
     ],
 )
 def test_integer_options_are_ascii_digits_only(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "not an integer" in capsys.readouterr().err
+    assert refused(capsys, *argv, says="not an integer")
 
 
 def test_text_integers_take_signs_and_spaces(capsys):
@@ -445,45 +442,29 @@ def test_text_integers_take_signs_and_spaces(capsys):
     assert json.loads(out)["blowup_C2"] == 92
 
 
-def _call(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse refuses the command line
-        code = exc.code
-    return code, capsys.readouterr().out
+SEQUENCE = [
+    (["lambda", "--surface", "F2", "--json"], 0),
+    (["cohomology", "--surface", "P2", "--divisor", "5H"], 0),
+    (["plane", "--d", "12", "--delta", "1", "--e", "5", "--json"], 0),
+    (["cohomology", "--surface", "P2", "--divisor=1_0,0,0"], 2),
+    (["plane", "--d", "x", "--e", "5"], 2),
+    (["no-such-command"], 2),
+    (["check-toric", "--surface", "F1", "--curve", "26C0+27F", "--json"], 0),
+    (["hirzebruch-example", "--n", "26"], 0),
+    (["intersect", "--surface", "P2", "--divisor", "H"], 2),
+    (["lambda", "--surface", "P2"], 0),
+]
 
 
-def test_parser_is_built_once_and_reused(capsys):
-    calls = [
-        ["lambda", "--surface", "F2", "--json"],
-        ["cohomology", "--surface", "P2", "--divisor", "5H"],
-        ["plane", "--d", "12", "--delta", "1", "--e", "5", "--json"],
-        ["cohomology", "--surface", "P2", "--divisor=1_0,0,0"],
-        ["plane", "--d", "x", "--e", "5"],
-        ["no-such-command"],
-        ["check-toric", "--surface", "F1", "--curve", "26C0+27F", "--json"],
-        ["hirzebruch-example", "--n", "26"],
-        ["intersect", "--surface", "P2", "--divisor", "H"],
-        ["lambda", "--surface", "P2"],
-    ]
-    fresh = []
-    for argv in calls:
-        make_parser.cache_clear()
-        fresh.append(_call(capsys, argv))
-    parser = make_parser()
-    for argv, expected in zip(calls + calls[::-1], fresh + fresh[::-1]):
-        assert _call(capsys, argv) == expected
-    assert make_parser() is parser
-    assert [code for code, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 0]
+def test_each_call_reads_only_its_own_command_line(capsys):
+    # the same outputs, call by call, in order and in reverse
+    first = [run(capsys, *argv) for argv, _ in SEQUENCE]
+    assert [code for code, _, _ in first] == [code for _, code in SEQUENCE]
+    assert [run(capsys, *argv) for argv, _ in SEQUENCE[::-1]] == first[::-1]
 
 
 BIG = "9" * 5000  # more digits than int() converts
 LONG = "7" * 2200  # converts, but its square does not
-
-
-def refused(capsys, *argv):
-    code, out, err = run(capsys, *argv)
-    return (code, out, err.startswith("error:"), err.count("\n")) == (2, "", True, 1)
 
 
 @pytest.mark.parametrize("name", ["F²", "F٣", "F" + BIG], ids=["superscript", "arabic", "long"])
@@ -535,11 +516,7 @@ def test_deeply_nested_divisor_json_exits_2(capsys):
     "argv", [["plane", "--d", BIG, "--e", "5"], ["hirzebruch-example", "--n", BIG]], ids=["d", "n"]
 )
 def test_over_long_integer_options_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "integer too long: 5000 characters" in err
+    assert refused(capsys, *argv, says="integer too long: 5000 characters")
 
 
 def test_unreadable_surface_files_exit_2(tmp_path, capsys):
@@ -658,14 +635,14 @@ def test_one_walk_writes_every_other_command_as_json_dumps_of_jsonable(name, n, 
     vector = st.lists(st.integers(-50, 50), min_size=n_rays, max_size=n_rays).map(
         lambda v: ",".join(map(str, v))
     )
-    args = argparse.Namespace(surface=name, divisor=data.draw(vector), curve=data.draw(vector))
+    args = {"surface": name, "divisor": data.draw(vector), "curve": data.draw(vector)}
     same_text(cli.COMMANDS["lambda"].run(args))
     same_text(cli.COMMANDS["intersect"].run(args))
     same_text(hirzebruch_counterexample(n))
 
 
 def test_one_walk_writes_the_selftest_result_as_json_dumps_of_jsonable():
-    same_text(cli.COMMANDS["selftest"].run(argparse.Namespace()))
+    same_text(cli.COMMANDS["selftest"].run({}))
 
 
 @pytest.mark.parametrize(
@@ -727,37 +704,6 @@ def test_a_plane_result_past_the_digit_limit_raises_value_error_in_both():
         _json_text(r)
 
 
-class Parsed(Exception):
-    """Raised by a command's run in place of its work; holds the namespace."""
-
-
-def _outcome(call, argv):
-    """(namespace or exit code, stdout, stderr) of call(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = call(argv)
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
-
-
-def _parsed_by_main(argv):
-    try:
-        main(argv)
-    except Parsed as parsed:
-        return parsed.args[0]
-    raise AssertionError(f"main({argv}) ran no command")
-
-
-def _parsed_by_the_top_level(argv):
-    parser = make_parser()[0]
-    args = parser.parse_args(argv)
-    if [] in vars(args).values():  # main's one rule beyond argparse's own
-        parser.error("an option's value cannot be '--'")
-    return args
-
-
 VALID = {
     "lambda": ["--surface", "P2"],
     "cohomology": ["--surface", "P2", "--divisor", "2H"],
@@ -767,31 +713,200 @@ VALID = {
     "hirzebruch-example": ["--n", "26"],
     "selftest": [],
 }
-TAILS = [[], ["--json"], ["--strict"], ["--bogus"], ["stray"], ["--d", "x"], ["--surface=--"], ["-h"], ["--"]]
+# The values each command is given for its VALID line
+READ = {
+    "lambda": {"surface": "P2", "json": False},
+    "cohomology": {"surface": "P2", "divisor": "2H", "json": False},
+    "intersect": {"surface": "P2", "divisor": "H", "curve": "H", "json": False},
+    "check-toric": {
+        "surface": "P2", "curve": "9H", "multiplicities": "2", "json": False, "strict": False
+    },
+    "plane": {"d": 8, "delta": 0, "e": 7, "json": False, "strict": False},
+    "hirzebruch-example": {"n": 26, "json": False, "strict": False},
+    "selftest": {"json": False},
+}
+OPTIONS = {
+    "lambda": "--surface, --json",
+    "cohomology": "--surface, --divisor, --json",
+    "intersect": "--surface, --divisor, --curve, --json",
+    "check-toric": "--surface, --curve, --multiplicities, --json, --strict",
+    "plane": "--d, --delta, --e, --json, --strict",
+    "hirzebruch-example": "--n, --json, --strict",
+    "selftest": "--json",
+}
+NAMED = "expected one of " + ", ".join(VALID)
+HELP = "usage"  # what main makes of a line that asks for help
+
+
+def not_taken(name, flag):
+    return f"error: {name} does not take {flag!r}: its options are {OPTIONS[name]}"
+
+
+def tails(name):
+    """What main makes of the VALID line of `name` followed by each tail: the
+    values its command is given, HELP for its usage, or the one error line."""
+    read, strict = READ[name], "strict" in READ[name]
+    return [
+        ([], read),
+        (["--json"], {**read, "json": True}),
+        (["--strict"], {**read, "strict": True} if strict else not_taken(name, "--strict")),
+        (["--bogus"], not_taken(name, "--bogus")),
+        (["stray"], not_taken(name, "stray")),
+        (["--d", "x"], "error: --d is given twice" if "d" in read else not_taken(name, "--d")),
+        (
+            ["--surface=--"],
+            "error: --surface is given twice" if "surface" in read else not_taken(name, "--surface"),
+        ),
+        (["-h"], HELP),
+        (["--"], not_taken(name, "--")),
+    ]
+
+
 COMMAND_LINES = (
-    [[name, *line, *tail] for name, line in VALID.items() for tail in TAILS]
-    + [[name] for name in VALID]  # a required option missing, but for selftest
+    [([name, *VALID[name], *tail], then) for name in VALID for tail, then in tails(name)]
+    + [  # a required option missing, but for selftest
+        (["lambda"], "error: lambda needs --surface"),
+        (["cohomology"], "error: cohomology needs --surface, --divisor"),
+        (["intersect"], "error: intersect needs --surface, --divisor, --curve"),
+        (["check-toric"], "error: check-toric needs --surface, --curve"),
+        (["plane"], "error: plane needs --d, --e"),
+        (["hirzebruch-example"], "error: hirzebruch-example needs --n"),
+        (["selftest"], READ["selftest"]),
+    ]
     + [
-        [],
-        ["--help"],
-        ["no-such-command"],
-        ["--json", "lambda", "--surface", "P2"],
-        ["-h", "lambda"],
-        ["lambda", "--", "--surface", "P2"],
-        ["cohomology", "--surface", "P2", "--div", "2H", "x", "--bogus=1"],
-        ["plane", "--d", "8", "--e=7", "--d", "9"],
+        ([], f"error: no command given: {NAMED}"),
+        (["--help"], HELP),
+        (["no-such-command"], f"error: unknown command 'no-such-command': {NAMED}"),
+        (["--json", "lambda", "--surface", "P2"], f"error: unknown command '--json': {NAMED}"),
+        (["-h", "lambda"], HELP),
+        (["lambda", "--", "--surface", "P2"], not_taken("lambda", "--")),
+        (
+            ["cohomology", "--surface", "P2", "--div", "2H", "x", "--bogus=1"],
+            not_taken("cohomology", "--div"),
+        ),
+        (["plane", "--d", "8", "--e=7", "--d", "9"], "error: --d is given twice"),
+        (["lambda", "--json", "--json", "--surface", "P2"], "error: --json is given twice"),
+        # a value given as the next token does not start with --, and "=" takes any
+        (["lambda", "--surface"], "error: --surface needs a value"),
+        (["lambda", "--surface", "--json"], "error: --surface needs a value"),
+        (["plane", "--d", "--8", "--e", "7"], "error: --d needs a value"),
+        (["plane", "--d", "-8", "--e", "7"], {**READ["plane"], "d": -8}),
+        (["lambda", "--surface=--json"], {**READ["lambda"], "surface": "--json"}),
+        (["lambda", "--surface=a=b", "--json"], {"surface": "a=b", "json": True}),
+        (["lambda", "--surface="], {**READ["lambda"], "surface": ""}),
+        (["plane", "--d=", "--e", "7"], "error: not an integer: ''"),
+        (["lambda", "--surface", "-h"], HELP),
     ]
 )
 
 
-@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
-def test_main_parses_as_the_top_level_parser_does(monkeypatch, argv):
-    def run(args):
-        raise Parsed(args)
-
+@pytest.mark.parametrize(
+    "argv, then", COMMAND_LINES, ids=[" ".join(argv) for argv, _ in COMMAND_LINES]
+)
+def test_main_reads_each_command_line_by_the_grammar(monkeypatch, capsys, argv, then):
+    # each command's run hands back the values it is given, in key order
     for name, row in cli.COMMANDS.items():
-        monkeypatch.setitem(cli.COMMANDS, name, row._replace(run=run))
-    assert _outcome(_parsed_by_main, argv) == _outcome(_parsed_by_the_top_level, argv)
+        echo = row._replace(run=lambda args: dict(sorted(args.items())), human=lambda r: [repr(r)])
+        monkeypatch.setitem(cli.COMMANDS, name, echo._replace(failed=None))
+    got = run(capsys, *argv)
+    if then == HELP:
+        name = argv[0] if argv[0] in cli.COMMANDS else None
+        assert got == (0, cli.usage(name) + "\n", "")
+    elif isinstance(then, dict):
+        values = dict(sorted(then.items()))
+        out = json.dumps(values, indent=2) if then["json"] else repr(values)
+        assert got == (0, out + "\n", "")
+    else:
+        assert got == (2, "", then + "\n")
+
+
+TWO_WAYS = [
+    # argparse answered for the last copy: F1, and 3H
+    (["lambda", "--surface", "P2", "--surface", "F1"], "--surface is given twice"),
+    (
+        ["cohomology", "--surface", "P2", "--divisor", "2H", "--divisor", "3H"],
+        "--divisor is given twice",
+    ),
+    # and took an abbreviation for the option it starts
+    (["lambda", "--surf", "P2"], "does not take '--surf'"),
+    (["cohomology", "--surface", "P2", "--div", "2H"], "does not take '--div'"),
+    # argparse refused this one by raising SystemExit, with its usage on stderr
+    (["lambda", "--surface", "P2", "--json=1"], "--json takes no value"),
+]
+
+
+@pytest.mark.parametrize("argv, says", TWO_WAYS, ids=[" ".join(argv) for argv, _ in TWO_WAYS])
+def test_a_command_line_that_could_be_read_two_ways_exits_2(capsys, argv, says):
+    assert refused(capsys, *argv, says=says)
+
+
+def test_help_lists_the_commands_or_one_commands_options(capsys):
+    assert run(capsys, "-h") == run(capsys, "--help") == (
+        0,
+        "usage: toricpoints COMMAND [OPTIONS]\n"
+        "\n"
+        "Exact divisor arithmetic and low-degree point bounds on toric surfaces\n"
+        "\n"
+        "commands:\n"
+        "  lambda              surface invariant lambda(S)\n"
+        "  cohomology          h0/h1/h2/chi of a toric divisor\n"
+        "  intersect           intersection number of two divisors\n"
+        "  check-toric         full interpolation report for a curve class\n"
+        "  plane               plane-curve degree bounds and decomposition\n"
+        "  hirzebruch-example  the F_1 surjectivity failure family\n"
+        "  selftest            run the cross-oracle suites\n"
+        "\n"
+        "toricpoints COMMAND -h lists the options of COMMAND.\n",
+        "",
+    )
+    assert run(capsys, "plane", "--help") == (
+        0,
+        "usage: toricpoints plane --d D [--delta DELTA] --e E [--json] [--strict]\n"
+        "\n"
+        "plane-curve degree bounds and decomposition\n"
+        "\n"
+        "options:\n"
+        "  --json    emit a JSON report\n"
+        "  --strict  exit 1 on hypothesis failure\n",
+        "",
+    )
+    assert run(capsys, "lambda", "-h")[1].startswith(
+        "usage: toricpoints lambda --surface SURFACE [--json]\n"
+    )
+    assert run(capsys, "check-toric", "-h")[1].startswith(
+        "usage: toricpoints check-toric --surface SURFACE --curve CURVE"
+        " [--multiplicities MULTIPLICITIES] [--json] [--strict]\n"
+    )
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["check-toric", "--surface", "P2", "--curve", "9H", "--json"])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: cannot print the result: stdout is closed\n")
+
+
+def test_a_closed_pipe_exits_2_without_a_traceback():
+    # 300H prints about 370 KB, far more than a pipe holds, so the write fails
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["check-toric", "--surface", "P2", "--curve", "300H", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricpoints", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "lambd'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: cannot print the result: stdout is closed\n"
 
 
 @pytest.mark.parametrize("name", VALID)

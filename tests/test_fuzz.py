@@ -1,8 +1,8 @@
 """Fuzzing of the input boundary.
 
-Whatever text or descriptor file the CLI is given, `main` returns 0 or 2, or
-argparse refuses the command line with SystemExit(2); exit 2 means empty
-stdout and an `error:` line on stderr, and no other exception escapes.
+Whatever text or descriptor file the CLI is given, `main` returns 0 or 2,
+command-line refusals included: exit 2 means empty stdout and exactly one
+`error:` line on stderr, and no exception escapes, SystemExit included.
 Whatever rays `build_fan` is given, it returns a fan exactly when they form
 a smooth complete fan, and raises a ToricError otherwise.
 
@@ -80,20 +80,15 @@ TEXT = st.text(ALPHABET, max_size=24) | TOKENS | INTS | LONG_DIGITS | NESTED
 
 
 def call(argv):
-    """(exit code, stdout, stderr, refused by argparse) of one main call."""
+    """(exit code, stdout, stderr) of one main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return main(argv), out.getvalue(), err.getvalue(), False
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue(), True
+        return main(argv), out.getvalue(), err.getvalue()
 
 
 def check_answers(argv):
-    code, out, err, by_argparse = call(argv)
-    if by_argparse:
-        assert (code, out) == (2, "") and "error:" in err, argv
-    elif code == 2:
+    code, out, err = call(argv)
+    if code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
     else:
         assert code == 0 and err == "" and out.endswith("\n"), argv

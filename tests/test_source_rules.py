@@ -9,7 +9,10 @@ cohomology modules import nothing from fractions: a divisor's coefficients
 are ints, and so is every number computed from them there.  Only errors.py
 compares type(...) with int or calls isinstance(..., bool): its helpers are
 the one home of the rule that an argument must be an int, and a bool is not
-one.  No module calls json.dumps: cli._json_text is the one JSON writer."""
+one.  No module calls json.dumps: cli._json_text is the one JSON writer.
+No module imports argparse, and cli.py holds no `raise SystemExit`: the
+COMMANDS table is the one parser of the command line, and `main` returns
+every exit code."""
 
 import ast
 import sys
@@ -20,6 +23,7 @@ import pytest
 CACHES = {"cache", "lru_cache"}
 INTEGRAL = {"divisor.py", "cohomology.py"}
 CONTRACTS = "errors.py"
+CLI = "cli.py"
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
 
@@ -61,6 +65,12 @@ def _isinstance_bool(node):
     return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
 
 
+def _system_exit(node):
+    # raise SystemExit, bare or called
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+
+
 def _json_dumps(node):
     # json.dumps, called or only named
     return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr == "dumps"
@@ -87,6 +97,8 @@ def breaches(tree, module=""):
             yield node.lineno, f"type(...) compared with int outside {CONTRACTS}"
         elif isinstance(node, ast.Call) and module != CONTRACTS and _isinstance_bool(node):
             yield node.lineno, f"isinstance(..., bool) outside {CONTRACTS}"
+        elif isinstance(node, ast.Raise) and module == CLI and _system_exit(node):
+            yield node.lineno, f"raise SystemExit in {CLI}, whose main returns its exit code"
         elif isinstance(node, ast.Attribute) and _json_dumps(node):
             yield node.lineno, "json.dumps, where cli._json_text writes JSON"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -99,6 +111,8 @@ def breaches(tree, module=""):
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     yield node.lineno, f"import of {name}, outside the standard library"
+                if name.split(".")[0] == "argparse":
+                    yield node.lineno, "import of argparse, where the COMMANDS table is the parser"
                 if name == "fractions" and module in INTEGRAL:
                     yield node.lineno, f"import of fractions in {module}, whose numbers are ints"
 
@@ -115,7 +129,7 @@ def test_source_rules(path):
 
 def test_rules_catch_each_breach():
     source = (
-        "import numpy\nfrom os import path\nfrom fractions import Fraction\n"
+        "import numpy\nfrom os import path\nfrom fractions import Fraction\nimport argparse\n"
         "from json import dumps, loads\n"
         "assert x\ny = 0.5\nz = float(1)\n"
         "@lru_cache(maxsize=None)\ndef f(fan): pass\n"
@@ -127,6 +141,7 @@ def test_rules_catch_each_breach():
     assert [what for _, what in breaches(ast.parse(source), "divisor.py")] == [
         "import of numpy, outside the standard library",
         "import of fractions in divisor.py, whose numbers are ints",
+        "import of argparse, where the COMMANDS table is the parser",
         "json.dumps, where cli._json_text writes JSON",
         "assert statement",
         "cache on f(), which takes parameters",
@@ -153,6 +168,14 @@ def test_rules_catch_each_breach():
     for check in ("text = json.dumps(x, indent=2)", "write = json.dumps", "from json import dumps"):
         assert len(list(breaches(ast.parse(check), "errors.py"))) == 1
     assert list(breaches(ast.parse("import json\njson.loads(s)\nisinstance(c, int)"), "cli.py")) == []
+    # argparse is refused everywhere, however imported
+    for check in ("from argparse import ArgumentParser", "import argparse as ap"):
+        assert len(list(breaches(ast.parse(check), "selftest.py"))) == 1
+    # cli.py raises no SystemExit, bare or called; __main__.py may
+    for check in ("raise SystemExit", "raise SystemExit(2)", "def f():\n    raise SystemExit(main())"):
+        assert len(list(breaches(ast.parse(check), "cli.py"))) == 1
+        assert list(breaches(ast.parse(check), "__main__.py")) == []
+    assert list(breaches(ast.parse("sys.exit(main())\nraise InputError('x')"), "cli.py")) == []
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
