@@ -28,19 +28,13 @@ from .lowdeg import (
     LambdaResult,
     blowup_self_intersection,
     hirzebruch_counterexample,
-    interpolation_conditions,
-    interpolation_divisor,
     lambda_invariant,
-    mainprop_h0_bound,
     positive_curve_representation,
-    seshadri_ample_check,
     toric_theorem_report,
 )
 from .plane import (
     PlaneReport,
-    decomposition_chain,
     find_m,
-    plane_degree_bound,
     plane_theorem_report,
     remark_inequality_check,
     sqrt_ceil_term,

@@ -22,10 +22,6 @@ class FanMismatch(ToricError):
     pass
 
 
-class NotAmple(ToricError):
-    pass
-
-
 class ContractViolation(ToricError):
     pass
 

@@ -24,7 +24,6 @@ from .cohomology import _chi, _h1, cohomology
 from .divisor import (
     Positivity,
     ToricDivisor,
-    _check_same_fan,
     _pairings,
     classify_pairings,
     intersect_primes,
@@ -33,7 +32,6 @@ from .divisor import (
 from .errors import (
     ContractViolation,
     FanMismatch,
-    NotAmple,
     require,
     require_int,
     require_ints,
@@ -130,18 +128,9 @@ def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
     return require_int(C2, "C^2") - sum(d * d for d in _multiplicities(multiplicities))
 
 
-def seshadri_ample_check(curve: CurveOnSurface) -> str:
-    """Sufficient ampleness certificate for the normalised curve on the
-    blowup: sum delta_i < r = min_i C.D_i (Seshadri lower bound), which a
-    smooth curve (no delta_i) always meets.  Returns CERTIFIED or
-    NOT_CERTIFIED; the latter is not a refutation."""
-    pairings = intersect_primes(require(curve, CurveOnSurface).curve_class)
-    if classify_pairings(pairings) is not Positivity.AMPLE:
-        raise NotAmple("curve class is not ample")
-    return _seshadri(pairings, curve.multiplicities)
-
-
 def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
+    """The report's blowup_ample verdict for an ample C: sum delta_i < min_i C.D_i
+    (Seshadri lower bound) certifies it; NOT_CERTIFIED is not a refutation."""
     return CERTIFIED if sum(multiplicities) < min(pairings) else NOT_CERTIFIED
 
 
@@ -179,58 +168,27 @@ def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequ
     return sum(map(mul, d, p)), C2, RR - 2 * sum(pR) + 8 + C2
 
 
-def interpolation_divisor(positive_rep: ToricDivisor) -> Tuple[ToricDivisor, int, int]:
-    """D = floor(C/2) componentwise for a positive representation of C.
-
-    Returns (D, C.D, C^2).  R = C - 2D has 0/1 coefficients, so 2 C.D = C^2 -
-    C.R <= C^2 when C is nef; NotAmple refuses a C with C.D > C^2/2."""
-    a = require(positive_rep, ToricDivisor).coeffs
-    if any(c < 1 for c in a) or not any(c >= 2 for c in a):
-        raise ContractViolation("positive representation must have all a_i >= 1 and some a_j >= 2")
-    d = tuple(c // 2 for c in a)
-    q = _pairings(d, positive_rep.fan.self_intersections)
-    CD, C2, _ = _interpolation(a, intersect_primes(positive_rep), d, q)
-    if 2 * CD > C2:
-        raise NotAmple("C.D > C^2/2 for an interpolation divisor: the class is not nef")
-    return ToricDivisor(positive_rep.fan, d), CD, C2
-
-
-def mainprop_h0_bound(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> Fraction:
-    """Lower bound (1/4)R.(2K+R) + 2 + C^2/4 - e, with R = C - 2D, for the
-    sections of the residual divisor; positivity certifies that degree-e
-    moving divisors lift.  R pairs as p - 2q for the pairing vectors p, q of C_rep and D."""
-    _check_same_fan(C_rep, D)
-    b = _interpolation(C_rep.coeffs, intersect_primes(C_rep), D.coeffs, intersect_primes(D))[2]
-    return Fraction(b - 4 * require_int(e, "degree e"), 4)
-
-
 @dataclass(frozen=True)
 class ConditionVerdicts:
     """Verdicts for the three defining conditions of a degree-e interpolation
-    divisor, with the numbers behind them: CD, C2 and h0_bound are dot products
-    of the pairing vectors of C_rep and D, h1_D_minus_C is a lattice count."""
+    divisor at e = e_max, with the numbers behind them: CD, C2 and h0_bound are
+    dot products of the pairing vectors of C_rep and D, h1_D_minus_C is a lattice
+    count.  h0_bound = (1/4)R.(2K+R) + 2 + C^2/4 - e for R = C_rep - 2D, which is
+    larger by e_max - e at a degree e.  For an ample C and e <= e_max each
+    condition holds by proof.  (1) C.R >= 0,
+    so C.D <= C^2/2 < C^2, as C^2 > 9 when e_max exists.  (2) By Serre duality
+    h1(D - C) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg vanishing
+    makes 0 (Cox-Little-Schenck 9.3.5).  (3) R sums distinct D_i, so
+    R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0."""
 
     intersection_bound: str  # C.D < C^2
     surjectivity: str  # h1(D - C) = 0 forces H0(S,D) ->> H0(C,D|_C)
-    section_lift: str  # mainprop_h0_bound > 0
+    section_lift: str  # h0_bound > 0: degree-e moving divisors lift
     CD: int
     C2: int
     h1_D_minus_C: int
     h0_bound: Fraction
     half_curve_ample: bool  # redundant cross-check: C/2 ample gives the vanishing
-
-
-def interpolation_conditions(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> ConditionVerdicts:
-    """For an ample C and e <= e_max each condition holds by proof; R = C_rep - 2D.
-    (1) C.R >= 0, so C.D <= C^2/2 < C^2, as C^2 > 9 when e_max exists.  (2) By
-    Serre duality h1(D - C) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg
-    vanishing makes 0 (Cox-Little-Schenck 9.3.5).  (3) R sums distinct D_i, so
-    R.(2K + R) >= 4 lambda - 8 and the bound is >= lambda + C^2/4 - e > 0.
-    The numbers are the report's, but h1(D - C_rep) comes from `cohomology`."""
-    h1 = cohomology(require(D, ToricDivisor) - C_rep).h1
-    p = intersect_primes(C_rep)
-    CD, C2, b = _interpolation(C_rep.coeffs, p, D.coeffs, intersect_primes(D))
-    return _verdicts(CD, C2, h1, Fraction(b - 4 * require_int(e, "degree e"), 4), p)
 
 
 def _verdicts(CD: int, C2: int, h1: int, bound: Fraction, p: Sequence[int]) -> ConditionVerdicts:

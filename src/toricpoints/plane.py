@@ -40,7 +40,8 @@ def _ceil_sqrt(n: int) -> int:
 
 def _terms(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction, int]:
     """(e_bound, term1, term2, t) for a d and delta already checked: the one
-    place these numbers are worked out.
+    place these numbers are worked out.  term1 = (d^2 - 4 delta)/9,
+    term2 = (t(d - t) - delta)/2, and e_bound is their max.
 
     t = ceil((d + sqrt(disc)) / 6) is the smallest integer t with
     6t - d >= sqrt(disc), which for an integer 6t - d means
@@ -56,13 +57,6 @@ def sqrt_ceil_term(d: int, delta: int) -> int:
     """ceil((d + sqrt(d^2 - 36 delta)) / 6), exactly."""
     _check_signs(d, delta)
     return _terms(d, delta)[3]
-
-
-def plane_degree_bound(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """(e_bound, term1, term2) with term1 = (d^2 - 4 delta)/9 and
-    term2 = (t(d - t) - delta)/2 for the ceiled t; e_bound is their max."""
-    _check_signs(d, delta)
-    return _terms(d, delta)[:3]
 
 
 def _level_m(d: int, delta: int, e: int) -> Optional[int]:
@@ -111,17 +105,11 @@ class PlaneReport:
     conclusion_guaranteed: bool
 
 
-def decomposition_chain(d: int, delta: int, e: int) -> List[ChainLevel]:
-    """Numeric skeleton of the inductive decomposition: base-divisor degree
-    bounds halve at every level (e/2, e/4, ...) until only non-moving and
-    singular points can remain, or no positive degree is left below the
-    bound, so the chain has at most floor(log2 e) + 2 levels."""
-    _check_signs(d, delta, e)
-    return _chain(d, delta, e)
-
-
 def _chain(d: int, delta: int, e: int) -> List[ChainLevel]:
-    # decomposition_chain on checked arguments
+    """Numeric skeleton of the inductive decomposition, on checked arguments:
+    base-divisor degree bounds halve at every level (e/2, e/4, ...) until only
+    non-moving and singular points can remain, or no positive degree is left
+    below the bound, so the chain has at most floor(log2 e) + 2 levels."""
     levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e))]
     m0 = levels[0].m
     if m0 is None or m0 * d - e <= 0:

@@ -2,10 +2,10 @@
 
 Each suite pits two independent routes at each other (lattice counts vs
 Riemann-Roch, lattice counts vs peeling fixed components, pairing vs class
-shifts, lambda(S) vs its closed forms on P^2 and F_m, the galloping lex-min
-search vs a column-by-column scan) on seeded random
-inputs, so a fresh build can be sanity-checked from the CLI without the dev
-test harness.
+shifts, lambda(S) vs its closed forms on P^2 and F_m, the interpolation report
+vs divisor arithmetic, the galloping lex-min search vs a column-by-column scan)
+on seeded random inputs, so a fresh build can be sanity-checked from the CLI
+without the dev test harness.
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ from .divisor import (
 from .fan import ToricSurfaceFan, build_fan, det, hirzebruch, p1xp1, p2
 from .lowdeg import (
     CurveOnSurface,
-    interpolation_conditions,
-    interpolation_divisor,
     lambda_invariant,
-    mainprop_h0_bound,
-    positive_curve_representation,
     toric_theorem_report,
 )
 from .plane import remark_inequality_check
@@ -204,9 +200,10 @@ def suite_remark_inequality() -> SuiteResult:
 
 
 def suite_positive_representation() -> SuiteResult:
-    """For random ample C with C + K > 0: C - 2 floor(C/2) has 0/1
-    coefficients, the section bound dominates C^2/4 + lambda - e, and the
-    report's conditions (h1 by a class count) are interpolation_conditions'."""
+    """For random ample C with C + K > 0, the report against divisor arithmetic:
+    C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
+    h1 by cohomology(D - C_rep), where the report counts lattice points, and the
+    section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D."""
     rng = random.Random(SEED + 3)
     fans = _builtin_fans()
     done = 0
@@ -215,18 +212,23 @@ def suite_positive_representation() -> SuiteResult:
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(C)
+        r = toric_theorem_report(CurveOnSurface(fan, C))
+        rep, c = r.positive_rep, r.conditions
         if rep is None:
             continue
-        D, CD, C2 = interpolation_divisor(rep)
-        r = toric_theorem_report(CurveOnSurface(fan, C))
-        lam, e_max = r.lambda_value, r.e_max
-        bad = [e for e in (1, 2, 5) if mainprop_h0_bound(rep, D, e) < Fraction(C2, 4) + lam - e]
-        if e_max is not None and r.conditions != interpolation_conditions(rep, D, e_max):
-            bad.append(e_max)
-        if bad:
+        # the first two rays are a lattice basis, so they pin the m of rep - C
+        diff, ((ax, ay), (bx, by)) = (rep - C).coeffs, fan.rays[:2]
+        m = (diff[0] * by - diff[1] * ay, ax * diff[1] - bx * diff[0])
+        D = ToricDivisor(fan, tuple(a // 2 for a in rep.coeffs))
+        R, K = rep - D - D, canonical_divisor(fan)
+        RR, C2 = intersection_number(R, K + K + R), intersection_number(C, C)
+        CD, h1 = intersection_number(C, D), cohomology(D - rep).h1
+        bound = Fraction(RR, 4) + 2 + Fraction(C2, 4) - r.e_max
+        got = (principal_divisor(fan, m).coeffs, r.interp_divisor, r.CD, r.C2, c.CD, c.C2)
+        got += (c.h1_D_minus_C, c.h0_bound)
+        if got != (diff, D, CD, C2, CD, C2, h1, bound) or RR < 4 * r.lambda_value - 8:
             return SuiteResult(
-                "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={bad[0]}"
+                "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={r.e_max}"
             )
         done += 1
     return SuiteResult("positive-representation", True, "120 ample curve classes")

@@ -122,6 +122,14 @@ MUTANTS = (
         "    return (d - isqrt(d * d - 4 * s)) // 2",
         ("test_plane.py",),
     ),
+    # e = 0 is out of the plane report's range
+    Mutant(
+        "plane-e-in-range-takes-zero",
+        "plane.py",
+        "0 < e < e_bound",
+        "0 <= e < e_bound",
+        ("test_plane.py", "test_cli.py"),
+    ),
     # the command line is read by the grammar of the command's COMMANDS row
     Mutant(
         "cli-required-options-left-out",
@@ -212,7 +220,7 @@ MUTANTS = (
         "tuple(det(rays[i - 1]",
         ("test_fan.py",),
     ),
-    # a descriptor names one surface, and the Seshadri check refuses what is not ample
+    # a descriptor names one surface
     Mutant(
         "descriptor-rays-beside-builtin",
         "cli.py",
@@ -226,13 +234,6 @@ MUTANTS = (
         "    if m is not None:\n        raise InputError(",
         "    if False:\n        raise InputError(",
         ("test_fan.py",),
-    ),
-    Mutant(
-        "seshadri-check-takes-any-class",
-        "lowdeg.py",
-        '    if classify_pairings(pairings) is not Positivity.AMPLE:\n        raise NotAmple("curve class is not ample")\n',
-        "",
-        ("test_lowdeg.py",),
     ),
     # the clip: one solve per piece, and no clip for an empty polygon
     Mutant(

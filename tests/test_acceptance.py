@@ -17,22 +17,17 @@ from toricpoints import (
     hirzebruch,
     hirzebruch_counterexample,
     intersection_number,
-    interpolation_conditions,
-    interpolation_divisor,
     lambda_invariant,
-    mainprop_h0_bound,
     p1xp1,
     p2,
-    plane_degree_bound,
     plane_theorem_report,
     positive_curve_representation,
     positivity,
     principal_divisor,
     remark_inequality_check,
-    seshadri_ample_check,
     toric_theorem_report,
 )
-from toricpoints.lowdeg import FAIL, NOT_CERTIFIED, PASS
+from toricpoints.lowdeg import NOT_CERTIFIED, PASS
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
@@ -73,8 +68,6 @@ def test_criterion_4_debarre_klassen():
     r = plane_theorem_report(8, 0, 7)
     assert r.m == 1
     assert r.degB == 1
-    bound, _, _ = plane_degree_bound(8, 0)
-    assert bound == Fraction(15, 2)
     assert r.e_bound == Fraction(15, 2)
     # so the largest admissible degree is 7 = d - 1
     assert r.hypotheses["e_in_range"] == PASS
@@ -128,8 +121,8 @@ def test_criterion_5d_remark_inequality():
     for d in range(4, 61):
         for delta in range(0, (d - 3) // 3 + 1):
             assert remark_inequality_check(d, delta)
-            _, term1, term2 = plane_degree_bound(d, delta)
-            equality = term2 == term1
+            r = plane_theorem_report(d, delta, 0)  # e = 0: out of range, so no deg B check
+            equality = r.term2 == r.term1
             assert equality == (delta == 0 and d % 3 == 0)
     print("PASS criterion 5d: remark inequality d=4..60; ceiled equality iff 3|d, delta=0")
 
@@ -142,34 +135,33 @@ def test_criterion_5e_positive_representations():
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(C)
+        r = toric_theorem_report(CurveOnSurface(fan, C))
+        rep, D = r.positive_rep, r.interp_divisor
         if rep is None:
             continue
+        assert rep == positive_curve_representation(C)
         # C - 2 floor(C/2) has 0/1 coefficients
-        D, CD, C2 = interpolation_divisor(rep)
         rest = tuple(a - 2 * b for a, b in zip(rep.coeffs, D.coeffs))
-        assert all(r in (0, 1) for r in rest)
+        assert all(x in (0, 1) for x in rest)
         lam = lambda_invariant(fan).value
-        for e in (1, 2, 6):
-            assert mainprop_h0_bound(rep, D, e) >= Fraction(C2, 4) + lam - e
+        for e in (1, 2, 6):  # the section bound at degree e
+            assert r.conditions.h0_bound + r.e_max - e >= Fraction(r.C2, 4) + lam - e
         checked += 1
     print("PASS criterion 5e: C-2D in {0,1}^n and section bound >= C^2/4 + lambda - e")
 
 
 def test_criterion_6_hypothesis_honesty():
     fan = p2()
-    assert (
-        seshadri_ample_check(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)), (2, 2)))
-        == NOT_CERTIFIED
-    )
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)), (2, 2)))
+    assert r.hypothesis_verdicts["blowup_ample"] == NOT_CERTIFIED
+    # F_1, C = 26 C0 + 27 F, D = C0 + 3F at e = deg P = 79: condition (1)
+    # C.D < C^2 and (3) the section bound > 0 hold, (2) h1(D - C) = 0 fails
     f1 = hirzebruch(1)
-    v = interpolation_conditions(
-        ToricDivisor(f1, (27, 26, 0, 0)), ToricDivisor(f1, (3, 1, 0, 0)), 79
-    )
-    assert v.surjectivity == FAIL
-    assert v.intersection_bound == PASS and v.section_lift == PASS
-    q = interpolation_conditions(
-        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
-    )
+    C, D = ToricDivisor(f1, (27, 26, 0, 0)), ToricDivisor(f1, (3, 1, 0, 0))
+    h = hirzebruch_counterexample(26)
+    assert h.deg_P < h.C2 and h.h1_D_minus_C == 1
+    R, K = C - D - D, canonical_divisor(f1)
+    assert Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(h.C2, 4) - h.deg_P > 0
+    q = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)))).conditions
     assert (q.intersection_bound, q.surjectivity, q.section_lift) == (PASS, PASS, PASS)
     print("PASS criterion 6: Seshadri not_certified honest; only condition (2) fails on F_1")

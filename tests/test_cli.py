@@ -227,6 +227,7 @@ def test_strict_is_refused_where_it_means_nothing(capsys, argv):
     "argv, code",
     [
         (["plane", "--d", "10", "--delta", "2", "--e", "7"], 0),
+        (["plane", "--d", "9", "--e", "0"], 1),  # e_in_range is 0 < e < e_bound
         (["hirzebruch-example", "--n", "26"], 0),
         (["hirzebruch-example", "--n", "2"], 1),  # surjectivity does not fail
     ],

@@ -26,23 +26,19 @@ from toricpoints import (
     euler_characteristic,
     hirzebruch,
     hirzebruch_counterexample,
-    interpolation_conditions,
-    interpolation_divisor,
     intersection_number,
     lambda_invariant,
-    mainprop_h0_bound,
     p1xp1,
     p2,
     positive_curve_representation,
     positivity,
     principal_divisor,
-    seshadri_ample_check,
     toric_theorem_report,
 )
-from toricpoints import geometry
+from toricpoints import geometry, lowdeg
 from toricpoints.cli import jsonable
 from toricpoints.divisor import intersect_primes
-from toricpoints.errors import ContractViolation, FanMismatch, NotAmple
+from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 from toricpoints.lowdeg import _positive_representation
 
@@ -279,12 +275,14 @@ def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
     lengths = data.draw(st.lists(st.integers(low, 3), min_size=fan.n, max_size=fan.n))
     m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
-    D = ToricDivisor(fan, tuple(c // 2 for c in C.coeffs))
-    verdicts = interpolation_conditions(C, D, 1)
+    r = toric_theorem_report(CurveOnSurface(fan, C))
     M = intersection_matrix(fan)
     halved = [Fraction(sum(c * M[i][j] for i, c in enumerate(C.coeffs)), 2) for j in range(fan.n)]
-    assert verdicts.half_curve_ample == (kleiman(halved) is Positivity.AMPLE)
-    assert verdicts.half_curve_ample or not ample
+    half_ample = kleiman(halved) is Positivity.AMPLE
+    assert half_ample == (r.hypothesis_verdicts["curve_ample"] == PASS)
+    assert half_ample or not ample
+    if r.conditions is not None:
+        assert r.conditions.half_curve_ample == half_ample
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -317,8 +315,8 @@ def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_princi
         assert classes_equal(rep, C) and min(rep.coeffs) >= 1 and max(rep.coeffs) >= 2
         assert intersect_primes(rep) == intersect_primes(C)
         assert intersection_number(rep, rep) == intersection_number(C, C)
-        if positivity(C) is not Positivity.NOT_NEF:
-            assert interpolation_divisor(rep)[2] == intersection_number(C, C)
+        r = toric_theorem_report(CurveOnSurface(fan, C))
+        assert r.positive_rep == rep and exact(r.C2, intersection_number(rep, rep))
 
 
 def test_a_fan_is_freed_after_use():
@@ -412,7 +410,7 @@ def test_multiplicities_must_be_ints(mults):
         CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0)), mults)
 
 
-H, NINE_H = ToricDivisor(p2(), (1, 0, 0)), ToricDivisor(p2(), (9, 0, 0))
+H = ToricDivisor(p2(), (1, 0, 0))
 MALFORMED_CALLS = {
     "hirzebruch n a str": lambda: hirzebruch_counterexample("3"),
     "hirzebruch n a float": lambda: hirzebruch_counterexample(2.5),
@@ -427,15 +425,10 @@ MALFORMED_CALLS = {
     "effective representative of a fan": lambda: effective_representative(p2()),
     "pairing with None": lambda: intersection_number(H, None),
     "pairing None with a class": lambda: intersection_number(None, H),
-    "h0 bound with D None": lambda: mainprop_h0_bound(NINE_H, None, 1),
-    "h0 bound with C None": lambda: mainprop_h0_bound(None, H, 1),
-    "conditions with D None": lambda: interpolation_conditions(NINE_H, None, 1),
     "positivity of None": lambda: positivity(None),
     "euler characteristic of None": lambda: euler_characteristic(None),
-    "interpolation divisor of None": lambda: interpolation_divisor(None),
     "positive representation of None": lambda: positive_curve_representation(None),
     "report of None": lambda: toric_theorem_report(None),
-    "seshadri check of None": lambda: seshadri_ample_check(None),
     "surface named None": lambda: builtin_surface(None),
     "blowup C^2 None": lambda: blowup_self_intersection(None, ()),
     "blowup multiplicities None": lambda: blowup_self_intersection(81, None),
@@ -489,30 +482,27 @@ def test_blowup_self_intersection():
     assert blowup_self_intersection(728, [2]) == 724
 
 
+def blowup_ample(fan, coeffs, mults=()):
+    # the report's Seshadri verdict
+    curve = CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults)
+    return toric_theorem_report(curve).hypothesis_verdicts["blowup_ample"]
+
+
 def test_seshadri_check():
     fan = p2()
-
-    def check(coeffs, mults=()):
-        return seshadri_ample_check(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
-
-    assert check((10, 0, 0), (2, 2)) == CERTIFIED
-    assert check((4, 0, 0), (2, 2)) == NOT_CERTIFIED
-    assert check((5, 0, 0)) == CERTIFIED
-    f1 = hirzebruch(1)
-    with pytest.raises(NotAmple):
-        seshadri_ample_check(CurveOnSurface(f1, ToricDivisor(f1, (0, 1, 0, 0))))
+    assert blowup_ample(fan, (10, 0, 0), (2, 2)) == CERTIFIED
+    assert blowup_ample(fan, (4, 0, 0), (2, 2)) == NOT_CERTIFIED
+    assert blowup_ample(fan, (5, 0, 0)) == CERTIFIED
+    # a class that is not ample is not certified either
+    assert blowup_ample(hirzebruch(1), (0, 1, 0, 0)) == NOT_CERTIFIED
 
 
 @pytest.mark.parametrize("mults", [(1,), (2.5,), (0, 3), (-2,)])
 def test_seshadri_check_refuses_bad_multiplicities(mults):
     # the multiplicities reach the check only through CurveOnSurface, which
     # refuses these; a sum below min C.D_i = 10 would have certified them
-    fan = p2()
-    C = ToricDivisor(fan, (10, 0, 0))
     with pytest.raises(ContractViolation):
-        seshadri_ample_check(CurveOnSurface(fan, C, mults))
-    with pytest.raises(TypeError):
-        seshadri_ample_check(C, mults)
+        blowup_ample(p2(), (10, 0, 0), mults)
 
 
 def test_positive_curve_representation():
@@ -545,44 +535,31 @@ def test_positive_representation_contract():
 
 
 def test_interpolation_divisor():
-    fan = p2()
-    D, CD, C2 = interpolation_divisor(ToricDivisor(fan, (2, 1, 1)))
-    assert D.coeffs == (1, 0, 0) and CD == 4 and C2 == 16
-    D, CD, C2 = interpolation_divisor(ToricDivisor(fan, (7, 1, 1)))
-    assert D.coeffs == (3, 0, 0) and CD == 27 and C2 == 81
+    # (class, C_rep, D = floor(C_rep/2), C.D, C^2)
     f1 = hirzebruch(1)
-    D, CD, C2 = interpolation_divisor(ToricDivisor(f1, (1, 1, 1, 2)))
-    assert D.coeffs == (0, 0, 0, 1)
-    with pytest.raises(ContractViolation):
-        interpolation_divisor(ToricDivisor(fan, (1, 1, 1)))
-    with pytest.raises(ContractViolation):
-        interpolation_divisor(ToricDivisor(fan, (3, 0, 2)))
+    for fan, C, rep, D, CD, C2 in [
+        (p2(), (4, 0, 0), (1, 1, 2), (0, 0, 1), 4, 16),
+        (p2(), (9, 0, 0), (1, 1, 7), (0, 0, 3), 27, 81),
+        (f1, (1, 1, 1, 2), (1, 1, 1, 2), (0, 0, 0, 1), 4, 15),
+    ]:
+        r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, C)))
+        assert (r.positive_rep.coeffs, r.interp_divisor.coeffs, r.CD, r.C2) == (rep, D, CD, C2)
 
 
 def test_mainprop_h0_bound_values():
     fan = p2()
-    # quartic rep (2,1,1), D = (1,0,0): C-2D ~ 2H, (2H).(2K+2H) = -8,
-    # so the bound is -2 + 2 + 4 - 1 = 3
-    assert mainprop_h0_bound(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == 3
-    # degree 9: C-2D ~ 3H, (3H).(2K+3H) = -9, bound = -9/4 + 2 + 81/4 - 8 = 12
-    assert (
-        mainprop_h0_bound(ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0)), 8)
-        == 12
-    )
-
-
-@pytest.mark.parametrize("e", [0.5, 8.0, Fraction(8), True, "8"])
-def test_section_bound_refuses_a_non_int_degree(e):
-    fan = p2()
-    C, D = ToricDivisor(fan, (7, 1, 1)), ToricDivisor(fan, (3, 0, 0))
-    for call in (mainprop_h0_bound, interpolation_conditions):
-        with pytest.raises(ContractViolation):
-            call(C, D, e)
+    # quartic: C_rep - 2D ~ 2H, (2H).(2K+2H) = -8, so at e = e_max = 1 the
+    # bound is -2 + 2 + 4 - 1 = 3
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0))))
+    assert (r.e_max, r.conditions.h0_bound) == (1, 3)
+    # degree 9: C_rep - 2D ~ 3H, (3H).(2K+3H) = -9, bound = -9/4 + 2 + 81/4 - 8 = 12
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (9, 0, 0))))
+    assert (r.e_max, r.conditions.h0_bound) == (8, 12)
 
 
 def test_mainprop_bound_dominates_lambda_bound():
+    # at a degree e the section bound is h0_bound + (e_max - e)
     rng = random.Random(59)
-    from toricpoints import positivity, Positivity
 
     checked = 0
     while checked < 60:
@@ -590,34 +567,39 @@ def test_mainprop_bound_dominates_lambda_bound():
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is not Positivity.AMPLE:
             continue
-        rep = positive_curve_representation(C)
-        if rep is None:
+        r = toric_theorem_report(CurveOnSurface(fan, C))
+        if r.positive_rep is None:
             continue
-        D, CD, C2 = interpolation_divisor(rep)
-        # C - 2D must have 0/1 coefficients (checked inside) and the bound
-        # must dominate C^2/4 + lambda - e
-        lam = lambda_invariant(fan).value
+        rest = r.positive_rep - r.interp_divisor - r.interp_divisor
+        assert set(rest.coeffs) <= {0, 1}
         for e in (1, 3, 7):
-            assert mainprop_h0_bound(rep, D, e) >= Fraction(C2, 4) + lam - e
-        assert 2 * CD <= C2
+            bound = r.conditions.h0_bound + r.e_max - e
+            assert bound >= Fraction(r.C2, 4) + r.lambda_value - e
+        assert 2 * r.CD <= r.C2
         checked += 1
+
+
+def verdicts_of(C_rep, D, e):
+    """Oracle: the report's verdicts on the numbers of any C_rep, D and e, by
+    divisor arithmetic, for a D that is not the report's floor(C_rep/2)."""
+    K, R, C2 = canonical_divisor(C_rep.fan), C_rep - D - D, intersection_number(C_rep, C_rep)
+    bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - e
+    h1 = cohomology(D - C_rep).h1
+    return lowdeg._verdicts(intersection_number(C_rep, D), C2, h1, bound, intersect_primes(C_rep))
 
 
 def test_interpolation_conditions_quartic():
     fan = p2()
-    v = interpolation_conditions(
-        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1
-    )
+    v = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)))).conditions
     assert (v.intersection_bound, v.surjectivity, v.section_lift) == (PASS, PASS, PASS)
     assert v.h1_D_minus_C == 0
     assert v.half_curve_ample
+    assert verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == v
 
 
 def test_interpolation_conditions_oversized_divisor():
     fan = p2()
-    v = interpolation_conditions(
-        ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1
-    )
+    v = verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1)
     assert v.intersection_bound == FAIL  # 20 >= 16
 
 
@@ -625,7 +607,7 @@ def test_interpolation_conditions_f1_counterexample():
     f1 = hirzebruch(1)
     C = ToricDivisor(f1, (27, 26, 0, 0))
     D = ToricDivisor(f1, (3, 1, 0, 0))
-    v = interpolation_conditions(C, D, 79)
+    v = verdicts_of(C, D, 79)
     assert v.surjectivity == FAIL and v.h1_D_minus_C == 1
     assert v.intersection_bound == PASS and v.section_lift == PASS
 
@@ -809,10 +791,6 @@ def test_classes_that_are_not_ample_get_verdicts_and_no_interpolation():
         assert r.hypothesis_verdicts["curve_ample"] == FAIL
         assert r.positive_rep is not None
         assert (r.interp_divisor, r.CD, r.conditions, r.degB_table) == (None, None, None, DegBTable())
-    # called on that representation itself, the divisor is refused as the
-    # input's fault, not the library's
-    with pytest.raises(NotAmple):
-        interpolation_divisor(ToricDivisor(hirzebruch(2), (1, 7, 2, 2)))
     # every class aC0 + bF on F0-F4 with a, b in -3..11
     for m, a, b in itertools.product(range(5), range(-3, 12), range(-3, 12)):
         fan = hirzebruch(m)
@@ -834,7 +812,7 @@ def test_a_report_on_any_class_raises_nothing(fan, data):
 @given(blowup_fans(), st.data())
 def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data):
     # the inequalities behind the verdicts, as proved in the
-    # interpolation_conditions docstring
+    # ConditionVerdicts docstring
     lengths = data.draw(st.lists(st.integers(1, 6), min_size=fan.n, max_size=fan.n))
     m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     mults = tuple(data.draw(st.lists(st.integers(2, 3), max_size=2)))
@@ -873,10 +851,9 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.data())
-def test_the_reports_conditions_are_the_public_paths_on_ample_classes(fan, data):
-    """The report takes h1(D - C_rep) from its one clip of P_{C+K}; the
-    public interpolation_conditions takes it from cohomology(D - C_rep), and
-    both build the verdicts alike.
+def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data):
+    """The report takes h1(D - C_rep) from its one clip of P_{C+K}, where
+    cohomology(D - C_rep) clips P_{D - C_rep} and P_{K - D + C_rep}.
 
     For C_rep = sum c_i D_i with every c_i >= 1 and D = floor(C_rep/2):
     - D - C_rep has the coefficients floor(c_i/2) - c_i = -ceil(c_i/2) <= -1.
@@ -905,7 +882,6 @@ def test_the_reports_conditions_are_the_public_paths_on_ample_classes(fan, data)
     assert rep + K == CK + principal_divisor(fan, m)
     assert geometry.lexmin_lattice_point((rep + K).halfplanes) == (0, 0)
     assert geometry.count_lattice_points((rep + K).halfplanes) == cohomology(CK).h0
-    assert r.conditions == interpolation_conditions(rep, D, r.e_max)
     assert r.conditions.h1_D_minus_C == cohomology(D - rep).h1 == 0
 
 
@@ -994,9 +970,8 @@ def _check_report_against_divisor_arithmetic(C, mults):
 @given(blowup_fans(), st.booleans(), st.data())
 def test_the_reports_numbers_match_divisor_arithmetic(fan, polygon, data):
     """An oracle for the report's pairing-vector arithmetic that shares none of
-    it: interpolation_conditions now runs the report's own body, so comparing
-    the two no longer checks the numbers.  Ample classes come from polygons;
-    other draws are arbitrary, so most are not ample or have no e_max."""
+    it.  Ample classes come from polygons; other draws are arbitrary, so most
+    are not ample or have no e_max."""
     if polygon:
         lengths = data.draw(st.lists(st.integers(1, 5), min_size=fan.n, max_size=fan.n))
         shift = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
@@ -1105,25 +1080,22 @@ def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
         return ToricDivisor(fan, tuple(coeffs))
 
     C, D, E = divisor(-9, 9), divisor(-5, 5), divisor(-9, 9)
-    e = data.draw(st.integers(-20, 20))
     K = canonical_divisor(fan)
     num = intersection_number(E, E) - intersection_number(K, E)
     assert num % 2 == 0
     assert exact(euler_characteristic(E), 1 + num // 2)
+    # the report's body on any C and D: the section bound at degree e is (b - 4e)/4
+    CD, C2, b = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
     R = C - 2 * D
-    want = (
-        Fraction(intersection_number(R, 2 * K + R), 4)
-        + 2
-        + Fraction(intersection_number(C, C), 4)
-        - e
-    )
-    got = mainprop_h0_bound(C, D, e)
-    assert got == want and type(got) is Fraction
+    assert exact(CD, intersection_number(C, D)) and exact(C2, intersection_number(C, C))
+    assert exact(b, intersection_number(R, 2 * K + R) + 8 + C2)
 
 
 def test_a_class_on_another_fan_with_as_many_rays_is_refused():
     C = ToricDivisor(hirzebruch(1), (3, 2, 1, 1))
     D = ToricDivisor(hirzebruch(2), (1, 1, 0, 0))
-    for call in (interpolation_conditions, mainprop_h0_bound):
+    for call in (intersection_number, ToricDivisor.__add__, ToricDivisor.__sub__):
         with pytest.raises(FanMismatch):
-            call(C, D, 1)
+            call(C, D)
+    with pytest.raises(FanMismatch):
+        CurveOnSurface(hirzebruch(2), C)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from toricpoints import (
     CurveOnSurface,
     ToricDivisor,
-    decomposition_chain,
     find_m,
-    plane_degree_bound,
     plane_theorem_report,
     remark_inequality_check,
     sqrt_ceil_term,
@@ -62,12 +60,19 @@ def test_sqrt_ceil_hypothesis_violation():
         sqrt_ceil_term(5, 1)  # 25 < 36
 
 
+def terms(d, delta):
+    """(e_bound, term1, term2), read at e = 0, where e_in_range fails and the
+    report's deg B check cannot raise."""
+    r = plane_theorem_report(d, delta, 0)
+    return r.e_bound, r.term1, r.term2
+
+
 def test_plane_degree_bound_examples():
-    bound, term1, term2 = plane_degree_bound(8, 0)
+    bound, term1, term2 = terms(8, 0)
     assert (bound, term1, term2) == (Fraction(15, 2), Fraction(64, 9), Fraction(15, 2))
-    bound, term1, term2 = plane_degree_bound(9, 0)
+    bound, term1, term2 = terms(9, 0)
     assert bound == term1 == term2 == 9  # the 3 | d equality case
-    bound, term1, term2 = plane_degree_bound(10, 2)
+    bound, term1, term2 = terms(10, 2)
     assert (bound, term1, term2) == (Fraction(92, 9), Fraction(92, 9), Fraction(19, 2))
 
 
@@ -117,13 +122,16 @@ def test_plane_report_out_of_range_not_guaranteed():
     assert not r.conclusion_guaranteed
     r = plane_theorem_report(3, 0, 1)
     assert r.hypotheses["degree_at_least_4"] == "fail"
+    r = plane_theorem_report(9, 0, 0)  # e = 0 is not in range, though all else holds
+    assert [k for k, v in r.hypotheses.items() if v == "fail"] == ["e_in_range"]
+    assert not r.conclusion_guaranteed
     with pytest.raises(HypothesisViolation):
         plane_theorem_report(10, 3, 10)  # d^2 < 36 delta
 
 
 @pytest.mark.parametrize("d, delta", [(10, -1), (-10, 0), (-1, -1)])
 def test_negative_d_or_delta_is_refused(d, delta):
-    for call in (sqrt_ceil_term, plane_degree_bound, remark_inequality_check):
+    for call in (sqrt_ceil_term, remark_inequality_check):
         with pytest.raises(ContractViolation):
             call(d, delta)
     with pytest.raises(ContractViolation):
@@ -151,7 +159,7 @@ def test_non_int_d_delta_or_e_is_refused(d, delta, e):
 
 @pytest.mark.parametrize("d, delta", [(9, 0), (0, 0)])
 def test_a_degree_of_none_is_refused_before_any_arithmetic(d, delta):
-    for call in (plane_theorem_report, decomposition_chain):
+    for call in (plane_theorem_report, find_m):
         with pytest.raises(ContractViolation, match=r"^e = None is not an int"):
             call(d, delta, None)
 
@@ -163,20 +171,15 @@ def test_plane_report_edge_raises_internal_inconsistency():
             plane_theorem_report(d, delta, e)
 
 
+def levels(d, delta, e):
+    return [(l.level, l.degree_bound, l.m) for l in plane_theorem_report(d, delta, e).chain]
+
+
 def test_decomposition_chains():
-    chain = decomposition_chain(9, 0, 8)
-    assert [(l.level, l.degree_bound, l.m) for l in chain] == [
-        (0, Fraction(8), 1),
-        (1, Fraction(4), None),
-    ]
-    chain = decomposition_chain(8, 0, 7)
-    assert [(l.level, l.degree_bound, l.m) for l in chain] == [
-        (0, Fraction(7), 1),
-        (1, Fraction(7, 2), None),
-    ]
+    assert levels(9, 0, 8) == [(0, Fraction(8), 1), (1, Fraction(4), None)]
+    assert levels(8, 0, 7) == [(0, Fraction(7), 1), (1, Fraction(7, 2), None)]
     # deg B = 0 at level 0: nothing left to decompose
-    chain = decomposition_chain(20, 0, 40)
-    assert [(l.level, l.degree_bound, l.m) for l in chain] == [(0, Fraction(40), 2)]
+    assert levels(20, 0, 40) == [(0, Fraction(40), 2)]
 
 
 @pytest.mark.parametrize(
@@ -185,7 +188,7 @@ def test_decomposition_chains():
         (find_m, (10, -1, 3)),  # below the gonality floor
         (find_m, (-10, 0, 3)),
         (find_m, (10, -1, 30)),  # no sandwich solution
-        (decomposition_chain, (-10, 0, 3)),
+        (plane_theorem_report, (-10, 0, 3)),
     ],
 )
 def test_negative_d_or_delta_is_refused_on_entry(call, args):
@@ -195,13 +198,13 @@ def test_negative_d_or_delta_is_refused_on_entry(call, args):
 
 @pytest.mark.parametrize("d, delta, e", [(40, 39, 10), (40, 44, 1000), (36, 35, 1), (50, 60, 0)])
 def test_chain_stops_when_no_positive_degree_is_left(d, delta, e):
-    chain = decomposition_chain(d, delta, e)
+    chain = plane_theorem_report(d, delta, e).chain
     assert len(chain) <= max(e, 1).bit_length() + 1  # floor(log2 e) + 2
 
 
 def test_chain_bounds_halve():
     for d, delta, e in [(9, 0, 8), (8, 0, 7), (30, 0, 80), (40, 3, 150)]:
-        chain = decomposition_chain(d, delta, e)
+        chain = plane_theorem_report(d, delta, e).chain
         for prev, nxt in zip(chain, chain[1:]):
             assert nxt.degree_bound <= prev.degree_bound / 2
 
@@ -216,7 +219,7 @@ def test_remark_inequality_sweep_and_ceiled_equality():
     for d in range(4, 61):
         for delta in range(0, (d - 3) // 3 + 1):
             assert remark_inequality_check(d, delta)
-            _, term1, term2 = plane_degree_bound(d, delta)
+            _, term1, term2 = terms(d, delta)
             if term2 == term1:
                 assert delta == 0 and d % 3 == 0
             if delta == 0 and d % 3 == 0:
@@ -273,14 +276,14 @@ def test_plane_report_takes_no_step_per_m():
 def test_the_report_checks_once_and_works_out_its_terms_once(args, levels_in_range):
     counts = count_calls(
         lambda: plane_theorem_report(*args),
-        plane_degree_bound,
+        find_m,
         sqrt_ceil_term,
         plane._check_signs,
         plane._ceil_sqrt,
     )
     # one root for the discriminant, one per chain level whose s is in range
     assert counts == {
-        "plane_degree_bound": 0,
+        "find_m": 0,
         "sqrt_ceil_term": 0,
         "_check_signs": 1,
         "_ceil_sqrt": 1 + levels_in_range,
@@ -292,19 +295,13 @@ def test_the_report_checks_once_and_works_out_its_terms_once(args, levels_in_ran
 @pytest.mark.parametrize("args", [(40, 3, 150), (9, 0, 8), (10**7, 0, 2 * 10**13), (30, 0, 80)])
 def test_the_report_agrees_with_the_public_functions(args):
     r = plane_theorem_report(*args)
-    assert (r.e_bound, r.term1, r.term2) == plane_degree_bound(*args[:2])
     assert r.ceil_term == sqrt_ceil_term(*args[:2])
-    assert list(r.chain) == decomposition_chain(*args)
     assert r.m == find_m(*args)
 
 
-def test_find_m_and_the_chain_answer_where_the_report_refuses():
+def test_find_m_answers_where_the_report_refuses():
     # d^2 < 36 delta: there is no sqrt(d^2 - 36 delta), but m is defined
     assert find_m(4, 1, 2) == 1
-    assert [(l.level, l.degree_bound, l.m) for l in decomposition_chain(4, 1, 2)] == [
-        (0, Fraction(2), 1),
-        (1, Fraction(1), None),
-    ]
     with pytest.raises(HypothesisViolation):
         plane_theorem_report(4, 1, 2)
 
@@ -315,7 +312,7 @@ def below_the_bound(draw):
     e often the largest such int, and often where m is defined."""
     d = draw(st.integers(3, 10**40))
     delta = draw(st.integers(0, d * d // 36))
-    top = ceil(plane_degree_bound(d, delta)[0]) - 1
+    top = ceil(terms(d, delta)[0]) - 1
     e = draw(st.just(top) | st.integers(min(d - 1 - delta, top) - 2, top))
     return d, delta, e
 
@@ -339,7 +336,8 @@ def test_m_stays_below_the_ceiled_root_for_every_e_below_the_bound(args):
     t = sqrt_ceil_term(d, delta)
     m = find_m(d, delta, e)
     assert m is None or m < t
-    assert all(l.m is None or l.m < t for l in decomposition_chain(d, delta, e))
+    # the chain from _chain, since the report raises on the edge family (3t, t - 1, 2t)
+    assert all(l.m is None or l.m < t for l in plane._chain(d, delta, e))
 
 
 def test_m_stays_below_the_ceiled_root_at_the_largest_e_below_the_bound():
@@ -348,7 +346,7 @@ def test_m_stays_below_the_ceiled_root_at_the_largest_e_below_the_bound():
     pairs, defined, tight = 0, 0, 0
     for d in range(3, 150):
         for delta in range(d * d // 36 + 1):
-            e = ceil(plane_degree_bound(d, delta)[0]) - 1
+            e = ceil(terms(d, delta)[0]) - 1
             m, t = find_m(d, delta, e), sqrt_ceil_term(d, delta)
             assert m is None or m < t, (d, delta, e)
             pairs += 1
@@ -391,7 +389,6 @@ def test_the_edge_family_raises_at_the_deg_b_site_for_every_t_below_27():
 def test_the_plane_layer_raises_internal_inconsistency_only_on_the_edge_family(args):
     d, delta, e = args
     find_m(d, delta, e)
-    decomposition_chain(d, delta, e)
     try:
         plane_theorem_report(d, delta, e)
     except InternalInconsistency as exc:
