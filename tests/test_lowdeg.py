@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import pickle
@@ -429,6 +430,11 @@ MALFORMED_CALLS = {
     "euler characteristic of None": lambda: euler_characteristic(None),
     "positive representation of None": lambda: positive_curve_representation(None),
     "report of None": lambda: toric_theorem_report(None),
+    "report of a class": lambda: toric_theorem_report(H),
+    "report of a fan": lambda: toric_theorem_report(p2()),
+    "class minus a tuple": lambda: H - (1, 0, 0),
+    "cohomology of None": lambda: cohomology(None),
+    "blowup C^2 a float": lambda: blowup_self_intersection(81.0, ()),
     "surface named None": lambda: builtin_surface(None),
     "blowup C^2 None": lambda: blowup_self_intersection(None, ()),
     "blowup multiplicities None": lambda: blowup_self_intersection(81, None),
@@ -595,6 +601,23 @@ def test_interpolation_conditions_quartic():
     assert v.h1_D_minus_C == 0
     assert v.half_curve_ample
     assert verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == v
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs",
+    [(p2(), (4, 0, 0)), (p2(), (9, 0, 0)), (p1xp1(), (5, 4, 0, 0)), (hirzebruch(1), (9, 6, 0, 0)),
+     (hirzebruch(2), (12, 5, 0, 0))],
+)
+def test_the_section_bound_at_each_degree_is_h0_bound_plus_e_max_minus_e(fan, coeffs):
+    # divisor arithmetic at every degree e <= e_max: only h0_bound moves with
+    # e, and proof (3) keeps it above lambda + C^2/4 - e > 0
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs)))
+    assert r.e_max >= 1
+    for e in range(1, r.e_max + 1):
+        v = verdicts_of(r.positive_rep, r.interp_divisor, e)
+        assert v.h0_bound == r.conditions.h0_bound + r.e_max - e
+        assert v.h0_bound >= r.lambda_value + Fraction(r.C2, 4) - e > 0
+        assert v == dataclasses.replace(r.conditions, h0_bound=v.h0_bound)
 
 
 def test_interpolation_conditions_oversized_divisor():

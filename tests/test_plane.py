@@ -76,6 +76,18 @@ def test_plane_degree_bound_examples():
     assert (bound, term1, term2) == (Fraction(92, 9), Fraction(92, 9), Fraction(19, 2))
 
 
+@pytest.mark.parametrize("d, delta", [(4, 0), (8, 0), (9, 0), (10, 2), (12, 4), (40, 3), (100, 30)])
+def test_the_reports_terms_match_their_closed_forms_at_any_e(d, delta):
+    # term1 = (d^2 - 4 delta)/9 and term2 = (t(d - t) - delta)/2 with t from
+    # sympy; neither depends on e, so reading them at e = 0 loses nothing
+    t = sympy_ceil_term(d, delta)
+    term1, term2 = Fraction(d * d - 4 * delta, 9), Fraction(t * (d - t) - delta, 2)
+    assert terms(d, delta) == (max(term1, term2), term1, term2)
+    for e in (1, ceil(max(term1, term2)), 10**6):
+        r = plane_theorem_report(d, delta, e)
+        assert (r.e_bound, r.term1, r.term2, r.ceil_term) == (max(term1, term2), term1, term2, t)
+
+
 def test_find_m_examples():
     assert find_m(8, 0, 7) == 1  # 7 <= 7 < 12: lines through one point
     assert find_m(10, 2, 10) == 1  # 9 <= 12 < 16
@@ -245,6 +257,29 @@ def outcome(call, *args):
         return call(*args)
     except Exception as exc:  # the exception type is part of the answer
         return type(exc)
+
+
+def stepping_chain(d, delta, e):
+    """Oracle: the chain by its definition for e >= 1, with m stepped at each
+    level.  Level 0 bounds degrees by e, level k >= 1 by e/2^k from below;
+    the chain stops where m is None, deg B = m d - top <= 0, or no positive
+    degree top is left below the bound."""
+    top, bound = e, Fraction(e)
+    chain = [(0, bound, stepping_find_m(d, delta, top))]
+    while chain[-1][2] is not None and chain[-1][2] * d - top > 0 and top >= 1:
+        bound /= 2
+        top = ceil(bound) - 1
+        chain.append((len(chain), bound, stepping_find_m(d, delta, top)))
+    return chain
+
+
+@pytest.mark.parametrize(
+    "d, delta, e", [(9, 0, 8), (8, 0, 7), (30, 0, 80), (40, 3, 150), (300, 10, 5000), (40, 39, 10)]
+)
+def test_the_chain_is_the_stepped_halving(d, delta, e):
+    chain = levels(d, delta, e)
+    assert chain == stepping_chain(d, delta, e)
+    assert len(chain) <= e.bit_length() + 1  # floor(log2 e) + 2
 
 
 def test_find_m_matches_the_stepping_search():
