@@ -1,7 +1,8 @@
 """The full cohomology profile of a toric divisor.
 
 h0 is the number of lattice points of the polygon P_D
-(`ToricDivisor.halfplanes`, counted by `geometry.count_lattice_points`), h2
+(`ToricDivisor.halfplanes`, clipped from the fan's kept arc start and
+counted as `geometry.count_lattice_points` counts), h2
 comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
 Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`),
 and h1 by difference in `_h1`; the interpolation report shares both.  A
@@ -43,9 +44,9 @@ def cohomology(D: ToricDivisor) -> CohomologyProfile:
     h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface;
     K - D has the coefficients -1 - a_i, so P_{K-D} = {m : <m, u_i> >= 1 + a_i}."""
     chi = euler_characteristic(D)
-    h0 = geometry.count_lattice_points(D.halfplanes)
+    h0 = geometry._count(*geometry._clip(D.halfplanes, D.fan._arc_start))
     dual = ((u, 1 + a) for u, a in zip(D.fan.rays, D.coeffs))  # P_{K-D}, built when read
-    h2 = 0 if h0 else geometry.count_lattice_points(list(dual))
+    h2 = 0 if h0 else geometry._count(*geometry._clip(list(dual), D.fan._arc_start))
     return CohomologyProfile(h0=h0, h1=_h1(D.coeffs, h0, h2, chi), h2=h2, chi=chi)
 
 

@@ -121,7 +121,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
     None when no lattice point is feasible (the class is not effective).
     """
-    m = geometry.lexmin_lattice_point(require(D, ToricDivisor).halfplanes)
+    m = geometry._lexmin(*geometry._clip(require(D, ToricDivisor).halfplanes, D.fan._arc_start))
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(a + dot(m, u) for a, u in zip(D.coeffs, D.fan.rays)))

@@ -42,7 +42,9 @@ class ToricSurfaceFan:
     Rays must be given in counterclockwise cyclic order, with int
     coordinates; the order is kept as-is so prime divisor indices stay
     stable.  Rays that make no such fan are refused with a `ToricError` when
-    the fan is made, however it is built.  Immutable, safe to share.
+    the fan is made, however it is built.  Immutable, safe to share.  The
+    winding check's `lower_arc_start` is kept as `_arc_start`, a plain
+    attribute outside equality and repr, for clipping polygons on the rays.
     """
 
     rays: Tuple[LatticePoint, ...]
@@ -72,9 +74,11 @@ class ToricSurfaceFan:
                     f"{rays[i]}, {rays[(i + 1) % n]}"
                 )
         # Consecutive dets of +1 still allow rays that wind more than once.
-        if lower_arc_start(rays) is None:
+        start = lower_arc_start(rays)
+        if start is None:
             raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
         object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_arc_start", start)
 
     @property
     def n(self) -> int:

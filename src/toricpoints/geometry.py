@@ -18,17 +18,20 @@ envelopes.  The normals positively span the plane, so a region whose
 offsets are all > 0 is empty and is not clipped.  Lattice points are
 counted column by column: each integer x adds floor(U(x)) - ceil(L(x)) + 1,
 and the columns under one boundary line are summed at once with
-`floor_sum`, so the count costs O(n log max|offset|) instead of the area of
-the bounding box.  The lex-min point gallops over such counts from the
-region's left end, so it costs O(log(x* - a + 2)) counts for the first
-integer column a and the answer's column x*.  Each question (vertices,
-count, lex-min point) clips its half-planes once, and one clip can answer
-both the lex-min point and the count of a residue class mod 2.
+`floor_sum`.  Each envelope also keeps the integer column where each line
+takes over, ceil(break), so a count of the columns a..b finds its first
+line by bisection and costs O(log n) plus one sum per line that meets
+[a, b].  The lex-min point gallops over such counts from the region's left
+end, so it costs O(log(x* - a + 2)) counts for the first integer column a
+and the answer's column x*.  Each public question (vertices, count, lex-min
+point) checks its half-planes once and clips them once; a polygon on a
+fan's rays is clipped from the fan's kept `_arc_start` without a check.
+One clip can answer both the lex-min point and the count of a class mod 2.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -39,9 +42,10 @@ QPoint = Tuple[Fraction, Fraction]
 HalfPlane = Tuple[LatticePoint, int]
 X = Tuple[int, int]  # the x-coordinate num/den as (num, den), den > 0
 NEG_INF, INF = (-1, 0), (1, 0)  # the ends of the x-axis: _le puts them before and after every X
-# An envelope: its boundary lines left to right, and the x where each one
-# after the first takes over from its predecessor.
-Chain = Tuple[List[HalfPlane], List[X]]
+# An envelope: its boundary lines left to right, the x where each one after
+# the first takes over from its predecessor, and that x's ceiling, the first
+# integer column of the line (None in place of the x for a class count's image).
+Chain = Tuple[List[HalfPlane], List[X], List[int]]
 End = Tuple[X, HalfPlane, HalfPlane]  # an end of the region, with the lines active there
 
 
@@ -92,21 +96,28 @@ def _envelope(lines: Sequence[HalfPlane]) -> Chain:
             hull.pop()
             breaks.pop()
         hull.append(h)
-    return hull, breaks
+    return hull, breaks, list(map(_ceil, breaks))
 
 
-def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
-    """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
-    (+-INF where there is none); L and U are empty when every offset is > 0."""
+def _checked_start(halfplanes: Sequence[HalfPlane]) -> int:
+    """The normals' `lower_arc_start`; ContractViolation unless they wind once
+    counterclockwise, each turn under a half-turn, and every offset is an int.
+    Each public question runs this on the half-planes it is given."""
     normals = [u for u, _ in halfplanes]
     start = lower_arc_start(normals)
     if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):
         raise ContractViolation(
             "half-plane normals must wind once counterclockwise, each turn under a half-turn"
         )
-    offsets = require_ints((c for _, c in halfplanes), "half-plane offsets")
-    if min(offsets) > 0:
-        return ([], []), ([], []), NEG_INF, INF
+    require_ints((c for _, c in halfplanes), "half-plane offsets")
+    return start
+
+
+def _chains(halfplanes: Sequence[HalfPlane], start: int) -> Tuple[Chain, Chain, X, X]:
+    """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
+    (+-INF where there is none); L and U are empty when every offset is > 0."""
+    if min(c for _, c in halfplanes) > 0:
+        return ([], [], []), ([], [], []), NEG_INF, INF
     hs = [*halfplanes[start:], *halfplanes[:start]]
     # From the lower arc's start, the order is: lower arc (slopes rising
     # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
@@ -124,7 +135,7 @@ def _chains(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, X, X]:
 def _pieces(lower: Chain, upper: Chain) -> Iterator[Tuple[X, X, HalfPlane, HalfPlane]]:
     """(start, end, l, u) for each x-interval on which the lower line l and
     the upper line u are the active ones, left to right from -INF to INF."""
-    (lh, lb), (uh, ub) = lower, upper
+    (lh, lb, _), (uh, ub, _) = lower, upper
     lb, ub = lb + [INF], ub + [INF]
     i = j = 0
     start = NEG_INF
@@ -138,16 +149,17 @@ def _pieces(lower: Chain, upper: Chain) -> Iterator[Tuple[X, X, HalfPlane, HalfP
         start = end
 
 
-def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
+def _clip(halfplanes: Sequence[HalfPlane], start: int) -> Tuple[Chain, Chain, List[End]]:
     """The envelopes L and U, and the region's left and right ends, each
     with the lower and upper line active there; no ends when it is empty.
+    The half-planes are taken as checked, with `start` their lower arc's start.
 
     On each piece of the envelopes, clamped to [xlo, xhi], U >= L is the one
     inequality g x <= cl uy - cu ly for the active lines l and u, with
     g = det(l, u): it cuts the piece at the lines' meet (on the right when
     g > 0, on the left when g < 0) or keeps or drops all of it (g = 0).
     """
-    lower, upper, xlo, xhi = _chains(halfplanes)
+    lower, upper, xlo, xhi = _chains(halfplanes, start)
     if not lower[0]:  # every offset is > 0
         return lower, upper, []
     first = last = None
@@ -169,12 +181,12 @@ def _clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
 def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
     """The distinct vertices of the region, counterclockwise: [] when it is
     empty, one point, the two ends of a segment, or the polygon's corners."""
-    lower, upper, ends = _clip(halfplanes)
+    lower, upper, ends = _clip(halfplanes, _checked_start(halfplanes))
     if not ends:
         return []
     (xa, la, ua), (xb, lb, ub) = ends
     lows, ups = (
-        [(x, h) for h, x in zip(*ch) if not (_le(x, xa) or _le(xb, x))] for ch in (lower, upper)
+        [(x, h) for h, x, _ in zip(*ch) if not (_le(x, xa) or _le(xb, x))] for ch in (lower, upper)
     )
     ring = [(xa, la), *lows, (xb, lb), (xb, ub), *reversed(ups), (xa, ua)]
     # the point of each boundary line ((u_x, u_y), c) at x = n/d
@@ -186,15 +198,17 @@ def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
 def _column_sum(chain: Chain, a: int, b: int) -> int:
     """sum over integer x in [a, b] of floor((u_x x - c)/|u_y|) for the active
     line ((u_x, u_y), c): floor(U(x)) on the upper envelope, -ceil(L(x)) on
-    the lower one.  Each column goes to the line active on [its break, the
-    next break)."""
-    hull, breaks = chain
+    the lower one.  Each column goes to the line whose first integer column
+    is the last one <= x, found for a by bisection; then only the lines that
+    meet [a, b] are summed, one `floor_sum` each."""
+    hull, _, starts = chain
     total = 0
-    for k, ((ux, uy), c) in enumerate(hull):
-        lo = a if k == 0 else max(a, _ceil(breaks[k - 1]))
-        hi = b if k == len(breaks) else min(b, _ceil(breaks[k]) - 1)
-        if lo <= hi:
-            total += floor_sum(hi - lo + 1, abs(uy), ux, ux * lo - c)
+    k = bisect_right(starts, a)
+    while a <= b:
+        (ux, uy), c = hull[k]
+        hi = min(b, starts[k] - 1) if k < len(starts) else b
+        total += floor_sum(hi - a + 1, abs(uy), ux, ux * a - c)
+        a, k = hi + 1, k + 1
     return total
 
 
@@ -203,36 +217,42 @@ def _columns(lower: Chain, upper: Chain, a: int, b: int) -> int:
     return b - a + 1 + _column_sum(lower, a, b) + _column_sum(upper, a, b)
 
 
+def _extent(ends: List[End]) -> Tuple[int, int]:
+    """The first and last integer column of a clipped region; (1, 0) when it has no ends."""
+    return (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
+
+
 def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
     """Number of lattice points in the region."""
-    lower, upper, ends = _clip(halfplanes)
-    a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
-    return _columns(lower, upper, a, b)
+    return _count(*_clip(halfplanes, _checked_start(halfplanes)))
+
+
+def _count(lower: Chain, upper: Chain, ends: List[End]) -> int:
+    """`count_lattice_points` of a clipped region."""
+    return _columns(lower, upper, *_extent(ends))
 
 
 def _class_count(lower: Chain, upper: Chain, ends: List[End], m: LatticePoint) -> int:
     """Lattice points p = m (mod 2) of a clipped region, as the lattice points
     q = (p - m)/2 of its image: a line <p, u> >= c becomes <q, 2u> >= c - <m, u>,
-    and an x-coordinate x becomes (x - m_x)/2, which keeps the envelopes' order."""
+    and an x-coordinate x becomes (x - m_x)/2, which keeps the envelopes' order.
+    An integer column s, a line's first or the region's first, becomes
+    ceil((s - m_x)/2), exact as m_x is an int; the last becomes floor((s - m_x)/2)."""
     if not ends:
         return 0
     mx, my = m
-
-    def at(x: X) -> X:
-        num, den = x
-        return num - mx * den, 2 * den
-
     lower, upper = (
-        ([((2 * ux, 2 * uy), c - mx * ux - my * uy) for (ux, uy), c in hull], list(map(at, breaks)))
-        for hull, breaks in (lower, upper)
+        ([((2 * ux, 2 * uy), c - mx * ux - my * uy) for (ux, uy), c in hull], None,
+         [(s - mx + 1) // 2 for s in starts])
+        for hull, _, starts in (lower, upper)
     )
-    a, (num, den) = (at(x) for x, _, _ in ends)
-    return _columns(lower, upper, _ceil(a), num // den)
+    a, b = _extent(ends)
+    return _columns(lower, upper, (a - mx + 1) // 2, (b - mx) // 2)
 
 
 def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:
     """The lattice point of the region that is smallest in (x, y), or None."""
-    return _lexmin(*_clip(halfplanes))
+    return _lexmin(*_clip(halfplanes, _checked_start(halfplanes)))
 
 
 def _lexmin(lower: Chain, upper: Chain, ends: List[End]) -> Optional[LatticePoint]:
@@ -245,7 +265,7 @@ def _lexmin(lower: Chain, upper: Chain, ends: List[End]) -> Optional[LatticePoin
     O(log(x* - a + 2)) counts, exactly one when column a holds the point; a
     region with no lattice point costs O(log width).
     """
-    a, b = (_ceil(ends[0][0]), ends[1][0][0] // ends[1][0][1]) if ends else (1, 0)
+    a, b = _extent(ends)
     if a > b:
         return None
     step = 1  # count the columns a..a+step-1 for step = 1, 2, 4, ...
@@ -263,7 +283,7 @@ def _lexmin(lower: Chain, upper: Chain, ends: List[End]) -> Optional[LatticePoin
             hi = mid
         else:
             lo = mid + 1
-    # the line active at lo: the first break >= lo, as floor(x) >= lo iff x >= lo
-    hull, breaks = lower
-    (ux, uy), c = hull[bisect_left(breaks, lo, key=lambda x: x[0] // x[1])]
+    # the line active at lo, the last whose first integer column is <= lo
+    hull, _, starts = lower
+    (ux, uy), c = hull[bisect_right(starts, lo)]
     return lo, -((ux * lo - c) // uy)

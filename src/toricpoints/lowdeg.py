@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from operator import mul
 from typing import Dict, Optional, Tuple
 
@@ -86,10 +85,10 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     other i != j, and K.D_i = b_i - 2 with D_i^2 = -b_i, so the objective is
     val(R) = sum_{i in R} (b_i - 4) + 2 #{i : i, i+1 in R}.  The empty subset
     gives 0, so the value is always <= 2.  A two-state dynamic programme
-    around the cycle, run once with ray 0 out and once with it in, minimises
-    (val, |R|) in O(n); R is then rebuilt from ray 0 on, taking each ray
-    whenever the minimum is still reachable with it, which yields the
-    lexicographically smallest sorted R among the minimisers.
+    runs once backwards around the cycle with ray 0 out and in side by side,
+    and minimises (val, |R|) in O(n).  Each state keeps its R and takes a ray
+    on a tie: the tied Rs agree below the ray, and the one holding it sorts
+    first.  So R is the lexicographically smallest sorted R of the minimisers.
     """
     n = require(fan, ToricSurfaceFan).n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
@@ -97,29 +96,24 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     w = n + 1
     edge = 2 * w  # two cyclic neighbours both in R
     take = [(-s - 4) * w + 1 for s in fan.self_intersections]  # (b_i - 4, 1)
-    runs = []
-    for first in (1, 0):
-        # suf[i] = least key of rays i..n-1 with ray i-1 out, and with it in;
-        # the pair (n-1, 0) adds an edge when both ends are in
-        suf = [None] * (n + 1)
-        suf[n] = (0, edge * first)
-        for i in range(n - 1, 0, -1):
-            out, into = suf[i + 1]
-            suf[i] = (min(out, take[i] + into), min(out, take[i] + edge + into))
-        runs.append((first * take[0] + suf[1][first], first, suf))
-    best, first, suf = min(runs, key=lambda run: run[0])  # ties keep ray 0 in
-    subset = [0] if first else []
-    acc, prev = first * take[0], first
-    for i in range(1, n):
-        with_i = acc + take[i] + edge * prev
-        prev = int(with_i + suf[i + 1][1] == best)
-        if prev:
-            subset.append(i)
-            acc = with_i
+    # for ray 0 out, then in: the least (key, R) of rays i..n-1, R linked as (i, rest), with
+    # ray i-1 out and with it in; the pair (n-1, 0) adds an edge when both ends are in
+    states = [((0, None), (0, None)), ((0, None), (edge, None))]
+    for i in range(n - 1, 0, -1):
+        t, te = take[i], take[i] + edge
+        states = [
+            (o if o[0] < t + k else (t + k, (i, r)), o if o[0] < te + k else (te + k, (i, r)))
+            for o, (k, r) in states  # o leaves ray i out, a tie takes it
+        ]
+    (best, linked), (k, r) = states[0][0], states[1][1]
+    if take[0] + k <= best:  # ties keep ray 0 in
+        best, linked = take[0] + k, (0, r)
+    subset = []
+    while linked:
+        i, linked = linked
+        subset.append(i)
     val = best // w
-    return LambdaResult(
-        value=Fraction(2) + Fraction(val, 4), inner_min=val, argmin_subset=tuple(subset)
-    )
+    return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
 
 
 def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
@@ -151,7 +145,7 @@ def _positive_representation(C: ToricDivisor):
     rep = C + div(chi^m), or None when m is None or C + K + div(chi^m) is 0.
     C + K has the coefficients c_j - 1, so P_{C+K} = {m : <m, u_j> >= 1 - c_j}."""
     rays = require(C, ToricDivisor).fan.rays
-    clip = geometry._clip([(u, 1 - c) for u, c in zip(rays, C.coeffs)])
+    clip = geometry._clip([(u, 1 - c) for u, c in zip(rays, C.coeffs)], C.fan._arc_start)
     m = geometry._lexmin(*clip)
     rep = None if m is None else tuple(c + dot(m, u) for c, u in zip(C.coeffs, rays))
     return (ToricDivisor(C.fan, rep) if rep and set(rep) != {1} else None), clip, m
@@ -268,14 +262,6 @@ class InterpolationReport:
     conditions: Optional[ConditionVerdicts]
 
 
-def _largest_int_below(x: Fraction) -> Optional[int]:
-    # largest integer strictly below x, or None when no positive one exists
-    e = floor(x)
-    if e == x:
-        e -= 1
-    return e if e >= 1 else None
-
-
 def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     """Run the whole pipeline for one curve class and aggregate verdicts.
 
@@ -299,8 +285,11 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     rep, clip, m = _positive_representation(C)
     verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL
 
-    bound = min(Fraction(bl2, 9), Fraction(C2, 4) + lam.value)
-    e_max = _largest_int_below(bound)
+    # the bound min(bl2/9, C^2/4 + lambda) as num/den, as C^2/4 + lambda = top/4
+    top = C2 + 8 + lam.inner_min
+    num, den = (bl2, 9) if 4 * bl2 <= 9 * top else (top, 4)
+    e = (num - 1) // den  # the largest int strictly below the bound
+    e_max = e if e >= 1 else None
 
     D = CD = conditions = None
     table = DegBTable()
@@ -326,7 +315,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
         CD=CD,
         C2=C2,
         blowup_C2=bl2,
-        degree_bound=bound,
+        degree_bound=Fraction(num, den),
         e_max=e_max,
         hypothesis_verdicts=verdicts,
         degB_table=table,

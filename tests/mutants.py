@@ -171,8 +171,23 @@ MUTANTS = (
     Mutant(
         "largest-int-below-takes-zero",
         "lowdeg.py",
-        "    return e if e >= 1 else None",
-        "    return e if e >= 0 else None",
+        "    e_max = e if e >= 1 else None",
+        "    e_max = e if e >= 0 else None",
+        ("test_lowdeg.py",),
+    ),
+    # the report's bound in ints, and lambda's one pass
+    Mutant(
+        "e-max-takes-an-integral-bound",
+        "lowdeg.py",
+        "    e = (num - 1) // den",
+        "    e = num // den",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "lambda-tie-leaves-ray-0-out",
+        "lowdeg.py",
+        "    if take[0] + k <= best:",
+        "    if take[0] + k < best:",
         ("test_lowdeg.py",),
     ),
     # one home for each argument contract
@@ -208,7 +223,7 @@ MUTANTS = (
     Mutant(
         "fan-without-the-winding-check",
         "fan.py",
-        "        if lower_arc_start(rays) is None:\n"
+        "        if start is None:\n"
         '            raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")\n',
         "",
         ("test_fan.py",),
@@ -239,8 +254,8 @@ MUTANTS = (
     Mutant(
         "clip-exit-at-offsets-of-zero",
         "geometry.py",
-        "    if min(offsets) > 0:",
-        "    if min(offsets) >= 0:",
+        "    if min(c for _, c in halfplanes) > 0:",
+        "    if min(c for _, c in halfplanes) >= 0:",
         ("test_geometry.py",),
     ),
     Mutant(
@@ -259,7 +274,7 @@ MUTANTS = (
         "    if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):",
         "    start = lower_arc_start(normals)\n"
         "    if min(c for _, c in halfplanes) > 0:\n"
-        "        return ([], []), ([], []), NEG_INF, INF\n"
+        "        return 0\n"
         "    if start is None or any(det(normals[i - 1], normals[i]) <= 0 for i in range(len(normals))):",
         ("test_geometry.py",),
     ),
@@ -278,11 +293,21 @@ MUTANTS = (
         "",
         ("test_geometry.py",),
     ),
+    # bisect_right(starts, x - 1) is bisect_left(starts, x) on ints: the
+    # line whose first column is x is taken to start after it
     Mutant(
         "lexmin-line-by-ceiled-break",
         "geometry.py",
-        "key=lambda x: x[0] // x[1]",
-        "key=lambda x: -(-x[0] // x[1])",
+        "hull[bisect_right(starts, lo)]",
+        "hull[bisect_right(starts, lo - 1)]",
+        ("test_geometry.py",),
+    ),
+    # a count of the columns a..b starts at the line active at a
+    Mutant(
+        "column-sum-first-line-by-bisect-left",
+        "geometry.py",
+        "    k = bisect_right(starts, a)",
+        "    k = bisect_right(starts, a - 1)",
         ("test_geometry.py",),
     ),
     # one clip per report: h1(D - C) from the points of P_{C+K} in m*'s class mod 2
@@ -296,8 +321,15 @@ MUTANTS = (
     Mutant(
         "class-count-break-not-halved",
         "geometry.py",
-        "return num - mx * den, 2 * den",
-        "return num - mx * den, den",
+        "[(s - mx + 1) // 2 for s in starts]",
+        "[s - mx for s in starts]",
+        ("test_geometry.py",),
+    ),
+    Mutant(
+        "class-count-column-floored",
+        "geometry.py",
+        "[(s - mx + 1) // 2 for s in starts]",
+        "[(s - mx) // 2 for s in starts]",
         ("test_geometry.py",),
     ),
     Mutant(
@@ -342,6 +374,13 @@ MUTANTS = (
         "((u, 1 + a) for u, a in",
         "((u, a) for u, a in",
         ("test_cohomology.py",),
+    ),
+    Mutant(
+        "report-clip-from-the-next-ray",
+        "lowdeg.py",
+        "C.fan._arc_start)",
+        "C.fan._arc_start + 1)",
+        ("test_lowdeg.py",),
     ),
     Mutant(
         "c-plus-k-offsets-without-the-one",

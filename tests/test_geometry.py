@@ -4,11 +4,12 @@ a bounding-box scan for the lattice points, and a column-by-column scan for
 the lex-min point and, filtered by parity, for the count of a class mod 2."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, log2
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricpoints import geometry
@@ -24,6 +25,7 @@ from toricpoints.geometry import (
 )
 
 from conftest import count_calls
+from test_lowdeg import polygon_class
 
 
 def _feasible(halfplanes, p):
@@ -229,10 +231,70 @@ def test_the_class_count_is_the_column_scan_filtered_by_parity(halfplanes, shift
     # each class r mod 2, by a representative m = r + 2k drawn anywhere in it
     vertices = pairwise_vertices(halfplanes)
     points = list(column_points(halfplanes, *integer_columns(vertices))) if vertices else []
-    clip = geometry._clip(integral(halfplanes))
+    scaled = integral(halfplanes)
+    clip = geometry._clip(scaled, geometry._checked_start(scaled))
     for (rx, ry), (kx, ky) in zip(itertools.product(range(2), repeat=2), shifts):
         want = sum((x - rx) % 2 == 0 and (y - ry) % 2 == 0 for x, y in points)
         assert geometry._class_count(*clip, (rx + 2 * kx, ry + 2 * ky)) == want
+
+
+def _clipped(halfplanes):
+    return geometry._clip(halfplanes, geometry._checked_start(halfplanes))
+
+
+@st.composite
+def column_ranges(draw):
+    """A region with int offsets, and a sub-range [a, b] of its integer
+    columns whose ends are drawn anywhere in them or on the first integer
+    column of an envelope's line."""
+    halfplanes = integral(draw(st.one_of(regions(), mixed_regions())))
+    lower, upper, ends = _clipped(halfplanes)
+    lo, hi = geometry._extent(ends)
+    assume(lo <= hi)
+    starts = [s for _, _, ss in (lower, upper) for s in ss if lo <= s <= hi]
+    on_a_start = st.sampled_from(starts) if starts else st.nothing()
+    a = draw(st.integers(lo, hi) | on_a_start)
+    b = draw(st.integers(a, hi) | on_a_start.filter(lambda s: s >= a))
+    return halfplanes, a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(column_ranges())
+def test_a_count_of_any_columns_is_the_column_scan(case):
+    halfplanes, a, b = case
+    lower, upper, ends = _clipped(halfplanes)
+    for hull, breaks, starts in (lower, upper):
+        assert starts == [ceil(Fraction(*x)) for x in breaks] and len(hull) == len(starts) + 1
+    want = sum(1 for _ in column_points(halfplanes, a, b))
+    assert geometry._columns(lower, upper, a, b) == want
+
+
+def many_ray_fan(n, seed=0):
+    """P^2 blown up at random torus-fixed points until it has n rays."""
+    rng = random.Random(seed)
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < n:
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return build_fan(rays)
+
+
+def test_a_count_ceils_each_break_once_per_clip_and_sums_one_line_per_column():
+    # an ample class, so each of the 1024 rays carries an edge and a break
+    fan = many_ray_fan(1024)
+    halfplanes = polygon_class(fan, [1] * fan.n)[0].halfplanes
+    calls = count_calls(lambda: _clipped(halfplanes), geometry._ceil)
+    lower, upper, ends = _clipped(halfplanes)
+    breaks = len(lower[1]) + len(upper[1])
+    assert breaks == fan.n - 2 - sum(uy == 0 for _, uy in fan.rays)
+    assert calls == {"_ceil": breaks}
+    a, b = geometry._extent(ends)
+    columns = {a, b, (a + b) // 2, *lower[2][::40], *upper[2][::40]}
+    for x in sorted(columns):
+        calls = count_calls(lambda: geometry._columns(lower, upper, x, x), geometry.floor_sum)
+        assert calls == {"floor_sum": 2}
+        assert geometry._columns(lower, upper, x, x) == sum(1 for _ in column_points(halfplanes, x, x))
 
 
 def _refuse_fraction(*args):

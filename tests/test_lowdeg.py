@@ -7,7 +7,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from math import inf
+from math import ceil, inf
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,6 +40,7 @@ from toricpoints import geometry, lowdeg
 from toricpoints.cli import jsonable
 from toricpoints.divisor import intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
+from toricpoints.fan import lower_arc_start
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
 from toricpoints.lowdeg import _positive_representation
 
@@ -868,7 +869,7 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
     coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=fan.n, max_size=fan.n))
     E = ToricDivisor(fan, tuple(coeffs))
     doubled = [((2 * ux, 2 * uy), c) for (ux, uy), c in E.halfplanes]  # {q : 2q in P_E}
-    even = geometry._class_count(*geometry._clip(E.halfplanes), (0, 0))
+    even = geometry._class_count(*geometry._clip(E.halfplanes, fan._arc_start), (0, 0))
     assert cohomology(_halved(fan, coeffs)).h0 == geometry.count_lattice_points(doubled) == even
 
 
@@ -1079,12 +1080,16 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         geometry._clip,
         geometry._envelope,
         cohomology,
+        lower_arc_start,
+        Fraction.__new__,
     )
     # built: the pairing vector p of C, which C_rep shares (D's vector q
     # comes from the coefficients, and every other number is a dot product
     # of p and q), and the two divisors returned, C_rep and D; the one clip
-    # is P_{C+K}'s, and its two column counts are the lex-min probe and
-    # h2(D - C), the points of the clip congruent to the lex-min point mod 2
+    # is P_{C+K}'s, from the start the fan kept, and its two column counts
+    # are the lex-min probe and h2(D - C), the points of the clip congruent
+    # to the lex-min point mod 2; the Fractions are lambda, the degree bound
+    # and the h0 bound, each built once from ints
     assert counts == {
         "intersect_primes": 1,
         "ToricDivisor.__post_init__": 2,
@@ -1092,7 +1097,67 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         "_clip": 1,
         "_envelope": 2,
         "cohomology": 0,
+        "lower_arc_start": 0,
+        "Fraction.__new__": 3,
     }
+
+
+def _check_degree_bound(r):
+    """degree_bound and e_max against the bound built from Fractions, and
+    the largest int strictly below it."""
+    bound = min(Fraction(r.blowup_C2, 9), Fraction(r.C2, 4) + r.lambda_value)
+    below = ceil(bound) - 1
+    assert r.degree_bound == bound and type(r.degree_bound) is Fraction
+    assert r.e_max == (below if below >= 1 else None)
+    return r.e_max
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blowup_fans(), st.booleans(), st.data())
+def test_the_degree_bound_and_e_max_match_the_fraction_oracle(fan, polygon, data):
+    if polygon:
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=fan.n, max_size=fan.n))
+        C = polygon_class(fan, lengths)[0]
+    else:
+        coeffs = data.draw(st.lists(st.integers(-10, 20), min_size=fan.n, max_size=fan.n))
+        C = ToricDivisor(fan, tuple(coeffs))
+    mults = tuple(data.draw(st.lists(st.integers(2, 7), max_size=3)))
+    _check_degree_bound(toric_theorem_report(CurveOnSurface(fan, C, mults)))
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs, mults, bound, e_max",
+    [
+        (p2(), (9, 0, 0), (), 9, 8),  # bl2/9 = 81/9
+        (p2(), (6, 0, 0), (3,), 3, 2),  # bl2/9 = 27/9
+        (p2(), (3, 0, 0), (3,), 0, None),
+        (p2(), (3, 0, 0), (2, 2), Fraction(1, 9), None),
+        (hirzebruch(11), (15, 1, 0, 0), (), 2, 1),  # C^2/4 + lambda = 2 < 19/9
+        (hirzebruch(10), (14, 1, 0, 0), (), 2, 1),  # both terms are 2
+    ],
+)
+def test_an_integral_degree_bound_keeps_e_max_strictly_below_it(fan, coeffs, mults, bound, e_max):
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
+    assert (r.degree_bound, r.e_max) == (bound, e_max)
+    assert _check_degree_bound(r) == e_max
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(blowup_fans(), st.data())
+def test_the_fan_keeps_the_start_the_check_finds(fan, data):
+    # a plain attribute, so pickle, copy and replace carry or recompute it
+    want = geometry._checked_start([(u, 0) for u in fan.rays])
+    assert fan._arc_start == want
+    assert "_arc_start" not in {f.name for f in dataclasses.fields(fan)}
+    assert "_arc_start" not in repr(fan)
+    others = [pickle.loads(pickle.dumps(fan)), copy.copy(fan), copy.deepcopy(fan)]
+    others += [dataclasses.replace(fan), dataclasses.replace(fan, name="S")]
+    for other in others:
+        assert other.rays == fan.rays and other._arc_start == want
+    k = data.draw(st.integers(0, fan.n - 1))
+    rotated = dataclasses.replace(fan, rays=fan.rays[k:] + fan.rays[:k])
+    assert rotated._arc_start == geometry._checked_start([(u, 0) for u in rotated.rays])
+    assert rotated._arc_start == (want - k) % fan.n
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
