@@ -26,10 +26,8 @@ from .lowdeg import (
     HirzebruchExampleReport,
     InterpolationReport,
     LambdaResult,
-    blowup_self_intersection,
     hirzebruch_counterexample,
     lambda_invariant,
-    positive_curve_representation,
     toric_theorem_report,
 )
 from .plane import (

@@ -1,12 +1,13 @@
 """The full cohomology profile of a toric divisor.
 
-h0 is the number of lattice points of the polygon P_D
-(`ToricDivisor.halfplanes`, clipped from the fan's kept arc start and
+h0 is the number of lattice points of the polygon P_D (`divisor._polygon`,
 counted as `geometry.count_lattice_points` counts), h2
 comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
 Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`),
 and h1 by difference in `_h1`; the interpolation report shares both.  A
-divisor's coefficients are ints, so every number here is an int.
+divisor's coefficients are ints, so every number here is an int: the CLI
+checks the text it parses and the descriptor's keys, and the library's
+contracts (`ToricDivisor`, the fan) refuse the values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from . import geometry
-from .divisor import ToricDivisor, intersect_primes
+from .divisor import ToricDivisor, _polygon, intersect_primes
 from .errors import InternalInconsistency, require
 
 
@@ -44,9 +45,8 @@ def cohomology(D: ToricDivisor) -> CohomologyProfile:
     h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface;
     K - D has the coefficients -1 - a_i, so P_{K-D} = {m : <m, u_i> >= 1 + a_i}."""
     chi = euler_characteristic(D)
-    h0 = geometry._count(*geometry._clip(D.halfplanes, D.fan._arc_start))
-    dual = ((u, 1 + a) for u, a in zip(D.fan.rays, D.coeffs))  # P_{K-D}, built when read
-    h2 = 0 if h0 else geometry._count(*geometry._clip(list(dual), D.fan._arc_start))
+    h0 = geometry._count(*_polygon(D.fan, D.coeffs))
+    h2 = 0 if h0 else geometry._count(*_polygon(D.fan, [-1 - a for a in D.coeffs]))
     return CohomologyProfile(h0=h0, h1=_h1(D.coeffs, h0, h2, chi), h2=h2, chi=chi)
 
 

@@ -6,15 +6,7 @@ class ToricError(Exception):
     """Base class for all toricpoints errors."""
 
 
-class NonPrimitiveRay(ToricError):
-    pass
-
-
 class NotSmoothOrNotComplete(ToricError):
-    pass
-
-
-class DuplicateRay(ToricError):
     pass
 
 
@@ -35,7 +27,8 @@ class InternalInconsistency(ToricError):
 
 
 class InputError(ToricError):
-    """Malformed user input (CLI / JSON descriptors)."""
+    """Malformed user input: the CLI checks the text it parses and the descriptor's
+    keys, and the library's contracts refuse the values (ContractViolation and the rest)."""
 
 
 def require(obj, cls):

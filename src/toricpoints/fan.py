@@ -3,21 +3,21 @@
 A surface is described by its cyclically ordered primitive rays u_1,...,u_n
 (counterclockwise).  Smoothness and completeness together amount to
 det(u_i, u_{i+1}) = +1 for every consecutive pair and rays that wind once
-around the origin; `ToricSurfaceFan` checks both when it is made.
+around the origin; `ToricSurfaceFan` checks both when it is made.  They
+also make the rays primitive (a common factor of u_i divides det(u_i, u_{i+1}))
+and distinct (one winding whose turns are all under a half-turn meets no
+direction twice), so neither is checked apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
     ContractViolation,
-    DuplicateRay,
     InputError,
-    NonPrimitiveRay,
     NotSmoothOrNotComplete,
     require,
     require_int,
@@ -61,11 +61,6 @@ class ToricSurfaceFan:
         n = len(rays)
         if n < 3:
             raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
-        for u in rays:
-            if gcd(abs(u[0]), abs(u[1])) != 1:
-                raise NonPrimitiveRay(f"ray {u} is not primitive")
-        if len(set(rays)) != n:
-            raise DuplicateRay("fan contains a repeated ray")
         for i in range(n):
             d = det(rays[i], rays[(i + 1) % n])
             if d != 1:

@@ -23,6 +23,7 @@ from .cohomology import _chi, _h1, cohomology
 from .divisor import (
     Positivity,
     ToricDivisor,
+    _lexmin_shift,
     _pairings,
     classify_pairings,
     intersect_primes,
@@ -35,7 +36,7 @@ from .errors import (
     require_int,
     require_ints,
 )
-from .fan import ToricSurfaceFan, dot, hirzebruch
+from .fan import ToricSurfaceFan, hirzebruch
 
 # verdict labels used throughout reports
 PASS = "pass"
@@ -116,39 +117,22 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
 
 
-def blowup_self_intersection(C2: int, multiplicities: Sequence[int]) -> int:
-    """Self-intersection of the normalised curve on the blowup:
-    C^2 - sum delta_i^2."""
-    return require_int(C2, "C^2") - sum(d * d for d in _multiplicities(multiplicities))
-
-
 def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
     """The report's blowup_ample verdict for an ample C: sum delta_i < min_i C.D_i
     (Seshadri lower bound) certifies it; NOT_CERTIFIED is not a refutation."""
     return CERTIFIED if sum(multiplicities) < min(pairings) else NOT_CERTIFIED
 
 
-def positive_curve_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
-    """Representation C = sum a_i D_i with every a_i >= 1 and some a_j >= 2.
-
-    Exists iff C + K > 0 (effective and not principal).  Built as the lex-min
-    non-negative representative of C + K plus (1,...,1).  On a complete fan
-    a principal divisor with no negative coefficient is zero, so C + K is
-    principal exactly when that representative is zero; otherwise some
-    shifted coefficient is >= 2.
-    """
-    return _positive_representation(C)[0]
-
-
 def _positive_representation(C: ToricDivisor):
-    """(rep, clip, m): the clip of P_{C+K}, its lex-min lattice point m, and
-    rep = C + div(chi^m), or None when m is None or C + K + div(chi^m) is 0.
-    C + K has the coefficients c_j - 1, so P_{C+K} = {m : <m, u_j> >= 1 - c_j}."""
-    rays = require(C, ToricDivisor).fan.rays
-    clip = geometry._clip([(u, 1 - c) for u, c in zip(rays, C.coeffs)], C.fan._arc_start)
-    m = geometry._lexmin(*clip)
-    rep = None if m is None else tuple(c + dot(m, u) for c, u in zip(C.coeffs, rays))
-    return (ToricDivisor(C.fan, rep) if rep and set(rep) != {1} else None), clip, m
+    """(rep, clip, m): the clip of P_{C+K}, its lex-min lattice point m, and the
+    positive representation rep = C + div(chi^m) = effective_representative(C + K) - K,
+    with every coefficient >= 1 and some >= 2, or None.  It exists iff C + K > 0
+    (effective and not principal): on a complete fan a principal divisor with no
+    negative coefficient is zero, so C + K is principal exactly when its
+    representative is zero, and otherwise some coefficient of rep is >= 2."""
+    clip, m, shifted = _lexmin_shift(C.fan, [c - 1 for c in C.coeffs])
+    rep = ToricDivisor(C.fan, tuple(a + 1 for a in shifted)) if shifted and any(shifted) else None
+    return rep, clip, m
 
 
 def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequence[int]):
@@ -277,7 +261,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
 
     p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
     C2 = sum(map(mul, C.coeffs, p))
-    bl2 = blowup_self_intersection(C2, curve.multiplicities)
+    bl2 = C2 - sum(d * d for d in curve.multiplicities)  # C~^2 on the blowup, C^2 - sum delta_i^2
     ample = classify_pairings(p) is Positivity.AMPLE
     verdicts["curve_ample"] = PASS if ample else FAIL
     verdicts["blowup_ample"] = _seshadri(p, curve.multiplicities) if ample else NOT_CERTIFIED

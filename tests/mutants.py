@@ -371,23 +371,30 @@ MUTANTS = (
     Mutant(
         "k-minus-d-offsets-without-the-one",
         "cohomology.py",
-        "((u, 1 + a) for u, a in",
-        "((u, a) for u, a in",
+        "[-1 - a for a in D.coeffs]",
+        "[-a for a in D.coeffs]",
         ("test_cohomology.py",),
     ),
     Mutant(
         "report-clip-from-the-next-ray",
-        "lowdeg.py",
-        "C.fan._arc_start)",
-        "C.fan._arc_start + 1)",
+        "divisor.py",
+        "fan._arc_start)",
+        "fan._arc_start + 1)",
         ("test_lowdeg.py",),
     ),
     Mutant(
         "c-plus-k-offsets-without-the-one",
         "lowdeg.py",
-        "[(u, 1 - c) for u, c in",
-        "[(u, -c) for u, c in",
+        "[c - 1 for c in C.coeffs]",
+        "[c for c in C.coeffs]",
         ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "polygon-offsets-of-the-wrong-sign",
+        "divisor.py",
+        "[(u, -c) for u, c in zip(fan.rays, a)]",
+        "[(u, c) for u, c in zip(fan.rays, a)]",
+        ("test_cohomology.py",),
     ),
     # a surface descriptor refuses any key it does not read
     Mutant(

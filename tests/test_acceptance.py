@@ -13,6 +13,7 @@ from toricpoints import (
     ToricDivisor,
     canonical_divisor,
     cohomology,
+    effective_representative,
     euler_characteristic,
     hirzebruch,
     hirzebruch_counterexample,
@@ -21,7 +22,6 @@ from toricpoints import (
     p1xp1,
     p2,
     plane_theorem_report,
-    positive_curve_representation,
     positivity,
     principal_divisor,
     remark_inequality_check,
@@ -139,7 +139,9 @@ def test_criterion_5e_positive_representations():
         rep, D = r.positive_rep, r.interp_divisor
         if rep is None:
             continue
-        assert rep == positive_curve_representation(C)
+        # the report's shift is effective_representative's: C_rep = eff.rep(C + K) - K
+        K = canonical_divisor(fan)
+        assert rep == effective_representative(C + K) - K
         # C - 2 floor(C/2) has 0/1 coefficients
         rest = tuple(a - 2 * b for a, b in zip(rep.coeffs, D.coeffs))
         assert all(x in (0, 1) for x in rest)

@@ -31,7 +31,7 @@ from toricpoints.cli import (
     parse_surface,
     surface_from_descriptor,
 )
-from toricpoints.errors import InputError, InternalInconsistency
+from toricpoints.errors import ContractViolation, InputError, InternalInconsistency, ToricError
 from toricpoints.fan import builtin_surface, p2
 
 from conftest import count_calls
@@ -271,17 +271,20 @@ def test_descriptor_with_float_ray_exits_2(tmp_path, capsys):
 
 
 def test_descriptor_field_types_are_strict():
+    # the descriptor's own keys are the CLI's to check; the values of the
+    # rays and the builtin name are refused by the fan's contracts
     p2_rays = [[1, 0], [0, 1], [-1, -1]]
-    for desc in [
-        {"rays": [[True, 0], [0, 1], [-1, -1]]},
-        {"rays": [[1, 0], [0, 1], [-1, "-1"]]},
-        {"rays": p2_rays, "name": 5},
-        {"builtin": "hirzebruch", "m": 3.0},
-        {"builtin": "hirzebruch", "m": True},
-        {"builtin": 2},
+    for desc, error in [
+        ({"rays": [[True, 0], [0, 1], [-1, -1]]}, ContractViolation),
+        ({"rays": [[1, 0], [0, 1], [-1, "-1"]]}, ContractViolation),
+        ({"rays": p2_rays, "name": 5}, InputError),
+        ({"builtin": "hirzebruch", "m": 3.0}, InputError),
+        ({"builtin": "hirzebruch", "m": True}, InputError),
+        ({"builtin": 2}, ContractViolation),
     ]:
-        with pytest.raises(InputError):
+        with pytest.raises(ToricError) as refused:
             surface_from_descriptor(desc)
+        assert type(refused.value) is error, desc
     assert surface_from_descriptor({"rays": p2_rays, "name": "P2"}).name == "P2"
     assert surface_from_descriptor({"builtin": "hirzebruch", "m": 3}).name == "F3"
 
@@ -395,8 +398,12 @@ def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("text", ['["3",0,0]', "[true,0,0]", "[3.0,0,0]", "[[3],0,0]", '{"a": 1}'])
 def test_divisor_json_coefficients_must_be_integers(capsys, text):
-    with pytest.raises(InputError):
+    # a JSON list's values reach ToricDivisor's contract; '{"a": 1}' is not
+    # a JSON list, so it is read as a comma list, which is text the CLI parses
+    error = InputError if text.startswith("{") else ContractViolation
+    with pytest.raises(ToricError) as refused:
         parse_divisor(p2(), text)
+    assert type(refused.value) is error
     code, out, err = run(capsys, "cohomology", "--surface", "P2", f"--divisor={text}", "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error:")

@@ -12,7 +12,9 @@ the one home of the rule that an argument must be an int, and a bool is not
 one.  No module calls json.dumps: cli._json_text is the one JSON writer.
 No module imports argparse, and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
-every exit code."""
+every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
+fan's `_arc_start` or calls `geometry._clip`: it is the one place where a
+class's coefficients become a clipped polygon."""
 
 import ast
 import sys
@@ -24,6 +26,7 @@ CACHES = {"cache", "lru_cache"}
 INTEGRAL = {"divisor.py", "cohomology.py"}
 CONTRACTS = "errors.py"
 CLI = "cli.py"
+POLYGON = {"fan.py", "geometry.py", "divisor.py"}  # where _arc_start and geometry._clip may appear
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
 
@@ -76,6 +79,13 @@ def _json_dumps(node):
     return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr == "dumps"
 
 
+def _polygon_internal(node):
+    # a fan's kept arc start, read, or geometry._clip, called or only named
+    return node.attr == "_arc_start" or (
+        node.attr == "_clip" and isinstance(node.value, ast.Name) and node.value.id == "geometry"
+    )
+
+
 def breaches(tree, module=""):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -101,8 +111,13 @@ def breaches(tree, module=""):
             yield node.lineno, f"raise SystemExit in {CLI}, whose main returns its exit code"
         elif isinstance(node, ast.Attribute) and _json_dumps(node):
             yield node.lineno, "json.dumps, where cli._json_text writes JSON"
+        elif isinstance(node, ast.Attribute) and module not in POLYGON and _polygon_internal(node):
+            yield node.lineno, f"{node.attr} outside divisor.py, which clips each class's polygon"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module == "geometry" and module not in POLYGON:
+                    if "_clip" in {a.name for a in node.names}:
+                        yield node.lineno, "_clip outside divisor.py, which clips each class's polygon"
                 continue
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             imported = {a.name for a in node.names}
@@ -176,6 +191,19 @@ def test_rules_catch_each_breach():
         assert len(list(breaches(ast.parse(check), "cli.py"))) == 1
         assert list(breaches(ast.parse(check), "__main__.py")) == []
     assert list(breaches(ast.parse("sys.exit(main())\nraise InputError('x')"), "cli.py")) == []
+    # a class's polygon is clipped in divisor.py, from the start the fan keeps
+    for check in (
+        "start = D.fan._arc_start",
+        "geometry._clip(hs, 0)",
+        "clip = geometry._clip",
+        "from .geometry import _clip",
+        "from .geometry import _count, _clip as clip",
+    ):
+        for module in ("cohomology.py", "lowdeg.py", "selftest.py"):
+            assert len(list(breaches(ast.parse(check), module))) == 1, (check, module)
+        for module in POLYGON:
+            assert list(breaches(ast.parse(check), module)) == [], (check, module)
+    assert list(breaches(ast.parse("geometry._count(*clip)\nfrom .geometry import _count"), "lowdeg.py")) == []
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
