@@ -421,6 +421,11 @@ MALFORMED_CALLS = {
     "multiplicities None": lambda: CurveOnSurface(p2(), ToricDivisor(p2(), (9, 0, 0)), None),
     "curve class a tuple": lambda: CurveOnSurface(p2(), (9, 0, 0)),
     "curve on no fan": lambda: CurveOnSurface(None, ToricDivisor(p2(), (9, 0, 0))),
+    # the report's positive_rep and blowup_C2 rest on these checks of C and delta_i
+    "curve class None": lambda: CurveOnSurface(p2(), None),
+    "multiplicities an int": lambda: CurveOnSurface(p2(), H, 2),
+    "multiplicities a str": lambda: CurveOnSurface(p2(), H, "22"),
+    "effective representative of None": lambda: effective_representative(None),
     "cohomology of a tuple": lambda: cohomology((1, 0, 0)),
     "effective representative of a fan": lambda: effective_representative(p2()),
     "pairing with None": lambda: intersection_number(H, None),
