@@ -114,18 +114,11 @@ def classify_pairings(pairings: Sequence[int]) -> Positivity:
 
 
 def _polygon(fan: ToricSurfaceFan, a: Sequence[int]):
-    """The clip of P_D for D = sum a_i D_i on `fan`, from the fan's kept arc
-    start: the one place outside fan.py and geometry.py that clips a polygon."""
-    return geometry._clip([(u, -c) for u, c in zip(fan.rays, a)], fan._arc_start)
-
-
-def _lexmin_shift(fan: ToricSurfaceFan, a: Sequence[int]):
-    """(clip, m, shifted): the `_polygon` of D = sum a_i D_i, its lex-min
-    lattice point m, and the coefficients a_i + <m, u_i> >= 0 of D + div(chi^m),
-    or None in place of m and shifted when P_D holds no lattice point."""
-    clip = _polygon(fan, a)
-    m = geometry._lexmin(*clip)
-    return clip, m, (None if m is None else tuple(c + dot(m, u) for c, u in zip(a, fan.rays)))
+    """The clip of P_D = {m : <m, u_i> >= -a_i} for D = sum a_i D_i on `fan`,
+    which `geometry._clip` sorts into arcs straight from the rays, from the
+    fan's kept arc start: the one place outside fan.py and geometry.py that
+    clips a polygon."""
+    return geometry._clip(fan.rays, a, fan._arc_start)
 
 
 def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
@@ -136,5 +129,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
     None when no lattice point is feasible (the class is not effective).
     """
-    shifted = _lexmin_shift(require(D, ToricDivisor).fan, D.coeffs)[2]
-    return None if shifted is None else ToricDivisor(D.fan, shifted)
+    m = geometry._lexmin(*_polygon(require(D, ToricDivisor).fan, D.coeffs))
+    if m is None:
+        return None
+    return ToricDivisor(D.fan, tuple(c + dot(m, u) for c, u in zip(D.coeffs, D.fan.rays)))

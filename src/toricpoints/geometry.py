@@ -10,30 +10,33 @@ with den > 0, compared by cross-multiplication.  Only `feasible_vertices`
 builds Fractions, for the vertices it returns; nothing is ever a float.
 
 The region is {xlo <= x <= xhi, L(x) <= y <= U(x)}: xlo and xhi come from
-the normals (+-1, 0), L is the maximum of the lower boundary lines (normals
-with u_y > 0) and U the minimum of the upper ones (u_y < 0).  Both arcs of
-normals are already sorted by slope, so one stack pass over each gives its
-envelope in O(n).  The region's ends take one linear solve per piece of the
-envelopes.  The normals positively span the plane, so a region whose
-offsets are all > 0 is empty and is not clipped.  Lattice points are
-counted column by column: each integer x adds floor(U(x)) - ceil(L(x)) + 1,
-and the columns under one boundary line are summed at once with
-`floor_sum`.  Each envelope also keeps the integer column where each line
-takes over, ceil(break), so a count of the columns a..b finds its first
-line by bisection and costs O(log n) plus one sum per line that meets
+the normals (+-k, 0), L is the maximum of the lower boundary lines (normals
+with u_y > 0) and U the minimum of the upper ones (u_y < 0).  `_clip`, the
+one clip routine, walks the normals once from the lower arc's start and
+sorts each half-plane into an arc or a vertical bound as it goes.  Both arcs
+come out sorted by slope, so one stack pass over each gives its envelope in
+O(n), and one walk over the envelopes' pieces finds the region's ends with
+one linear solve per piece.  The normals positively span the plane, so a
+region whose offsets are all > 0 is empty and is not clipped.  Lattice
+points are counted column by column: each integer x adds floor(U(x)) -
+ceil(L(x)) + 1, and the columns under one boundary line are summed at once
+with `floor_sum`.  Each envelope also keeps the integer column where each
+line takes over, ceil(break), so a count of the columns a..b finds its
+first line by bisection and costs O(log n) plus one sum per line that meets
 [a, b].  The lex-min point gallops over such counts from the region's left
 end, so it costs O(log(x* - a + 2)) counts for the first integer column a
 and the answer's column x*.  Each public question (vertices, count, lex-min
 point) checks its half-planes once and clips them once; a polygon on a
-fan's rays is clipped from the fan's kept `_arc_start` without a check.
-One clip can answer both the lex-min point and the count of a class mod 2.
+fan's rays is clipped straight from the rays and its divisor's
+coefficients, from the fan's kept `_arc_start`, without a check.  One clip
+can answer both the lex-min point and the count of a class mod 2.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ContractViolation, require_ints
 from .fan import LatticePoint, det, lower_arc_start
@@ -41,7 +44,8 @@ from .fan import LatticePoint, det, lower_arc_start
 QPoint = Tuple[Fraction, Fraction]
 HalfPlane = Tuple[LatticePoint, int]
 X = Tuple[int, int]  # the x-coordinate num/den as (num, den), den > 0
-NEG_INF, INF = (-1, 0), (1, 0)  # the ends of the x-axis: _le puts them before and after every X
+# the ends of the x-axis: cross-multiplication puts them before and after every X
+NEG_INF, INF = (-1, 0), (1, 0)
 # An envelope: its boundary lines left to right, the x where each one after
 # the first takes over from its predecessor, and that x's ceiling, the first
 # integer column of the line (None in place of the x for a class count's image).
@@ -67,31 +71,27 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _le(x: X, y: X) -> bool:
-    return x[0] * y[1] <= y[0] * x[1]
-
-
 def _ceil(x: X) -> int:
     return -(-x[0] // x[1])
 
 
-def _meet_x(h1: HalfPlane, h2: HalfPlane) -> X:
-    """x-coordinate where the boundary lines of two non-parallel half-planes meet."""
-    (u, c1), (v, c2) = h1, h2
-    num, den = c1 * v[1] - c2 * u[1], det(u, v)
-    return (num, den) if den > 0 else (-num, -den)
-
-
 def _envelope(lines: Sequence[HalfPlane]) -> Chain:
     """The lines that reach the envelope, for lines given in the order in
-    which they can appear on it from left to right."""
+    which they can appear on it from left to right.  Each new line h meets
+    the last kept line at x = num/den, with den = det of their normals
+    made > 0; while that x is not right of the last break, the last line
+    never reaches the envelope."""
     hull: List[HalfPlane] = []
     breaks: List[X] = []
     for h in lines:
+        (vx, vy), c = h
         while hull:
-            x = _meet_x(hull[-1], h)
-            if not breaks or not _le(x, breaks[-1]):
-                breaks.append(x)
+            (ux, uy), b = hull[-1]
+            num, den = b * vy - c * uy, ux * vy - uy * vx
+            if den < 0:
+                num, den = -num, -den
+            if not breaks or num * breaks[-1][1] > breaks[-1][0] * den:
+                breaks.append((num, den))
                 break
             hull.pop()
             breaks.pop()
@@ -113,80 +113,85 @@ def _checked_start(halfplanes: Sequence[HalfPlane]) -> int:
     return start
 
 
-def _chains(halfplanes: Sequence[HalfPlane], start: int) -> Tuple[Chain, Chain, X, X]:
-    """Lower envelope L, upper envelope U, and the vertical bounds xlo, xhi
-    (+-INF where there is none); L and U are empty when every offset is > 0."""
-    if min(c for _, c in halfplanes) > 0:
-        return ([], [], []), ([], [], []), NEG_INF, INF
-    hs = [*halfplanes[start:], *halfplanes[:start]]
-    # From the lower arc's start, the order is: lower arc (slopes rising
-    # left to right), (-1, 0), upper arc (slopes rising right to left), (1, 0).
-    lower = _envelope([h for h in hs if h[0][1] > 0])
-    upper = _envelope([h for h in reversed(hs) if h[0][1] < 0])
+def _checked_clip(halfplanes: Sequence[HalfPlane]) -> Tuple[Chain, Chain, List[End]]:
+    """`_clip` of half-planes given to a public question, after `_checked_start`."""
+    start = _checked_start(halfplanes)
+    return _clip([u for u, _ in halfplanes], [-c for _, c in halfplanes], start)
+
+
+def _clip(
+    normals: Sequence[LatticePoint], a: Sequence[int], start: int
+) -> Tuple[Chain, Chain, List[End]]:
+    """The envelopes L and U of the region {x : <x, u_i> >= -a_i}, and its left
+    and right ends, each with the lower and upper line active there; no ends
+    when it is empty.  The normals are taken as checked, with `start` their
+    lower arc's start, and sorted into arcs in one walk from it: the lower
+    arc (slopes rising left to right), (-k, 0), the upper arc (slopes rising
+    right to left), (k, 0).
+
+    The pieces of the envelopes are walked left to right.  On each piece,
+    clamped to [xlo, xhi], U >= L is the one inequality g x <= cl uy - cu ly
+    for the active lines l and u, with g = det(l, u): it cuts the piece at
+    the lines' meet (on the right when g > 0, on the left when g < 0) or
+    keeps or drops all of it (g = 0).
+    """
+    if max(a) < 0:  # every offset is > 0
+        return ([], [], []), ([], [], []), []
+    lows: List[HalfPlane] = []
+    ups: List[HalfPlane] = []
     xlo, xhi = NEG_INF, INF
-    for (ux, uy), c in hs:
-        if uy == 0 and ux > 0:
-            xlo = (c, ux)
-        elif uy == 0:
-            xhi = (-c, -ux)
-    return lower, upper, xlo, xhi
-
-
-def _pieces(lower: Chain, upper: Chain) -> Iterator[Tuple[X, X, HalfPlane, HalfPlane]]:
-    """(start, end, l, u) for each x-interval on which the lower line l and
-    the upper line u are the active ones, left to right from -INF to INF."""
+    for i in range(start - len(a), start):
+        u, c = normals[i], -a[i]
+        if u[1] > 0:
+            lows.append((u, c))
+        elif u[1] < 0:
+            ups.append((u, c))
+        elif u[0] > 0:
+            xlo = (c, u[0])
+        else:
+            xhi = (-c, -u[0])
+    ups.reverse()
+    lower, upper = _envelope(lows), _envelope(ups)
     (lh, lb, _), (uh, ub, _) = lower, upper
     lb, ub = lb + [INF], ub + [INF]
     i = j = 0
+    first = last = None
     start = NEG_INF
     while True:
-        end = lb[i] if _le(lb[i], ub[j]) else ub[j]
-        yield start, end, lh[i], uh[j]
-        if end is INF:
-            return
-        i += _le(lb[i], end)
-        j += _le(ub[j], end)
-        start = end
-
-
-def _clip(halfplanes: Sequence[HalfPlane], start: int) -> Tuple[Chain, Chain, List[End]]:
-    """The envelopes L and U, and the region's left and right ends, each
-    with the lower and upper line active there; no ends when it is empty.
-    The half-planes are taken as checked, with `start` their lower arc's start.
-
-    On each piece of the envelopes, clamped to [xlo, xhi], U >= L is the one
-    inequality g x <= cl uy - cu ly for the active lines l and u, with
-    g = det(l, u): it cuts the piece at the lines' meet (on the right when
-    g > 0, on the left when g < 0) or keeps or drops all of it (g = 0).
-    """
-    lower, upper, xlo, xhi = _chains(halfplanes, start)
-    if not lower[0]:  # every offset is > 0
-        return lower, upper, []
-    first = last = None
-    for start, end, l, u in _pieces(lower, upper):
-        lo = xlo if _le(start, xlo) else start
-        hi = end if _le(end, xhi) else xhi
+        # the piece [start, end] of the lines l = lh[i] and u = uh[j]
+        bl, bu = lb[i], ub[j]
+        order = bl[0] * bu[1] - bu[0] * bl[1]  # the sign of bl - bu
+        end = bu if order > 0 else bl
+        lo = xlo if start[0] * xlo[1] <= xlo[0] * start[1] else start
+        hi = end if end[0] * xhi[1] <= xhi[0] * end[1] else xhi
+        l, u = lh[i], uh[j]
         ((lx, ly), cl), ((ux, uy), cu) = l, u
         g, r = lx * uy - ly * ux, cl * uy - cu * ly  # the meet is at x = r/g
-        if g > 0 and _le((r, g), hi):
+        if g > 0 and r * hi[1] <= hi[0] * g:
             hi = (r, g)
-        elif g < 0 and _le(lo, (-r, -g)):
+        elif g < 0 and lo[0] * -g <= -r * lo[1]:
             lo = (-r, -g)
-        if (g or r >= 0) and _le(lo, hi):
+        if (g or r >= 0) and lo[0] * hi[1] <= hi[0] * lo[1]:
             first = first or (lo, l, u)
             last = (hi, l, u)
-    return lower, upper, [first, last] if first else []
+        if end is INF:
+            return lower, upper, [first, last] if first else []
+        i += order <= 0
+        j += order >= 0
+        start = end
 
 
 def feasible_vertices(halfplanes: Sequence[HalfPlane]) -> List[QPoint]:
     """The distinct vertices of the region, counterclockwise: [] when it is
     empty, one point, the two ends of a segment, or the polygon's corners."""
-    lower, upper, ends = _clip(halfplanes, _checked_start(halfplanes))
+    lower, upper, ends = _checked_clip(halfplanes)
     if not ends:
         return []
     (xa, la, ua), (xb, lb, ub) = ends
-    lows, ups = (
-        [(x, h) for h, x, _ in zip(*ch) if not (_le(x, xa) or _le(xb, x))] for ch in (lower, upper)
+    lows, ups = (  # the breaks strictly between the ends
+        [((n, d), h) for h, (n, d), _ in zip(*ch)
+         if xa[0] * d < n * xa[1] and n * xb[1] < xb[0] * d]
+        for ch in (lower, upper)
     )
     ring = [(xa, la), *lows, (xb, lb), (xb, ub), *reversed(ups), (xa, ua)]
     # the point of each boundary line ((u_x, u_y), c) at x = n/d
@@ -224,7 +229,7 @@ def _extent(ends: List[End]) -> Tuple[int, int]:
 
 def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
     """Number of lattice points in the region."""
-    return _count(*_clip(halfplanes, _checked_start(halfplanes)))
+    return _count(*_checked_clip(halfplanes))
 
 
 def _count(lower: Chain, upper: Chain, ends: List[End]) -> int:
@@ -252,7 +257,7 @@ def _class_count(lower: Chain, upper: Chain, ends: List[End], m: LatticePoint) -
 
 def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:
     """The lattice point of the region that is smallest in (x, y), or None."""
-    return _lexmin(*_clip(halfplanes, _checked_start(halfplanes)))
+    return _lexmin(*_checked_clip(halfplanes))
 
 
 def _lexmin(lower: Chain, upper: Chain, ends: List[End]) -> Optional[LatticePoint]:

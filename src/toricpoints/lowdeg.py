@@ -19,16 +19,8 @@ from operator import mul
 from typing import Dict, Optional, Tuple
 
 from . import geometry
-from .cohomology import _chi, _h1, cohomology
-from .divisor import (
-    Positivity,
-    ToricDivisor,
-    _lexmin_shift,
-    _pairings,
-    classify_pairings,
-    intersect_primes,
-    intersection_number,
-)
+from .cohomology import _h1, cohomology
+from .divisor import ToricDivisor, _pairings, _polygon, intersect_primes, intersection_number
 from .errors import (
     ContractViolation,
     FanMismatch,
@@ -85,11 +77,12 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     On a smooth complete surface D_i.D_j = 1 for cyclic neighbours and 0 for
     other i != j, and K.D_i = b_i - 2 with D_i^2 = -b_i, so the objective is
     val(R) = sum_{i in R} (b_i - 4) + 2 #{i : i, i+1 in R}.  The empty subset
-    gives 0, so the value is always <= 2.  A two-state dynamic programme
-    runs once backwards around the cycle with ray 0 out and in side by side,
-    and minimises (val, |R|) in O(n).  Each state keeps its R and takes a ray
-    on a tie: the tied Rs agree below the ray, and the one holding it sorts
-    first.  So R is the lexicographically smallest sorted R of the minimisers.
+    gives 0, so the value is always <= 2.  A dynamic programme runs once
+    backwards around the cycle and minimises (val, |R|) in O(n).  It keeps
+    four states in locals, ray 0 out or in crossed with ray i-1 out or in,
+    each with its R.  A state takes ray i on a tie: the tied Rs agree below
+    the ray, and the one holding it sorts first; a tie at ray 0 keeps it in.
+    So R is the lexicographically smallest sorted R of the minimisers.
     """
     n = require(fan, ToricSurfaceFan).n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
@@ -97,16 +90,21 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     w = n + 1
     edge = 2 * w  # two cyclic neighbours both in R
     take = [(-s - 4) * w + 1 for s in fan.self_intersections]  # (b_i - 4, 1)
-    # for ray 0 out, then in: the least (key, R) of rays i..n-1, R linked as (i, rest), with
-    # ray i-1 out and with it in; the pair (n-1, 0) adds an edge when both ends are in
-    states = [((0, None), (0, None)), ((0, None), (edge, None))]
+    # (key, R) least over rays i..n-1, R linked as (i, rest): o0, i0 with ray 0
+    # out and ray i-1 out, in; o1, i1 likewise with ray 0 in.  The pair
+    # (n-1, 0) adds an edge when both ends are in.
+    o0 = i0 = o1 = (0, None)
+    i1 = (edge, None)
     for i in range(n - 1, 0, -1):
-        t, te = take[i], take[i] + edge
-        states = [
-            (o if o[0] < t + k else (t + k, (i, r)), o if o[0] < te + k else (te + k, (i, r)))
-            for o, (k, r) in states  # o leaves ray i out, a tie takes it
-        ]
-    (best, linked), (k, r) = states[0][0], states[1][1]
+        t = take[i]
+        k0, k1 = t + i0[0], t + i1[0]  # ray i in, after ray i-1 out
+        o0, i0, o1, i1 = (  # an o leaves ray i out; a tie takes it
+            o0 if o0[0] < k0 else (k0, (i, i0[1])),
+            o0 if o0[0] < k0 + edge else (k0 + edge, (i, i0[1])),
+            o1 if o1[0] < k1 else (k1, (i, i1[1])),
+            o1 if o1[0] < k1 + edge else (k1 + edge, (i, i1[1])),
+        )
+    (best, linked), (k, r) = o0, i1
     if take[0] + k <= best:  # ties keep ray 0 in
         best, linked = take[0] + k, (0, r)
     subset = []
@@ -117,12 +115,6 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
 
 
-def _seshadri(pairings: Sequence[int], multiplicities: Sequence[int]) -> str:
-    """The report's blowup_ample verdict for an ample C: sum delta_i < min_i C.D_i
-    (Seshadri lower bound) certifies it; NOT_CERTIFIED is not a refutation."""
-    return CERTIFIED if sum(multiplicities) < min(pairings) else NOT_CERTIFIED
-
-
 def _positive_representation(C: ToricDivisor):
     """(rep, clip, m): the clip of P_{C+K}, its lex-min lattice point m, and the
     positive representation rep = C + div(chi^m) = effective_representative(C + K) - K,
@@ -130,20 +122,28 @@ def _positive_representation(C: ToricDivisor):
     (effective and not principal): on a complete fan a principal divisor with no
     negative coefficient is zero, so C + K is principal exactly when its
     representative is zero, and otherwise some coefficient of rep is >= 2."""
-    clip, m, shifted = _lexmin_shift(C.fan, [c - 1 for c in C.coeffs])
-    rep = ToricDivisor(C.fan, tuple(a + 1 for a in shifted)) if shifted and any(shifted) else None
-    return rep, clip, m
+    fan = C.fan
+    clip = _polygon(fan, [c - 1 for c in C.coeffs])
+    m = geometry._lexmin(*clip)
+    if m is None:
+        return None, clip, m
+    mx, my = m
+    a = tuple(c + mx * ux + my * uy for c, (ux, uy) in zip(C.coeffs, fan.rays))
+    return (ToricDivisor(fan, a) if max(a) > 1 else None), clip, m
 
 
 def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequence[int]):
-    """(C.D, C^2, b) for C_rep = sum a_j D_j and D = sum d_j D_j, from their
-    pairing vectors p = (C_rep.D_j) and q = (D.D_j): C.D = d.p, C^2 = a.p, and
-    the section bound at degree e is (b - 4e)/4.  R = C_rep - 2D pairs as p - 2q
-    and K.R = -sum_j R.D_j, so b = R.(2K + R) + 8 + C^2 = R.R - 2 sum_j R.D_j + 8 + C^2."""
-    C2 = sum(map(mul, a, p))
-    pR = [u - 2 * v for u, v in zip(p, q)]
-    RR = sum(map(mul, (x - 2 * y for x, y in zip(a, d)), pR))
-    return sum(map(mul, d, p)), C2, RR - 2 * sum(pR) + 8 + C2
+    """(C.D, R.(2K + R), chi(D - C)) for C = sum a_j D_j and D = sum d_j D_j, in
+    one pass over their pairing vectors p = (C.D_j) and q = (D.D_j): C.D = d.p.
+    R = C - 2D pairs as p - 2q and K.R = -sum_j R.D_j, so R.(2K + R) =
+    sum_j (a_j - 2 d_j - 2)(p_j - 2 q_j).  E = D - C pairs as q - p, and
+    E^2 - K.E = sum_j (a_j - d_j - 1)(p_j - q_j) gives chi(E) by Riemann-Roch."""
+    CD = RK = X = 0
+    for x, y, u, v in zip(a, d, p, q):
+        CD += y * u
+        RK += (x - 2 * y - 2) * (u - 2 * v)
+        X += (x - y - 1) * (u - v)
+    return CD, RK, 1 + X // 2
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,6 @@ class ConditionVerdicts:
     h1_D_minus_C: int
     h0_bound: Fraction
     half_curve_ample: bool  # redundant cross-check: C/2 ample gives the vanishing
-
-
-def _verdicts(CD: int, C2: int, h1: int, bound: Fraction, p: Sequence[int]) -> ConditionVerdicts:
-    # p is C's pairing vector; halving C changes the sign of no C.D_j, so C/2 is ample iff C is
-    verdicts = (PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0))
-    return ConditionVerdicts(*verdicts, CD, C2, h1, bound, classify_pairings(p) is Positivity.AMPLE)
 
 
 class DegBTable(Sequence):
@@ -254,20 +248,22 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     """
     C = require(curve, CurveOnSurface).curve_class
     lam = lambda_invariant(curve.fan)
+    p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
+    C2 = sum(map(mul, C.coeffs, p))
+    mults = curve.multiplicities
+    bl2 = C2 - sum(d * d for d in mults)  # C~^2 on the blowup, C^2 - sum delta_i^2
+    low = min(p)
+    ample = low > 0  # toric Kleiman: C is ample iff every C.D_j is > 0
+    rep, clip, m = _positive_representation(C)
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,
+        "curve_ample": PASS if ample else FAIL,
+        # sum delta_i < min_j C.D_j (Seshadri lower bound) certifies the blowup's
+        # class for an ample C; NOT_CERTIFIED is not a refutation
+        "blowup_ample": CERTIFIED if ample and sum(mults) < low else NOT_CERTIFIED,
+        "C_plus_K_positive": PASS if rep is not None else FAIL,
     }
-
-    p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
-    C2 = sum(map(mul, C.coeffs, p))
-    bl2 = C2 - sum(d * d for d in curve.multiplicities)  # C~^2 on the blowup, C^2 - sum delta_i^2
-    ample = classify_pairings(p) is Positivity.AMPLE
-    verdicts["curve_ample"] = PASS if ample else FAIL
-    verdicts["blowup_ample"] = _seshadri(p, curve.multiplicities) if ample else NOT_CERTIFIED
-
-    rep, clip, m = _positive_representation(C)
-    verdicts["C_plus_K_positive"] = PASS if rep is not None else FAIL
 
     # the bound min(bl2/9, C^2/4 + lambda) as num/den, as C^2/4 + lambda = top/4
     top = C2 + 8 + lam.inner_min
@@ -281,15 +277,17 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
         # rep is positive by construction, and 2 C.D <= C^2 as C is nef
         a = rep.coeffs
         d = tuple(c // 2 for c in a)
-        q = _pairings(d, curve.fan.self_intersections)
-        CD, _, b = _interpolation(a, p, d, q)
+        CD, RK, chi = _interpolation(a, p, d, _pairings(d, curve.fan.self_intersections))
         D = ToricDivisor(curve.fan, d)
         if e_max is not None:
             table = DegBTable(CD, e_max)
-            E = tuple(y - x for x, y in zip(a, d))  # D - C_rep, which pairs as q - p
-            # h0(E) = 0, and h2(E) counts the points of the clip in m's class mod 2
-            h1 = _h1(E, 0, geometry._class_count(*clip, m), _chi(E, [v - u for u, v in zip(p, q)]))
-            conditions = _verdicts(CD, C2, h1, Fraction(b - 4 * e_max, 4), p)
+            # h0(D - C_rep) = 0, and h2 counts the points of the clip in m's class mod 2
+            h1 = _h1((y - x for x, y in zip(a, d)), 0, geometry._class_count(*clip, m), chi)
+            bound = RK + 8 + C2 - 4 * e_max  # 4 h0_bound
+            conditions = ConditionVerdicts(
+                *(PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0)),
+                CD, C2, h1, Fraction(bound, 4), True,  # C/2 is ample as C is
+            )
 
     return InterpolationReport(
         lambda_value=lam.value,

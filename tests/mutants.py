@@ -190,6 +190,13 @@ MUTANTS = (
         "    if take[0] + k < best:",
         ("test_lowdeg.py",),
     ),
+    Mutant(
+        "lambda-tie-leaves-ray-i-out-after-ray-i-minus-1-in",
+        "lowdeg.py",
+        "o0 if o0[0] < k0 + edge else",
+        "o0 if o0[0] <= k0 + edge else",
+        ("test_lowdeg.py",),
+    ),
     # one home for each argument contract
     Mutant(
         "is-int-lets-bools-through",
@@ -254,17 +261,25 @@ MUTANTS = (
     Mutant(
         "clip-exit-at-offsets-of-zero",
         "geometry.py",
-        "    if min(c for _, c in halfplanes) > 0:",
-        "    if min(c for _, c in halfplanes) >= 0:",
+        "    if max(a) < 0:",
+        "    if max(a) <= 0:",
         ("test_geometry.py",),
     ),
     Mutant(
         "clip-meet-clamps-swapped",
         "geometry.py",
-        "        if g > 0 and _le((r, g), hi):\n            hi = (r, g)\n"
-        "        elif g < 0 and _le(lo, (-r, -g)):\n            lo = (-r, -g)",
-        "        if g > 0 and _le(lo, (r, g)):\n            lo = (r, g)\n"
-        "        elif g < 0 and _le((-r, -g), hi):\n            hi = (-r, -g)",
+        "        if g > 0 and r * hi[1] <= hi[0] * g:\n            hi = (r, g)\n"
+        "        elif g < 0 and lo[0] * -g <= -r * lo[1]:\n            lo = (-r, -g)",
+        "        if g > 0 and lo[0] * g <= r * lo[1]:\n            lo = (r, g)\n"
+        "        elif g < 0 and -r * hi[1] <= hi[0] * -g:\n            hi = (-r, -g)",
+        ("test_geometry.py",),
+    ),
+    # the clip sorts the rays into arcs in one walk from the arc start
+    Mutant(
+        "arc-sort-sends-minus-x-to-xlo",
+        "geometry.py",
+        "        elif u[0] > 0:\n            xlo = (c, u[0])",
+        "        elif u[0]:\n            xlo = (c, u[0])",
         ("test_geometry.py",),
     ),
     Mutant(
@@ -314,8 +329,8 @@ MUTANTS = (
     Mutant(
         "class-count-offset-dropped",
         "geometry.py",
-        "    mx, my = m\n",
-        "    mx, my = 0, 0\n",
+        "    mx, my = m\n    lower, upper = (",
+        "    mx, my = 0, 0\n    lower, upper = (",
         ("test_geometry.py",),
     ),
     Mutant(
@@ -350,8 +365,22 @@ MUTANTS = (
     Mutant(
         "r-pairs-as-p-minus-q",
         "lowdeg.py",
-        "pR = [u - 2 * v for u, v in zip(p, q)]",
-        "pR = [u - v for u, v in zip(p, q)]",
+        "RK += (x - 2 * y - 2) * (u - 2 * v)",
+        "RK += (x - 2 * y - 2) * (u - v)",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "report-chi-term-of-the-wrong-sign",
+        "lowdeg.py",
+        "X += (x - y - 1) * (u - v)",
+        "X += (x - y + 1) * (u - v)",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "seshadri-takes-equality",
+        "lowdeg.py",
+        "sum(mults) < low",
+        "sum(mults) <= low",
         ("test_lowdeg.py",),
     ),
     Mutant(
@@ -391,9 +420,9 @@ MUTANTS = (
     ),
     Mutant(
         "polygon-offsets-of-the-wrong-sign",
-        "divisor.py",
-        "[(u, -c) for u, c in zip(fan.rays, a)]",
-        "[(u, c) for u, c in zip(fan.rays, a)]",
+        "geometry.py",
+        "        u, c = normals[i], -a[i]",
+        "        u, c = normals[i], a[i]",
         ("test_cohomology.py",),
     ),
     # a surface descriptor refuses any key it does not read

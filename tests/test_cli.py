@@ -666,7 +666,7 @@ def test_one_walk_writes_empty_containers_as_jsonable_does(value):
     "value",
     # no result holds an Enum, so neither writer converts one
     [object(), [1, {2, 3}], Positivity.AMPLE, {"p": [Positivity.NOT_NEF, None]}],
-    ids=repr,
+    ids=["object", "set-in-a-list", "enum", "enum-in-a-dict"],
 )
 def test_one_walk_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError):

@@ -207,12 +207,12 @@ def test_h0_h2_and_the_effective_representative_clip_once_each():
     for fan in FANS + [HEXAGON]:
         for _ in range(10):
             D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-            h = count_calls(lambda: cohomology(D), geometry._chains, geometry.feasible_vertices)
-            assert h["_chains"] <= 2 and h["feasible_vertices"] == 0
+            h = count_calls(lambda: cohomology(D), geometry._clip, geometry.feasible_vertices)
+            assert h["_clip"] <= 2 and h["feasible_vertices"] == 0
             rep = count_calls(
-                lambda: effective_representative(D), geometry._chains, geometry.feasible_vertices
+                lambda: effective_representative(D), geometry._clip, geometry.feasible_vertices
             )
-            assert rep == {"_chains": 1, "feasible_vertices": 0}
+            assert rep == {"_clip": 1, "feasible_vertices": 0}
 
 
 @pytest.mark.parametrize(
@@ -225,9 +225,9 @@ def test_h2_is_counted_only_when_h0_is_0(coeffs, profile, clips):
     # skipped by this rule alone
     D = ToricDivisor(p2(), coeffs)
     seen = []
-    calls = count_calls(lambda: seen.append(cohomology(D)), geometry._chains, geometry._envelope)
+    calls = count_calls(lambda: seen.append(cohomology(D)), geometry._clip, geometry._envelope)
     assert (seen[0].h0, seen[0].h1, seen[0].h2, seen[0].chi) == profile
-    assert calls == {"_chains": clips, "_envelope": 2 * clips}
+    assert calls == {"_clip": clips, "_envelope": 2 * clips}
 
 
 @pytest.mark.parametrize(

@@ -232,14 +232,14 @@ def test_the_class_count_is_the_column_scan_filtered_by_parity(halfplanes, shift
     vertices = pairwise_vertices(halfplanes)
     points = list(column_points(halfplanes, *integer_columns(vertices))) if vertices else []
     scaled = integral(halfplanes)
-    clip = geometry._clip(scaled, geometry._checked_start(scaled))
+    clip = geometry._checked_clip(scaled)
     for (rx, ry), (kx, ky) in zip(itertools.product(range(2), repeat=2), shifts):
         want = sum((x - rx) % 2 == 0 and (y - ry) % 2 == 0 for x, y in points)
         assert geometry._class_count(*clip, (rx + 2 * kx, ry + 2 * ky)) == want
 
 
 def _clipped(halfplanes):
-    return geometry._clip(halfplanes, geometry._checked_start(halfplanes))
+    return geometry._checked_clip(halfplanes)
 
 
 @st.composite
@@ -380,7 +380,7 @@ def test_each_kind_of_region(rays, offsets, dim):
 )
 def test_each_question_clips_once(question, offsets):
     halfplanes = integral(zip(build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).rays, offsets))
-    assert count_calls(lambda: question(halfplanes), geometry._chains) == {"_chains": 1}
+    assert count_calls(lambda: question(halfplanes), geometry._clip) == {"_clip": 1}
 
 
 @pytest.mark.parametrize("question", [feasible_vertices, count_lattice_points, lexmin_lattice_point])

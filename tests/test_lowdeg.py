@@ -36,10 +36,10 @@ from toricpoints import (
 )
 from toricpoints import geometry, lowdeg
 from toricpoints.cli import jsonable
-from toricpoints.divisor import intersect_primes
+from toricpoints.divisor import _polygon, classify_pairings, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
-from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
+from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
 from toricpoints.lowdeg import _positive_representation
 
 from conftest import count_calls
@@ -596,11 +596,16 @@ def test_mainprop_bound_dominates_lambda_bound():
 
 def verdicts_of(C_rep, D, e):
     """Oracle: the report's verdicts on the numbers of any C_rep, D and e, by
-    divisor arithmetic, for a D that is not the report's floor(C_rep/2)."""
+    divisor arithmetic and the dense pairing, for a D that is not the
+    report's floor(C_rep/2)."""
     K, R, C2 = canonical_divisor(C_rep.fan), C_rep - D - D, intersection_number(C_rep, C_rep)
+    CD = intersection_number(C_rep, D)
     bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - e
     h1 = cohomology(D - C_rep).h1
-    return lowdeg._verdicts(intersection_number(C_rep, D), C2, h1, bound, intersect_primes(C_rep))
+    M = intersection_matrix(C_rep.fan)
+    halved = [Fraction(sum(c * row[j] for c, row in zip(C_rep.coeffs, M)), 2) for j in range(len(M))]
+    verdicts = (PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0))
+    return ConditionVerdicts(*verdicts, CD, C2, h1, bound, kleiman(halved) is Positivity.AMPLE)
 
 
 def test_interpolation_conditions_quartic():
@@ -877,7 +882,7 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
     coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=fan.n, max_size=fan.n))
     E = ToricDivisor(fan, tuple(coeffs))
     doubled = [((2 * ux, 2 * uy), c) for (ux, uy), c in E.halfplanes]  # {q : 2q in P_E}
-    even = geometry._class_count(*geometry._clip(E.halfplanes, fan._arc_start), (0, 0))
+    even = geometry._class_count(*_polygon(fan, coeffs), (0, 0))
     assert cohomology(_halved(fan, coeffs)).h0 == geometry.count_lattice_points(doubled) == even
 
 
@@ -1083,6 +1088,7 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     counts = count_calls(
         lambda: toric_theorem_report(curve),
         intersect_primes,
+        classify_pairings,
         ToricDivisor.__post_init__,
         geometry._columns,
         geometry._clip,
@@ -1094,14 +1100,17 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     )
     # built: the pairing vector p of C, which C_rep shares (D's vector q
     # comes from the coefficients, and every other number is a dot product
-    # of p and q), and the two divisors returned, C_rep and D; the one clip
-    # is P_{C+K}'s, from the start the fan kept, and its two column counts
-    # are the lex-min probe and h2(D - C), the points of the clip congruent
-    # to the lex-min point mod 2; the Fractions are lambda, the degree bound
-    # and the h0 bound, each built once from ints; the multiplicities were
-    # checked when the curve was made, and C~^2 reads them as they are
+    # of p and q), and the two divisors returned, C_rep and D; ampleness and
+    # the Seshadri bound both read min(p), so no class is classified; the one
+    # clip is P_{C+K}'s, from the start the fan kept, and its two column
+    # counts are the lex-min probe and h2(D - C), the points of the clip
+    # congruent to the lex-min point mod 2; the Fractions are lambda, the
+    # degree bound and the h0 bound, each built once from ints; the
+    # multiplicities were checked when the curve was made, and C~^2 reads
+    # them as they are
     assert counts == {
         "intersect_primes": 1,
+        "classify_pairings": 0,
         "ToricDivisor.__post_init__": 2,
         "_columns": 2,
         "_clip": 1,
@@ -1183,11 +1192,13 @@ def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
     num = intersection_number(E, E) - intersection_number(K, E)
     assert num % 2 == 0
     assert exact(euler_characteristic(E), 1 + num // 2)
-    # the report's body on any C and D: the section bound at degree e is (b - 4e)/4
-    CD, C2, b = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
-    R = C - 2 * D
-    assert exact(CD, intersection_number(C, D)) and exact(C2, intersection_number(C, C))
-    assert exact(b, intersection_number(R, 2 * K + R) + 8 + C2)
+    # the report's one pass over the pairing vectors, on any C and D
+    CD, RK, chi = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
+    R, F = C - 2 * D, D - C
+    assert exact(CD, intersection_number(C, D))
+    assert exact(RK, intersection_number(R, 2 * K + R))
+    num = intersection_number(F, F) - intersection_number(K, F)
+    assert exact(chi, 1 + num // 2)
 
 
 def test_a_class_on_another_fan_with_as_many_rays_is_refused():
