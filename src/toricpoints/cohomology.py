@@ -1,20 +1,20 @@
 """The full cohomology profile of a toric divisor.
 
 h0 is the number of lattice points of the polygon P_D (`divisor._polygon`,
-counted as `geometry.count_lattice_points` counts), h2
-comes from Serre duality as the count for K - D (0 when h0 > 0), chi from
-Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`),
-and h1 by difference in `_h1`, which the interpolation report shares.  A
-divisor's coefficients are ints, so every number here is an int: the CLI
-checks the text it parses and the descriptor's keys, and the library's
-contracts (`ToricDivisor`, the fan) refuse the values.
+counted as `geometry.count_lattice_points` counts), h2 comes from Serre
+duality as the count for K - D (0 when h0 > 0), chi from
+Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`), and
+h1 by difference, checked not to be negative.  A divisor's coefficients are
+ints, so every number here is an int: the CLI checks the text it parses and
+the descriptor's keys, and the library's contracts (`ToricDivisor`, the fan)
+refuse the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import geometry
 from .divisor import ToricDivisor, _polygon, intersect_primes
@@ -47,12 +47,7 @@ def cohomology(D: ToricDivisor) -> CohomologyProfile:
     chi = euler_characteristic(D)
     h0 = geometry._count(*_polygon(D.fan, D.coeffs))
     h2 = 0 if h0 else geometry._count(*_polygon(D.fan, [-1 - a for a in D.coeffs]))
-    return CohomologyProfile(h0=h0, h1=_h1(D.coeffs, h0, h2, chi), h2=h2, chi=chi)
-
-
-def _h1(a: Iterable[int], h0: int, h2: int, chi: int) -> int:
-    """h1 = h0 + h2 - chi of sum a_j D_j; InternalInconsistency when it is < 0."""
     h1 = h0 + h2 - chi
     if h1 < 0:
-        raise InternalInconsistency(f"negative h1 = {h1} for coeffs {tuple(a)}")
-    return h1
+        raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")
+    return CohomologyProfile(h0=h0, h1=h1, h2=h2, chi=chi)

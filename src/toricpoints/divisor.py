@@ -101,11 +101,7 @@ class Positivity(enum.Enum):
 def positivity(D: ToricDivisor) -> Positivity:
     """Toric Kleiman classification from the n numbers D.D_i: nef iff all
     are >= 0, ample iff all are > 0."""
-    return classify_pairings(intersect_primes(D))
-
-
-def classify_pairings(pairings: Sequence[int]) -> Positivity:
-    """`positivity` of the divisor D with pairings = intersect_primes(D)."""
+    pairings = intersect_primes(D)
     if all(p > 0 for p in pairings):
         return Positivity.AMPLE
     if all(p >= 0 for p in pairings):

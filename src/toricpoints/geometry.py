@@ -28,8 +28,7 @@ end, so it costs O(log(x* - a + 2)) counts for the first integer column a
 and the answer's column x*.  Each public question (vertices, count, lex-min
 point) checks its half-planes once and clips them once; a polygon on a
 fan's rays is clipped straight from the rays and its divisor's
-coefficients, from the fan's kept `_arc_start`, without a check.  One clip
-can answer both the lex-min point and the count of a class mod 2.
+coefficients, from the fan's kept `_arc_start`, without a check.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ X = Tuple[int, int]  # the x-coordinate num/den as (num, den), den > 0
 NEG_INF, INF = (-1, 0), (1, 0)
 # An envelope: its boundary lines left to right, the x where each one after
 # the first takes over from its predecessor, and that x's ceiling, the first
-# integer column of the line (None in place of the x for a class count's image).
+# integer column of the line.
 Chain = Tuple[List[HalfPlane], List[X], List[int]]
 End = Tuple[X, HalfPlane, HalfPlane]  # an end of the region, with the lines active there
 
@@ -235,24 +234,6 @@ def count_lattice_points(halfplanes: Sequence[HalfPlane]) -> int:
 def _count(lower: Chain, upper: Chain, ends: List[End]) -> int:
     """`count_lattice_points` of a clipped region."""
     return _columns(lower, upper, *_extent(ends))
-
-
-def _class_count(lower: Chain, upper: Chain, ends: List[End], m: LatticePoint) -> int:
-    """Lattice points p = m (mod 2) of a clipped region, as the lattice points
-    q = (p - m)/2 of its image: a line <p, u> >= c becomes <q, 2u> >= c - <m, u>,
-    and an x-coordinate x becomes (x - m_x)/2, which keeps the envelopes' order.
-    An integer column s, a line's first or the region's first, becomes
-    ceil((s - m_x)/2), exact as m_x is an int; the last becomes floor((s - m_x)/2)."""
-    if not ends:
-        return 0
-    mx, my = m
-    lower, upper = (
-        ([((2 * ux, 2 * uy), c - mx * ux - my * uy) for (ux, uy), c in hull], None,
-         [(s - mx + 1) // 2 for s in starts])
-        for hull, _, starts in (lower, upper)
-    )
-    a, b = _extent(ends)
-    return _columns(lower, upper, (a - mx + 1) // 2, (b - mx) // 2)
 
 
 def lexmin_lattice_point(halfplanes: Sequence[HalfPlane]) -> Optional[LatticePoint]:

@@ -202,7 +202,7 @@ def suite_remark_inequality() -> SuiteResult:
 def suite_positive_representation() -> SuiteResult:
     """For random ample C with C + K > 0, the report against divisor arithmetic:
     C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
-    h1 by cohomology(D - C_rep), where the report counts lattice points, and the
+    h1 by cohomology(D - C_rep), which the report states as 0 by proof, and the
     section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D."""
     rng = random.Random(SEED + 3)
     fans = _builtin_fans()

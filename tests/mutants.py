@@ -325,34 +325,43 @@ MUTANTS = (
         "    k = bisect_right(starts, a - 1)",
         ("test_geometry.py",),
     ),
-    # one clip per report: h1(D - C) from the points of P_{C+K} in m*'s class mod 2
+    # the report states h1(D - C) = 0 and surjectivity by proof; the census checks both
     Mutant(
-        "class-count-offset-dropped",
-        "geometry.py",
-        "    mx, my = m\n    lower, upper = (",
-        "    mx, my = 0, 0\n    lower, upper = (",
-        ("test_geometry.py",),
-    ),
-    Mutant(
-        "class-count-break-not-halved",
-        "geometry.py",
-        "[(s - mx + 1) // 2 for s in starts]",
-        "[s - mx for s in starts]",
-        ("test_geometry.py",),
-    ),
-    Mutant(
-        "class-count-column-floored",
-        "geometry.py",
-        "[(s - mx + 1) // 2 for s in starts]",
-        "[(s - mx) // 2 for s in starts]",
-        ("test_geometry.py",),
-    ),
-    Mutant(
-        "report-counts-the-class-of-zero",
+        "report-surjectivity-stated-as-fail",
         "lowdeg.py",
-        "geometry._class_count(*clip, m)",
-        "geometry._class_count(*clip, (0, 0))",
-        ("test_lowdeg.py",),
+        "PASS if CD < C2 else FAIL, PASS, PASS if bound > 0 else FAIL,",
+        "PASS if CD < C2 else FAIL, FAIL, PASS if bound > 0 else FAIL,",
+        ("test_census.py",),
+    ),
+    Mutant(
+        "report-h1-stated-as-one",
+        "lowdeg.py",
+        "CD, C2, 0, Fraction(bound, 4), True,",
+        "CD, C2, 1, Fraction(bound, 4), True,",
+        ("test_census.py",),
+    ),
+    # the census against its oracles: the clip's last column, K in the section
+    # bound, and the lambda DP's edge term
+    Mutant(
+        "census-clip-drops-the-last-column",
+        "geometry.py",
+        "ends[1][0][0] // ends[1][0][1]) if ends",
+        "ends[1][0][0] // ends[1][0][1] - 1) if ends",
+        ("test_census.py",),
+    ),
+    Mutant(
+        "census-section-bound-without-2k",
+        "lowdeg.py",
+        "(x - 2 * y - 2)",
+        "(x - 2 * y)",
+        ("test_census.py",),
+    ),
+    Mutant(
+        "census-lambda-edge-of-one",
+        "lowdeg.py",
+        "    edge = 2 * w",
+        "    edge = w",
+        ("test_census.py",),
     ),
     Mutant(
         "h1-check-refuses-zero",
@@ -367,13 +376,6 @@ MUTANTS = (
         "lowdeg.py",
         "RK += (x - 2 * y - 2) * (u - 2 * v)",
         "RK += (x - 2 * y - 2) * (u - v)",
-        ("test_lowdeg.py",),
-    ),
-    Mutant(
-        "report-chi-term-of-the-wrong-sign",
-        "lowdeg.py",
-        "X += (x - y - 1) * (u - v)",
-        "X += (x - y + 1) * (u - v)",
         ("test_lowdeg.py",),
     ),
     Mutant(

@@ -1,0 +1,85 @@
+"""Test oracles that the program itself no longer runs: the count of a clipped
+region's lattice points in one class mod 2, and h0, h1 and h2 of a toric
+divisor by graded pieces.  pytest does not collect this file; the test files
+import it."""
+
+from fractions import Fraction
+from math import ceil, floor
+
+from toricpoints import geometry
+
+
+def class_count(lower, upper, ends, m):
+    """Lattice points p = m (mod 2) of a clipped region, as the lattice points
+    q = (p - m)/2 of its image: a line <p, u> >= c becomes <q, 2u> >= c - <m, u>,
+    and an x-coordinate x becomes (x - m_x)/2, which keeps the envelopes' order.
+    An integer column s, a line's first or the region's first, becomes
+    ceil((s - m_x)/2), exact as m_x is an int; the last becomes floor((s - m_x)/2)."""
+    if not ends:
+        return 0
+    mx, my = m
+    lower, upper = (
+        ([((2 * ux, 2 * uy), c - mx * ux - my * uy) for (ux, uy), c in hull], None,
+         [(s - mx + 1) // 2 for s in starts])
+        for hull, _, starts in (lower, upper)
+    )
+    a, b = geometry._extent(ends)
+    return geometry._columns(lower, upper, (a - mx + 1) // 2, (b - mx) // 2)
+
+
+def cech_box(rays, a, grow=0):
+    """The integer box [x0, x1] x [y0, y1] around every meet of two lines
+    <m, u_i> = -a_i, widened by `grow` times its own size on each side.
+
+    Outside it, a lattice point m adds nothing in `cech`.  The set Q of points
+    with the same N(m) is convex, cut out by the lines' sides.  If Q were
+    bounded, each corner of its closure would be a meet of two lines, so Q
+    would lie in the box.  So for m outside, Q holds a ray m + t w, t >= 0,
+    and N(m) = N(m + t w) for every t.  For large t, i is in it when
+    <w, u_i> < 0, and not when <w, u_i> > 0; both sets are non-empty, as the
+    rays positively span the plane, and the first is one arc of the cycle.  A
+    ray with <w, u_i> = 0 lies on the line that bounds that arc's open
+    half-plane, next to one of its ends, so N(m) is one arc whether it holds
+    that ray or not: neither empty nor every ray, and one arc adds no h1."""
+    xs, ys = [], []
+    for i, (u, ai) in enumerate(zip(rays, a)):
+        for v, aj in zip(rays[i + 1:], a[i + 1:]):
+            det = u[0] * v[1] - u[1] * v[0]
+            if det:  # Cramer's rule for <m, u> = -ai, <m, v> = -aj
+                xs.append(Fraction(aj * u[1] - ai * v[1], det))
+                ys.append(Fraction(ai * v[0] - aj * u[0], det))
+    wx, wy = grow * (max(xs) - min(xs) + 1), grow * (max(ys) - min(ys) + 1)
+    return floor(min(xs) - wx), ceil(max(xs) + wx), floor(min(ys) - wy), ceil(max(ys) + wy)
+
+
+def cech(D, grow=0):
+    """(h0, h1, h2) of O(D) for D = sum a_i D_i, by graded pieces
+    (Cox-Little-Schenck, Toric Varieties, Thm 9.1.3): H^p(D)_m is the reduced
+    cohomology H~^{p-1} of the union of the faces of the ray cycle spanned by
+    N(m) = {i : <m, u_i> < -a_i}.  On a surface that union is the arcs of
+    N(m) around the cycle, so m adds 1 to h0 when N(m) is empty, 1 to h2
+    when it holds every ray (a circle), and #arcs - 1 to h1 otherwise.  No
+    Riemann-Roch, no Serre duality and no clip: each row of `cech_box` is
+    cut where some i enters or leaves N(m), at most n cuts, and each piece
+    adds its width times the contribution of its first point."""
+    rays, a = D.fan.rays, D.coeffs
+    n = len(rays)
+    x0, x1, y0, y1 = cech_box(rays, a, grow)
+    h = [0, 0, 0]
+    for y in range(y0, y1 + 1):
+        cuts = {x0, x1 + 1}
+        for (ux, uy), ai in zip(rays, a):
+            t = -ai - uy * y  # i is in N(m) iff ux * x < t
+            if ux > 0:
+                cuts.add(min(max(-(-t // ux), x0), x1 + 1))  # in for x < ceil(t/ux)
+            elif ux < 0:
+                cuts.add(min(max(t // ux + 1, x0), x1 + 1))  # in for x > floor(t/ux)
+        cuts = sorted(cuts)
+        for s, e in zip(cuts, cuts[1:]):
+            N = [ux * s + uy * y < -ai for (ux, uy), ai in zip(rays, a)]
+            arcs = sum(N[i] and not N[i - 1] for i in range(n))
+            if not arcs:  # N(m) is empty or every ray
+                h[2 if N[0] else 0] += e - s
+            else:
+                h[1] += (arcs - 1) * (e - s)
+    return tuple(h)

@@ -1,7 +1,8 @@
 """The polygon clip, the floor-sum count and the lex-min point against
 brute-force oracles: pairwise boundary-line intersections for the vertices,
 a bounding-box scan for the lattice points, and a column-by-column scan for
-the lex-min point and, filtered by parity, for the count of a class mod 2."""
+the lex-min point and, filtered by parity, for the count of a class mod 2
+(`oracles.class_count`, itself a test oracle)."""
 
 import itertools
 import random
@@ -25,6 +26,7 @@ from toricpoints.geometry import (
 )
 
 from conftest import count_calls
+from oracles import class_count
 from test_lowdeg import polygon_class
 
 
@@ -235,7 +237,7 @@ def test_the_class_count_is_the_column_scan_filtered_by_parity(halfplanes, shift
     clip = geometry._checked_clip(scaled)
     for (rx, ry), (kx, ky) in zip(itertools.product(range(2), repeat=2), shifts):
         want = sum((x - rx) % 2 == 0 and (y - ry) % 2 == 0 for x, y in points)
-        assert geometry._class_count(*clip, (rx + 2 * kx, ry + 2 * ky)) == want
+        assert class_count(*clip, (rx + 2 * kx, ry + 2 * ky)) == want
 
 
 def _clipped(halfplanes):

@@ -36,13 +36,14 @@ from toricpoints import (
 )
 from toricpoints import geometry, lowdeg
 from toricpoints.cli import jsonable
-from toricpoints.divisor import _polygon, classify_pairings, intersect_primes
+from toricpoints.divisor import _polygon, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
 from toricpoints.lowdeg import _positive_representation
 
 from conftest import count_calls
+from oracles import class_count
 from test_divisor import classes_equal
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
@@ -882,15 +883,16 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
     coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=fan.n, max_size=fan.n))
     E = ToricDivisor(fan, tuple(coeffs))
     doubled = [((2 * ux, 2 * uy), c) for (ux, uy), c in E.halfplanes]  # {q : 2q in P_E}
-    even = geometry._class_count(*_polygon(fan, coeffs), (0, 0))
+    even = class_count(*_polygon(fan, coeffs), (0, 0))
     assert cohomology(_halved(fan, coeffs)).h0 == geometry.count_lattice_points(doubled) == even
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.data())
 def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data):
-    """The report takes h1(D - C_rep) from its one clip of P_{C+K}, where
-    cohomology(D - C_rep) clips P_{D - C_rep} and P_{K - D + C_rep}.
+    """The report states h1(D - C_rep) = 0 by proof; the class count of its
+    one clip of P_{C+K} gives the same number as cohomology(D - C_rep), which
+    clips P_{D - C_rep} and P_{K - D + C_rep}.
 
     For C_rep = sum c_i D_i with every c_i >= 1 and D = floor(C_rep/2):
     - D - C_rep has the coefficients floor(c_i/2) - c_i = -ceil(c_i/2) <= -1.
@@ -919,6 +921,7 @@ def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data)
     assert rep + K == CK + principal_divisor(fan, m)
     assert geometry.lexmin_lattice_point((rep + K).halfplanes) == (0, 0)
     assert geometry.count_lattice_points((rep + K).halfplanes) == cohomology(CK).h0
+    assert class_count(*_polygon(fan, CK.coeffs), m) == cohomology(D - rep).h2
     assert r.conditions.h1_D_minus_C == cohomology(D - rep).h1 == 0
 
 
@@ -931,18 +934,19 @@ F1_SURJECTIVITY_FAILS = [
 
 
 def _report_h1_against_cohomology(C):
-    # the report's h1 step on the positive representation of C (h0 = 0, and h2
-    # the points of its clip of P_{C+K} in the lex-min point's class mod 2),
-    # and the public one
-    rep, clip, m = _positive_representation(C)
+    # h1(D - C_rep) by the class count on the positive representation of C
+    # (h0 = 0, and h2 the points of the clip of P_{C+K} in the lex-min point's
+    # class mod 2), and by cohomology
+    clip = _polygon(C.fan, [c - 1 for c in C.coeffs])
+    rep = _positive_representation(C)
     D = _halved(C.fan, rep.coeffs)
-    got = geometry._class_count(*clip, m) - euler_characteristic(D - rep)
+    got = class_count(*clip, geometry._lexmin(*clip)) - euler_characteristic(D - rep)
     assert got == cohomology(D - rep).h1
     return got
 
 
 def test_the_class_count_gives_h1_where_surjectivity_fails():
-    """The identity behind the report's h1 holds for every positive
+    """The class count's identity for h1(D - C_rep) holds for every positive
     representation, nef or not (see the ample test above for its proof):
     checked on every class aC0 + bF on F_0..F_3 with a, b in -2..11 that is
     not nef and has a positive representation, F1 8C0+5F among them."""
@@ -1088,7 +1092,7 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     counts = count_calls(
         lambda: toric_theorem_report(curve),
         intersect_primes,
-        classify_pairings,
+        positivity,
         ToricDivisor.__post_init__,
         geometry._columns,
         geometry._clip,
@@ -1102,17 +1106,17 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     # comes from the coefficients, and every other number is a dot product
     # of p and q), and the two divisors returned, C_rep and D; ampleness and
     # the Seshadri bound both read min(p), so no class is classified; the one
-    # clip is P_{C+K}'s, from the start the fan kept, and its two column
-    # counts are the lex-min probe and h2(D - C), the points of the clip
-    # congruent to the lex-min point mod 2; the Fractions are lambda, the
+    # clip is P_{C+K}'s, from the start the fan kept, and its one column
+    # count is the lex-min probe, as h1(D - C) = 0 is stated by proof, not
+    # counted; the Fractions are lambda, the
     # degree bound and the h0 bound, each built once from ints; the
     # multiplicities were checked when the curve was made, and C~^2 reads
     # them as they are
     assert counts == {
         "intersect_primes": 1,
-        "classify_pairings": 0,
+        "positivity": 0,
         "ToricDivisor.__post_init__": 2,
-        "_columns": 2,
+        "_columns": 1,
         "_clip": 1,
         "_envelope": 2,
         "cohomology": 0,
@@ -1193,12 +1197,10 @@ def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
     assert num % 2 == 0
     assert exact(euler_characteristic(E), 1 + num // 2)
     # the report's one pass over the pairing vectors, on any C and D
-    CD, RK, chi = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
-    R, F = C - 2 * D, D - C
+    CD, RK = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
+    R = C - 2 * D
     assert exact(CD, intersection_number(C, D))
     assert exact(RK, intersection_number(R, 2 * K + R))
-    num = intersection_number(F, F) - intersection_number(K, F)
-    assert exact(chi, 1 + num // 2)
 
 
 def test_a_class_on_another_fan_with_as_many_rays_is_refused():

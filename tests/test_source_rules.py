@@ -14,7 +14,9 @@ No module imports argparse, and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
 every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
 fan's `_arc_start` or calls `geometry._clip`: it is the one place where a
-class's coefficients become a clipped polygon."""
+class's coefficients become a clipped polygon.  Every module-level private
+function is named by some code in src/ outside its own definition: a
+routine that only tests call is a test oracle, and lives in tests/."""
 
 import ast
 import sys
@@ -132,6 +134,36 @@ def breaches(tree, module=""):
                     yield node.lineno, f"import of fractions in {module}, whose numbers are ints"
 
 
+def _names(node):
+    # every name that code under node reads: bare, as an attribute, or imported
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (a.name for a in sub.names)
+
+
+def uncalled(trees):
+    """(module, line, what) for each module-level private function of the
+    modules {name: tree} that no code outside its own definition names."""
+    used = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            used.update(name for name in _names(stmt) if name != own)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+                and stmt.name not in used
+            ):
+                yield module, stmt.lineno, f"{stmt.name}() has no caller in src, so it is a test oracle"
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"geometry.py", "cohomology.py", "cli.py"}
 
@@ -140,6 +172,11 @@ def test_sources_found():
 def test_source_rules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{line}: {what}" for line, what in breaches(tree, path.name)] == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert [f"{module}:{line}: {what}" for module, line, what in uncalled(trees)] == []
 
 
 def test_rules_catch_each_breach():
@@ -204,6 +241,21 @@ def test_rules_catch_each_breach():
         for module in POLYGON:
             assert list(breaches(ast.parse(check), module)) == [], (check, module)
     assert list(breaches(ast.parse("geometry._count(*clip)\nfrom .geometry import _count"), "lowdeg.py")) == []
+    # a private function that only calls itself, or that nothing calls, is an
+    # oracle; a call by name, as a module's attribute or through an import counts
+    trees = {
+        "a.py": ast.parse(
+            "def _oracle(n):\n    return _oracle(n - 1)\n"
+            "def _bare(): pass\ndef _attr(): pass\ndef _imported(): pass\ndef _dead(): pass\n"
+            "def __getattr__(name): pass\nclass C:\n    def _method(self): pass\n"
+            "def f():\n    return _bare()\n"
+        ),
+        "b.py": ast.parse("from .a import _imported\nx = a._attr\n"),
+    }
+    assert [(module, what) for module, _, what in uncalled(trees)] == [
+        ("a.py", "_oracle() has no caller in src, so it is a test oracle"),
+        ("a.py", "_dead() has no caller in src, so it is a test oracle"),
+    ]
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
