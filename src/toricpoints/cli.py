@@ -176,17 +176,18 @@ def _int_list(text: str, what: str) -> List[int]:
 
 def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
     """Coefficient vector ("2,1,1" or JSON "[2,1,1]"), or the shorthands
-    "dH" on P^2 and "aC0+bF" on a Hirzebruch surface (H -> D_1's class,
-    C_0 -> D_2, F -> D_1)."""
+    "dH" on P^2 and "aC0+bF" on a Hirzebruch surface F_m whose rays start at
+    F, so that D_i^2 = (0, -m, 0, m) (H -> D_1's class, C_0 -> D_2, F -> D_1)."""
     text = text.strip()
-    m = _H_RE.fullmatch(text)
-    if m:
+    h = _H_RE.fullmatch(text)
+    if h:
         if fan.n != 3:
             raise InputError('"dH" shorthand only applies to P2')
-        text = (m.group(1) or "1") + ",0,0"  # the vector (d, 0, 0), read below
+        text = (h.group(1) or "1") + ",0,0"  # the vector (d, 0, 0), read below
     elif "C0" in text or text.endswith("F"):
-        if fan.n != 4:
-            raise InputError('"aC0+bF" shorthand only applies to Hirzebruch surfaces')
+        m = fan.self_intersections[-1]
+        if m < 0 or fan.self_intersections != (0, -m, 0, m):
+            raise InputError('"aC0+bF" shorthand needs D_i^2 = (0, -m, 0, m), as F_m has')
         terms = text.replace(" ", "")
         if not _FC_RE.fullmatch(terms):
             raise InputError(f"cannot parse divisor {text!r} as aC0+bF")

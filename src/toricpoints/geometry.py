@@ -15,14 +15,13 @@ with u_y > 0) and U the minimum of the upper ones (u_y < 0).  `_clip`, the
 one clip routine, walks the normals once from the lower arc's start and
 sorts each half-plane into an arc or a vertical bound as it goes.  Both arcs
 come out sorted by slope, so one stack pass over each gives its envelope in
-O(n), and one walk over the envelopes' pieces finds the region's ends with
-one linear solve per piece.  The normals positively span the plane, so a
-region whose offsets are all > 0 is empty and is not clipped.  Lattice
-points are counted column by column: each integer x adds floor(U(x)) -
-ceil(L(x)) + 1, and the columns under one boundary line are summed at once
-with `floor_sum`.  Each envelope also keeps the integer column where each
-line takes over, ceil(break), so a count of the columns a..b finds its
-first line by bisection and costs O(log n) plus one sum per line that meets
+O(n), and one walk over the envelopes' pieces finds the region's ends (or
+that it is empty) with one linear solve per piece.  Lattice points are
+counted column by column: each integer x adds floor(U(x)) - ceil(L(x)) + 1,
+and the columns under one boundary line are summed at once with
+`floor_sum`.  Each envelope also keeps the integer column where each line
+takes over, ceil(break), so a count of the columns a..b finds its first
+line by bisection and costs O(log n) plus one sum per line that meets
 [a, b].  The lex-min point gallops over such counts from the region's left
 end, so it costs O(log(x* - a + 2)) counts for the first integer column a
 and the answer's column x*.  Each public question (vertices, count, lex-min
@@ -134,8 +133,6 @@ def _clip(
     the lines' meet (on the right when g > 0, on the left when g < 0) or
     keeps or drops all of it (g = 0).
     """
-    if max(a) < 0:  # every offset is > 0
-        return ([], [], []), ([], [], []), []
     lows: List[HalfPlane] = []
     ups: List[HalfPlane] = []
     xlo, xhi = NEG_INF, INF

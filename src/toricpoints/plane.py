@@ -2,21 +2,21 @@
 
 Specialises the interpolation machinery to curves of degree d in P^2 with
 delta ordinary nodes and cusps.  The bounds involve sqrt(d^2 - 36 delta);
-all comparisons against it are done by squaring with sign guards, never with
-floats, because the interesting values sit right at integer boundaries.
+all comparisons against it are exact integer ones, never with floats,
+because the interesting values sit right at integer boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ContractViolation, HypothesisViolation, InternalInconsistency, require_int
 
-# verdict labels shared with the toric reports
-from .lowdeg import FAIL, PASS
+# verdict labels and the blowup numbers shared with the toric reports
+from .lowdeg import FAIL, PASS, _blowup
 
 
 def _check_signs(d: int, delta: int, e: int = 0) -> None:
@@ -38,19 +38,21 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _terms(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction, int]:
-    """(e_bound, term1, term2, t) for a d and delta already checked: the one
-    place these numbers are worked out.  term1 = (d^2 - 4 delta)/9,
-    term2 = (t(d - t) - delta)/2, and e_bound is their max.
+def _terms(d: int, delta: int) -> Tuple[Fraction, Fraction, Fraction, int, bool]:
+    """(e_bound, term1, term2, t, certified) for a d and delta already checked:
+    the one place these numbers are worked out.  term1 = C~^2/9 and certified
+    (2 delta < d) are `_blowup`'s for C = dH with delta points of multiplicity
+    2.  term2 = (t(d - t) - delta)/2, and e_bound is max(term1, term2).
 
     t = ceil((d + sqrt(disc)) / 6) is the smallest integer t with
     6t - d >= sqrt(disc), which for an integer 6t - d means
     6t - d >= r = ceil(sqrt(disc)).
     """
     t = -(-(d + _ceil_sqrt(_discriminant(d, delta))) // 6)
-    term1 = Fraction(d * d - 4 * delta, 9)
+    bl2, certified = _blowup(d * d, d, 2 * delta, 4 * delta)
+    term1 = Fraction(bl2, 9)
     term2 = Fraction(t * (d - t) - delta, 2)
-    return max(term1, term2), term1, term2, t
+    return max(term1, term2), term1, term2, t, certified
 
 
 def sqrt_ceil_term(d: int, delta: int) -> int:
@@ -110,20 +112,15 @@ def _chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     base-divisor degree bounds halve at every level (e/2, e/4, ...) until only
     non-moving and singular points can remain, or no positive degree is left
     below the bound, so the chain has at most floor(log2 e) + 2 levels."""
-    levels = [ChainLevel(level=0, degree_bound=Fraction(e), m=_level_m(d, delta, e))]
-    m0 = levels[0].m
-    if m0 is None or m0 * d - e <= 0:
-        return levels
-    bound = Fraction(e, 2)
-    level = 1
+    levels, k = [], 0
     while True:
-        top = ceil(bound) - 1  # largest integer degree strictly below the bound
+        top = (e - 1) >> k if k else e  # ceil(e/2^k) - 1 after level 0
         m = _level_m(d, delta, top)
-        levels.append(ChainLevel(level=level, degree_bound=bound, m=m))
-        if m is None or m * d - top <= 0 or top < 1:
+        levels.append(ChainLevel(level=k, degree_bound=Fraction(e, 1 << k), m=m))
+        # level 0 goes on at any e; a later one stops when no degree >= 1 is left
+        if m is None or m * d - top <= 0 or top < 1 <= k:
             return levels
-        bound = bound / 2
-        level += 1
+        k += 1
 
 
 def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
@@ -134,12 +131,12 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     solution, flagged via conclusion_guaranteed.
     """
     _check_signs(d, delta, e)
-    e_bound, term1, term2, t = _terms(d, delta)
+    e_bound, term1, term2, t, certified = _terms(d, delta)
     hypotheses = {
         "degree_at_least_4": PASS if d >= 4 else FAIL,
         "delta_small": PASS if 3 * delta <= d - 3 else FAIL,
         "e_in_range": PASS if 0 < e < e_bound else FAIL,
-        "blowup_ample_2delta_lt_d": PASS if 2 * delta < d else FAIL,
+        "blowup_ample_2delta_lt_d": PASS if certified else FAIL,
     }
     guaranteed = all(v == PASS for v in hypotheses.values())
     chain = tuple(_chain(d, delta, e))
@@ -170,12 +167,9 @@ def remark_inequality_check(d: int, delta: int) -> bool:
     x = (d + sqrt(d^2 - 36 delta))/6.
 
     Algebra reduces it to d^2 - 8 delta >= d sqrt(d^2 - 36 delta); decided
-    by the squared comparison under the sign guard d^2 >= 8 delta.  Holds on
-    every admissible (d, delta).
+    by the squared comparison, as `_discriminant` refuses d^2 < 36 delta, so
+    d^2 - 8 delta >= 28 delta >= 0.  Holds on every admissible (d, delta).
     """
     _check_signs(d, delta)
-    disc = _discriminant(d, delta)
     lhs = d * d - 8 * delta
-    if lhs < 0:
-        return False
-    return lhs * lhs >= d * d * disc
+    return lhs * lhs >= d * d * _discriminant(d, delta)

@@ -97,8 +97,33 @@ MUTANTS = (
     Mutant(
         "plane-arithmetic-before-the-contract",
         "plane.py",
-        "    _check_signs(d, delta, e)\n    e_bound, term1, term2, t = _terms(d, delta)",
-        "    e_bound, term1, term2, t = _terms(d, delta)",
+        "    _check_signs(d, delta, e)\n    e_bound, term1, term2, t, certified = _terms(d, delta)",
+        "    e_bound, term1, term2, t, certified = _terms(d, delta)",
+        ("test_plane.py",),
+    ),
+    # the plane report's blowup numbers are the toric report's, for C = dH
+    # and delta points of multiplicity 2
+    Mutant(
+        "plane-blowup-squares-as-2-delta",
+        "plane.py",
+        "_blowup(d * d, d, 2 * delta, 4 * delta)",
+        "_blowup(d * d, d, 2 * delta, 2 * delta)",
+        ("test_plane.py",),
+    ),
+    # the chain's one loop: level k >= 1 takes ceil(e/2^k) - 1, and only a
+    # level k >= 1 stops for want of a degree >= 1
+    Mutant(
+        "chain-top-at-e-over-2k-floored",
+        "plane.py",
+        "(e - 1) >> k",
+        "e >> k",
+        ("test_plane.py",),
+    ),
+    Mutant(
+        "chain-level-0-stops-below-degree-1",
+        "plane.py",
+        "or top < 1 <= k:",
+        "or top < 1:",
         ("test_plane.py",),
     ),
     Mutant(
@@ -257,14 +282,7 @@ MUTANTS = (
         "    if False:\n        raise InputError(",
         ("test_fan.py",),
     ),
-    # the clip: one solve per piece, and no clip for an empty polygon
-    Mutant(
-        "clip-exit-at-offsets-of-zero",
-        "geometry.py",
-        "    if max(a) < 0:",
-        "    if max(a) <= 0:",
-        ("test_geometry.py",),
-    ),
+    # the clip: one solve per piece
     Mutant(
         "clip-meet-clamps-swapped",
         "geometry.py",
@@ -381,8 +399,8 @@ MUTANTS = (
     Mutant(
         "seshadri-takes-equality",
         "lowdeg.py",
-        "sum(mults) < low",
-        "sum(mults) <= low",
+        "    return C2 - squares, total < low",
+        "    return C2 - squares, total <= low",
         ("test_lowdeg.py",),
     ),
     Mutant(
@@ -426,6 +444,21 @@ MUTANTS = (
         "        u, c = normals[i], -a[i]",
         "        u, c = normals[i], a[i]",
         ("test_cohomology.py",),
+    ),
+    # aC0+bF reads F as D_1 and C0 as D_2, so only where D_i^2 = (0, -m, 0, m)
+    Mutant(
+        "hirzebruch-shorthand-on-any-four-rays",
+        "cli.py",
+        "        if m < 0 or fan.self_intersections != (0, -m, 0, m):",
+        "        if fan.n != 4:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "hirzebruch-shorthand-takes-c-infinity-as-c0",
+        "cli.py",
+        "if m < 0 or fan.self_intersections",
+        "if fan.self_intersections",
+        ("test_cli.py",),
     ),
     # a surface descriptor refuses any key it does not read
     Mutant(

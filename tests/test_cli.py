@@ -200,6 +200,61 @@ def test_hirzebruch_shorthand_needs_one_sign_between_terms(capsys, text):
     assert err.startswith("error:")
 
 
+def intersections_of_c0_and_f(capsys, surface):
+    """What `intersect` prints for C0.C0, F.F and C0.F."""
+    return [
+        run(capsys, "intersect", "--surface", surface, "--divisor", D, "--curve", E)[1]
+        for D, E in (("C0", "C0"), ("F", "F"), ("C0", "F"))
+    ]
+
+
+def descriptor_file(tmp_path, rays):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": rays}))
+    return str(path)
+
+
+F2_RAYS = [[1, 0], [0, 1], [-1, 2], [0, -1]]  # D_i^2 = (0, -2, 0, 2): F, C0, F, C_inf
+
+
+@pytest.mark.parametrize(
+    "surface, m",
+    [("F0", 0), ("F1", 1), ("F2", 2), ("F3", 3), ("P1xP1", 0), (F2_RAYS, 2),
+     ([[0, 1], [-1, 0], [0, -1], [1, 0]], 0)],  # P1xP1 from its second ray
+)
+def test_hirzebruch_shorthand_reads_f_as_d1_and_c0_as_d2(tmp_path, capsys, surface, m):
+    if isinstance(surface, list):
+        surface = descriptor_file(tmp_path, surface)
+    assert intersections_of_c0_and_f(capsys, surface) == [f"D.E = {-m}\n", "D.E = 0\n", "D.E = 1\n"]
+    assert parse_divisor(parse_surface(surface), "2C0+3F").coeffs == (3, 2, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        F2_RAYS[1:] + F2_RAYS[:1],  # D_i^2 = (-2, 0, 2, 0): D_1 is C0, D_2 is F
+        F2_RAYS[3:] + F2_RAYS[:3],  # (2, 0, -2, 0)
+        F2_RAYS[2:] + F2_RAYS[:2],  # (0, 2, 0, -2): D_2 is C_inf
+    ],
+)
+def test_hirzebruch_shorthand_is_refused_where_d1_and_d2_are_not_f_and_c0(tmp_path, capsys, rays):
+    surface = descriptor_file(tmp_path, rays)
+    for D, E in (("C0", "C0"), ("F", "F")):
+        assert refused(
+            capsys, "intersect", "--surface", surface, "--divisor", D, "--curve", E, says="aC0+bF"
+        )
+    with pytest.raises(InputError, match="D_i\\^2 = \\(0, -m, 0, m\\)"):
+        parse_divisor(parse_surface(surface), "2C0+3F")
+
+
+@pytest.mark.parametrize(
+    "surface, divisor, says",
+    [("F1", "9H", '"dH" shorthand only applies to P2'), ("P2", "C0+F", '"aC0+bF" shorthand')],
+)
+def test_a_shorthand_is_refused_on_the_wrong_surface(capsys, surface, divisor, says):
+    assert refused(capsys, "cohomology", "--surface", surface, "--divisor", divisor, says=says)
+
+
 @pytest.mark.parametrize(
     "argv", [["--d", "10", "--delta=-1", "--e", "3"], ["--d=-10", "--e", "3"]]
 )

@@ -192,6 +192,9 @@ def test_decomposition_chains():
     assert levels(8, 0, 7) == [(0, Fraction(7), 1), (1, Fraction(7, 2), None)]
     # deg B = 0 at level 0: nothing left to decompose
     assert levels(20, 0, 40) == [(0, Fraction(40), 2)]
+    # level 0 goes on at e <= 0; level 1, with no degree >= 1 below 0, stops
+    assert levels(50, 60, 0) == [(0, 0, 1), (1, 0, 1)]
+    assert levels(50, 60, -3) == [(0, -3, 1), (1, Fraction(-3, 2), 1)]
 
 
 @pytest.mark.parametrize(
@@ -274,7 +277,9 @@ def stepping_chain(d, delta, e):
 
 
 @pytest.mark.parametrize(
-    "d, delta, e", [(9, 0, 8), (8, 0, 7), (30, 0, 80), (40, 3, 150), (300, 10, 5000), (40, 39, 10)]
+    "d, delta, e",
+    [(9, 0, 8), (8, 0, 7), (30, 0, 80), (40, 3, 150), (300, 10, 5000), (40, 39, 10)]
+    + [(15, 2, 24), (17, 0, 32)],  # level 1 takes e/2 - 1, where m is None, not e/2
 )
 def test_the_chain_is_the_stepped_halving(d, delta, e):
     chain = levels(d, delta, e)
@@ -391,22 +396,49 @@ def test_m_stays_below_the_ceiled_root_at_the_largest_e_below_the_bound():
 
 
 def admissible_pairs(limit):
-    return [(d, delta) for d in range(1, limit) for delta in range(d * d // 36 + 1)]
+    return [(d, delta) for d in range(limit) for delta in range(d * d // 36 + 1)]
+
+
+def p2_report(d, delta):
+    """The toric report for C = dH on P^2 with delta points of multiplicity 2."""
+    fan = p2()
+    return toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0)), (2,) * delta))
 
 
 def test_plane_terms_specialise_the_toric_report_on_p2():
-    # C = dH with delta multiplicities of 2: blowup C~^2 = d^2 - 4 delta, and
-    # sum(multiplicities) = 2 delta < min C.D_i = d certifies the blowup ample
+    """The plane report is the toric report on P^2 where the two overlap.
+
+    For C = dH with delta nodes or cusps, each of multiplicity 2, the blowup
+    has C~^2 = d^2 - 4 delta, so term1 = blowup_C2/9, and the Seshadri test
+    sum delta_i = 2 delta < min C.D_j = d decides both ampleness verdicts.
+    For d >= 2 the toric degree bound min(C~^2/9, C^2/4 + lambda) is term1:
+    lambda(P^2) = -1/4, and (d^2 - 4 delta)/9 <= (d^2 - 1)/4 is
+    5 d^2 + 16 delta >= 9, which d >= 2 gives.  At d = 1 (delta = 0) and
+    d = 0 the bound is C^2/4 + lambda instead.
+    """
     pairs = admissible_pairs(40)
-    assert len(pairs) == 598
-    fan = p2()
+    assert len(pairs) == 599  # d = 0..39, every delta <= d^2/36
     for d, delta in pairs:
-        toric = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0)), (2,) * delta))
+        toric = p2_report(d, delta)
         r = plane_theorem_report(d, delta, 1)
         assert r.term1 == Fraction(toric.blowup_C2, 9), (d, delta)
         assert (r.hypotheses["blowup_ample_2delta_lt_d"] == PASS) == (
             toric.hypothesis_verdicts["blowup_ample"] == CERTIFIED
         ), (d, delta)
+        assert (toric.degree_bound == r.term1) == (d >= 2), (d, delta)
+        assert toric.degree_bound == min(r.term1, Fraction(d * d - 1, 4))
+
+
+def test_the_toric_report_certifies_the_plane_edge_family():
+    # (3t, t - 1, 2t) raises in the plane layer (below), yet the toric report
+    # certifies the blowup, has e = 2t <= e_max, and passes all three
+    # conditions, which hold for every e <= e_max
+    for t in range(3, 8):
+        toric = p2_report(3 * t, t - 1)
+        assert toric.hypothesis_verdicts["blowup_ample"] == CERTIFIED
+        assert 2 * t <= toric.e_max
+        c = toric.conditions
+        assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
 
 
 def test_the_edge_family_raises_at_the_deg_b_site_for_every_t_below_27():

@@ -1,0 +1,67 @@
+"""Each self-test suite fails when the routine it checks is at fault.
+
+`toricpoints selftest` only ever shows the PASS side of a suite.  Here each
+suite is fed a fault, by swapping the routine it checks for a broken one in
+the namespace the suite reads it from, and must return ok=False under its own
+name, from the check that the fault breaks."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from toricpoints import geometry, selftest
+from toricpoints.lowdeg import LambdaResult
+
+
+def wrap(name, fault):
+    """A fault built from the real routine `selftest.<name>`."""
+    real = getattr(selftest, name)
+    return name, lambda *args: fault(real, *args)
+
+
+ZERO_LAMBDA = LambdaResult(value=Fraction(0), inner_min=-8, argmin_subset=())  # F_0's, not P2's or F_1's
+
+
+FAULTS = [
+    # (suite, its name, namespace, (routine, broken routine), text in the failure detail)
+    (selftest.suite_hrr_vs_count, "hrr-vs-count", selftest,
+     wrap("cohomology", lambda real, D: dataclasses.replace(real(D), h1=1)), "fan="),
+    (selftest.suite_peeled_h0, "peeled-h0", selftest,
+     wrap("cohomology", lambda real, D: dataclasses.replace(real(D), h0=real(D).h0 + 1)), "peeled"),
+    (selftest.suite_serre_duality, "serre-duality", selftest,
+     wrap("euler_characteristic", lambda real, D: real(D) + D.coeffs[0]), "fan="),
+    (selftest.suite_pairing, "pairing", selftest,
+     wrap("intersection_number", lambda real, D, E: real(D, E) + D.coeffs[0]), "symmetry"),
+    (selftest.suite_pairing, "pairing", selftest,
+     wrap("intersection_number", lambda real, D, E: real(D, E) ** 2), "bilinearity"),
+    (selftest.suite_pairing, "pairing", selftest,  # the dot product of the coefficients
+     ("intersection_number", lambda D, E: sum(a * b for a, b in zip(D.coeffs, E.coeffs))),
+     "class invariance"),
+    (selftest.suite_lambda_table, "lambda-hirzebruch", selftest,
+     ("lambda_invariant", lambda fan: ZERO_LAMBDA), "P2 ->"),
+    (selftest.suite_lambda_table, "lambda-hirzebruch", selftest,
+     wrap("lambda_invariant", lambda real, fan: real(fan) if fan.n == 3 else ZERO_LAMBDA),
+     "F1 ->"),
+    (selftest.suite_remark_inequality, "remark-inequality", selftest,
+     ("remark_inequality_check", lambda d, delta: delta < 3), "delta=3"),
+    (selftest.suite_positive_representation, "positive-representation", selftest,
+     wrap("toric_theorem_report", lambda real, curve: dataclasses.replace(real(curve), C2=0)),
+     "C="),
+    (selftest.suite_lexmin, "lexmin", geometry,
+     ("lexmin_lattice_point", lambda halfplanes: None), "half-planes"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, namespace, fault, says",
+    FAULTS,
+    ids=[f"{name}-{fault[0]}-{says}" for _, name, _, fault, says in FAULTS],
+)
+def test_each_suite_fails_on_a_fault_in_the_routine_it_checks(
+    monkeypatch, suite, name, namespace, fault, says
+):
+    monkeypatch.setattr(namespace, *fault)
+    result = suite()
+    assert result.ok is False and result.name == name
+    assert says in result.detail, result.detail
