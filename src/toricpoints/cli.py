@@ -41,7 +41,6 @@ from .lowdeg import (
     toric_theorem_report,
 )
 from .plane import plane_theorem_report
-from .selftest import run_selftest
 
 
 def jsonable(obj):
@@ -109,19 +108,23 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 def parse_surface(text: str) -> ToricSurfaceFan:
     """A builtin name (P2, P1xP1, F<m>), else the path of a JSON surface
-    descriptor.  Builtin names win, so a file named P2 is given as ./P2."""
+    descriptor, read in one unbuffered binary read as UTF-8 with text mode's
+    newlines.  Builtin names win, so a file named P2 is given as ./P2."""
     try:
         return builtin_surface(text)
     except InputError:
-        if not os.path.exists(text):
+        pass
+    try:
+        with open(text, "rb", buffering=0) as fh:
+            data = fh.readall()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        if not os.path.exists(text):  # a stat only here, to tell "no such path" apart
             raise InputError(
                 f"unknown surface {text!r}: expected P2, P1xP1, F<m> or a JSON file path"
-            )
-    try:
-        with open(text) as fh:
-            desc = json.load(fh)
-    except OSError as exc:
+            ) from None
         raise InputError(f"cannot read {text}: {exc.strerror}") from exc
+    try:  # a CRLF or CR read as one newline, as text mode does, for the same error positions
+        desc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long integers
         raise InputError(f"malformed JSON in {text}: {exc}") from exc
     return surface_from_descriptor(desc)
@@ -295,6 +298,11 @@ def _plane_lines(report) -> List[str]:
     ]
 
 
+def _selftest(args) -> dict:
+    from .selftest import run_selftest  # loaded by this command alone, not by every import
+    return {"suites": [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in run_selftest()]}
+
+
 _SURFACE = ("--surface", Option(str))
 _DIVISOR = ("--divisor", Option(str))
 _CURVE = ("--curve", Option(str))
@@ -361,9 +369,7 @@ COMMANDS = {
     "selftest": Command(
         "run the cross-oracle suites",
         dict((_JSON,)),
-        lambda args: {
-            "suites": [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in run_selftest()]
-        },
+        _selftest,
         lambda r: [
             f"{'PASS' if s['ok'] else 'FAIL'} {s['suite']}: {s['detail']}" for s in r["suites"]
         ],

@@ -12,7 +12,6 @@ direction twice), so neither is checked apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,9 +41,13 @@ class ToricSurfaceFan:
     Rays must be given in counterclockwise cyclic order, with int
     coordinates; the order is kept as-is so prime divisor indices stay
     stable.  Rays that make no such fan are refused with a `ToricError` when
-    the fan is made, however it is built.  Immutable, safe to share.  The
-    winding check's `lower_arc_start` is kept as `_arc_start`, a plain
-    attribute outside equality and repr, for clipping polygons on the rays.
+    the fan is made, however it is built.  Immutable, safe to share.  Two
+    plain attributes outside equality and repr are fixed then as well: the
+    winding check's `lower_arc_start` as `_arc_start`, for clipping polygons
+    on the rays, and `self_intersections`, (D_1^2, ..., D_n^2) with D_i^2 =
+    -b_i for u_{i-1} + u_{i+1} = b_i u_i.  Writing u_{i-1} = alpha u_i + beta
+    u_{i+1}, det(u_{i-1}, u_i) = 1 forces beta = -1, so b_i = alpha =
+    det(u_{i-1}, u_{i+1}).
     """
 
     rays: Tuple[LatticePoint, ...]
@@ -73,22 +76,13 @@ class ToricSurfaceFan:
         if start is None:
             raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
         object.__setattr__(self, "rays", rays)
+        squares = tuple(-det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+        object.__setattr__(self, "self_intersections", squares)
         object.__setattr__(self, "_arc_start", start)
 
     @property
     def n(self) -> int:
         return len(self.rays)
-
-    @cached_property
-    def self_intersections(self) -> Tuple[int, ...]:
-        """(D_1^2, ..., D_n^2), computed on first use and kept with the fan.
-
-        u_{i-1} + u_{i+1} = b_i u_i with D_i^2 = -b_i.  Write u_{i-1} =
-        alpha u_i + beta u_{i+1}; det(u_{i-1}, u_i) = 1 forces beta = -1, so
-        b_i = alpha = det(u_{i-1}, u_{i+1}).
-        """
-        rays, n = self.rays, self.n
-        return tuple(-det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
 
     def same_surface(self, other: "ToricSurfaceFan") -> bool:
         return self.rays == other.rays

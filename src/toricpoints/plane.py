@@ -110,15 +110,14 @@ class PlaneReport:
 def _chain(d: int, delta: int, e: int) -> List[ChainLevel]:
     """Numeric skeleton of the inductive decomposition, on checked arguments:
     base-divisor degree bounds halve at every level (e/2, e/4, ...) until only
-    non-moving and singular points can remain, or no positive degree is left
-    below the bound, so the chain has at most floor(log2 e) + 2 levels."""
+    non-moving and singular points can remain, or no degree >= 1 is left below
+    the bound (e <= 0 stops at level 0), so at most floor(log2 e) + 2 levels."""
     levels, k = [], 0
     while True:
         top = (e - 1) >> k if k else e  # ceil(e/2^k) - 1 after level 0
         m = _level_m(d, delta, top)
         levels.append(ChainLevel(level=k, degree_bound=Fraction(e, 1 << k), m=m))
-        # level 0 goes on at any e; a later one stops when no degree >= 1 is left
-        if m is None or m * d - top <= 0 or top < 1 <= k:
+        if m is None or m * d - top <= 0 or top < 1:
             return levels
         k += 1
 

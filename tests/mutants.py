@@ -110,8 +110,8 @@ MUTANTS = (
         "_blowup(d * d, d, 2 * delta, 2 * delta)",
         ("test_plane.py",),
     ),
-    # the chain's one loop: level k >= 1 takes ceil(e/2^k) - 1, and only a
-    # level k >= 1 stops for want of a degree >= 1
+    # the chain's one loop: level k >= 1 takes ceil(e/2^k) - 1, and every
+    # level, the first included, stops for want of a degree >= 1
     Mutant(
         "chain-top-at-e-over-2k-floored",
         "plane.py",
@@ -120,10 +120,10 @@ MUTANTS = (
         ("test_plane.py",),
     ),
     Mutant(
-        "chain-level-0-stops-below-degree-1",
+        "chain-level-0-goes-on-below-degree-1",
         "plane.py",
-        "or top < 1 <= k:",
         "or top < 1:",
+        "or top < 1 <= k:",
         ("test_plane.py",),
     ),
     Mutant(
@@ -266,6 +266,35 @@ MUTANTS = (
         "tuple(-det(rays[i - 1]",
         "tuple(det(rays[i - 1]",
         ("test_fan.py",),
+    ),
+    Mutant(
+        "self-intersections-from-u-i-not-u-i-minus-1",
+        "fan.py",
+        "-det(rays[i - 1], rays[(i + 1) % n])",
+        "-det(rays[i], rays[(i + 1) % n])",
+        ("test_fan.py",),
+    ),
+    # a descriptor file is read once, as UTF-8, and only a failed open stats it
+    Mutant(
+        "surface-file-missing-reads-cannot-read",
+        "cli.py",
+        "        if not os.path.exists(text):",
+        "        if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "surface-file-bytes-to-json-loads",
+        "cli.py",
+        'json.loads(data.decode("utf-8").replace("\\r\\n", "\\n").replace("\\r", "\\n"))',
+        "json.loads(data)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "surface-file-without-text-mode-newlines",
+        "cli.py",
+        '.decode("utf-8").replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        '.decode("utf-8")',
+        ("test_cli.py",),
     ),
     # a descriptor names one surface
     Mutant(

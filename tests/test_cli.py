@@ -431,6 +431,20 @@ def test_python_dash_m_toricpoints_runs_the_cli():
     assert proc.stdout == (Path(__file__).parent / "golden" / "readme_lambda_p2.out").read_bytes()
 
 
+def test_importing_the_cli_leaves_the_selftest_suites_unloaded():
+    # only the selftest command imports them, so no other command pays for it
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    code = "import sys, toricpoints.cli; print('toricpoints.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_cohomology_of_a_large_hirzebruch_class(capsys):
     code, out, _ = run(
         capsys, "cohomology", "--surface", "F3", "--divisor=1000C0+5000F", "--json"
@@ -590,6 +604,66 @@ def test_unreadable_surface_files_exit_2(tmp_path, capsys):
     for text in (str(tmp_path), str(path)):
         with pytest.raises(InputError):
             parse_surface(text)
+
+
+P2_RAYS = b'{"rays": [[1,0],[0,1],[-1,-1]]}'
+UNKNOWN = "unknown surface {!r}: expected P2, P1xP1, F<m> or a JSON file path"
+MALFORMED = "malformed JSON in {}: "
+CRLF_ERROR = MALFORMED + "Expecting ',' delimiter: line 4 column 3 (char 29)"
+
+
+def descriptor(tmp_path, data: bytes) -> str:
+    path = tmp_path / "fan.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+# id: (the --surface argument made from tmp_path, the error line after
+# "error: " with the argument put in, or the "surface" the JSON report names)
+SURFACE_ARGUMENTS = {
+    "missing-file": (lambda t: str(t / "none.json"), UNKNOWN),
+    "directory": (str, "cannot read {}: Is a directory"),
+    "path-under-a-file": (lambda t: descriptor(t, P2_RAYS) + "/x", UNKNOWN),
+    "nul-in-path": (lambda t: str(t / "a\0b"), UNKNOWN),
+    "utf8-bom": (
+        lambda t: descriptor(t, b"\xef\xbb\xbf" + P2_RAYS),
+        MALFORMED + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "invalid-utf8": (
+        lambda t: descriptor(t, b'{"rays": [[1,0],[0,1],[-1,-1]], "name": "\xff"}'),
+        MALFORMED + "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte",
+    ),
+    "utf16": (
+        lambda t: descriptor(t, P2_RAYS.decode().encode("utf-16")),
+        MALFORMED + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "empty-file": (
+        lambda t: descriptor(t, b""), MALFORMED + "Expecting value: line 1 column 1 (char 0)"
+    ),
+    # CRLF and a lone CR each count as one line break, as a text-mode read has them
+    "crlf": (lambda t: descriptor(t, b'{\r\n  "rays": [[1,0],\r\n [0,1]\r\n  x'), CRLF_ERROR),
+    "cr": (lambda t: descriptor(t, b'{\r  "rays": [[1,0],\r [0,1]\r  x'), CRLF_ERROR),
+    "hirzebruch-without-m": (lambda t: "hirzebruch", UNKNOWN),
+    "F-and-5000-digits": (lambda t: "F" + BIG, UNKNOWN),
+    "5000-character-name": (lambda t: "x" * 5000, UNKNOWN),
+    "p2-rays": (lambda t: descriptor(t, P2_RAYS), "custom"),
+    "non-ascii-name": (
+        lambda t: descriptor(t, '{"rays": [[1,0],[0,1],[-1,-1]], "name": "café"}'.encode()),
+        "café",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SURFACE_ARGUMENTS)
+def test_each_surface_argument_gets_its_exact_error_line(tmp_path, capsys, case):
+    make, want = SURFACE_ARGUMENTS[case]
+    surface = make(tmp_path)
+    code, out, err = run(capsys, "lambda", "--surface", surface, "--json")
+    if case in ("p2-rays", "non-ascii-name"):
+        assert (code, err) == (0, "")
+        assert f'"surface": {json.dumps(want)},' in out  # café as "caf\u00e9"
+    else:
+        assert (code, out, err) == (2, "", "error: " + want.format(surface) + "\n")
 
 
 @pytest.mark.parametrize(

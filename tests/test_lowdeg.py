@@ -1166,22 +1166,39 @@ def test_an_integral_degree_bound_keeps_e_max_strictly_below_it(fan, coeffs, mul
     assert _check_degree_bound(r) == e_max
 
 
+def wall_squares(rays):
+    """(-b_i) from the wall relations u_{i-1} + u_{i+1} = b_i u_i, with b_i
+    read off a nonzero coordinate of u_i and the relation checked whole."""
+    n, squares = len(rays), []
+    for i, u in enumerate(rays):
+        s = tuple(a + c for a, c in zip(rays[i - 1], rays[(i + 1) % n]))
+        j = 0 if u[0] else 1
+        b = s[j] // u[j]
+        assert (b * u[0], b * u[1]) == s
+        squares.append(-b)
+    return tuple(squares)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(blowup_fans(), st.data())
 def test_the_fan_keeps_the_start_the_check_finds(fan, data):
-    # a plain attribute, so pickle, copy and replace carry or recompute it
+    # plain attributes, so pickle, copy and replace carry or recompute them
     want = geometry._checked_start([(u, 0) for u in fan.rays])
-    assert fan._arc_start == want
-    assert "_arc_start" not in {f.name for f in dataclasses.fields(fan)}
-    assert "_arc_start" not in repr(fan)
+    squares = wall_squares(fan.rays)
+    assert fan._arc_start == want and fan.self_intersections == squares
+    for name in ("_arc_start", "self_intersections"):
+        assert name not in {f.name for f in dataclasses.fields(fan)}
+        assert name not in repr(fan)
     others = [pickle.loads(pickle.dumps(fan)), copy.copy(fan), copy.deepcopy(fan)]
     others += [dataclasses.replace(fan), dataclasses.replace(fan, name="S")]
     for other in others:
         assert other.rays == fan.rays and other._arc_start == want
+        assert other.self_intersections == squares
     k = data.draw(st.integers(0, fan.n - 1))
     rotated = dataclasses.replace(fan, rays=fan.rays[k:] + fan.rays[:k])
     assert rotated._arc_start == geometry._checked_start([(u, 0) for u in rotated.rays])
     assert rotated._arc_start == (want - k) % fan.n
+    assert rotated.self_intersections == squares[k:] + squares[:k]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

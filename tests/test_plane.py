@@ -192,9 +192,9 @@ def test_decomposition_chains():
     assert levels(8, 0, 7) == [(0, Fraction(7), 1), (1, Fraction(7, 2), None)]
     # deg B = 0 at level 0: nothing left to decompose
     assert levels(20, 0, 40) == [(0, Fraction(40), 2)]
-    # level 0 goes on at e <= 0; level 1, with no degree >= 1 below 0, stops
-    assert levels(50, 60, 0) == [(0, 0, 1), (1, 0, 1)]
-    assert levels(50, 60, -3) == [(0, -3, 1), (1, Fraction(-3, 2), 1)]
+    # no degree >= 1 lies below a bound e <= 0, so level 0 is the whole chain
+    assert levels(50, 60, 0) == [(0, 0, 1)]
+    assert levels(50, 60, -3) == [(0, -3, 1)]
 
 
 @pytest.mark.parametrize(
