@@ -23,6 +23,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -109,13 +110,16 @@ def _json_text(obj, pad: str = "\n") -> str:
 def parse_surface(text: str) -> ToricSurfaceFan:
     """A builtin name (P2, P1xP1, F<m>), else the path of a JSON surface
     descriptor, read in one unbuffered binary read as UTF-8 with text mode's
-    newlines.  Builtin names win, so a file named P2 is given as ./P2."""
+    newlines, if it is a regular file: a FIFO's open does not wait for a
+    writer.  Builtin names win, so a file named P2 is given as ./P2."""
     try:
         return builtin_surface(text)
     except InputError:
         pass
     try:
-        with open(text, "rb", buffering=0) as fh:
+        with open(text, "rb", buffering=0, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a FIFO or a device
+                raise InputError(f"cannot read {text}: not a regular file")
             data = fh.readall()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         if not os.path.exists(text):  # a stat only here, to tell "no such path" apart

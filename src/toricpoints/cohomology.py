@@ -1,13 +1,12 @@
 """The full cohomology profile of a toric divisor.
 
-h0 is the number of lattice points of the polygon P_D (`divisor._polygon`,
-counted as `geometry.count_lattice_points` counts), h2 comes from Serre
-duality as the count for K - D (0 when h0 > 0), chi from
-Hirzebruch-Riemann-Roch on the coefficient and pairing vectors (`_chi`), and
-h1 by difference, checked not to be negative.  A divisor's coefficients are
-ints, so every number here is an int: the CLI checks the text it parses and
-the descriptor's keys, and the library's contracts (`ToricDivisor`, the fan)
-refuse the values.
+chi comes from Hirzebruch-Riemann-Roch on the coefficient and pairing vectors
+(`_chi`); a nef class has h0 = chi and h1 = h2 = 0 by Demazure vanishing.
+Otherwise h0 counts the lattice points of P_D (`divisor._polygon`), h2 those
+of P_{K-D} by Serre duality (0 when h0 > 0), and h1 is their difference,
+checked not to be negative.  A divisor's coefficients are ints, so every
+number here is an int: the CLI checks the text it parses and the descriptor's
+keys, and the library's contracts (`ToricDivisor`, the fan) refuse the values.
 """
 
 from __future__ import annotations
@@ -41,10 +40,14 @@ def _chi(a: Sequence[int], pairings: Sequence[int]) -> int:
 
 
 def cohomology(D: ToricDivisor) -> CohomologyProfile:
-    """Full profile: h0 and h2 by lattice counts, chi by HRR, h1 = h0+h2-chi.
-    h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0 on a complete toric surface;
-    K - D has the coefficients -1 - a_i, so P_{K-D} = {m : <m, u_i> >= 1 + a_i}."""
-    chi = euler_characteristic(D)
+    """Full profile, chi by HRR.  A nef D (every D.D_j >= 0) is basepoint free, so
+    h1 = h2 = 0 and h0 = chi by Demazure vanishing (Cox-Little-Schenck, Toric
+    Varieties, Thms 6.3.12, 9.2.3).  Else h0 and h2 are counts, h1 = h0+h2-chi, and
+    h2 = h0(K - D) is 0 when h0 > 0, as h0(K) = 0; P_{K-D} = {m : <m, u_i> >= 1 + a_i}."""
+    pairings = intersect_primes(D)
+    chi = _chi(D.coeffs, pairings)
+    if min(pairings) >= 0:
+        return CohomologyProfile(h0=chi, h1=0, h2=0, chi=chi)
     h0 = geometry._count(*_polygon(D.fan, D.coeffs))
     h2 = 0 if h0 else geometry._count(*_polygon(D.fan, [-1 - a for a in D.coeffs]))
     h1 = h0 + h2 - chi

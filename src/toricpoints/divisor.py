@@ -3,7 +3,8 @@
 Divisors are integer coefficient vectors over the prime toric divisors
 D_1..D_n of a fixed fan.  Everything is immutable and exact: a coefficient
 that is not an int (a Fraction, float, str or bool) is refused, and
-cross-fan operations raise FanMismatch rather than coerce.
+cross-fan operations raise FanMismatch rather than coerce.  A nef class's
+polygon is read from its cone vertices, any other class's clipped (`_lexmin`).
 """
 
 from __future__ import annotations
@@ -110,22 +111,32 @@ def positivity(D: ToricDivisor) -> Positivity:
 
 
 def _polygon(fan: ToricSurfaceFan, a: Sequence[int]):
-    """The clip of P_D = {m : <m, u_i> >= -a_i} for D = sum a_i D_i on `fan`,
-    which `geometry._clip` sorts into arcs straight from the rays, from the
-    fan's kept arc start: the one place outside fan.py and geometry.py that
-    clips a polygon."""
+    """The clip of P_D = {m : <m, u_i> >= -a_i} for D = sum a_i D_i, from the fan's kept
+    arc start: the one place outside fan.py and geometry.py that clips a polygon."""
     return geometry._clip(fan.rays, a, fan._arc_start)
 
 
-def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
-    """Linearly equivalent representative with all coefficients >= 0.
+def _lexmin(fan: ToricSurfaceFan, a: Sequence[int], pairings: Sequence[int]):
+    """The lex-min lattice point of P_D for D = sum a_i D_i with pairings (D.D_i), or
+    None.  A nef D is basepoint free: P_D is the lattice polygon of its cone vertices
+    (Cox-Little-Schenck, Toric Varieties, Thms 6.1.7, 6.3.12), so its least point is
+    the least vertex m, <m, u_{j-1}> = -a_{j-1} and <m, u_j> = -a_j, solved in
+    integers as det(u_{j-1}, u_j) = 1.  Any other class is clipped."""
+    if min(pairings) >= 0:
+        (ux, uy), c = fan.rays[-1], a[-1]
+        vertices = []
+        for (vx, vy), b in zip(fan.rays, a):
+            vertices.append((b * uy - c * vy, c * vx - b * ux))
+            ux, uy, c = vx, vy, b
+        return min(vertices)
+    return geometry._lexmin(*_polygon(fan, a))
 
-    Shifts by a principal divisor div(chi^m); feasible m form a bounded
-    rational polygon, and among its lattice points the lexicographically
-    smallest (m.x, then m.y) is taken so outputs are deterministic.  Returns
-    None when no lattice point is feasible (the class is not effective).
-    """
-    m = geometry._lexmin(*_polygon(require(D, ToricDivisor).fan, D.coeffs))
+
+def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
+    """The linearly equivalent D + div(chi^m) with all coefficients >= 0, for the
+    lattice point m of P_D least in (m.x, then m.y), so outputs are deterministic;
+    None when P_D has no lattice point (the class is not effective)."""
+    m = _lexmin(require(D, ToricDivisor).fan, D.coeffs, intersect_primes(D))
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(c + dot(m, u) for c, u in zip(D.coeffs, D.fan.rays)))

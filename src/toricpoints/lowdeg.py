@@ -3,12 +3,12 @@
 Computes the surface invariant lambda(S), positive representations of an
 ample curve class C, the interpolation divisor floor(C/2), the admissible
 degree bound min((C^2 - sum delta_i^2)/9, C^2/4 + lambda), and the
-hypothesis/condition verdicts that go with them.  The report clips P_{C+K}
-once: its lex-min point gives the positive representation.  h1(D - C) is 0 by
-proof wherever the report states it (`ConditionVerdicts`), so nothing counts
-it.  Every other number is a dot product of p = (C.D_j), which each
-representation of C shares, and q = (D.D_j).
-Also reproduces the F_1 family where surjectivity of restriction fails.
+hypothesis/condition verdicts that go with them.  The lex-min point of
+P_{C+K}, a cone vertex when C + K is nef, gives the positive representation.
+h1(D - C) is 0 by proof wherever the report states it (`ConditionVerdicts`),
+so nothing counts it.  Every other number is a dot product of p = (C.D_j),
+which each representation of C shares, and q = (D.D_j).  Also reproduces
+the F_1 family where surjectivity of restriction fails.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, Optional, Tuple
 
-from . import geometry
 from .cohomology import cohomology
-from .divisor import ToricDivisor, _pairings, _polygon, intersect_primes, intersection_number
+from .divisor import ToricDivisor, _lexmin, _pairings, intersect_primes, intersection_number
 from .errors import (
     ContractViolation,
     FanMismatch,
@@ -116,15 +115,19 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
 
 
-def _positive_representation(C: ToricDivisor) -> Optional[ToricDivisor]:
+def _positive_representation(C: ToricDivisor, p: Sequence[int]) -> Optional[ToricDivisor]:
     """The positive representation rep = C + div(chi^m) = effective_representative(C + K) - K
     for the lex-min lattice point m of P_{C+K}, with every coefficient >= 1 and
     some >= 2, or None.  It exists iff C + K > 0 (effective and not principal):
     on a complete fan a principal divisor with no negative coefficient is zero,
     so C + K is principal exactly when its representative is zero, and
-    otherwise some coefficient of rep is >= 2."""
+    otherwise some coefficient of rep is >= 2.  K.D_j = -(2 + s_j) for s_j =
+    D_j^2, so p = (C.D_j) gives (C + K).D_j = p_j - s_j - 2.  If C is ample, one
+    is < 0 only where p_j >= 1 and s_j >= 0: then D_j is nef, E.D_j >= 0 for an
+    effective E, and C + K is not effective, so the clip finds no rep."""
     fan = C.fan
-    m = geometry._lexmin(*_polygon(fan, [c - 1 for c in C.coeffs]))
+    pairings = [pj - s - 2 for pj, s in zip(p, fan.self_intersections)]
+    m = _lexmin(fan, [c - 1 for c in C.coeffs], pairings)
     if m is None:
         return None
     mx, my = m
@@ -264,7 +267,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     low = min(p)
     bl2, certified = _blowup(C2, low, sum(mults), sum(d * d for d in mults))
     ample = low > 0  # toric Kleiman: C is ample iff every C.D_j is > 0
-    rep = _positive_representation(C)
+    rep = _positive_representation(C, p)
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,

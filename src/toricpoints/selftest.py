@@ -22,6 +22,7 @@ from .divisor import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
+    effective_representative,
     intersect_primes,
     intersection_number,
     positivity,
@@ -61,15 +62,16 @@ def _random_nef(rng: random.Random, fan: ToricSurfaceFan) -> ToricDivisor:
 
 
 def suite_hrr_vs_count() -> SuiteResult:
-    """On nef divisors h0 must equal chi with h1 = h2 = 0: the lattice count
-    and the intersection-number formula are fully independent."""
+    """On nef divisors h0 must equal chi with h1 = h2 = 0: the checked lattice
+    count of P_D and the intersection-number formula are fully independent."""
     rng = random.Random(SEED)
     fans = _builtin_fans()
     for k in range(200):
         fan = fans[k % len(fans)]
         D = _random_nef(rng, fan)
         prof = cohomology(D)
-        if not (prof.h0 == prof.chi and prof.h1 == 0 and prof.h2 == 0):
+        h0 = geometry.count_lattice_points(D.halfplanes)
+        if not (h0 == prof.h0 == prof.chi and prof.h1 == 0 and prof.h2 == 0):
             return SuiteResult(
                 "hrr-vs-count", False, f"fan={fan.name} coeffs={D.coeffs} -> {prof}"
             )
@@ -248,7 +250,8 @@ def suite_lexmin() -> SuiteResult:
     """The lex-min lattice point against a column scan, on slivers along
     q y - p x = k, whose lattice points lie q columns apart (some with a
     break of the lower envelope just left of the first), and on P_{C+K} for
-    ample C: it lies in P_C, whose vertices have |x| <= B."""
+    ample C: it lies in P_C, whose vertices have |x| <= B.  There the shift
+    of `effective_representative(C + K)`, a cone vertex if C + K is nef, too."""
     rng = random.Random(SEED + 5)
     for i in range(200):
         if i % 2:
@@ -265,8 +268,12 @@ def suite_lexmin() -> SuiteResult:
             m = (rng.randint(-9, 9), rng.randint(-9, 9))
             C = _unit_polygon_class(fan) * rng.randint(1, 4) + principal_divisor(fan, m)
             B = 2 * max(map(abs, C.coeffs)) * max(abs(c) for u in fan.rays for c in u)
-            hs, lo, hi = (C + canonical_divisor(fan)).halfplanes, -B, B
-        if geometry.lexmin_lattice_point(hs) != _column_scan(hs, lo, hi):
+            E = C + canonical_divisor(fan)
+            hs, lo, hi = E.halfplanes, -B, B
+        want = _column_scan(hs, lo, hi)
+        if geometry.lexmin_lattice_point(hs) != want or i % 2 == 0 and (
+            effective_representative(E) != (want and E + principal_divisor(fan, want))
+        ):
             return SuiteResult("lexmin", False, f"half-planes {hs}")
     return SuiteResult("lexmin", True, "200 slivers and polygons of C + K")
 

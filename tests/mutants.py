@@ -283,6 +283,13 @@ MUTANTS = (
         ("test_cli.py",),
     ),
     Mutant(
+        "surface-file-of-any-kind-read",
+        "cli.py",
+        "            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):",
+        "            if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "surface-file-bytes-to-json-loads",
         "cli.py",
         'json.loads(data.decode("utf-8").replace("\\r\\n", "\\n").replace("\\r", "\\n"))',
@@ -466,6 +473,52 @@ MUTANTS = (
         "[c - 1 for c in C.coeffs]",
         "[c for c in C.coeffs]",
         ("test_lowdeg.py",),
+    ),
+    # a nef class's lex-min point is its least cone vertex, and its
+    # cohomology (chi, 0, 0, chi) uncounted; both answers equal the clip's,
+    # so the nef tests' mutants die on the counter pins of nef classes that
+    # are not ample
+    Mutant(
+        "lexmin-nef-test-takes-only-ample",
+        "divisor.py",
+        "    if min(pairings) >= 0:\n        (ux, uy), c",
+        "    if min(pairings) > 0:\n        (ux, uy), c",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "cone-vertex-coordinates-swapped",
+        "divisor.py",
+        "vertices.append((b * uy - c * vy, c * vx - b * ux))",
+        "vertices.append((c * vx - b * ux, b * uy - c * vy))",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "cone-vertex-greatest-not-least",
+        "divisor.py",
+        "        return min(vertices)",
+        "        return max(vertices)",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "c-plus-k-pairings-without-the-two",
+        "lowdeg.py",
+        "[pj - s - 2 for pj, s in",
+        "[pj - s for pj, s in",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "cohomology-nef-test-takes-only-ample",
+        "cohomology.py",
+        "    if min(pairings) >= 0:\n        return CohomologyProfile",
+        "    if min(pairings) > 0:\n        return CohomologyProfile",
+        ("test_cohomology.py",),
+    ),
+    Mutant(
+        "nef-profile-with-h2-of-one",
+        "cohomology.py",
+        "return CohomologyProfile(h0=chi, h1=0, h2=0, chi=chi)",
+        "return CohomologyProfile(h0=chi, h1=0, h2=1, chi=chi)",
+        ("test_cohomology.py",),
     ),
     Mutant(
         "polygon-offsets-of-the-wrong-sign",

@@ -34,7 +34,8 @@ from toricpoints import (
     principal_divisor,
     toric_theorem_report,
 )
-from toricpoints.divisor import _polygon, intersect_primes
+from toricpoints import geometry
+from toricpoints.divisor import _lexmin, _polygon, intersect_primes
 from toricpoints.lowdeg import PASS
 
 from oracles import cech, cech_box, class_count
@@ -87,6 +88,7 @@ def box_classes(fan):
 
 
 AMPLE = [C for fan in SURFACES for C in box_classes(fan) if min(intersect_primes(C)) > 0]
+NEF = [D for fan in SURFACES for D in box_classes(fan) if min(intersect_primes(D)) >= 0]
 MULTIPLES = (2, 3, 5, 8)
 MULTIPLICITIES = ((), (2,), (3, 2))
 
@@ -99,6 +101,7 @@ def test_the_census_finds_each_surface_once():
     assert all(f.rays[:2] == ((1, 0), (0, 1)) for f in SURFACES)
     assert sum(1 for f in SURFACES for _ in box_classes(f)) == 31734
     assert len(AMPLE) == 123
+    assert len(NEF) == 1728
 
 
 @pytest.mark.parametrize("fan", SURFACES, ids=lambda f: ",".join(map(str, f.self_intersections)))
@@ -152,6 +155,64 @@ def test_every_ample_census_class_passes_the_three_conditions():
         assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
         assert h1 == 0
     assert reached == 1458
+
+
+def test_a_nef_class_reads_its_lex_min_point_off_its_cone_vertices():
+    """The least cone vertex (`divisor._lexmin` on a nef class) against the
+    lex-min point of the clip and of a column scan, on every nef census box
+    class and its multiples.  Most are nef and not ample, so vertices repeat:
+    0 is one point, and F on F_m is a segment."""
+    repeated = 0
+    for D, k in itertools.product(NEF, (1,) + MULTIPLES):
+        D = D * k
+        m = _lexmin(D.fan, D.coeffs, intersect_primes(D))
+        assert m == geometry._lexmin(*_polygon(D.fan, D.coeffs)) == lexmin_of(D)
+        repeated += len(geometry.feasible_vertices(D.halfplanes)) < D.fan.n
+    assert repeated == 8025
+    for m in range(4):
+        F = ToricDivisor(hirzebruch(m), (1, 0, 0, 0))
+        assert _lexmin(F.fan, F.coeffs, intersect_primes(F)) == (-1, 0) == lexmin_of(F)
+
+
+def test_a_nef_class_with_edges_near_10_24_reads_the_clips_point():
+    """The cone-vertex point is exact at any size: every ample census class
+    and F on F_0..F_3, times about 10^24 and shifted, against the checked
+    clip's lex-min point (a column scan would take 10^24 columns)."""
+    classes = AMPLE + [ToricDivisor(hirzebruch(m), (1, 0, 0, 0)) for m in range(4)]
+    for C, k in itertools.product(classes, (10**24, 10**24 + 7)):
+        D = C * k + principal_divisor(C.fan, (k // 3, -5))
+        m = _lexmin(D.fan, D.coeffs, intersect_primes(D))
+        assert m == geometry.lexmin_lattice_point(D.halfplanes) and abs(m[0]) > 10**23
+
+
+def test_a_nef_class_has_the_counted_and_the_cech_profile():
+    """cohomology states (chi, 0, 0, chi) for a nef class by Demazure
+    vanishing; the clip's lattice count and the Cech count agree, on every
+    nef census box class and its doubles and triples."""
+    for D, k in itertools.product(NEF, (1, 2, 3)):
+        D = D * k
+        h = cohomology(D)
+        assert (h.h0, h.h1, h.h2, h.chi) == (h.chi, 0, 0, euler_characteristic(D))
+        assert (h.h0, h.h1, h.h2) == (geometry._count(*_polygon(D.fan, D.coeffs)), 0, 0) == cech(D)
+
+
+def test_an_ample_class_whose_c_plus_k_is_not_nef_has_no_positive_representation():
+    """The lemma of `lowdeg._positive_representation`: for an ample C,
+    (C + K).D_j < 0 only where D_j^2 >= 0, and then C + K is not effective.
+    On every ample census class and its multiples whose C + K is not nef,
+    the report has no positive representation and a column scan finds no
+    point of P_{C+K}."""
+    found = 0
+    for C, k in itertools.product(AMPLE, (1,) + MULTIPLES):
+        C = C * k
+        CK = C + canonical_divisor(C.fan)
+        p = intersect_primes(CK)
+        if min(p) < 0:
+            found += 1
+            assert all(C.fan.self_intersections[j] >= 0 for j, pj in enumerate(p) if pj < 0)
+            assert toric_theorem_report(CurveOnSurface(C.fan, C)).positive_rep is None
+            assert lexmin_of(CK) is None
+    assert found == 22
 
 
 # F_1 8C0 + 5F: not nef, with a positive representation and h1(D - C_rep) = 1

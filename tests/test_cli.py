@@ -610,6 +610,7 @@ P2_RAYS = b'{"rays": [[1,0],[0,1],[-1,-1]]}'
 UNKNOWN = "unknown surface {!r}: expected P2, P1xP1, F<m> or a JSON file path"
 MALFORMED = "malformed JSON in {}: "
 CRLF_ERROR = MALFORMED + "Expecting ',' delimiter: line 4 column 3 (char 29)"
+NOT_REGULAR = "cannot read {}: not a regular file"
 
 
 def descriptor(tmp_path, data: bytes) -> str:
@@ -623,6 +624,7 @@ def descriptor(tmp_path, data: bytes) -> str:
 SURFACE_ARGUMENTS = {
     "missing-file": (lambda t: str(t / "none.json"), UNKNOWN),
     "directory": (str, "cannot read {}: Is a directory"),
+    "device": (lambda t: os.devnull, NOT_REGULAR),  # read as empty, were it read
     "path-under-a-file": (lambda t: descriptor(t, P2_RAYS) + "/x", UNKNOWN),
     "nul-in-path": (lambda t: str(t / "a\0b"), UNKNOWN),
     "utf8-bom": (
@@ -664,6 +666,22 @@ def test_each_surface_argument_gets_its_exact_error_line(tmp_path, capsys, case)
         assert f'"surface": {json.dumps(want)},' in out  # café as "caf\u00e9"
     else:
         assert (code, out, err) == (2, "", "error: " + want.format(surface) + "\n")
+
+
+def test_a_fifo_surface_is_refused_without_waiting_for_a_writer(tmp_path):
+    # in a subprocess, so an open that waits for a writer fails on the timeout
+    fifo = tmp_path / "fan.json"
+    os.mkfifo(fifo)
+    src = Path(toricpoints.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricpoints", "lambda", "--surface", str(fifo)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: " + NOT_REGULAR.format(fifo) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -203,27 +203,38 @@ def test_polytope_vertices_are_clipped_on_first_read():
 
 
 def test_h0_h2_and_the_effective_representative_clip_once_each():
+    # a nef class is read from its cone vertices, with no clip at all
     rng = random.Random(43)
+    nef = 0
     for fan in FANS + [HEXAGON]:
         for _ in range(10):
             D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
+            clips = 1 if positivity(D) is Positivity.NOT_NEF else 0
+            nef += clips == 0
             h = count_calls(lambda: cohomology(D), geometry._clip, geometry.feasible_vertices)
-            assert h["_clip"] <= 2 and h["feasible_vertices"] == 0
+            assert h["_clip"] <= 2 * clips and h["feasible_vertices"] == 0
             rep = count_calls(
                 lambda: effective_representative(D), geometry._clip, geometry.feasible_vertices
             )
-            assert rep == {"_clip": 1, "feasible_vertices": 0}
+            assert rep == {"_clip": clips, "feasible_vertices": 0}
+    assert nef > 0
 
 
 @pytest.mark.parametrize(
-    "coeffs, profile, clips",
-    [((3, 0, -1), (6, 0, 0, 6), 1), ((-4, 0, 0), (0, 0, 3, 3), 2)],
+    "fan, coeffs, profile, clips",
+    [
+        (p2(), (3, 0, -1), (6, 0, 0, 6), 0),  # ample
+        (p2(), (0, 0, 0), (1, 0, 0, 1), 0),  # nef, not ample
+        (hirzebruch(1), (1, 0, 0, 0), (2, 0, 0, 2), 0),  # F: nef, not ample
+        (hirzebruch(1), (0, 1, 0, 0), (1, 0, 0, 1), 1),  # C0: not nef, h0 > 0
+        (p2(), (-4, 0, 0), (0, 0, 3, 3), 2),
+    ],
+    ids=["p2-3-0-minus-1", "p2-zero", "f1-F", "f1-C0", "p2-minus-4H"],
 )
-def test_h2_is_counted_only_when_h0_is_0(coeffs, profile, clips):
-    # h0(D) > 0 gives h2(D) = h0(K - D) = 0, since h0(K) = 0; the K - D
-    # offsets of (3, 0, -1) are (4, 1, 0), not all > 0, so its clip is
-    # skipped by this rule alone
-    D = ToricDivisor(p2(), coeffs)
+def test_h2_is_counted_only_when_h0_is_0(fan, coeffs, profile, clips):
+    # a nef class has h1 = h2 = 0 by Demazure vanishing and is not clipped;
+    # otherwise h0(D) > 0 gives h2(D) = h0(K - D) = 0, since h0(K) = 0
+    D = ToricDivisor(fan, coeffs)
     seen = []
     calls = count_calls(lambda: seen.append(cohomology(D)), geometry._clip, geometry._envelope)
     assert (seen[0].h0, seen[0].h1, seen[0].h2, seen[0].chi) == profile

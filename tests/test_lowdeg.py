@@ -938,7 +938,7 @@ def _report_h1_against_cohomology(C):
     # (h0 = 0, and h2 the points of the clip of P_{C+K} in the lex-min point's
     # class mod 2), and by cohomology
     clip = _polygon(C.fan, [c - 1 for c in C.coeffs])
-    rep = _positive_representation(C)
+    rep = _positive_representation(C, intersect_primes(C))
     D = _halved(C.fan, rep.coeffs)
     got = class_count(*clip, geometry._lexmin(*clip)) - euler_characteristic(D - rep)
     assert got == cohomology(D - rep).h1
@@ -1105,10 +1105,10 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     # built: the pairing vector p of C, which C_rep shares (D's vector q
     # comes from the coefficients, and every other number is a dot product
     # of p and q), and the two divisors returned, C_rep and D; ampleness and
-    # the Seshadri bound both read min(p), so no class is classified; the one
-    # clip is P_{C+K}'s, from the start the fan kept, and its one column
-    # count is the lex-min probe, as h1(D - C) = 0 is stated by proof, not
-    # counted; the Fractions are lambda, the
+    # the Seshadri bound both read min(p), so no class is classified; C + K
+    # = 67H is nef, with pairings read off p, so its lex-min point is its
+    # least cone vertex and nothing is clipped or counted, as h1(D - C) = 0
+    # is stated by proof; the Fractions are lambda, the
     # degree bound and the h0 bound, each built once from ints; the
     # multiplicities were checked when the curve was made, and C~^2 reads
     # them as they are
@@ -1116,14 +1116,44 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         "intersect_primes": 1,
         "positivity": 0,
         "ToricDivisor.__post_init__": 2,
-        "_columns": 1,
-        "_clip": 1,
-        "_envelope": 2,
+        "_columns": 0,
+        "_clip": 0,
+        "_envelope": 0,
         "cohomology": 0,
         "lower_arc_start": 0,
         "_multiplicities": 0,
         "Fraction.__new__": 3,
     }
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs, clips",
+    [
+        (p2(), (3, 0, 0), 0),  # C + K = 0: nef, not ample, and principal
+        (hirzebruch(1), (4, 2, 0, 0), 0),  # 2C0 + 4F: C + K = F, nef, not ample
+        (hirzebruch(1), (5, 8, 0, 0), 1),  # 8C0 + 5F: C + K is not nef, yet effective
+        (hirzebruch(1), (1, 1, 0, 0), 1),  # C0 + F: C + K = -C0 - 2F, not effective
+    ],
+)
+def test_the_report_clips_only_where_c_plus_k_is_not_nef(fan, coeffs, clips):
+    """P_{C+K} of a nef C + K is read from its cone vertices, with no clip
+    and no column count; any other C + K is clipped once.  The positive
+    representation is the shift by the checked clip's lex-min point."""
+    C = ToricDivisor(fan, coeffs)
+    CK = C + canonical_divisor(fan)
+    assert (min(intersect_primes(CK)) >= 0) == (clips == 0)
+    reports = []
+    counts = count_calls(
+        lambda: reports.append(toric_theorem_report(CurveOnSurface(fan, C))),
+        geometry._clip,
+        geometry._envelope,
+        geometry._columns,
+    )
+    assert counts["_clip"] == clips and counts["_envelope"] == 2 * clips
+    assert clips or counts["_columns"] == 0
+    m = geometry.lexmin_lattice_point(CK.halfplanes)
+    rep = None if m is None else C + principal_divisor(fan, m)
+    assert reports[0].positive_rep == (rep if rep and max(rep.coeffs) > 1 else None)
 
 
 def _check_degree_bound(r):

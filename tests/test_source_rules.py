@@ -13,10 +13,12 @@ one.  No module calls json.dumps: cli._json_text is the one JSON writer.
 No module imports argparse, and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
 every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
-fan's `_arc_start` or calls `geometry._clip`: it is the one place where a
-class's coefficients become a clipped polygon.  Every module-level private
-function is named by some code in src/ outside its own definition: a
-routine that only tests call is a test oracle, and lives in tests/."""
+fan's `_arc_start` or calls `geometry._clip` or `geometry._lexmin`: it is the
+one place where a class's coefficients become a polygon, read from the cone
+vertices when the class is nef, so no caller can skip that shortcut.  Every
+module-level private function is named by some code in src/ outside its own
+definition: a routine that only tests call is a test oracle, and lives in
+tests/."""
 
 import ast
 import sys
@@ -28,7 +30,9 @@ CACHES = {"cache", "lru_cache"}
 INTEGRAL = {"divisor.py", "cohomology.py"}
 CONTRACTS = "errors.py"
 CLI = "cli.py"
-POLYGON = {"fan.py", "geometry.py", "divisor.py"}  # where _arc_start and geometry._clip may appear
+# where _arc_start, geometry._clip and geometry._lexmin may appear
+POLYGON = {"fan.py", "geometry.py", "divisor.py"}
+CLIPPED = {"_clip", "_lexmin"}  # geometry's routines that take a clip
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
 
@@ -82,9 +86,9 @@ def _json_dumps(node):
 
 
 def _polygon_internal(node):
-    # a fan's kept arc start, read, or geometry._clip, called or only named
+    # a fan's kept arc start, read, or geometry._clip or _lexmin, called or only named
     return node.attr == "_arc_start" or (
-        node.attr == "_clip" and isinstance(node.value, ast.Name) and node.value.id == "geometry"
+        node.attr in CLIPPED and isinstance(node.value, ast.Name) and node.value.id == "geometry"
     )
 
 
@@ -114,12 +118,12 @@ def breaches(tree, module=""):
         elif isinstance(node, ast.Attribute) and _json_dumps(node):
             yield node.lineno, "json.dumps, where cli._json_text writes JSON"
         elif isinstance(node, ast.Attribute) and module not in POLYGON and _polygon_internal(node):
-            yield node.lineno, f"{node.attr} outside divisor.py, which clips each class's polygon"
+            yield node.lineno, f"{node.attr} outside divisor.py, which makes each class's polygon"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 if node.module == "geometry" and module not in POLYGON:
-                    if "_clip" in {a.name for a in node.names}:
-                        yield node.lineno, "_clip outside divisor.py, which clips each class's polygon"
+                    for name in sorted(CLIPPED & {a.name for a in node.names}):
+                        yield node.lineno, f"{name} outside divisor.py, which makes each class's polygon"
                 continue
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             imported = {a.name for a in node.names}
@@ -228,19 +232,32 @@ def test_rules_catch_each_breach():
         assert len(list(breaches(ast.parse(check), "cli.py"))) == 1
         assert list(breaches(ast.parse(check), "__main__.py")) == []
     assert list(breaches(ast.parse("sys.exit(main())\nraise InputError('x')"), "cli.py")) == []
-    # a class's polygon is clipped in divisor.py, from the start the fan keeps
+    # a class's polygon is made in divisor.py, from the start the fan keeps,
+    # and its lex-min point is found there, so a nef class's is a cone vertex
     for check in (
         "start = D.fan._arc_start",
         "geometry._clip(hs, 0)",
         "clip = geometry._clip",
         "from .geometry import _clip",
         "from .geometry import _count, _clip as clip",
+        "m = geometry._lexmin(*_polygon(fan, a))",
+        "from .geometry import _lexmin",
+        "from .geometry import _count, _lexmin as lexmin",
     ):
         for module in ("cohomology.py", "lowdeg.py", "selftest.py"):
             assert len(list(breaches(ast.parse(check), module))) == 1, (check, module)
         for module in POLYGON:
             assert list(breaches(ast.parse(check), module)) == [], (check, module)
-    assert list(breaches(ast.parse("geometry._count(*clip)\nfrom .geometry import _count"), "lowdeg.py")) == []
+    assert [what for _, what in breaches(ast.parse("from .geometry import _lexmin, _clip"), "lowdeg.py")] == [
+        "_clip outside divisor.py, which makes each class's polygon",
+        "_lexmin outside divisor.py, which makes each class's polygon",
+    ]
+    for check in (
+        "geometry._count(*clip)\nfrom .geometry import _count",
+        "from .divisor import _lexmin\nm = _lexmin(fan, a, p)",
+        "m = divisor._lexmin(fan, a, p)\ngeometry.lexmin_lattice_point(hs)",
+    ):
+        assert list(breaches(ast.parse(check), "lowdeg.py")) == [], check
     # a private function that only calls itself, or that nothing calls, is an
     # oracle; a call by name, as a module's attribute or through an import counts
     trees = {
