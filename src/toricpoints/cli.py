@@ -12,14 +12,14 @@ success, 1 hypothesis failure under --strict (or a failed selftest suite), 2
 malformed input (the command line included), a result too long to print or
 a closed stdout; exit 2 prints one `error:` line on stderr and nothing on
 stdout.  Rationals are printed as exact "p/q" strings, never floats, so
-outputs are stable goldens.  The --json text of a result r is exactly
-json.dumps(jsonable(r), indent=2), written in one walk from r itself by
-_json_text.
+outputs are stable goldens.  _json_text is the one JSON writer: the --json
+text of a result r is written in one walk from r itself, and equals
+json.dumps(jsonable(r), indent=2) for the plain-data oracle in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -44,28 +44,8 @@ from .lowdeg import (
 from .plane import plane_theorem_report
 
 
-def jsonable(obj):
-    """Recursive conversion to JSON-safe values; Fractions become exact
-    strings in lowest terms."""
-    if obj is None or isinstance(obj, (str, int)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, ToricDivisor):
-        return list(obj.coeffs)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, DegBTable):  # rows of two ints
-        return [list(row) for row in obj]
-    return obj
-
-
 # How each scalar is written, by its exact type: a Fraction as the exact
-# "p/q" string that jsonable makes of it
+# "p/q" string of it in lowest terms
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
@@ -76,9 +56,9 @@ _SCALARS = {
 
 
 def _json_text(obj, pad: str = "\n") -> str:
-    """The text of json.dumps(jsonable(obj), indent=2), written in one walk
-    from obj itself with no plain-data copy (CPython's C encoder skips
-    indent); `pad` is the line break and indent of obj's level."""
+    """The JSON text of obj with an indent of 2, written in one walk from obj
+    itself with no plain-data copy (CPython's C encoder skips indent); `pad`
+    is the line break and indent of obj's level."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
@@ -105,6 +85,11 @@ def _json_text(obj, pad: str = "\n") -> str:
         return "[]"
     items = [w(v) if (w := scalar(type(v))) else _json_text(v, inner) for v in obj]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def jsonable(obj):
+    """The plain data that obj's --json text holds."""
+    return json.loads(_json_text(obj))
 
 
 def parse_surface(text: str) -> ToricSurfaceFan:
@@ -157,7 +142,8 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
 
 # ASCII digits only: int() and \d would also take "1_0" and non-ASCII digits
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_H_RE = re.compile(r"([0-9]*)H")
+# dH: terms such as H, 4H, -H or +4H, signed as an aC0+bF term is
+_H_RE = re.compile(r"([+-]?)([0-9]*)H")
 # aC0+bF: terms such as 2C0, -F or +3F, with a sign between any two terms
 _FC_TERM = r"([+-]?)([0-9]*)(C0|F)"
 _FC_RE = re.compile(r"[+-]?[0-9]*(?:C0|F)(?:[+-][0-9]*(?:C0|F))*")
@@ -190,7 +176,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
     if h:
         if fan.n != 3:
             raise InputError('"dH" shorthand only applies to P2')
-        text = (h.group(1) or "1") + ",0,0"  # the vector (d, 0, 0), read below
+        text = h.group(1) + (h.group(2) or "1") + ",0,0"  # the vector (d, 0, 0), read below
     elif "C0" in text or text.endswith("F"):
         m = fan.self_intersections[-1]
         if m < 0 or fan.self_intersections != (0, -m, 0, m):

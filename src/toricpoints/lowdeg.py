@@ -5,10 +5,11 @@ ample curve class C, the interpolation divisor floor(C/2), the admissible
 degree bound min((C^2 - sum delta_i^2)/9, C^2/4 + lambda), and the
 hypothesis/condition verdicts that go with them.  The lex-min point of
 P_{C+K}, a cone vertex when C + K is nef, gives the positive representation.
-h1(D - C) is 0 by proof wherever the report states it (`ConditionVerdicts`),
-so nothing counts it.  Every other number is a dot product of p = (C.D_j),
-which each representation of C shares, and q = (D.D_j).  Also reproduces
-the F_1 family where surjectivity of restriction fails.
+h1(D - C) is 0 by proof wherever the report gives its conditions
+(`ConditionVerdicts`), so nothing counts it.  Every other number is a dot
+product of p = (C.D_j), which each representation of C shares, and
+q = (D.D_j).  Also reproduces the F_1 family where surjectivity of
+restriction fails.
 """
 
 from __future__ import annotations
@@ -158,28 +159,23 @@ def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequ
 @dataclass(frozen=True)
 class ConditionVerdicts:
     """Verdicts for the three defining conditions of a degree-e interpolation
-    divisor at e = e_max, with the numbers behind them: CD, C2 and h0_bound are
-    dot products of the pairing vectors of C_rep and D.  h0_bound =
-    (1/4)R.(2K+R) + 2 + C^2/4 - e for R = C_rep - 2D, which is larger by
-    e_max - e at a degree e.  The report builds them only for an ample C with
-    an e_max, and there each condition holds by proof for every e <= e_max.
+    divisor at e = e_max, with h0_bound = (1/4)R.(2K+R) + 2 + C^2/4 - e for
+    R = C_rep - 2D, which is larger by e_max - e at a degree e; C.D and C^2
+    are the report's CD and C2.  The report builds them only for an ample C
+    with an e_max, and there each condition holds by proof for every e <= e_max.
     (1) C.R >= 0, so C.D <= C^2/2 < C^2, as C^2 > 9 when e_max exists.
     (2) K - D + C_rep has the coefficients ceil(c_i/2) - 1, so by Serre duality
     h1(D - C_rep) = h1(K + ceil(C_rep/2)), which toric Kawamata-Viehweg
     vanishing makes 0, as C_rep/2 is ample (Cox-Little-Schenck, Thm 9.3.5).
-    So the report states h1_D_minus_C = 0 and surjectivity "pass" uncounted;
-    tests/test_census.py checks them against lattice and Cech counts.
+    So the report states surjectivity "pass" uncounted; tests/test_census.py
+    checks h1(D - C_rep) = 0 against lattice and Cech counts.
     (3) R sums distinct D_i, so R.(2K + R) >= 4 lambda - 8 and the bound is
     >= lambda + C^2/4 - e > 0."""
 
     intersection_bound: str  # C.D < C^2
     surjectivity: str  # h1(D - C) = 0 forces H0(S,D) ->> H0(C,D|_C)
     section_lift: str  # h0_bound > 0: degree-e moving divisors lift
-    CD: int
-    C2: int
-    h1_D_minus_C: int
     h0_bound: Fraction
-    half_curve_ample: bool  # redundant cross-check: C/2 ample gives the vanishing
 
 
 class DegBTable(Sequence):
@@ -294,8 +290,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
             table = DegBTable(CD, e_max)
             bound = RK + 8 + C2 - 4 * e_max  # 4 h0_bound
             conditions = ConditionVerdicts(  # h1(D - C_rep) = 0 by proof (2)
-                PASS if CD < C2 else FAIL, PASS, PASS if bound > 0 else FAIL,
-                CD, C2, 0, Fraction(bound, 4), True,  # C/2 is ample as C is
+                PASS if CD < C2 else FAIL, PASS, PASS if bound > 0 else FAIL, Fraction(bound, 4)
             )
 
     return InterpolationReport(

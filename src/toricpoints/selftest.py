@@ -30,6 +30,7 @@ from .divisor import (
 )
 from .fan import ToricSurfaceFan, build_fan, det, hirzebruch, p1xp1, p2
 from .lowdeg import (
+    PASS,
     CurveOnSurface,
     lambda_invariant,
     toric_theorem_report,
@@ -204,8 +205,8 @@ def suite_remark_inequality() -> SuiteResult:
 def suite_positive_representation() -> SuiteResult:
     """For random ample C with C + K > 0, the report against divisor arithmetic:
     C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
-    h1 by cohomology(D - C_rep), which the report states as 0 by proof, and the
-    section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D."""
+    the section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D,
+    and surjectivity "pass", stated by proof, as h1 = 0 by cohomology(D - C_rep)."""
     rng = random.Random(SEED + 3)
     fans = _builtin_fans()
     done = 0
@@ -215,7 +216,7 @@ def suite_positive_representation() -> SuiteResult:
         if positivity(C) is not Positivity.AMPLE:
             continue
         r = toric_theorem_report(CurveOnSurface(fan, C))
-        rep, c = r.positive_rep, r.conditions
+        rep = r.positive_rep
         if rep is None:
             continue
         # the first two rays are a lattice basis, so they pin the m of rep - C
@@ -226,9 +227,9 @@ def suite_positive_representation() -> SuiteResult:
         RR, C2 = intersection_number(R, K + K + R), intersection_number(C, C)
         CD, h1 = intersection_number(C, D), cohomology(D - rep).h1
         bound = Fraction(RR, 4) + 2 + Fraction(C2, 4) - r.e_max
-        got = (principal_divisor(fan, m).coeffs, r.interp_divisor, r.CD, r.C2, c.CD, c.C2)
-        got += (c.h1_D_minus_C, c.h0_bound)
-        if got != (diff, D, CD, C2, CD, C2, h1, bound) or RR < 4 * r.lambda_value - 8:
+        got = (principal_divisor(fan, m).coeffs, r.interp_divisor, r.CD, r.C2)
+        got += (r.conditions.surjectivity == PASS, r.conditions.h0_bound)
+        if got != (diff, D, CD, C2, h1 == 0, bound) or RR < 4 * r.lambda_value - 8:
             return SuiteResult(
                 "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={r.e_max}"
             )

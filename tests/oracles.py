@@ -1,12 +1,36 @@
 """Test oracles that the program itself no longer runs: the count of a clipped
-region's lattice points in one class mod 2, and h0, h1 and h2 of a toric
-divisor by graded pieces.  pytest does not collect this file; the test files
-import it."""
+region's lattice points in one class mod 2, h0, h1 and h2 of a toric
+divisor by graded pieces, and the plain-data copy of a result whose
+json.dumps(..., indent=2) is the text cli._json_text writes.  pytest does
+not collect this file; the test files import it."""
 
+import dataclasses
 from fractions import Fraction
 from math import ceil, floor
 
 from toricpoints import geometry
+from toricpoints.divisor import ToricDivisor
+from toricpoints.lowdeg import DegBTable
+
+
+def jsonable(obj):
+    """Recursive conversion to JSON-safe values; Fractions become exact
+    strings in lowest terms."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, ToricDivisor):
+        return list(obj.coeffs)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, DegBTable):  # rows of two ints
+        return [list(row) for row in obj]
+    return obj
 
 
 def class_count(lower, upper, ends, m):

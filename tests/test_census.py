@@ -134,9 +134,9 @@ def h1_three_ways(C, rep):
 
 def test_every_ample_census_class_passes_the_three_conditions():
     """On every report that reaches the conditions, the three verdicts pass,
-    the stated h1(D - C_rep) = 0 is the count of all three oracles, and the
-    report's numbers are those of divisor arithmetic.  Reports without
-    conditions have no e_max: C^2 is too small."""
+    h1(D - C_rep) = 0, which proof (2) gives, is the count of all three
+    oracles, and the report's numbers are those of divisor arithmetic.
+    Reports without conditions have no e_max: C^2 is too small."""
     reached = 0
     for C, k, mults in itertools.product(AMPLE, MULTIPLES, MULTIPLICITIES):
         C = C * k
@@ -151,7 +151,7 @@ def test_every_ample_census_class_passes_the_three_conditions():
         R, K, C2 = r.positive_rep - D - D, canonical_divisor(fan), intersection_number(C, C)
         bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - r.e_max
         assert r.interp_divisor == D
-        assert (c.CD, c.C2, c.h1_D_minus_C, c.h0_bound) == (intersection_number(C, D), C2, h1, bound)
+        assert (r.CD, r.C2, c.h0_bound) == (intersection_number(C, D), C2, bound)
         assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
         assert h1 == 0
     assert reached == 1458

@@ -25,7 +25,6 @@ from toricpoints import (
 from toricpoints import cli
 from toricpoints.cli import (
     _json_text,
-    jsonable,
     main,
     parse_divisor,
     parse_surface,
@@ -35,6 +34,7 @@ from toricpoints.errors import ContractViolation, InputError, InternalInconsiste
 from toricpoints.fan import builtin_surface, p2
 
 from conftest import count_calls
+from oracles import jsonable
 from test_lowdeg import blowup_fans
 
 
@@ -180,6 +180,12 @@ def test_parse_divisor_shorthands():
     fan = p2()
     assert parse_divisor(fan, "4H").coeffs == (4, 0, 0)
     assert parse_divisor(fan, "H").coeffs == (1, 0, 0)
+    assert parse_divisor(fan, "-4H").coeffs == (-4, 0, 0)
+    assert parse_divisor(fan, "+4H").coeffs == (4, 0, 0)
+    assert parse_divisor(fan, "-H").coeffs == (-1, 0, 0)
+    for text in ("--H", "4-H"):
+        with pytest.raises(InputError):
+            parse_divisor(fan, text)
     f1 = parse_surface("F1")
     assert parse_divisor(f1, "26C0+27F").coeffs == (27, 26, 0, 0)
     assert parse_divisor(f1, "C0+3F").coeffs == (3, 1, 0, 0)
@@ -736,8 +742,10 @@ def test_an_int_too_long_for_str_raises_value_error_in_both(value):
 
 
 def same_text(result):
-    """The one walk from a result writes what json.dumps writes of jsonable's copy."""
+    """The one walk from a result writes what json.dumps writes of the
+    oracle's plain-data copy, and cli.jsonable reads that copy back."""
     assert _json_text(result) == json.dumps(jsonable(result), indent=2)
+    assert cli.jsonable(result) == jsonable(result)
 
 
 # Builtin surfaces, for the commands that read a surface by name

@@ -35,7 +35,6 @@ from toricpoints import (
     toric_theorem_report,
 )
 from toricpoints import geometry, lowdeg
-from toricpoints.cli import jsonable
 from toricpoints.divisor import _polygon, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
@@ -43,7 +42,7 @@ from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVe
 from toricpoints.lowdeg import _positive_representation
 
 from conftest import count_calls
-from oracles import class_count
+from oracles import class_count, jsonable
 from test_divisor import classes_equal
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
@@ -282,8 +281,6 @@ def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
     half_ample = kleiman(halved) is Positivity.AMPLE
     assert half_ample == (r.hypothesis_verdicts["curve_ample"] == PASS)
     assert half_ample or not ample
-    if r.conditions is not None:
-        assert r.conditions.half_curve_ample == half_ample
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -603,18 +600,16 @@ def verdicts_of(C_rep, D, e):
     CD = intersection_number(C_rep, D)
     bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - e
     h1 = cohomology(D - C_rep).h1
-    M = intersection_matrix(C_rep.fan)
-    halved = [Fraction(sum(c * row[j] for c, row in zip(C_rep.coeffs, M)), 2) for j in range(len(M))]
     verdicts = (PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0))
-    return ConditionVerdicts(*verdicts, CD, C2, h1, bound, kleiman(halved) is Positivity.AMPLE)
+    return ConditionVerdicts(*verdicts, bound)
 
 
 def test_interpolation_conditions_quartic():
     fan = p2()
-    v = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0)))).conditions
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0))))
+    v = r.conditions
     assert (v.intersection_bound, v.surjectivity, v.section_lift) == (PASS, PASS, PASS)
-    assert v.h1_D_minus_C == 0
-    assert v.half_curve_ample
+    assert cohomology(r.interp_divisor - r.positive_rep).h1 == 0
     assert verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == v
 
 
@@ -646,7 +641,7 @@ def test_interpolation_conditions_f1_counterexample():
     C = ToricDivisor(f1, (27, 26, 0, 0))
     D = ToricDivisor(f1, (3, 1, 0, 0))
     v = verdicts_of(C, D, 79)
-    assert v.surjectivity == FAIL and v.h1_D_minus_C == 1
+    assert v.surjectivity == FAIL and cohomology(D - C).h1 == 1
     assert v.intersection_bound == PASS and v.section_lift == PASS
 
 
@@ -859,10 +854,11 @@ def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data)
     assume(r.e_max is not None and r.positive_rep is not None)
     c, lam, e = r.conditions, r.lambda_value, r.e_max
     R = r.positive_rep - r.interp_divisor - r.interp_divisor
-    assert 2 * c.CD <= c.C2 == r.C2 and c.C2 > 9
+    assert 2 * r.CD <= r.C2 == intersection_number(C, C) and r.C2 > 9
+    assert r.CD == intersection_number(C, r.interp_divisor)
     assert intersection_number(R, canonical_divisor(fan) * 2 + R) >= 4 * lam - 8
-    assert c.h0_bound >= lam + Fraction(c.C2, 4) - e > 0
-    assert c.h1_D_minus_C == cohomology(r.interp_divisor - C).h1 == 0
+    assert c.h0_bound >= lam + Fraction(r.C2, 4) - e > 0
+    assert cohomology(r.interp_divisor - r.positive_rep).h1 == 0
     assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
 
 
@@ -890,9 +886,9 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.data())
 def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data):
-    """The report states h1(D - C_rep) = 0 by proof; the class count of its
-    one clip of P_{C+K} gives the same number as cohomology(D - C_rep), which
-    clips P_{D - C_rep} and P_{K - D + C_rep}.
+    """The report states surjectivity by proof, as h1(D - C_rep) = 0; the
+    class count of its one clip of P_{C+K} gives the same h1 as
+    cohomology(D - C_rep), which clips P_{D - C_rep} and P_{K - D + C_rep}.
 
     For C_rep = sum c_i D_i with every c_i >= 1 and D = floor(C_rep/2):
     - D - C_rep has the coefficients floor(c_i/2) - c_i = -ceil(c_i/2) <= -1.
@@ -922,7 +918,7 @@ def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data)
     assert geometry.lexmin_lattice_point((rep + K).halfplanes) == (0, 0)
     assert geometry.count_lattice_points((rep + K).halfplanes) == cohomology(CK).h0
     assert class_count(*_polygon(fan, CK.coeffs), m) == cohomology(D - rep).h2
-    assert r.conditions.h1_D_minus_C == cohomology(D - rep).h1 == 0
+    assert r.conditions.surjectivity == PASS and cohomology(D - rep).h1 == 0
 
 
 # every class aC0 + bF on F_1 that is not nef, has a positive
@@ -1000,7 +996,7 @@ def _check_report_against_divisor_arithmetic(C, mults):
     bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - r.e_max
     h1 = cohomology(D - rep).h1
     c = r.conditions
-    assert (c.CD, c.C2, c.h1_D_minus_C, c.h0_bound) == (CD, C2, h1, bound)
+    assert (r.CD, r.C2, c.h0_bound) == (CD, C2, bound)
     assert (c.intersection_bound, c.surjectivity, c.section_lift) == tuple(
         PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0)
     )

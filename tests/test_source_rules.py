@@ -9,7 +9,9 @@ cohomology modules import nothing from fractions: a divisor's coefficients
 are ints, and so is every number computed from them there.  Only errors.py
 compares type(...) with int or calls isinstance(..., bool): its helpers are
 the one home of the rule that an argument must be an int, and a bool is not
-one.  No module calls json.dumps: cli._json_text is the one JSON writer.
+one.  No module calls json.dumps: cli._json_text is the one JSON writer,
+and no other function walks a dataclass's fields (dataclasses.fields, asdict
+or astuple, or __dataclass_fields__), so a second writer cannot come back.
 No module imports argparse, and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
 every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
@@ -30,6 +32,8 @@ CACHES = {"cache", "lru_cache"}
 INTEGRAL = {"divisor.py", "cohomology.py"}
 CONTRACTS = "errors.py"
 CLI = "cli.py"
+JSON_WRITER = "_json_text"  # the one function of cli.py that walks a dataclass's fields
+FIELD_WALKS = {"fields", "asdict", "astuple"}  # dataclasses' walks over the fields
 # where _arc_start, geometry._clip and geometry._lexmin may appear
 POLYGON = {"fan.py", "geometry.py", "divisor.py"}
 CLIPPED = {"_clip", "_lexmin"}  # geometry's routines that take a clip
@@ -85,6 +89,17 @@ def _json_dumps(node):
     return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr == "dumps"
 
 
+def _field_walk(node):
+    # a dataclass's fields, walked by dataclasses, read, named or imported
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__dataclass_fields__" or (
+            node.attr in FIELD_WALKS and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses" and any(a.name in FIELD_WALKS for a in node.names)
+    return isinstance(node, ast.Constant) and node.value == "__dataclass_fields__"
+
+
 def _polygon_internal(node):
     # a fan's kept arc start, read, or geometry._clip or _lexmin, called or only named
     return node.attr == "_arc_start" or (
@@ -93,6 +108,12 @@ def _polygon_internal(node):
 
 
 def breaches(tree, module=""):
+    writer = {  # the nodes of cli._json_text, which may walk a dataclass's fields
+        id(sub)
+        for stmt in tree.body
+        if module == CLI and isinstance(stmt, ast.FunctionDef) and stmt.name == JSON_WRITER
+        for sub in ast.walk(stmt)
+    }
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
@@ -119,6 +140,8 @@ def breaches(tree, module=""):
             yield node.lineno, "json.dumps, where cli._json_text writes JSON"
         elif isinstance(node, ast.Attribute) and module not in POLYGON and _polygon_internal(node):
             yield node.lineno, f"{node.attr} outside divisor.py, which makes each class's polygon"
+        elif _field_walk(node) and id(node) not in writer:
+            yield node.lineno, f"a walk over a dataclass's fields outside {CLI}'s {JSON_WRITER}"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 if node.module == "geometry" and module not in POLYGON:
@@ -224,6 +247,26 @@ def test_rules_catch_each_breach():
     for check in ("text = json.dumps(x, indent=2)", "write = json.dumps", "from json import dumps"):
         assert len(list(breaches(ast.parse(check), "errors.py"))) == 1
     assert list(breaches(ast.parse("import json\njson.loads(s)\nisinstance(c, int)"), "cli.py")) == []
+    # only cli._json_text walks a dataclass's fields, so no second JSON writer
+    # can come back: not a copy in plain data, nor a walk in another module
+    for check in (
+        "names = [f.name for f in dataclasses.fields(r)]",
+        "data = dataclasses.asdict(r)",
+        "row = dataclasses.astuple(r)",
+        "names = list(r.__dataclass_fields__)",
+        "names = getattr(type(r), '__dataclass_fields__')",
+        "from dataclasses import fields",
+        "from dataclasses import dataclass, asdict as plain",
+        "def jsonable(obj):\n    return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}",
+        "def _text(obj):\n    def _json_text(v):\n        return v.__dataclass_fields__",
+    ):
+        for module in ("cli.py", "lowdeg.py"):
+            assert len(list(breaches(ast.parse(check), module))) == 1, (check, module)
+    walk = "def _json_text(obj):\n    if hasattr(type(obj), '__dataclass_fields__'):\n        return list(obj.__dataclass_fields__)"
+    assert list(breaches(ast.parse(walk), "cli.py")) == []
+    assert len(list(breaches(ast.parse(walk), "selftest.py"))) == 2
+    for check in ("from dataclasses import dataclass, field", "dataclasses.is_dataclass(r)", "r.fields"):
+        assert list(breaches(ast.parse(check), "lowdeg.py")) == [], check
     # argparse is refused everywhere, however imported
     for check in ("from argparse import ArgumentParser", "import argparse as ap"):
         assert len(list(breaches(ast.parse(check), "selftest.py"))) == 1
