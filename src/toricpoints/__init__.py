@@ -34,7 +34,6 @@ from .plane import (
     PlaneReport,
     find_m,
     plane_theorem_report,
-    remark_inequality_check,
     sqrt_ceil_term,
 )
 

@@ -272,8 +272,6 @@ def _check_toric_lines(r) -> List[str]:
             f"conditions at e_max: (1) {c.intersection_bound} "
             f"(2) {c.surjectivity} (3) {c.section_lift}"
         )
-    if r.degB_table:
-        lines.append("deg B by e: " + ", ".join(f"{e}->{b}" for e, b in r.degB_table))
     return lines
 
 

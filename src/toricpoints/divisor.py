@@ -57,7 +57,7 @@ class ToricDivisor:
 
 
 def _check_same_fan(D: ToricDivisor, E: ToricDivisor) -> None:
-    if not require(D, ToricDivisor).fan.same_surface(require(E, ToricDivisor).fan):
+    if require(D, ToricDivisor).fan != require(E, ToricDivisor).fan:
         raise FanMismatch("divisors live on different fans")
 
 

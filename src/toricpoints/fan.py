@@ -11,7 +11,7 @@ direction twice), so neither is checked apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -41,17 +41,19 @@ class ToricSurfaceFan:
     Rays must be given in counterclockwise cyclic order, with int
     coordinates; the order is kept as-is so prime divisor indices stay
     stable.  Rays that make no such fan are refused with a `ToricError` when
-    the fan is made, however it is built.  Immutable, safe to share.  Two
-    plain attributes outside equality and repr are fixed then as well: the
-    winding check's `lower_arc_start` as `_arc_start`, for clipping polygons
-    on the rays, and `self_intersections`, (D_1^2, ..., D_n^2) with D_i^2 =
-    -b_i for u_{i-1} + u_{i+1} = b_i u_i.  Writing u_{i-1} = alpha u_i + beta
+    the fan is made, however it is built.  Immutable, safe to share.  The
+    rays alone decide equality and the hash, so P1xP1 equals F0; the name
+    is for display (the repr, the lambda JSON's "surface").  Two plain
+    attributes outside equality and repr are fixed then as well: the winding
+    check's `lower_arc_start` as `_arc_start`, for clipping polygons on the
+    rays, and `self_intersections`, (D_1^2, ..., D_n^2) with D_i^2 = -b_i
+    for u_{i-1} + u_{i+1} = b_i u_i.  Writing u_{i-1} = alpha u_i + beta
     u_{i+1}, det(u_{i-1}, u_i) = 1 forces beta = -1, so b_i = alpha =
     det(u_{i-1}, u_{i+1}).
     """
 
     rays: Tuple[LatticePoint, ...]
-    name: Optional[str] = None
+    name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         try:
@@ -83,9 +85,6 @@ class ToricSurfaceFan:
     @property
     def n(self) -> int:
         return len(self.rays)
-
-    def same_surface(self, other: "ToricSurfaceFan") -> bool:
-        return self.rays == other.rays
 
 
 def lower_arc_start(rays: Sequence[LatticePoint]) -> Optional[int]:

@@ -51,7 +51,7 @@ class CurveOnSurface:
 
     def __post_init__(self):
         require(self.curve_class, ToricDivisor)
-        if not require(self.fan, ToricSurfaceFan).same_surface(self.curve_class.fan):
+        if require(self.fan, ToricSurfaceFan) != self.curve_class.fan:
             raise FanMismatch("the curve class lives on a different fan")
         object.__setattr__(self, "multiplicities", _multiplicities(self.multiplicities))
 

@@ -160,15 +160,3 @@ def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
         conclusion_guaranteed=guaranteed,
     )
 
-
-def remark_inequality_check(d: int, delta: int) -> bool:
-    """The un-ceiled inequality (d^2-4delta)/9 >= (1/2)(x(d-x) - delta) for
-    x = (d + sqrt(d^2 - 36 delta))/6.
-
-    Algebra reduces it to d^2 - 8 delta >= d sqrt(d^2 - 36 delta); decided
-    by the squared comparison, as `_discriminant` refuses d^2 < 36 delta, so
-    d^2 - 8 delta >= 28 delta >= 0.  Holds on every admissible (d, delta).
-    """
-    _check_signs(d, delta)
-    lhs = d * d - 8 * delta
-    return lhs * lhs >= d * d * _discriminant(d, delta)

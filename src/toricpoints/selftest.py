@@ -35,7 +35,6 @@ from .lowdeg import (
     lambda_invariant,
     toric_theorem_report,
 )
-from .plane import remark_inequality_check
 
 SEED = 20240601
 
@@ -194,14 +193,6 @@ def suite_lambda_table() -> SuiteResult:
     return SuiteResult("lambda-hirzebruch", True, "P2 and F_1..F_5")
 
 
-def suite_remark_inequality() -> SuiteResult:
-    for d in range(4, 61):
-        for delta in range(0, (d - 3) // 3 + 1):
-            if not remark_inequality_check(d, delta):
-                return SuiteResult("remark-inequality", False, f"d={d} delta={delta}")
-    return SuiteResult("remark-inequality", True, "d = 4..60, all admissible delta")
-
-
 def suite_positive_representation() -> SuiteResult:
     """For random ample C with C + K > 0, the report against divisor arithmetic:
     C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
@@ -285,7 +276,6 @@ ALL_SUITES: List[Callable[[], SuiteResult]] = [
     suite_serre_duality,
     suite_pairing,
     suite_lambda_table,
-    suite_remark_inequality,
     suite_positive_representation,
     suite_lexmin,
 ]

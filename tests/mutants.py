@@ -318,6 +318,14 @@ MUTANTS = (
         "    if False:\n        raise InputError(",
         ("test_fan.py",),
     ),
+    # a fan is its rays: the name is not compared
+    Mutant(
+        "fan-name-compared",
+        "fan.py",
+        "field(default=None, compare=False)",
+        "None",
+        ("test_divisor.py",),
+    ),
     # the clip: one solve per piece
     Mutant(
         "clip-meet-clamps-swapped",

@@ -1,8 +1,9 @@
 """Test oracles that the program itself no longer runs: the count of a clipped
 region's lattice points in one class mod 2, h0, h1 and h2 of a toric
-divisor by graded pieces, and the plain-data copy of a result whose
-json.dumps(..., indent=2) is the text cli._json_text writes.  pytest does
-not collect this file; the test files import it."""
+divisor by graded pieces, the plain-data copy of a result whose
+json.dumps(..., indent=2) is the text cli._json_text writes, and the plane
+remark's squared comparison.  pytest does not collect this file; the test
+files import it."""
 
 import dataclasses
 from fractions import Fraction
@@ -107,3 +108,12 @@ def cech(D, grow=0):
             else:
                 h[1] += (arcs - 1) * (e - s)
     return tuple(h)
+
+
+def remark_squared(d, delta):
+    """The plane remark d^2 - 8 delta >= d sqrt(d^2 - 36 delta), decided in
+    integers by squaring its two sides, for d^2 >= 36 delta >= 0; the test
+    `test_plane.py::test_the_remark_inequality_holds_wherever_its_root_is_real`
+    proves it holds on all of them."""
+    lhs = d * d - 8 * delta
+    return lhs >= 0 and lhs * lhs >= d * d * (d * d - 36 * delta)

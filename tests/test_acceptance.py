@@ -24,10 +24,11 @@ from toricpoints import (
     plane_theorem_report,
     positivity,
     principal_divisor,
-    remark_inequality_check,
     toric_theorem_report,
 )
 from toricpoints.lowdeg import NOT_CERTIFIED, PASS
+
+from oracles import remark_squared
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
@@ -120,7 +121,7 @@ def test_criterion_5c_pairing():
 def test_criterion_5d_remark_inequality():
     for d in range(4, 61):
         for delta in range(0, (d - 3) // 3 + 1):
-            assert remark_inequality_check(d, delta)
+            assert remark_squared(d, delta)
             r = plane_theorem_report(d, delta, 0)  # e = 0: out of range, so no deg B check
             equality = r.term2 == r.term1
             assert equality == (delta == 0 and d % 3 == 0)

@@ -107,6 +107,14 @@ def test_check_toric(capsys):
     assert data["lambda_value"] == "-1/4"
 
 
+def test_human_check_toric_prints_11_lines_however_large_the_curve(capsys):
+    # e_max is about 1.1e23 here; --json alone writes the deg B rows
+    code, out, _ = run(capsys, "check-toric", "--surface", "P2", "--curve", "1000000000000H")
+    assert code == 0
+    assert len(out.splitlines()) == 11
+    assert "e_max = 111111111111111111111111\n" in out
+
+
 def test_check_toric_strict_failure(capsys):
     # cubic: C + K is principal, hypothesis fails
     code, _, _ = run(
@@ -308,7 +316,6 @@ def test_selftest_command(capsys):
         "serre-duality",
         "pairing",
         "lambda-hirzebruch",
-        "remark-inequality",
         "positive-representation",
         "lexmin",
     ]:

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from toricpoints import (
+    CurveOnSurface,
     Positivity,
     ToricDivisor,
     canonical_divisor,
@@ -15,6 +17,7 @@ from toricpoints import (
     positivity,
     principal_divisor,
 )
+from toricpoints.cli import main
 from toricpoints.errors import ContractViolation, FanMismatch
 
 FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
@@ -173,3 +176,21 @@ def test_fan_mismatch():
         classes_equal(D, E)
     with pytest.raises(FanMismatch):
         ToricDivisor(p2(), (1, 0, 0, 0))
+
+
+def test_fans_with_the_same_rays_are_equal_whatever_their_names(capsys):
+    square, f0 = p1xp1(), hirzebruch(0)
+    assert (square.name, f0.name) == ("P1xP1", "F0")
+    assert square == f0 and hash(square) == hash(f0)
+    D, E = ToricDivisor(square, (1, 0, 0, 0)), ToricDivisor(f0, (1, 0, 0, 0))
+    assert D == E and hash(D) == hash(E) and {D, E} == {D}
+    assert (D - E).coeffs == (0, 0, 0, 0)
+    assert CurveOnSurface(square, E + E).curve_class == D * 2
+    assert "'P1xP1'" in repr(square) and "'F0'" in repr(f0)
+    for name in ("P1xP1", "F0"):
+        assert main(["lambda", "--surface", name, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["surface"] == name
+    with pytest.raises(FanMismatch):  # as many rays, not the same ones
+        D + ToricDivisor(hirzebruch(1), (1, 0, 0, 0))
+    with pytest.raises(FanMismatch):
+        CurveOnSurface(hirzebruch(1), D)

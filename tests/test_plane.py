@@ -11,7 +11,6 @@ from toricpoints import (
     ToricDivisor,
     find_m,
     plane_theorem_report,
-    remark_inequality_check,
     sqrt_ceil_term,
     toric_theorem_report,
 )
@@ -21,6 +20,7 @@ from toricpoints.fan import p2
 from toricpoints.lowdeg import CERTIFIED, PASS
 
 from conftest import count_calls
+from oracles import remark_squared
 
 
 def sympy_ceil_term(d, delta):
@@ -143,9 +143,8 @@ def test_plane_report_out_of_range_not_guaranteed():
 
 @pytest.mark.parametrize("d, delta", [(10, -1), (-10, 0), (-1, -1)])
 def test_negative_d_or_delta_is_refused(d, delta):
-    for call in (sqrt_ceil_term, remark_inequality_check):
-        with pytest.raises(ContractViolation):
-            call(d, delta)
+    with pytest.raises(ContractViolation):
+        sqrt_ceil_term(d, delta)
     with pytest.raises(ContractViolation):
         plane_theorem_report(d, delta, 3)
 
@@ -224,16 +223,31 @@ def test_chain_bounds_halve():
             assert nxt.degree_bound <= prev.degree_bound / 2
 
 
-def test_remark_inequality_examples():
-    assert remark_inequality_check(10, 2)
-    assert remark_inequality_check(9, 0)
-    assert remark_inequality_check(4, 0)
+def test_the_remark_inequality_holds_wherever_its_root_is_real():
+    """The remark (d^2 - 4 delta)/9 >= (x(d - x) - delta)/2 at x = (d + s)/6,
+    s = sqrt(d^2 - 36 delta), holds for every d^2 >= 36 delta >= 0, so the
+    library does not decide it at run time.
+
+    x(d - x) = (d + s)(5d - s)/36 = (d^2 + d s + 9 delta)/9, so the remark is
+    d^2 - 8 delta >= d s.  Both sides are >= 0, since d^2 - 8 delta >= 28
+    delta >= 0 once d^2 >= 36 delta, so it holds iff its square does:
+    (d^2 - 8 delta)^2 - d^2 (d^2 - 36 delta) = 20 d^2 delta + 64 delta^2 >= 0.
+    """
+    for d in range(200):
+        for delta in range(d * d // 36 + 1):
+            lhs = d * d - 8 * delta
+            assert lhs >= 28 * delta >= 0
+            assert lhs * lhs - d * d * (d * d - 36 * delta) == 20 * d * d * delta + 64 * delta**2
+            assert remark_squared(d, delta)
+    for d, delta in [(10, 2), (9, 0), (4, 0), (12, 4)]:  # the remark itself, by sympy
+        x = (d + sympy.sqrt(d * d - 36 * delta)) / 6
+        assert sympy.Rational(d * d - 4 * delta, 9) >= (x * (d - x) - delta) / 2
 
 
 def test_remark_inequality_sweep_and_ceiled_equality():
     for d in range(4, 61):
         for delta in range(0, (d - 3) // 3 + 1):
-            assert remark_inequality_check(d, delta)
+            assert remark_squared(d, delta)
             _, term1, term2 = terms(d, delta)
             if term2 == term1:
                 assert delta == 0 and d % 3 == 0

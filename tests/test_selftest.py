@@ -45,8 +45,6 @@ FAULTS = [
     (selftest.suite_lambda_table, "lambda-hirzebruch", selftest,
      wrap("lambda_invariant", lambda real, fan: real(fan) if fan.n == 3 else ZERO_LAMBDA),
      "F1 ->"),
-    (selftest.suite_remark_inequality, "remark-inequality", selftest,
-     ("remark_inequality_check", lambda d, delta: delta < 3), "delta=3"),
     (selftest.suite_positive_representation, "positive-representation", selftest,
      wrap("toric_theorem_report", lambda real, curve: dataclasses.replace(real(curve), C2=0)),
      "C="),
