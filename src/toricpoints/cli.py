@@ -288,7 +288,7 @@ def _plane_lines(report) -> List[str]:
 
 def _selftest(args) -> dict:
     from .selftest import run_selftest  # loaded by this command alone, not by every import
-    return {"suites": [{"suite": r.name, "ok": r.ok, "detail": r.detail} for r in run_selftest()]}
+    return {"suites": run_selftest()}
 
 
 _SURFACE = ("--surface", Option(str))

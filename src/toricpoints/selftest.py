@@ -5,16 +5,18 @@ Riemann-Roch, lattice counts vs peeling fixed components, pairing vs class
 shifts, lambda(S) vs its closed forms on P^2 and F_m, the interpolation report
 vs divisor arithmetic, the galloping lex-min search vs a column-by-column scan)
 on seeded random inputs, so a fresh build can be sanity-checked from the CLI
-without the dev test harness.
+without the dev test harness.  `SUITES` maps each suite's name to the suite
+and what it covers; a suite returns its first failing case as text, or None
+when it passes.  The oracles `_polygon_class`, `_column_points` and
+`_peeled_h0` live here alone: the tests import them from this module.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import geometry
 from .cohomology import cohomology, euler_characteristic
@@ -23,7 +25,6 @@ from .divisor import (
     ToricDivisor,
     canonical_divisor,
     effective_representative,
-    intersect_primes,
     intersection_number,
     positivity,
     principal_divisor,
@@ -37,13 +38,6 @@ from .lowdeg import (
 )
 
 SEED = 20240601
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    ok: bool
-    detail: str
 
 
 def _builtin_fans() -> List[ToricSurfaceFan]:
@@ -61,7 +55,7 @@ def _random_nef(rng: random.Random, fan: ToricSurfaceFan) -> ToricDivisor:
             return D
 
 
-def suite_hrr_vs_count() -> SuiteResult:
+def suite_hrr_vs_count() -> Optional[str]:
     """On nef divisors h0 must equal chi with h1 = h2 = 0: the checked lattice
     count of P_D and the intersection-number formula are fully independent."""
     rng = random.Random(SEED)
@@ -72,10 +66,7 @@ def suite_hrr_vs_count() -> SuiteResult:
         prof = cohomology(D)
         h0 = geometry.count_lattice_points(D.halfplanes)
         if not (h0 == prof.h0 == prof.chi and prof.h1 == 0 and prof.h2 == 0):
-            return SuiteResult(
-                "hrr-vs-count", False, f"fan={fan.name} coeffs={D.coeffs} -> {prof}"
-            )
-    return SuiteResult("hrr-vs-count", True, "200 nef divisors")
+            return f"fan={fan.name} coeffs={D.coeffs} -> {prof}"
 
 
 def _random_blowup(rng: random.Random) -> ToricSurfaceFan:
@@ -89,13 +80,14 @@ def _random_blowup(rng: random.Random) -> ToricSurfaceFan:
     return build_fan(rays)
 
 
-def _unit_polygon_class(fan: ToricSurfaceFan) -> ToricDivisor:
-    """An ample class: the lattice polygon with every edge of length 1, once
-    two adjacent edges have grown by what closes it.  The edge on ray u_j
-    runs along (u_j.y, -u_j.x), so lengths l close it when sum l_j u_j = 0."""
-    rays, n = fan.rays, fan.n
-    lengths = [1] * n
-    r = (-sum(u[0] for u in rays), -sum(u[1] for u in rays))
+def _polygon_class(fan: ToricSurfaceFan, lengths: List[int]) -> Tuple[ToricDivisor, List[int]]:
+    """The class of a lattice polygon with D.D_j = lengths[j], once two
+    adjacent lengths have grown by what closes the polygon: nef, and ample
+    when no length is 0.  The edge on ray u_j runs along (u_j.y, -u_j.x),
+    so lengths l close it when sum l_j u_j = 0.  Returns the class and the
+    final lengths."""
+    rays, n, lengths = fan.rays, fan.n, list(lengths)
+    r = tuple(-sum(l * u[i] for l, u in zip(lengths, rays)) for i in (0, 1))
     for k in range(n):
         u, v = rays[k], rays[(k + 1) % n]
         alpha, beta = det(r, v), det(u, r)  # r = alpha u + beta v, as det(u, v) = 1
@@ -109,46 +101,47 @@ def _unit_polygon_class(fan: ToricSurfaceFan) -> ToricDivisor:
         if j:
             m = (m[0] + lengths[j] * uy, m[1] - lengths[j] * ux)
         coeffs.append(-(m[0] * ux + m[1] * uy))
-    return ToricDivisor(fan, tuple(coeffs))
+    return ToricDivisor(fan, tuple(coeffs)), lengths
 
 
 def _peeled_h0(D: ToricDivisor, A: ToricDivisor) -> int:
     """h0(D) without a polygon, for an ample A, by peeling fixed components
-    off D curve by curve (Zariski decomposition).  If D.D_j < 0, then D_j is
-    a fixed component when D_j^2 < 0 and h0(D) = 0 when D_j is nef; each peel
-    lowers D.A, and D.A < 0 means h0(D) = 0.  A nef D has h0 = chi (Demazure
-    vanishing)."""
-    fan, a = D.fan, list(D.coeffs)
+    off D curve by curve (Zariski decomposition), from the rays alone and no
+    pairing of the library: u_{j-1} + u_{j+1} = b_j u_j with b_j =
+    det(u_{j-1}, u_{j+1}) gives D_j^2 = -b_j and D.D_j = a_{j-1} + a_{j+1}
+    - b_j a_j.  If D.D_j < 0, then D_j is a fixed component when D_j^2 < 0
+    and h0(D) = 0 when D_j is nef; each peel lowers D.A, and D.A < 0 means
+    h0(D) = 0.  A nef D has h0 = chi = 1 + (D^2 - K.D)/2 (Demazure
+    vanishing), where K = -sum D_j."""
+    rays, n, a = D.fan.rays, D.fan.n, list(D.coeffs)
+    b = [det(rays[j - 1], rays[(j + 1) % n]) for j in range(n)]
     while True:
-        pairings = intersect_primes(ToricDivisor(fan, tuple(a)))  # D.D_j
-        if sum(c * p for c, p in zip(A.coeffs, pairings)) < 0:
+        p = [a[j - 1] + a[(j + 1) % n] - b[j] * a[j] for j in range(n)]  # D.D_j
+        if sum(c * pj for c, pj in zip(A.coeffs, p)) < 0:
             return 0
-        j = next((j for j, p in enumerate(pairings) if p < 0), None)
+        j = next((j for j in range(n) if p[j] < 0), None)
         if j is None:
-            return euler_characteristic(ToricDivisor(fan, tuple(a)))
-        if fan.self_intersections[j] >= 0:
+            return 1 + (sum(aj * pj for aj, pj in zip(a, p)) + sum(p)) // 2
+        if b[j] <= 0:
             return 0
         a[j] -= 1
 
 
-def suite_peeled_h0() -> SuiteResult:
+def suite_peeled_h0() -> Optional[str]:
     """h0 and h2 = h0(K - D) by lattice counts against the peeling oracle,
     on divisors that are mostly not nef, where h0 and chi part."""
     rng = random.Random(SEED + 4)
     for _ in range(500):
         fan = _random_blowup(rng)
-        A = _unit_polygon_class(fan)
+        A = _polygon_class(fan, [1] * fan.n)[0]
         D = _random_divisor(rng, fan)
         prof = cohomology(D)
         want = (_peeled_h0(D, A), _peeled_h0(canonical_divisor(fan) - D, A))
         if positivity(A) is not Positivity.AMPLE or (prof.h0, prof.h2) != want:
-            return SuiteResult(
-                "peeled-h0", False, f"rays={fan.rays} coeffs={D.coeffs} -> {prof}, peeled {want}"
-            )
-    return SuiteResult("peeled-h0", True, "500 divisors on blowups of P2 and F_0..F_3")
+            return f"rays={fan.rays} coeffs={D.coeffs} -> {prof}, peeled {want}"
 
 
-def suite_serre_duality() -> SuiteResult:
+def suite_serre_duality() -> Optional[str]:
     rng = random.Random(SEED + 1)
     fans = _builtin_fans()
     for k in range(500):
@@ -156,11 +149,10 @@ def suite_serre_duality() -> SuiteResult:
         D = _random_divisor(rng, fan)
         K = canonical_divisor(fan)
         if euler_characteristic(D) != euler_characteristic(K - D):
-            return SuiteResult("serre-duality", False, f"fan={fan.name} coeffs={D.coeffs}")
-    return SuiteResult("serre-duality", True, "500 divisors")
+            return f"fan={fan.name} coeffs={D.coeffs}"
 
 
-def suite_pairing() -> SuiteResult:
+def suite_pairing() -> Optional[str]:
     """Bilinearity, symmetry and invariance under principal shifts."""
     rng = random.Random(SEED + 2)
     fans = _builtin_fans()
@@ -172,28 +164,26 @@ def suite_pairing() -> SuiteResult:
         F = _random_divisor(rng, fan)
         de = intersection_number(D, E)
         if de != intersection_number(E, D):
-            return SuiteResult("pairing", False, f"symmetry fails on {fan.name}")
+            return f"symmetry fails on {fan.name}"
         if intersection_number(D + F, E) != de + intersection_number(F, E):
-            return SuiteResult("pairing", False, f"bilinearity fails on {fan.name}")
+            return f"bilinearity fails on {fan.name}"
         m = grid[k % len(grid)]
         if intersection_number(D + principal_divisor(fan, m), E) != de:
-            return SuiteResult("pairing", False, f"class invariance fails on {fan.name}")
-    return SuiteResult("pairing", True, "500 random triples")
+            return f"class invariance fails on {fan.name}"
 
 
-def suite_lambda_table() -> SuiteResult:
+def suite_lambda_table() -> Optional[str]:
     """lambda(P^2) = -1/4 with inner minimum -9, lambda(F_m) = -m/4."""
     res = lambda_invariant(p2())
     if res.value != Fraction(-1, 4) or res.inner_min != -9:
-        return SuiteResult("lambda-hirzebruch", False, f"P2 -> {res}")
+        return f"P2 -> {res}"
     for m in range(1, 6):
         val = lambda_invariant(hirzebruch(m)).value
         if val != Fraction(-m, 4):
-            return SuiteResult("lambda-hirzebruch", False, f"F{m} -> {val}")
-    return SuiteResult("lambda-hirzebruch", True, "P2 and F_1..F_5")
+            return f"F{m} -> {val}"
 
 
-def suite_positive_representation() -> SuiteResult:
+def suite_positive_representation() -> Optional[str]:
     """For random ample C with C + K > 0, the report against divisor arithmetic:
     C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
     the section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D,
@@ -221,24 +211,22 @@ def suite_positive_representation() -> SuiteResult:
         got = (principal_divisor(fan, m).coeffs, r.interp_divisor, r.CD, r.C2)
         got += (r.conditions.surjectivity == PASS, r.conditions.h0_bound)
         if got != (diff, D, CD, C2, h1 == 0, bound) or RR < 4 * r.lambda_value - 8:
-            return SuiteResult(
-                "positive-representation", False, f"fan={fan.name} C={C.coeffs} e={r.e_max}"
-            )
+            return f"fan={fan.name} C={C.coeffs} e={r.e_max}"
         done += 1
-    return SuiteResult("positive-representation", True, "120 ample curve classes")
 
 
-def _column_scan(halfplanes, x0: int, x1: int):
-    """The lex-min lattice point among the columns x0..x1, one column at a time."""
+def _column_points(halfplanes, x0: int, x1: int) -> Iterator[Tuple[int, int]]:
+    """The lattice points among the columns x0..x1 of a region bounded above
+    and below, scanned one column at a time, each from the bottom: the first
+    is the lex-min point."""
     for x in range(x0, x1 + 1):
-        lo = max(-((ux * x - c) // uy) for (ux, uy), c in halfplanes if uy > 0)
-        hi = min((c - ux * x) // uy for (ux, uy), c in halfplanes if uy < 0)
-        if lo <= hi and all(ux * x >= c for (ux, uy), c in halfplanes if uy == 0):
-            return x, lo
-    return None
+        if all(ux * x >= c for (ux, uy), c in halfplanes if uy == 0):
+            lo = max(-((ux * x - c) // uy) for (ux, uy), c in halfplanes if uy > 0)
+            hi = min((c - ux * x) // uy for (ux, uy), c in halfplanes if uy < 0)
+            yield from ((x, y) for y in range(lo, hi + 1))
 
 
-def suite_lexmin() -> SuiteResult:
+def suite_lexmin() -> Optional[str]:
     """The lex-min lattice point against a column scan, on slivers along
     q y - p x = k, whose lattice points lie q columns apart (some with a
     break of the lower envelope just left of the first), and on P_{C+K} for
@@ -258,28 +246,34 @@ def suite_lexmin() -> SuiteResult:
         else:
             fan = _random_blowup(rng)
             m = (rng.randint(-9, 9), rng.randint(-9, 9))
-            C = _unit_polygon_class(fan) * rng.randint(1, 4) + principal_divisor(fan, m)
+            C = _polygon_class(fan, [1] * fan.n)[0] * rng.randint(1, 4) + principal_divisor(fan, m)
             B = 2 * max(map(abs, C.coeffs)) * max(abs(c) for u in fan.rays for c in u)
             E = C + canonical_divisor(fan)
             hs, lo, hi = E.halfplanes, -B, B
-        want = _column_scan(hs, lo, hi)
+        want = next(_column_points(hs, lo, hi), None)
         if geometry.lexmin_lattice_point(hs) != want or i % 2 == 0 and (
             effective_representative(E) != (want and E + principal_divisor(fan, want))
         ):
-            return SuiteResult("lexmin", False, f"half-planes {hs}")
-    return SuiteResult("lexmin", True, "200 slivers and polygons of C + K")
+            return f"half-planes {hs}"
 
 
-ALL_SUITES: List[Callable[[], SuiteResult]] = [
-    suite_hrr_vs_count,
-    suite_peeled_h0,
-    suite_serre_duality,
-    suite_pairing,
-    suite_lambda_table,
-    suite_positive_representation,
-    suite_lexmin,
-]
+SUITES: Dict[str, Tuple[Callable[[], Optional[str]], str]] = {
+    "hrr-vs-count": (suite_hrr_vs_count, "200 nef divisors"),
+    "peeled-h0": (suite_peeled_h0, "500 divisors on blowups of P2 and F_0..F_3"),
+    "serre-duality": (suite_serre_duality, "500 divisors"),
+    "pairing": (suite_pairing, "500 random triples"),
+    "lambda-hirzebruch": (suite_lambda_table, "P2 and F_1..F_5"),
+    "positive-representation": (suite_positive_representation, "120 ample curve classes"),
+    "lexmin": (suite_lexmin, "200 slivers and polygons of C + K"),
+}
 
 
-def run_selftest() -> List[SuiteResult]:
-    return [suite() for suite in ALL_SUITES]
+def run_selftest() -> List[Dict[str, object]]:
+    """One row per suite, in the table's order: its name, whether it passed,
+    and what it covers or its first failing case."""
+    rows = []
+    for name, (suite, covers) in SUITES.items():
+        fault = suite()
+        detail = covers if fault is None else fault
+        rows.append({"suite": name, "ok": fault is None, "detail": detail})
+    return rows

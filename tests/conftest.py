@@ -1,5 +1,13 @@
 import sys
 
+from hypothesis import strategies as st
+
+from toricpoints.fan import build_fan, hirzebruch, p1xp1, p2
+
+from oracles import subdivide
+
+FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+
 
 def count_calls(work, *functions):
     """How often `work()` enters each function, by its code object, so calls
@@ -17,3 +25,21 @@ def count_calls(work, *functions):
     finally:
         sys.setprofile(None)
     return counts
+
+
+# Generators of SL(2, Z); det 1 keeps the rays counterclockwise.
+GENERATORS = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]
+
+
+@st.composite
+def blowup_fans(draw):
+    """P^2 or F_m after up to 14 rays' worth of random blowups, under a
+    random SL(2, Z) image and a random rotation of the ray list."""
+    m = draw(st.integers(0, 6))
+    rays = draw(st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]]))
+    for _ in range(draw(st.integers(0, 14 - len(rays)))):
+        rays = subdivide(rays, draw(st.integers(0, len(rays) - 1)))
+    for a, b, c, d in draw(st.lists(st.sampled_from(GENERATORS), max_size=4)):
+        rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
+    k = draw(st.integers(0, len(rays) - 1))
+    return build_fan(rays[k:] + rays[:k])

@@ -566,6 +566,14 @@ MUTANTS = (
         "        if False:\n",
         ("test_cli.py",),
     ),
+    # a selftest row is ok exactly when its suite returned no failing case
+    Mutant(
+        "selftest-row-always-ok",
+        "selftest.py",
+        '"ok": fault is None',
+        '"ok": True',
+        ("test_cli.py",),
+    ),
 )
 
 

@@ -19,7 +19,6 @@ from toricpoints import (
     hirzebruch_counterexample,
     intersection_number,
     lambda_invariant,
-    p1xp1,
     p2,
     plane_theorem_report,
     positivity,
@@ -28,9 +27,9 @@ from toricpoints import (
 )
 from toricpoints.lowdeg import NOT_CERTIFIED, PASS
 
+from conftest import FANS
 from oracles import remark_squared
 
-FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
 
 def test_criterion_1_lambda_values():

@@ -38,9 +38,9 @@ from toricpoints import geometry
 from toricpoints.divisor import _lexmin, _polygon, intersect_primes
 from toricpoints.lowdeg import PASS
 
-from oracles import cech, cech_box, class_count
-from test_geometry import column_scan
-from test_lowdeg import subdivide, subset_scan
+from toricpoints.selftest import _column_points
+
+from oracles import cech, cech_box, class_count, subdivide, subset_scan
 
 MAX_RAYS = 7
 BASES = [p2()] + [hirzebruch(a) for a in range(4)]
@@ -113,7 +113,7 @@ def test_lambda_is_the_subset_scan_on_every_surface(fan):
 def lexmin_of(D):
     # the lex-min lattice point of P_D by a column scan over the box of its lines
     x0, x1, _, _ = cech_box(D.fan.rays, D.coeffs)
-    return column_scan(D.halfplanes, x0, x1)
+    return next(_column_points(D.halfplanes, x0, x1), None)
 
 
 def h1_three_ways(C, rep):

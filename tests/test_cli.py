@@ -22,7 +22,7 @@ from toricpoints import (
     plane_theorem_report,
     toric_theorem_report,
 )
-from toricpoints import cli
+from toricpoints import cli, selftest
 from toricpoints.cli import (
     _json_text,
     main,
@@ -33,9 +33,8 @@ from toricpoints.cli import (
 from toricpoints.errors import ContractViolation, InputError, InternalInconsistency, ToricError
 from toricpoints.fan import builtin_surface, p2
 
-from conftest import count_calls
+from conftest import blowup_fans, count_calls
 from oracles import jsonable
-from test_lowdeg import blowup_fans
 
 
 def run(capsys, *argv):
@@ -307,19 +306,24 @@ def test_strict_is_kept_where_a_hypothesis_can_fail(capsys, argv, code):
 
 
 def test_selftest_command(capsys):
+    # the suite names themselves are pinned by the golden readme_selftest.out
     code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "FAIL" not in out
-    for name in [
-        "hrr-vs-count",
-        "peeled-h0",
-        "serre-duality",
-        "pairing",
-        "lambda-hirzebruch",
-        "positive-representation",
-        "lexmin",
-    ]:
-        assert f"PASS {name}" in out
+    passed = [f"PASS {name}: {covers}" for name, (_, covers) in selftest.SUITES.items()]
+    assert (code, out.splitlines()) == (0, passed)
+
+
+def test_a_failing_suite_fails_the_selftest_command(monkeypatch, capsys):
+    # the suite's case is its row's detail; the other six suites still run and pass
+    case = "symmetry fails on P2"
+    monkeypatch.setitem(selftest.SUITES, "pairing", (lambda: case, "500 random triples"))
+    code, out, err = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[3]) == (1, "", 7, f"FAIL pairing: {case}")
+    assert all(line.startswith("PASS ") for line in lines[:3] + lines[4:])
+    code, out, err = run(capsys, "selftest", "--json")
+    rows = json.loads(out)["suites"]
+    assert (code, err, rows[3]) == (1, "", {"suite": "pairing", "ok": False, "detail": case})
+    assert [row["ok"] for row in rows] == [True] * 3 + [False] + [True] * 3
 
 
 def test_descriptor_with_string_m_exits_2(tmp_path, capsys):

@@ -15,7 +15,6 @@ from toricpoints import (
     effective_representative,
     euler_characteristic,
     hirzebruch,
-    p1xp1,
     p2,
     positivity,
     principal_divisor,
@@ -23,9 +22,8 @@ from toricpoints import (
     toric_theorem_report,
 )
 
-from conftest import count_calls
+from conftest import FANS, count_calls
 
-FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 HEXAGON = build_fan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 
 

@@ -20,17 +20,9 @@ from toricpoints import (
 from toricpoints.cli import main
 from toricpoints.errors import ContractViolation, FanMismatch
 
-FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+from conftest import FANS
+from oracles import classes_equal
 
-
-def classes_equal(D, E):
-    """Oracle: D ~ E iff D - E is a principal divisor div(chi^m).  The first
-    two rays form a lattice basis (their det is 1), so m is pinned by two
-    coordinates and then checked on all n."""
-    diff = (D - E).coeffs
-    (u1x, u1y), (u2x, u2y) = D.fan.rays[:2]
-    m = (diff[0] * u2y - diff[1] * u1y, u1x * diff[1] - u2x * diff[0])
-    return principal_divisor(D.fan, m).coeffs == diff
 
 
 def test_principal_divisor_examples():

@@ -18,7 +18,7 @@ from toricpoints.errors import (
     ToricError,
 )
 
-from test_fuzz import is_fan
+from oracles import is_fan
 
 
 def test_p2_fan():

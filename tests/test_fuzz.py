@@ -22,7 +22,6 @@ import inspect
 import io
 import json
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -48,9 +47,11 @@ from toricpoints.cli import main
 from toricpoints.errors import ToricError
 from toricpoints.fan import build_fan, det
 
-# Generators of SL(2, Z), a reflection of determinant -1, and ray cycles
-# to start from: P^2, F_0..F_3, and one that winds twice around the origin.
-SL2 = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]
+from conftest import GENERATORS
+from oracles import is_fan, subdivide
+
+# A reflection of determinant -1, and ray cycles to start from: P^2,
+# F_0..F_3, and one that winds twice around the origin.
 REFLECTION = (0, 1, 1, 0)
 ONCE = [[(1, 0), (0, 1), (-1, -1)]] + [[(1, 0), (0, 1), (-1, m), (0, -1)] for m in range(4)]
 TWICE = [(1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)]
@@ -169,8 +170,7 @@ def ray_cycles(draw):
         n = len(rays)
         i = draw(st.integers(0, n - 1))
         if op == "blowup":
-            u, v = rays[i], rays[(i + 1) % n]
-            rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+            rays = subdivide(rays, i)
         elif op == "blowdown":
             kept = kept and n > 3 and det(rays[i - 1], rays[(i + 1) % n]) == 1
             del rays[i]
@@ -180,25 +180,10 @@ def ray_cycles(draw):
             rays.reverse()
             kept = False
         else:
-            a, b, c, d = REFLECTION if op == "reflect" else draw(st.sampled_from(SL2))
+            a, b, c, d = REFLECTION if op == "reflect" else draw(st.sampled_from(GENERATORS))
             rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
             kept = kept and op == "image"
     return rays, (not twice) if kept else None
-
-
-def is_fan(rays):
-    """Oracle: primitive distinct rays, every consecutive determinant 1, and
-    winding number 1, read from sum b_i = 3n - 12w for b_i =
-    det(u_{i-1}, u_{i+1}) (Poonen and Rodriguez-Villegas, Lattice polygons
-    and the number 12, Amer. Math. Monthly 107, 2000)."""
-    n = len(rays)
-    return (
-        n >= 3
-        and all(gcd(x, y) == 1 for x, y in rays)
-        and len(set(rays)) == n
-        and all(det(rays[i], rays[(i + 1) % n]) == 1 for i in range(n))
-        and sum(det(rays[i - 1], rays[(i + 1) % n]) for i in range(n)) == 3 * n - 12
-    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

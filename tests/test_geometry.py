@@ -7,7 +7,7 @@ the lex-min point and, filtered by parity, for the count of a class mod 2
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor, gcd, inf, log2
+from math import ceil, floor, gcd, log2
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,9 +25,10 @@ from toricpoints.geometry import (
     lexmin_lattice_point,
 )
 
-from conftest import count_calls
-from oracles import class_count
-from test_lowdeg import polygon_class
+from toricpoints.selftest import _column_points as column_points, _polygon_class as polygon_class
+
+from conftest import GENERATORS, count_calls
+from oracles import blown_up_p2, class_count, subdivide
 
 
 def _feasible(halfplanes, p):
@@ -76,28 +77,6 @@ def box_lattice_points(halfplanes, vertices):
     ]
 
 
-def column_points(halfplanes, x0, x1):
-    """The lattice points among the columns x0..x1, scanned one column at a
-    time, each from the bottom: the first is the lex-min point."""
-    for x in range(x0, x1 + 1):
-        lo, hi = -inf, inf
-        for (ux, uy), c in halfplanes:
-            r = c - ux * x  # u_y y >= r
-            if uy > 0:
-                lo = max(lo, -(-r // uy))
-            elif uy < 0:
-                hi = min(hi, r // uy)
-            elif r > 0:
-                hi = -inf
-        if lo <= hi:
-            yield from ((x, y) for y in range(lo, hi + 1))
-
-
-def column_scan(halfplanes, x0, x1):
-    """The lex-min lattice point among the columns x0..x1, or None."""
-    return next(column_points(halfplanes, x0, x1), None)
-
-
 def integer_columns(vertices):
     """The first and last integer column of the region with these vertices."""
     xs = [v[0] for v in vertices]
@@ -130,12 +109,8 @@ def check_against_oracles(halfplanes):
         assert lexmin_lattice_point(scaled) == (min(points) if points else None)
     if expected:
         want = min(points) if points else None
-        assert column_scan(halfplanes, *integer_columns(expected)) == want
+        assert next(column_points(halfplanes, *integer_columns(expected)), None) == want
     return vertices
-
-
-# Generators of SL(2, Z); det 1 keeps the rays counterclockwise.
-GENERATORS = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]
 
 
 @st.composite
@@ -145,9 +120,7 @@ def fan_rays(draw):
     m = draw(st.integers(0, 3))
     rays = draw(st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]]))
     for _ in range(draw(st.integers(0, 4))):
-        i = draw(st.integers(0, len(rays) - 1))
-        u, v = rays[i], rays[(i + 1) % len(rays)]
-        rays = rays[: i + 1] + [(u[0] + v[0], u[1] + v[1])] + rays[i + 1:]
+        rays = subdivide(rays, draw(st.integers(0, len(rays) - 1)))
     for a, b, c, d in draw(st.lists(st.sampled_from(GENERATORS), max_size=4)):
         rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
     k = draw(st.integers(0, len(rays) - 1))
@@ -271,20 +244,9 @@ def test_a_count_of_any_columns_is_the_column_scan(case):
     assert geometry._columns(lower, upper, a, b) == want
 
 
-def many_ray_fan(n, seed=0):
-    """P^2 blown up at random torus-fixed points until it has n rays."""
-    rng = random.Random(seed)
-    rays = [(1, 0), (0, 1), (-1, -1)]
-    while len(rays) < n:
-        i = rng.randrange(len(rays))
-        u, v = rays[i], rays[(i + 1) % len(rays)]
-        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
-    return build_fan(rays)
-
-
 def test_a_count_ceils_each_break_once_per_clip_and_sums_one_line_per_column():
     # an ample class, so each of the 1024 rays carries an edge and a break
-    fan = many_ray_fan(1024)
+    fan = blown_up_p2(random.Random(0), 1024)
     halfplanes = polygon_class(fan, [1] * fan.n)[0].halfplanes
     calls = count_calls(lambda: _clipped(halfplanes), geometry._ceil)
     lower, upper, ends = _clipped(halfplanes)
@@ -496,7 +458,7 @@ def test_the_lexmin_search_gallops_to_the_column_scan(halfplanes):
     scaled = integral(halfplanes)
     vertices = pairwise_vertices(halfplanes)
     a, b = integer_columns(vertices) if vertices else (1, 0)
-    want = column_scan(scaled, a, b)
+    want = next(column_points(scaled, a, b), None)
     with pytest.MonkeyPatch.context() as patch:
         probes = count_probes(patch)
         assert lexmin_lattice_point(scaled) == want
@@ -525,7 +487,7 @@ def test_the_lexmin_search_counts_once_when_the_first_column_holds_the_point(
 ):
     scaled = integral(region)
     a, b = integer_columns(pairwise_vertices(region))
-    want = column_scan(scaled, a, b)
+    want = next(column_points(scaled, a, b), None)
     probes = count_probes(monkeypatch)
     assert lexmin_lattice_point(scaled) == want
     assert (want is not None and want[0] == a) == first

@@ -40,12 +40,12 @@ from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
 from toricpoints.lowdeg import _positive_representation
+from toricpoints.selftest import _peeled_h0 as peeled_h0, _polygon_class as polygon_class
 
-from conftest import count_calls
-from oracles import class_count, jsonable
-from test_divisor import classes_equal
+from conftest import FANS, blowup_fans, count_calls
+from oracles import blown_up_p2, class_count, classes_equal, intersection_matrix, jsonable
+from oracles import subdivide, subset_scan, wall_numbers
 
-FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
 
 
 def arithmetic_genus(C):
@@ -53,58 +53,6 @@ def arithmetic_genus(C):
     num = intersection_number(canonical_divisor(C.fan) + C, C)
     assert num % 2 == 0
     return 1 + num // 2
-
-
-def subdivide(rays, i):
-    # stellar subdivision between rays i and i+1 keeps the fan smooth complete
-    u, v = rays[i], rays[(i + 1) % len(rays)]
-    w = (u[0] + v[0], u[1] + v[1])
-    return rays[: i + 1] + [w] + rays[i + 1 :]
-
-
-def random_smooth_fan(rng, extra=3):
-    rays = [(1, 0), (0, 1), (-1, -1)]
-    for _ in range(extra):
-        rays = subdivide(rays, rng.randrange(len(rays)))
-    return build_fan(rays)
-
-
-def intersection_matrix(fan):
-    """Oracle: the dense n x n pairing of prime divisors.  D_i.D_j is 1 for
-    cyclic neighbours, 0 for other i != j, and D_i^2 = -b_i."""
-    n = fan.n
-    b = wall_numbers(fan.rays)
-    return [
-        [-b[i] if i == j else int((i - j) % n in (1, n - 1)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def subset_scan(fan):
-    """Oracle: the least (val, |R|, R) over all 2^n subsets R, with val taken
-    from the full intersection pairing.  Returns (val, R)."""
-    n = fan.n
-    M = intersection_matrix(fan)
-    kdot = [-sum(M[i][j] for i in range(n)) for j in range(n)]  # K.D_j
-    best = None
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            e2 = sum(M[i][j] for i in subset for j in subset)
-            val = e2 + 2 * sum(kdot[i] for i in subset)
-            key = (val, r, subset)
-            if best is None or key < best:
-                best = key
-    return best[0], best[2]
-
-
-def wall_numbers(rays):
-    # u_{i-1} + u_{i+1} = b_i u_i and det(u_i, u_{i+1}) = 1 give
-    # b_i = det(u_{i-1}, u_{i+1})
-    n = len(rays)
-    return [
-        rays[i - 1][0] * rays[(i + 1) % n][1] - rays[i - 1][1] * rays[(i + 1) % n][0]
-        for i in range(n)
-    ]
 
 
 def subset_value(b, subset):
@@ -128,24 +76,6 @@ def min_value(b):
     return best
 
 
-# Generators of SL(2, Z); det 1 keeps the rays counterclockwise.
-GENERATORS = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0)]
-
-
-@st.composite
-def blowup_fans(draw):
-    """P^2 or F_m after up to 14 rays' worth of random blowups, under a
-    random SL(2, Z) image and a random rotation of the ray list."""
-    m = draw(st.integers(0, 6))
-    rays = draw(st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]]))
-    for _ in range(draw(st.integers(0, 14 - len(rays)))):
-        rays = subdivide(rays, draw(st.integers(0, len(rays) - 1)))
-    for a, b, c, d in draw(st.lists(st.sampled_from(GENERATORS), max_size=4)):
-        rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
-    k = draw(st.integers(0, len(rays) - 1))
-    return build_fan(rays[k:] + rays[:k])
-
-
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(blowup_fans())
 def test_lambda_matches_the_subset_scan(fan):
@@ -165,32 +95,6 @@ def kleiman(pairings):
     if all(p >= 0 for p in pairings):
         return Positivity.NEF_NOT_AMPLE
     return Positivity.NOT_NEF
-
-
-def polygon_class(fan, lengths):
-    """Oracle: the class of a lattice polygon with D.D_j = lengths[j], once
-    two adjacent lengths have grown by what closes the polygon.  The edge on
-    ray u_j runs along (u_j.y, -u_j.x), so it closes when sum l_j u_j = 0.
-    Returns the class and the final lengths."""
-    rays, n = fan.rays, fan.n
-    lengths = list(lengths)
-    rx = -sum(l * u[0] for l, u in zip(lengths, rays))
-    ry = -sum(l * u[1] for l, u in zip(lengths, rays))
-    for k in range(n):
-        (ux, uy), (vx, vy) = rays[k], rays[(k + 1) % n]
-        alpha, beta = rx * vy - ry * vx, ux * ry - uy * rx  # r = alpha u_k + beta u_k+1
-        if alpha >= 0 and beta >= 0:
-            lengths[k] += alpha
-            lengths[(k + 1) % n] += beta
-            break
-    # the vertex m_j on rays j and j+1 walks the edges from m_0 = 0
-    mx = my = 0
-    coeffs = []
-    for j, (ux, uy) in enumerate(rays):
-        if j:
-            mx, my = mx + lengths[j] * uy, my - lengths[j] * ux
-        coeffs.append(-(mx * ux + my * uy))
-    return ToricDivisor(fan, tuple(coeffs)), lengths
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -234,27 +138,6 @@ def test_wall_numbers_meet_noethers_formula(fan):
     assert exact(intersection_number(K, K), 12 - fan.n)
 
 
-def peeled_h0(D, A):
-    """Oracle: h0(D) without a polygon, for an ample class A, by peeling the
-    fixed components off D curve by curve (Zariski decomposition).  Returns
-    h0 and the number of curves peeled."""
-    fan, n = D.fan, D.fan.n
-    M = intersection_matrix(fan)
-    a = list(D.coeffs)
-    for peeled in itertools.count():
-        p = [sum(a[i] * M[i][j] for i in range(n)) for j in range(n)]  # D.D_j
-        if sum(c * pj for c, pj in zip(A.coeffs, p)) < 0:
-            return 0, peeled  # D.A < 0: not effective
-        negative = [j for j in range(n) if p[j] < 0]
-        if not negative:
-            # nef, so h0 = chi = 1 + (D^2 - K.D)/2 by Demazure vanishing
-            return 1 + (sum(ai * pi for ai, pi in zip(a, p)) + sum(p)) // 2, peeled
-        j = negative[0]
-        if M[j][j] >= 0:
-            return 0, peeled  # D_j is nef and D.D_j < 0: not effective
-        a[j] -= 1  # D_j^2 < 0 and D.D_j < 0: D_j lies in every member of |D|
-
-
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(blowup_fans(), st.data())
 def test_h0_and_h2_match_the_peeling_oracle(fan, data):
@@ -262,8 +145,8 @@ def test_h0_and_h2_match_the_peeling_oracle(fan, data):
     coeffs = data.draw(st.lists(st.integers(-6, 9), min_size=fan.n, max_size=fan.n))
     D = ToricDivisor(fan, tuple(coeffs))
     prof = cohomology(D)
-    assert prof.h0 == peeled_h0(D, A)[0]
-    assert prof.h2 == peeled_h0(canonical_divisor(fan) - D, A)[0]  # Serre duality
+    assert prof.h0 == peeled_h0(D, A)
+    assert prof.h2 == peeled_h0(canonical_divisor(fan) - D, A)  # Serre duality
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -309,7 +192,7 @@ def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_princi
     assert principal or not anticanonical
     r = toric_theorem_report(CurveOnSurface(fan, C))
     rep = r.positive_rep
-    assert (rep is None) == (peeled_h0(CK, A)[0] == 0 or principal)
+    assert (rep is None) == (peeled_h0(CK, A) == 0 or principal)
     if rep is not None:
         assert classes_equal(rep, C) and min(rep.coeffs) >= 1 and max(rep.coeffs) >= 2
         assert intersect_primes(rep) == intersect_primes(C)
@@ -360,12 +243,12 @@ def check_large(fan):
 def test_lambda_matches_the_min_only_dp(n):
     rng = random.Random(n)
     for _ in range(3):
-        check_large(random_smooth_fan(rng, extra=n - 3))
+        check_large(blown_up_p2(rng, n))
 
 
 @pytest.mark.parametrize("n", [25, 2000])
 def test_lambda_has_no_ray_cap(n):
-    check_large(random_smooth_fan(random.Random(47), extra=n - 3))
+    check_large(blown_up_p2(random.Random(47), n))
 
 
 def test_lambda_p2():
@@ -381,7 +264,7 @@ def test_lambda_hirzebruch(m):
 
 def test_lambda_at_most_two():
     rng = random.Random(43)
-    for fan in FANS + [random_smooth_fan(rng) for _ in range(5)]:
+    for fan in FANS + [blown_up_p2(rng, 6) for _ in range(5)]:
         assert lambda_invariant(fan).value <= 2
 
 
@@ -764,11 +647,7 @@ def test_a_report_on_p2_is_the_same_size_for_every_degree(k):
 
 
 def test_a_report_on_4096_blowups_of_p2_fits_in_memory():
-    rng = random.Random(4096)
-    rays = [(1, 0), (0, 1), (-1, -1)]
-    while len(rays) < 4096:
-        rays = subdivide(rays, rng.randrange(len(rays)))
-    C, _ = polygon_class(build_fan(rays), [1] * 4096)
+    C, _ = polygon_class(blown_up_p2(random.Random(4096), 4096), [1] * 4096)
     r, peak = traced_peak(lambda: toric_theorem_report(CurveOnSurface(C.fan, C)))
     # about 1.5 MB, all of it O(n) lists; the rows would be 10^11 tuples
     assert peak < 8 * 1024 * 1024

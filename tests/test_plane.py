@@ -346,11 +346,25 @@ def test_the_report_checks_once_and_works_out_its_terms_once(args, levels_in_ran
     assert sum(level.m is not None for level in chain) == levels_in_range
 
 
-@pytest.mark.parametrize("args", [(40, 3, 150), (9, 0, 8), (10**7, 0, 2 * 10**13), (30, 0, 80)])
+@pytest.mark.parametrize("args", [(0, 20), (20, 24), (24, 27), (27, 30)])
 def test_the_report_agrees_with_the_public_functions(args):
-    r = plane_theorem_report(*args)
-    assert r.ceil_term == sqrt_ceil_term(*args[:2])
-    assert r.m == find_m(*args)
+    """ceil_term, m and each chain level's m against sympy's root and the
+    stepped search, which share no code with plane.py, for d in range(*args).
+    The report refuses only d^2 < 36 delta and the family (3t, t - 1, 2t)."""
+    for d in range(*args):
+        for delta in range(d * d // 36 + 2):
+            t = sympy_ceil_term(d, delta) if d * d >= 36 * delta else None
+            for e in range(-2, d * d // 4 + 3):
+                r = outcome(plane_theorem_report, d, delta, e)
+                if t is None:
+                    assert r is HypothesisViolation, (d, delta, e)
+                elif d >= 9 and (d, delta, e) == (3 * (d // 3), d // 3 - 1, 2 * (d // 3)):
+                    assert r is InternalInconsistency, (d, delta, e)
+                else:
+                    assert (r.ceil_term, r.m) == (t, stepping_find_m(d, delta, e)), (d, delta, e)
+                    for level in r.chain:
+                        top = e if level.level == 0 else ceil(level.degree_bound) - 1
+                        assert level.m == stepping_find_m(d, delta, top), (d, delta, e, level)
 
 
 def test_find_m_answers_where_the_report_refuses():

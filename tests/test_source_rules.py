@@ -20,7 +20,11 @@ one place where a class's coefficients become a polygon, read from the cone
 vertices when the class is nef, so no caller can skip that shortcut.  Every
 module-level private function is named by some code in src/ outside its own
 definition: a routine that only tests call is a test oracle, and lives in
-tests/."""
+tests/.
+
+No file under tests/ imports a test module: shared oracles live in
+tests/oracles.py, or in toricpoints.selftest when the selftest command runs
+them too, and shared strategies in tests/conftest.py."""
 
 import ast
 import sys
@@ -39,6 +43,7 @@ POLYGON = {"fan.py", "geometry.py", "divisor.py"}
 CLIPPED = {"_clip", "_lexmin"}  # geometry's routines that take a clip
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _cache_decorator(node):
@@ -191,6 +196,27 @@ def uncalled(trees):
                 yield module, stmt.lineno, f"{stmt.name}() has no caller in src, so it is a test oracle"
 
 
+def imports_of_test_modules(tree):
+    """(line, what) for each import of a test module, or of any name test_*,
+    by `import`, `from ... import` (relative or not), importlib.import_module
+    or __import__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ) in {"import_module", "__import__"}:
+            names = [a.value for a in node.args[:1] if isinstance(a, ast.Constant)]
+        else:
+            continue
+        for name in names:
+            if any(part.startswith("test_") for part in str(name).split(".")):
+                yield node.lineno, f"import of {name}, a test module"
+                break
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"geometry.py", "cohomology.py", "cli.py"}
 
@@ -199,6 +225,35 @@ def test_sources_found():
 def test_source_rules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{line}: {what}" for line, what in breaches(tree, path.name)] == []
+
+
+def test_no_test_file_imports_a_test_module():
+    assert {p.name for p in TESTS} >= {"conftest.py", "oracles.py", "test_lowdeg.py"}
+    found = []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {what}" for line, what in imports_of_test_modules(tree)]
+    assert found == []
+
+
+def test_the_test_import_rule_catches_each_form():
+    for check in (
+        "import os, test_lowdeg",
+        "import tests.test_lowdeg as lowdeg",
+        "from test_lowdeg import subdivide as split, subset_scan",
+        "from .test_lowdeg import subdivide",
+        "from . import test_lowdeg",
+        "from oracles import test_the_rule",
+        "importlib.import_module('tests.test_lowdeg')",
+        "def f():\n    return __import__('test_lowdeg')",
+    ):
+        assert len(list(imports_of_test_modules(ast.parse(check)))) == 1, check
+    for check in (
+        "import pytest, mutants\nfrom conftest import blowup_fans, count_calls",
+        "from oracles import subdivide as test_free\nimport_module(name)",
+        "from toricpoints.selftest import _peeled_h0\nname = 'test_lowdeg'",
+    ):
+        assert list(imports_of_test_modules(ast.parse(check))) == [], check
 
 
 def test_every_private_function_has_a_caller_in_src():
