@@ -69,9 +69,11 @@ def _json_text(obj, pad: str = "\n") -> str:
         pairs = obj.items()
     elif isinstance(obj, ToricDivisor):
         obj = obj.coeffs
+    elif isinstance(obj, (list, tuple, DegBTable)):  # an array; a table is its rows
+        pass
     elif hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance, in field order
         pairs = [(name, getattr(obj, name)) for name in obj.__dataclass_fields__]
-    elif not isinstance(obj, (list, tuple, DegBTable)):
+    else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if pairs is not None:
         if not pairs:

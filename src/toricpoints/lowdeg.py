@@ -14,11 +14,10 @@ restriction fails.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .cohomology import cohomology
 from .divisor import ToricDivisor, _lexmin, _pairings, intersect_primes, intersection_number
@@ -178,62 +177,39 @@ class ConditionVerdicts:
     h0_bound: Fraction
 
 
-class DegBTable(Sequence):
+@dataclass(frozen=True)
+class DegBTable:
     """The rows (e, CD - e) for e = 1..e_max: deg B = C.D - e for each
-    admissible degree e.  An immutable view of constant size that computes a
-    row when it is read, so a report costs the same however large e_max is.
-    It equals a tuple with the same rows, and another view with the same
-    rows.  Like a range, len() raises OverflowError past sys.maxsize (e_max
-    grows as C^2/9): test truth or read e_max instead."""
+    admissible degree e.  A record of the two numbers that iterates its rows
+    lazily, so a report costs the same however large e_max is (it grows as
+    C^2/9).  It compares, hashes and prints by (CD, e_max), and every empty
+    table is DegBTable()."""
 
-    __slots__ = ("CD", "e_max")
-    __hash__ = None  # equal to tuples, whose hash needs every row
+    CD: int = 0
+    e_max: int = 0
 
-    def __init__(self, CD: int = 0, e_max: int = 0):
-        require_ints((CD, e_max), "deg B table's C.D and e_max")
-        if e_max <= 0:  # every empty view is the same view
-            CD = e_max = 0
-        object.__setattr__(self, "CD", CD)
-        object.__setattr__(self, "e_max", e_max)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DegBTable is immutable")
-
-    def __reduce__(self):
-        return DegBTable, (self.CD, self.e_max)
-
-    def __len__(self) -> int:
-        return self.e_max
+    def __post_init__(self):
+        require_ints((self.CD, self.e_max), "deg B table's C.D and e_max")
+        if self.e_max <= 0:  # every empty table is the same table
+            object.__setattr__(self, "CD", 0)
+            object.__setattr__(self, "e_max", 0)
 
     def __bool__(self) -> bool:
         return self.e_max > 0
 
-    def __getitem__(self, i):
-        e = range(1, self.e_max + 1)[i]
-        if isinstance(e, range):
-            return tuple((k, self.CD - k) for k in e)
-        return e, self.CD - e
-
     def __iter__(self):
         return zip(range(1, self.e_max + 1), range(self.CD - 1, self.CD - self.e_max - 1, -1))
 
-    def __eq__(self, other):
-        if isinstance(other, DegBTable):
-            return (self.CD, self.e_max) == (other.CD, other.e_max)
-        if isinstance(other, tuple):
-            return len(other) == self.e_max and tuple(self) == other
-        return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"DegBTable(CD={self.CD}, e_max={self.e_max})"
+_NO_TABLE = DegBTable()
 
 
 @dataclass(frozen=True)
 class InterpolationReport:
     """Everything `toric_theorem_report` decides for one curve class.
-    `degB_table` is a DegBTable view of the rows (e, CD - e), e = 1..e_max,
-    not a stored tuple; it is empty when e_max or CD is None.  interp_divisor
-    and CD are None unless C is ample and has a positive representation."""
+    `degB_table` holds CD and e_max and iterates the rows (e, CD - e), e =
+    1..e_max; it is empty when e_max or CD is None.  interp_divisor and CD
+    are None unless C is ample and has a positive representation."""
 
     lambda_value: Fraction
     lambda_subset: Tuple[int, ...]
@@ -280,7 +256,7 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     e_max = e if e >= 1 else None
 
     D = CD = conditions = None
-    table = DegBTable()
+    table = _NO_TABLE
     if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
         # rep is positive by construction, and 2 C.D <= C^2 as C is nef
         d = tuple(c // 2 for c in rep.coeffs)

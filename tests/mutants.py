@@ -68,8 +68,8 @@ MUTANTS = (
     Mutant(
         "json-set-as-a-list",
         "cli.py",
-        "    elif not isinstance(obj, (list, tuple, DegBTable)):",
-        "    elif not isinstance(obj, (list, tuple, set, DegBTable)):",
+        "isinstance(obj, (list, tuple, DegBTable)):",
+        "isinstance(obj, (list, tuple, set, DegBTable)):",
         ("test_cli.py",),
     ),
     Mutant(
@@ -91,6 +91,13 @@ MUTANTS = (
         "cli.py",
         "text = _json_text(result)",
         "text = _json_text(jsonable(result))",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-degb-table-as-a-dataclass",
+        "cli.py",
+        "(list, tuple, DegBTable)):  # an array; a table is its rows",
+        "(list, tuple)):",
         ("test_cli.py",),
     ),
     # the plane report works out its (d, delta) terms once, and m by one root
@@ -198,6 +205,37 @@ MUTANTS = (
         "lowdeg.py",
         "    e_max = e if e >= 1 else None",
         "    e_max = e if e >= 0 else None",
+        ("test_lowdeg.py",),
+    ),
+    # the deg B table is its two numbers: it iterates the rows (e, CD - e)
+    # from e = 1, every empty table is DegBTable(), and a report without an
+    # e_max shares one empty table
+    Mutant(
+        "degb-table-empty-is-true",
+        "lowdeg.py",
+        "        return self.e_max > 0",
+        "        return self.e_max >= 0",
+        ("test_golden.py",),
+    ),
+    Mutant(
+        "degb-rows-start-at-e-0",
+        "lowdeg.py",
+        "zip(range(1, self.e_max + 1), range(self.CD - 1,",
+        "zip(range(0, self.e_max + 1), range(self.CD,",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "degb-table-empty-kept-as-given",
+        "lowdeg.py",
+        '            object.__setattr__(self, "CD", 0)\n            object.__setattr__(self, "e_max", 0)\n',
+        "            pass\n",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "report-builds-an-empty-table",
+        "lowdeg.py",
+        "    table = _NO_TABLE\n",
+        "    table = DegBTable()\n",
         ("test_lowdeg.py",),
     ),
     # the report's bound in ints, and lambda's one pass

