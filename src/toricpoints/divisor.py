@@ -4,7 +4,7 @@ Divisors are integer coefficient vectors over the prime toric divisors
 D_1..D_n of a fixed fan.  Everything is immutable and exact: a coefficient
 that is not an int (a Fraction, float, str or bool) is refused, and
 cross-fan operations raise FanMismatch rather than coerce.  A nef class's
-polygon is read from its cone vertices, any other class's clipped (`_lexmin`).
+lex-min point is read off one cone vertex, any other class's clipped (`_lexmin`).
 """
 
 from __future__ import annotations
@@ -76,15 +76,12 @@ def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
 
 
 def intersect_primes(D: ToricDivisor) -> List[int]:
-    """The vector (D.D_1, ..., D.D_n); it gives K.D = -sum_j D.D_j, as K = -sum D_j."""
-    return _pairings(require(D, ToricDivisor).coeffs, D.fan.self_intersections)
-
-
-def _pairings(a: Sequence[int], self_intersections: Sequence[int]) -> List[int]:
-    """(D.D_1, ..., D.D_n) for D = sum a_j D_j.  D_j meets only its two cyclic
-    neighbours, once each, so D.D_j = a_{j-1} + a_{j+1} + a_j D_j^2."""
+    """The vector (D.D_1, ..., D.D_n); it gives K.D = -sum_j D.D_j, as K = -sum D_j.
+    D_j meets only its two cyclic neighbours, once each, so D.D_j = a_{j-1} +
+    a_{j+1} + a_j D_j^2 for D = sum a_j D_j."""
+    a = require(D, ToricDivisor).coeffs
     n = len(a)
-    return [a[j - 1] + a[(j + 1) % n] + a[j] * s for j, s in enumerate(self_intersections)]
+    return [a[j - 1] + a[(j + 1) % n] + a[j] * s for j, s in enumerate(D.fan.self_intersections)]
 
 
 def intersection_number(D: ToricDivisor, E: ToricDivisor) -> int:
@@ -116,19 +113,20 @@ def _polygon(fan: ToricSurfaceFan, a: Sequence[int]):
     return geometry._clip(fan.rays, a, fan._arc_start)
 
 
-def _lexmin(fan: ToricSurfaceFan, a: Sequence[int], pairings: Sequence[int]):
-    """The lex-min lattice point of P_D for D = sum a_i D_i with pairings (D.D_i), or
-    None.  A nef D is basepoint free: P_D is the lattice polygon of its cone vertices
-    (Cox-Little-Schenck, Toric Varieties, Thms 6.1.7, 6.3.12), so its least point is
-    the least vertex m, <m, u_{j-1}> = -a_{j-1} and <m, u_j> = -a_j, solved in
-    integers as det(u_{j-1}, u_j) = 1.  Any other class is clipped."""
-    if min(pairings) >= 0:
-        (ux, uy), c = fan.rays[-1], a[-1]
-        vertices = []
-        for (vx, vy), b in zip(fan.rays, a):
-            vertices.append((b * uy - c * vy, c * vx - b * ux))
-            ux, uy, c = vx, vy, b
-        return min(vertices)
+def _lexmin(fan: ToricSurfaceFan, a: Sequence[int], nef: bool):
+    """The lex-min lattice point of P_D for D = sum a_i D_i, or None; `nef` says
+    whether every D.D_i is >= 0.  A nef D has the support function w -> min over
+    P_D of <m, w>, which on each cone sigma is <m_sigma, w> for the m_sigma with
+    <m_sigma, u> = -a_u on both rays u of sigma, a lattice point as their det is 1
+    (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7); inside sigma, m_sigma is the
+    only point of P_D where the minimum is taken.  The lex-min point minimises
+    <m, (1, eps)> for small eps > 0, so it is m_sigma for the one cone that holds
+    (1, 0+): cone(u_{s-1}, u_s) for the fan's arc start s, the entry that crosses
+    the ray (1, 0).  Any other class is clipped."""
+    if nef:
+        s = fan._arc_start
+        (ux, uy), (vx, vy), c, b = fan.rays[s - 1], fan.rays[s], a[s - 1], a[s]
+        return (b * uy - c * vy, c * vx - b * ux)
     return geometry._lexmin(*_polygon(fan, a))
 
 
@@ -136,7 +134,7 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     """The linearly equivalent D + div(chi^m) with all coefficients >= 0, for the
     lattice point m of P_D least in (m.x, then m.y), so outputs are deterministic;
     None when P_D has no lattice point (the class is not effective)."""
-    m = _lexmin(require(D, ToricDivisor).fan, D.coeffs, intersect_primes(D))
+    m = _lexmin(require(D, ToricDivisor).fan, D.coeffs, min(intersect_primes(D)) >= 0)
     if m is None:
         return None
     return ToricDivisor(D.fan, tuple(c + dot(m, u) for c, u in zip(D.coeffs, D.fan.rays)))

@@ -46,10 +46,11 @@ class ToricSurfaceFan:
     is for display (the repr, the lambda JSON's "surface").  Two plain
     attributes outside equality and repr are fixed then as well: the winding
     check's `lower_arc_start` as `_arc_start`, for clipping polygons on the
-    rays, and `self_intersections`, (D_1^2, ..., D_n^2) with D_i^2 = -b_i
-    for u_{i-1} + u_{i+1} = b_i u_i.  Writing u_{i-1} = alpha u_i + beta
-    u_{i+1}, det(u_{i-1}, u_i) = 1 forces beta = -1, so b_i = alpha =
-    det(u_{i-1}, u_{i+1}).
+    rays and for the cone (u_{s-1}, u_s) at s = `_arc_start`, whose vertex is
+    a nef class's lex-min point, and `self_intersections`, (D_1^2, ...,
+    D_n^2) with D_i^2 = -b_i for u_{i-1} + u_{i+1} = b_i u_i.  Writing
+    u_{i-1} = alpha u_i + beta u_{i+1}, det(u_{i-1}, u_i) = 1 forces beta =
+    -1, so b_i = alpha = det(u_{i-1}, u_{i+1}).
     """
 
     rays: Tuple[LatticePoint, ...]

@@ -4,23 +4,23 @@ Computes the surface invariant lambda(S), positive representations of an
 ample curve class C, the interpolation divisor floor(C/2), the admissible
 degree bound min((C^2 - sum delta_i^2)/9, C^2/4 + lambda), and the
 hypothesis/condition verdicts that go with them.  The lex-min point of
-P_{C+K}, a cone vertex when C + K is nef, gives the positive representation.
+P_{C+K}, one cone vertex when C + K is nef, gives the positive representation.
 h1(D - C) is 0 by proof wherever the report gives its conditions
-(`ConditionVerdicts`), so nothing counts it.  Every other number is a dot
-product of p = (C.D_j), which each representation of C shares, and
-q = (D.D_j).  Also reproduces the F_1 family where surjectivity of
-restriction fails.
+(`ConditionVerdicts`), so nothing counts it.  Every other number comes from
+p = (C.D_j), which each representation of C shares, and the coefficients:
+R.(2K + R) is lambda's objective at the rays where C_rep is odd.  Also
+reproduces the F_1 family where surjectivity of restriction fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Dict, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import Dict, Optional, Tuple
 
 from .cohomology import cohomology
-from .divisor import ToricDivisor, _lexmin, _pairings, intersect_primes, intersection_number
+from .divisor import ToricDivisor, _lexmin, intersect_primes, intersection_number
 from .errors import (
     ContractViolation,
     FanMismatch,
@@ -78,11 +78,12 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     other i != j, and K.D_i = b_i - 2 with D_i^2 = -b_i, so the objective is
     val(R) = sum_{i in R} (b_i - 4) + 2 #{i : i, i+1 in R}.  The empty subset
     gives 0, so the value is always <= 2.  A dynamic programme runs once
-    backwards around the cycle and minimises (val, |R|) in O(n).  It keeps
-    four states in locals, ray 0 out or in crossed with ray i-1 out or in,
-    each with its R.  A state takes ray i on a tie: the tied Rs agree below
-    the ray, and the one holding it sorts first; a tie at ray 0 keeps it in.
-    So R is the lexicographically smallest sorted R of the minimisers.
+    backwards around the cycle and minimises (val, |R|) in O(n).  It keeps four
+    states, ray 0 out or in crossed with ray i-1 out or in, each as a key and
+    an R in two locals, and links ray i onto an R only when a state takes it.
+    A state takes ray i on a tie: the tied Rs agree below the ray, and the one
+    holding it sorts first; a tie at ray 0 keeps it in.  So R is the
+    lexicographically smallest sorted R of the minimisers.
     """
     n = require(fan, ToricSurfaceFan).n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
@@ -90,23 +91,33 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     w = n + 1
     edge = 2 * w  # two cyclic neighbours both in R
     take = [(-s - 4) * w + 1 for s in fan.self_intersections]  # (b_i - 4, 1)
-    # (key, R) least over rays i..n-1, R linked as (i, rest): o0, i0 with ray 0
-    # out and ray i-1 out, in; o1, i1 likewise with ray 0 in.  The pair
-    # (n-1, 0) adds an edge when both ends are in.
-    o0 = i0 = o1 = (0, None)
-    i1 = (edge, None)
+    # the least key over rays i..n-1 and its R, linked as (i, rest): o0, i0 with
+    # ray 0 out and ray i-1 out, in; o1, i1 likewise with ray 0 in, where the pair
+    # (n-1, 0) adds an edge.  A state takes ray i, after ray i-1 out, when that is
+    # no worse than leaving it out; in an i, taking it adds an edge.
+    o0, i0, o1, i1 = 0, 0, 0, edge
+    r_o0 = r_i0 = r_o1 = r_i1 = None
     for i in range(n - 1, 0, -1):
         t = take[i]
-        k0, k1 = t + i0[0], t + i1[0]  # ray i in, after ray i-1 out
-        o0, i0, o1, i1 = (  # an o leaves ray i out; a tie takes it
-            o0 if o0[0] < k0 else (k0, (i, i0[1])),
-            o0 if o0[0] < k0 + edge else (k0 + edge, (i, i0[1])),
-            o1 if o1[0] < k1 else (k1, (i, i1[1])),
-            o1 if o1[0] < k1 + edge else (k1 + edge, (i, i1[1])),
-        )
-    (best, linked), (k, r) = o0, i1
-    if take[0] + k <= best:  # ties keep ray 0 in
-        best, linked = take[0] + k, (0, r)
+        k = t + i0
+        if o0 < k:
+            i0, r_i0 = o0, r_o0
+        elif o0 < k + edge:
+            o0, r_o0, i0, r_i0 = k, (i, r_i0), o0, r_o0
+        else:
+            o0, i0 = k, k + edge
+            r_o0 = r_i0 = (i, r_i0)
+        k = t + i1
+        if o1 < k:
+            i1, r_i1 = o1, r_o1
+        elif o1 < k + edge:
+            o1, r_o1, i1, r_i1 = k, (i, r_i1), o1, r_o1
+        else:
+            o1, i1 = k, k + edge
+            r_o1 = r_i1 = (i, r_i1)
+    best, linked = o0, r_o0
+    if take[0] + i1 <= best:  # ties keep ray 0 in
+        best, linked = take[0] + i1, (0, r_i1)
     subset = []
     while linked:
         i, linked = linked
@@ -115,44 +126,12 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
 
 
-def _positive_representation(C: ToricDivisor, p: Sequence[int]) -> Optional[ToricDivisor]:
-    """The positive representation rep = C + div(chi^m) = effective_representative(C + K) - K
-    for the lex-min lattice point m of P_{C+K}, with every coefficient >= 1 and
-    some >= 2, or None.  It exists iff C + K > 0 (effective and not principal):
-    on a complete fan a principal divisor with no negative coefficient is zero,
-    so C + K is principal exactly when its representative is zero, and
-    otherwise some coefficient of rep is >= 2.  K.D_j = -(2 + s_j) for s_j =
-    D_j^2, so p = (C.D_j) gives (C + K).D_j = p_j - s_j - 2.  If C is ample, one
-    is < 0 only where p_j >= 1 and s_j >= 0: then D_j is nef, E.D_j >= 0 for an
-    effective E, and C + K is not effective, so the clip finds no rep."""
-    fan = C.fan
-    pairings = [pj - s - 2 for pj, s in zip(p, fan.self_intersections)]
-    m = _lexmin(fan, [c - 1 for c in C.coeffs], pairings)
-    if m is None:
-        return None
-    mx, my = m
-    a = tuple(c + mx * ux + my * uy for c, (ux, uy) in zip(C.coeffs, fan.rays))
-    return ToricDivisor(fan, a) if max(a) > 1 else None
-
-
 def _blowup(C2: int, low: int, total: int, squares: int) -> Tuple[int, bool]:
     """(C~^2, certified) on the blowup at points of multiplicities delta_i, with
     total = sum delta_i >= 0, squares = sum delta_i^2 and low = min_j C.D_j:
     C~^2 = C^2 - squares, certified ample by the Seshadri bound total < low,
     which makes C ample too.  The toric and plane reports both read them here."""
     return C2 - squares, total < low
-
-
-def _interpolation(a: Sequence[int], p: Sequence[int], d: Sequence[int], q: Sequence[int]):
-    """(C.D, R.(2K + R)) for C = sum a_j D_j and D = sum d_j D_j, in one pass
-    over their pairing vectors p = (C.D_j) and q = (D.D_j): C.D = d.p.
-    R = C - 2D pairs as p - 2q and K.R = -sum_j R.D_j, so R.(2K + R) =
-    sum_j (a_j - 2 d_j - 2)(p_j - 2 q_j)."""
-    CD = RK = 0
-    for x, y, u, v in zip(a, d, p, q):
-        CD += y * u
-        RK += (x - 2 * y - 2) * (u - 2 * v)
-    return CD, RK
 
 
 @dataclass(frozen=True)
@@ -168,8 +147,9 @@ class ConditionVerdicts:
     vanishing makes 0, as C_rep/2 is ample (Cox-Little-Schenck, Thm 9.3.5).
     So the report states surjectivity "pass" uncounted; tests/test_census.py
     checks h1(D - C_rep) = 0 against lattice and Cech counts.
-    (3) R sums distinct D_i, so R.(2K + R) >= 4 lambda - 8 and the bound is
-    >= lambda + C^2/4 - e > 0."""
+    (3) R sums the distinct D_i where C_rep is odd, so R.(2K + R) is lambda's
+    objective at that subset, no less than its minimum 4 lambda - 8, and the
+    bound is >= lambda + C^2/4 - e > 0."""
 
     intersection_bound: str  # C.D < C^2
     surjectivity: str  # h1(D - C) = 0 forces H0(S,D) ->> H0(C,D|_C)
@@ -232,14 +212,25 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     simplicity of its singularities) are echoed as "assumed".
     """
     C = require(curve, CurveOnSurface).curve_class
-    lam = lambda_invariant(curve.fan)
+    fan = curve.fan
+    lam = lambda_invariant(fan)
     p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
     C2 = sum(map(mul, C.coeffs, p))
     mults = curve.multiplicities
     low = min(p)
     bl2, certified = _blowup(C2, low, sum(mults), sum(d * d for d in mults))
     ample = low > 0  # toric Kleiman: C is ample iff every C.D_j is > 0
-    rep = _positive_representation(C, p)
+    # rep = C + div(chi^m) = effective_representative(C + K) - K for the lex-min point m
+    # of P_{C+K}, all coefficients >= 1 and some >= 2, exists iff C + K > 0: a principal
+    # divisor >= 0 is 0 on a complete fan, so C + K is principal iff its representative
+    # is 0.  (C + K).D_j = p_j - s_j - 2 for s_j = D_j^2, as K.D_j = -(2 + s_j).  If C is
+    # ample, one is < 0 only where p_j >= 1 and s_j >= 0: then D_j is nef, E.D_j >= 0
+    # for an effective E, and C + K is not effective, so the clip finds no rep.
+    m = _lexmin(fan, [c - 1 for c in C.coeffs], min(map(sub, p, fan.self_intersections)) >= 2)
+    rep = None
+    if m is not None:
+        a = tuple(c + m[0] * ux + m[1] * uy for c, (ux, uy) in zip(C.coeffs, fan.rays))
+        rep = ToricDivisor(fan, a) if max(a) > 1 else None
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,
@@ -258,10 +249,17 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     D = CD = conditions = None
     table = _NO_TABLE
     if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
-        # rep is positive by construction, and 2 C.D <= C^2 as C is nef
+        # rep is positive by construction, and 2 C.D <= C^2 as C is nef.  C.D = d.p,
+        # and R = rep - 2D sums the D_j where rep is odd, so R.(2K + R) is
+        # lambda's objective there: b_j - 4 for each, 2 for each pair of neighbours
         d = tuple(c // 2 for c in rep.coeffs)
-        CD, RK = _interpolation(rep.coeffs, p, d, _pairings(d, curve.fan.self_intersections))
-        D = ToricDivisor(curve.fan, d)
+        CD, RK, odd = 0, 0, rep.coeffs[-1] & 1  # ray n-1 neighbours ray 0
+        for c, h, pj, s in zip(rep.coeffs, d, p, fan.self_intersections):
+            CD += h * pj
+            if c & 1:
+                RK += 2 * odd - s - 4
+            odd = c & 1
+        D = ToricDivisor(fan, d)
         if e_max is not None:
             table = DegBTable(CD, e_max)
             bound = RK + 8 + C2 - 4 * e_max  # 4 h0_bound

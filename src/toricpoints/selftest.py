@@ -70,14 +70,15 @@ def suite_hrr_vs_count() -> Optional[str]:
 
 
 def _random_blowup(rng: random.Random) -> ToricSurfaceFan:
-    """P^2 or F_0..F_3 after random blowups, up to 9 rays."""
+    """P^2 or F_0..F_3 after random blowups, up to 9 rays, at any arc start."""
     m = rng.randint(0, 3)
     rays = rng.choice([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]])
     for _ in range(rng.randint(0, 9 - len(rays))):
         i = rng.randrange(len(rays))
         u, v = rays[i], rays[(i + 1) % len(rays)]
         rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
-    return build_fan(rays)
+    k = rng.randrange(len(rays))
+    return build_fan(rays[k:] + rays[:k])
 
 
 def _polygon_class(fan: ToricSurfaceFan, lengths: List[int]) -> Tuple[ToricDivisor, List[int]]:
@@ -230,8 +231,8 @@ def suite_lexmin() -> Optional[str]:
     """The lex-min lattice point against a column scan, on slivers along
     q y - p x = k, whose lattice points lie q columns apart (some with a
     break of the lower envelope just left of the first), and on P_{C+K} for
-    ample C: it lies in P_C, whose vertices have |x| <= B.  There the shift
-    of `effective_representative(C + K)`, a cone vertex if C + K is nef, too."""
+    ample C: it lies in P_C, whose vertices have |x| <= B.  There the shift of
+    `effective_representative(C + K)` too, the arc start's cone vertex if nef."""
     rng = random.Random(SEED + 5)
     for i in range(200):
         if i % 2:

@@ -249,15 +249,22 @@ MUTANTS = (
     Mutant(
         "lambda-tie-leaves-ray-0-out",
         "lowdeg.py",
-        "    if take[0] + k <= best:",
-        "    if take[0] + k < best:",
+        "    if take[0] + i1 <= best:",
+        "    if take[0] + i1 < best:",
         ("test_lowdeg.py",),
     ),
     Mutant(
         "lambda-tie-leaves-ray-i-out-after-ray-i-minus-1-in",
         "lowdeg.py",
-        "o0 if o0[0] < k0 + edge else",
-        "o0 if o0[0] <= k0 + edge else",
+        "        elif o0 < k + edge:",
+        "        elif o0 <= k + edge:",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "lambda-link-from-the-other-state",
+        "lowdeg.py",
+        "o1, r_o1, i1, r_i1 = k, (i, r_i1), o1, r_o1",
+        "o1, r_o1, i1, r_i1 = k, (i, r_i0), o1, r_o1",
         ("test_lowdeg.py",),
     ),
     # one home for each argument contract
@@ -445,8 +452,8 @@ MUTANTS = (
     Mutant(
         "census-section-bound-without-2k",
         "lowdeg.py",
-        "(x - 2 * y - 2)",
-        "(x - 2 * y)",
+        "RK += 2 * odd - s - 4",
+        "RK += 2 * odd + s",
         ("test_census.py",),
     ),
     Mutant(
@@ -463,12 +470,20 @@ MUTANTS = (
         "    if h1 <= 0:",
         ("test_cohomology.py",),
     ),
-    # the interpolation report reads every number from two pairing vectors
+    # the interpolation report reads every number from C's pairing vector and
+    # the coefficients: R = C_rep - 2D is the set of rays where C_rep is odd
     Mutant(
         "r-pairs-as-p-minus-q",
         "lowdeg.py",
-        "RK += (x - 2 * y - 2) * (u - 2 * v)",
-        "RK += (x - 2 * y - 2) * (u - v)",
+        "            if c & 1:",
+        "            if c - h:",
+        ("test_lowdeg.py",),
+    ),
+    Mutant(
+        "odd-set-edge-not-wrapped",
+        "lowdeg.py",
+        "odd = 0, 0, rep.coeffs[-1] & 1",
+        "odd = 0, 0, 0",
         ("test_lowdeg.py",),
     ),
     Mutant(
@@ -513,36 +528,45 @@ MUTANTS = (
         "[c for c in C.coeffs]",
         ("test_lowdeg.py",),
     ),
-    # a nef class's lex-min point is its least cone vertex, and its
+    # a nef class's lex-min point is the vertex of the cone at its arc start, and its
     # cohomology (chi, 0, 0, chi) uncounted; both answers equal the clip's,
     # so the nef tests' mutants die on the counter pins of nef classes that
     # are not ample
     Mutant(
         "lexmin-nef-test-takes-only-ample",
-        "divisor.py",
-        "    if min(pairings) >= 0:\n        (ux, uy), c",
-        "    if min(pairings) > 0:\n        (ux, uy), c",
+        "lowdeg.py",
+        "fan.self_intersections)) >= 2)",
+        "fan.self_intersections)) > 2)",
         ("test_lowdeg.py",),
     ),
     Mutant(
         "cone-vertex-coordinates-swapped",
         "divisor.py",
-        "vertices.append((b * uy - c * vy, c * vx - b * ux))",
-        "vertices.append((c * vx - b * ux, b * uy - c * vy))",
+        "        return (b * uy - c * vy, c * vx - b * ux)",
+        "        return (c * vx - b * ux, b * uy - c * vy)",
         ("test_lowdeg.py",),
     ),
     Mutant(
-        "cone-vertex-greatest-not-least",
+        "nef-vertex-from-the-next-cone",
         "divisor.py",
-        "        return min(vertices)",
-        "        return max(vertices)",
+        "fan.rays[s - 1], fan.rays[s], a[s - 1], a[s]",
+        "fan.rays[s], fan.rays[(s + 1) % len(a)], a[s], a[(s + 1) % len(a)]",
         ("test_lowdeg.py",),
+    ),
+    # census fans all start at (1, 0), (0, 1), so arc start 1: only the
+    # tests that rotate the ray list see a vertex read from a fixed cone
+    Mutant(
+        "nef-vertex-at-a-fixed-cone",
+        "divisor.py",
+        "        s = fan._arc_start\n",
+        "        s = 1\n",
+        ("test_census.py",),
     ),
     Mutant(
         "c-plus-k-pairings-without-the-two",
         "lowdeg.py",
-        "[pj - s - 2 for pj, s in",
-        "[pj - s for pj, s in",
+        "min(map(sub, p, fan.self_intersections)) >= 2",
+        "min(map(sub, p, fan.self_intersections)) >= 0",
         ("test_lowdeg.py",),
     ),
     Mutant(

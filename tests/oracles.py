@@ -156,18 +156,23 @@ def intersection_matrix(fan):
     ]
 
 
-def subset_scan(fan):
-    """Oracle: the least (val, |R|, R) over all 2^n subsets R, with val taken
-    from the full intersection pairing.  Returns (val, R)."""
+def subset_objective(fan):
+    """Oracle: the map R -> (sum_R D_i).(2K + sum_R D_i) on subsets of the
+    rays, from the full intersection pairing."""
     n = fan.n
     M = intersection_matrix(fan)
     kdot = [-sum(M[i][j] for i in range(n)) for j in range(n)]  # K.D_j
+    return lambda R: sum(M[i][j] for i in R for j in R) + 2 * sum(kdot[i] for i in R)
+
+
+def subset_scan(fan):
+    """Oracle: the least (val, |R|, R) over all 2^n subsets R, with val the
+    `subset_objective`.  Returns (val, R)."""
+    val = subset_objective(fan)
     best = None
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            e2 = sum(M[i][j] for i in subset for j in subset)
-            val = e2 + 2 * sum(kdot[i] for i in subset)
-            key = (val, r, subset)
+    for r in range(fan.n + 1):
+        for subset in itertools.combinations(range(fan.n), r):
+            key = (val(subset), r, subset)
             if best is None or key < best:
                 best = key
     return best[0], best[2]

@@ -157,32 +157,49 @@ def test_every_ample_census_class_passes_the_three_conditions():
     assert reached == 1458
 
 
+def _rotated(D, k):
+    # D on its fan with the ray list rotated by k: the same polygon, and the
+    # fan's arc start moved back by k
+    rays, a, k = D.fan.rays, D.coeffs, k % D.fan.n
+    return ToricDivisor(build_fan(rays[k:] + rays[:k]), a[k:] + a[:k])
+
+
 def test_a_nef_class_reads_its_lex_min_point_off_its_cone_vertices():
-    """The least cone vertex (`divisor._lexmin` on a nef class) against the
-    lex-min point of the clip and of a column scan, on every nef census box
-    class and its multiples.  Most are nef and not ample, so vertices repeat:
-    0 is one point, and F on F_m is a segment."""
-    repeated = 0
-    for D, k in itertools.product(NEF, (1,) + MULTIPLES):
-        D = D * k
-        m = _lexmin(D.fan, D.coeffs, intersect_primes(D))
+    """The arc start's cone vertex (`divisor._lexmin` on a nef class) against
+    the lex-min point of the clip and of a column scan, on every nef census
+    box class and its multiples, the j-th on its fan rotated by j, so every
+    arc start of every fan size occurs.  Most are nef and not ample, so
+    vertices repeat: 0 is one point, and F on F_m is a segment."""
+    repeated, starts = 0, set()
+    for j, (D, k) in enumerate(itertools.product(NEF, (1,) + MULTIPLES)):
+        D = _rotated(D * k, j)
+        m = _lexmin(D.fan, D.coeffs, True)
         assert m == geometry._lexmin(*_polygon(D.fan, D.coeffs)) == lexmin_of(D)
         repeated += len(geometry.feasible_vertices(D.halfplanes)) < D.fan.n
+        starts.add((D.fan.n, D.fan._arc_start))
     assert repeated == 8025
+    assert starts == {(n, s) for n in range(3, MAX_RAYS + 1) for s in range(n)}
     for m in range(4):
-        F = ToricDivisor(hirzebruch(m), (1, 0, 0, 0))
-        assert _lexmin(F.fan, F.coeffs, intersect_primes(F)) == (-1, 0) == lexmin_of(F)
+        for k in range(4):
+            F = _rotated(ToricDivisor(hirzebruch(m), (1, 0, 0, 0)), k)
+            assert _lexmin(F.fan, F.coeffs, True) == (-1, 0) == lexmin_of(F)
 
 
 def test_a_nef_class_with_edges_near_10_24_reads_the_clips_point():
     """The cone-vertex point is exact at any size: every ample census class
-    and F on F_0..F_3, times about 10^24 and shifted, against the checked
-    clip's lex-min point (a column scan would take 10^24 columns)."""
+    and F on F_0..F_3, times about 10^24 and shifted, the j-th on its fan
+    rotated by j, against the checked clip's lex-min point and a column scan
+    of its column and the one before (a scan from the left would take 10^24
+    columns)."""
     classes = AMPLE + [ToricDivisor(hirzebruch(m), (1, 0, 0, 0)) for m in range(4)]
-    for C, k in itertools.product(classes, (10**24, 10**24 + 7)):
-        D = C * k + principal_divisor(C.fan, (k // 3, -5))
-        m = _lexmin(D.fan, D.coeffs, intersect_primes(D))
+    starts = set()
+    for j, (C, k) in enumerate(itertools.product(classes, (10**24, 10**24 + 7))):
+        D = _rotated(C * k + principal_divisor(C.fan, (k // 3, -5)), j)
+        m = _lexmin(D.fan, D.coeffs, True)
         assert m == geometry.lexmin_lattice_point(D.halfplanes) and abs(m[0]) > 10**23
+        assert next(_column_points(D.halfplanes, m[0] - 1, m[0])) == m
+        starts.add((D.fan.n, D.fan._arc_start))
+    assert starts == {(n, s) for n in range(3, MAX_RAYS + 1) for s in range(n)}
 
 
 def test_a_nef_class_has_the_counted_and_the_cech_profile():
@@ -197,7 +214,7 @@ def test_a_nef_class_has_the_counted_and_the_cech_profile():
 
 
 def test_an_ample_class_whose_c_plus_k_is_not_nef_has_no_positive_representation():
-    """The lemma of `lowdeg._positive_representation`: for an ample C,
+    """The lemma in `lowdeg.toric_theorem_report`: for an ample C,
     (C + K).D_j < 0 only where D_j^2 >= 0, and then C + K is not effective.
     On every ample census class and its multiples whose C + K is not nef,
     the report has no positive representation and a column scan finds no

@@ -40,12 +40,12 @@ from toricpoints.divisor import _polygon, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
-from toricpoints.lowdeg import _positive_representation
 from toricpoints.selftest import _peeled_h0 as peeled_h0, _polygon_class as polygon_class
+from toricpoints.selftest import _random_blowup as random_blowup
 
 from conftest import FANS, blowup_fans, count_calls
 from oracles import blown_up_p2, class_count, classes_equal, intersection_matrix, jsonable
-from oracles import subdivide, subset_scan, wall_numbers
+from oracles import subdivide, subset_objective, subset_scan, wall_numbers
 
 
 
@@ -733,6 +733,29 @@ def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data)
     assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
 
 
+def test_the_section_bound_is_lambdas_objective_at_the_odd_rays():
+    """4 h0_bound - 8 - C^2 + 4 e_max is R.(2K + R) for R = C_rep - 2D, the
+    sum of the D_j where C_rep is odd: the full pairing's objective at that
+    subset, no less than its minimum over all subsets, 4 lambda - 8.  On
+    ample classes on seeded blowups at every arc start; in some, the odd
+    rays include both ray n-1 and ray 0, which neighbour each other."""
+    rng = random.Random(71)
+    checked = wrapped = 0
+    while checked < 300:
+        fan = random_blowup(rng)
+        m = (rng.randint(-9, 9), rng.randint(-9, 9))
+        C = polygon_class(fan, [rng.randint(1, 4) for _ in range(fan.n)])[0] * rng.randint(1, 3)
+        r = toric_theorem_report(CurveOnSurface(fan, C + principal_divisor(fan, m)))
+        if r.conditions is None:
+            continue
+        odd = tuple(j for j, c in enumerate(r.positive_rep.coeffs) if c % 2)
+        RK = 4 * r.conditions.h0_bound - 8 - r.C2 + 4 * r.e_max
+        assert RK == subset_objective(fan)(odd) >= 4 * r.lambda_value - 8
+        checked += 1
+        wrapped += {0, fan.n - 1} <= set(odd)
+    assert wrapped == 141
+
+
 def _halved(fan, coeffs):
     # floor(E/2) componentwise
     return ToricDivisor(fan, tuple(c // 2 for c in coeffs))
@@ -805,7 +828,7 @@ def _report_h1_against_cohomology(C):
     # (h0 = 0, and h2 the points of the clip of P_{C+K} in the lex-min point's
     # class mod 2), and by cohomology
     clip = _polygon(C.fan, [c - 1 for c in C.coeffs])
-    rep = _positive_representation(C, intersect_primes(C))
+    rep = positive_rep(C)
     D = _halved(C.fan, rep.coeffs)
     got = class_count(*clip, geometry._lexmin(*clip)) - euler_characteristic(D - rep)
     assert got == cohomology(D - rep).h1
@@ -969,12 +992,12 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         lowdeg._multiplicities,
         Fraction.__new__,
     )
-    # built: the pairing vector p of C, which C_rep shares (D's vector q
-    # comes from the coefficients, and every other number is a dot product
-    # of p and q), and the two divisors returned, C_rep and D; ampleness and
-    # the Seshadri bound both read min(p), so no class is classified; C + K
-    # = 67H is nef, with pairings read off p, so its lex-min point is its
-    # least cone vertex and nothing is clipped or counted, as h1(D - C) = 0
+    # built: the pairing vector p of C, which C_rep shares (C.D = d.p, and
+    # R.(2K + R) is lambda's objective at the rays where C_rep is odd), and
+    # the two divisors returned, C_rep and D; ampleness and the Seshadri
+    # bound both read min(p), so no class is classified; C + K = 67H is nef,
+    # read off p, so its lex-min point is the vertex of the cone at the fan's
+    # arc start and nothing is clipped or counted, as h1(D - C) = 0
     # is stated by proof; the Fractions are lambda, the
     # degree bound and the h0 bound, each built once from ints; the
     # multiplicities were checked when the curve was made, and C~^2 reads
@@ -1105,16 +1128,19 @@ def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
         coeffs = data.draw(st.lists(st.integers(lo, hi), min_size=fan.n, max_size=fan.n))
         return ToricDivisor(fan, tuple(coeffs))
 
-    C, D, E = divisor(-9, 9), divisor(-5, 5), divisor(-9, 9)
+    C, E = divisor(-9, 9), divisor(-9, 9)
     K = canonical_divisor(fan)
     num = intersection_number(E, E) - intersection_number(K, E)
     assert num % 2 == 0
     assert exact(euler_characteristic(E), 1 + num // 2)
-    # the report's one pass over the pairing vectors, on any C and D
-    CD, RK = lowdeg._interpolation(C.coeffs, intersect_primes(C), D.coeffs, intersect_primes(D))
+    # the report's numbers from C's pairings and the coefficients, on any C:
+    # C.D = d.p for D = floor(C/2), and R = C - 2D sums the D_j where C is odd,
+    # so R.(2K + R) is lambda's objective at that subset
+    D = _halved(fan, C.coeffs)
     R = C - 2 * D
-    assert exact(CD, intersection_number(C, D))
-    assert exact(RK, intersection_number(R, 2 * K + R))
+    odd = [j for j, c in enumerate(C.coeffs) if c % 2]
+    assert exact(sum(d * p for d, p in zip(D.coeffs, intersect_primes(C))), intersection_number(C, D))
+    assert subset_value(wall_numbers(fan.rays), odd) == intersection_number(R, 2 * K + R)
 
 
 def test_a_class_on_another_fan_with_as_many_rays_is_refused():

@@ -16,8 +16,8 @@ No module imports argparse, and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
 every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
 fan's `_arc_start` or calls `geometry._clip` or `geometry._lexmin`: it is the
-one place where a class's coefficients become a polygon, read from the cone
-vertices when the class is nef, so no caller can skip that shortcut.  Every
+one place where a class's coefficients become a polygon, read off one cone
+vertex when the class is nef, so no caller can skip that shortcut.  Every
 module-level private function is named by some code in src/ outside its own
 definition: a routine that only tests call is a test oracle, and lives in
 tests/.
@@ -352,8 +352,8 @@ def test_rules_catch_each_breach():
     ]
     for check in (
         "geometry._count(*clip)\nfrom .geometry import _count",
-        "from .divisor import _lexmin\nm = _lexmin(fan, a, p)",
-        "m = divisor._lexmin(fan, a, p)\ngeometry.lexmin_lattice_point(hs)",
+        "from .divisor import _lexmin\nm = _lexmin(fan, a, nef)",
+        "m = divisor._lexmin(fan, a, nef)\ngeometry.lexmin_lattice_point(hs)",
     ):
         assert list(breaches(ast.parse(check), "lowdeg.py")) == [], check
     # a private function that only calls itself, or that nothing calls, is an
