@@ -125,9 +125,13 @@ def _chain(d: int, delta: int, e: int) -> List[ChainLevel]:
 def plane_theorem_report(d: int, delta: int, e: int) -> PlaneReport:
     """Full verdict sheet for one (d, delta, e).
 
-    Failed hypotheses are reported, not raised.  Outside the guaranteed
-    range we still compute m and deg B when the sandwich inequality has a
-    solution, flagged via conclusion_guaranteed.
+    Failed hypotheses are reported, not raised, with two exceptions:
+    d^2 < 36 delta raises HypothesisViolation, as the bound needs
+    sqrt(d^2 - 36 delta), and InternalInconsistency is raised where every
+    hypothesis holds and deg B is not below e/2, which for d < 80 is
+    exactly (d, delta, e) = (3t, t - 1, 2t), on the edge 3 delta = d - 3.
+    Outside the guaranteed range we still compute m and deg B when the
+    sandwich inequality has a solution, flagged via conclusion_guaranteed.
     """
     _check_signs(d, delta, e)
     e_bound, term1, term2, t, certified = _terms(d, delta)

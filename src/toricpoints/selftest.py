@@ -7,8 +7,8 @@ vs divisor arithmetic, the galloping lex-min search vs a column-by-column scan)
 on seeded random inputs, so a fresh build can be sanity-checked from the CLI
 without the dev test harness.  `SUITES` maps each suite's name to the suite
 and what it covers; a suite returns its first failing case as text, or None
-when it passes.  The oracles `_polygon_class`, `_column_points` and
-`_peeled_h0` live here alone: the tests import them from this module.
+when it passes.  The oracles and samplers that the suites use live here
+alone: the tests import them from this module.
 """
 
 from __future__ import annotations
@@ -69,14 +69,21 @@ def suite_hrr_vs_count() -> Optional[str]:
             return f"fan={fan.name} coeffs={D.coeffs} -> {prof}"
 
 
+def _subdivide(rays: List[Tuple[int, int]], i: int) -> List[Tuple[int, int]]:
+    u, v = rays[i], rays[(i + 1) % len(rays)]
+    return rays[: i + 1] + [(u[0] + v[0], u[1] + v[1])] + rays[i + 1 :]
+
+
+def _wall_numbers(rays: List[Tuple[int, int]]) -> List[int]:
+    return [det(rays[j - 1], rays[(j + 1) % len(rays)]) for j in range(len(rays))]
+
+
 def _random_blowup(rng: random.Random) -> ToricSurfaceFan:
-    """P^2 or F_0..F_3 after random blowups, up to 9 rays, at any arc start."""
+    """P^2 or F_0..F_3 blown up by stellar subdivisions, up to 9 rays, at any arc start."""
     m = rng.randint(0, 3)
     rays = rng.choice([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]])
     for _ in range(rng.randint(0, 9 - len(rays))):
-        i = rng.randrange(len(rays))
-        u, v = rays[i], rays[(i + 1) % len(rays)]
-        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+        rays = _subdivide(rays, rng.randrange(len(rays)))
     k = rng.randrange(len(rays))
     return build_fan(rays[k:] + rays[:k])
 
@@ -114,8 +121,7 @@ def _peeled_h0(D: ToricDivisor, A: ToricDivisor) -> int:
     and h0(D) = 0 when D_j is nef; each peel lowers D.A, and D.A < 0 means
     h0(D) = 0.  A nef D has h0 = chi = 1 + (D^2 - K.D)/2 (Demazure
     vanishing), where K = -sum D_j."""
-    rays, n, a = D.fan.rays, D.fan.n, list(D.coeffs)
-    b = [det(rays[j - 1], rays[(j + 1) % n]) for j in range(n)]
+    n, a, b = D.fan.n, list(D.coeffs), _wall_numbers(D.fan.rays)
     while True:
         p = [a[j - 1] + a[(j + 1) % n] - b[j] * a[j] for j in range(n)]  # D.D_j
         if sum(c * pj for c, pj in zip(A.coeffs, p)) < 0:
@@ -184,47 +190,69 @@ def suite_lambda_table() -> Optional[str]:
             return f"F{m} -> {val}"
 
 
+def _classes_equal(D: ToricDivisor, E: ToricDivisor) -> bool:
+    """D ~ E iff D - E = div(chi^m): the first two rays, a lattice basis, pin m."""
+    diff, ((ax, ay), (bx, by)) = (D - E).coeffs, D.fan.rays[:2]
+    m = (diff[0] * by - diff[1] * ay, ax * diff[1] - bx * diff[0])
+    return principal_divisor(D.fan, m).coeffs == diff
+
+
+def _positive_reports(rng: random.Random) -> Iterator[tuple]:
+    """Pairs (C, its report) for ample C with coefficients 1..9 and a positive representation."""
+    fans, taken = _builtin_fans(), 0  # the builtin fans in turn, one per class taken
+    while True:
+        fan = fans[taken % len(fans)]
+        C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
+        if positivity(C) is Positivity.AMPLE:
+            r = toric_theorem_report(CurveOnSurface(fan, C))
+            if r.positive_rep is not None:
+                taken += 1
+                yield C, r
+
+
 def suite_positive_representation() -> Optional[str]:
     """For random ample C with C + K > 0, the report against divisor arithmetic:
-    C_rep - C is principal, D = floor(C_rep/2), C.D and C^2 by intersection_number,
+    C_rep ~ C, D = floor(C_rep/2), C.D and C^2 by intersection_number,
     the section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D,
     and surjectivity "pass", stated by proof, as h1 = 0 by cohomology(D - C_rep)."""
-    rng = random.Random(SEED + 3)
-    fans = _builtin_fans()
-    done = 0
-    while done < 120:
-        fan = fans[done % len(fans)]
-        C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
-        if positivity(C) is not Positivity.AMPLE:
-            continue
-        r = toric_theorem_report(CurveOnSurface(fan, C))
-        rep = r.positive_rep
-        if rep is None:
-            continue
-        # the first two rays are a lattice basis, so they pin the m of rep - C
-        diff, ((ax, ay), (bx, by)) = (rep - C).coeffs, fan.rays[:2]
-        m = (diff[0] * by - diff[1] * ay, ax * diff[1] - bx * diff[0])
+    for _, (C, r) in zip(range(120), _positive_reports(random.Random(SEED + 3))):
+        fan, rep = C.fan, r.positive_rep
         D = ToricDivisor(fan, tuple(a // 2 for a in rep.coeffs))
         R, K = rep - D - D, canonical_divisor(fan)
         RR, C2 = intersection_number(R, K + K + R), intersection_number(C, C)
         CD, h1 = intersection_number(C, D), cohomology(D - rep).h1
         bound = Fraction(RR, 4) + 2 + Fraction(C2, 4) - r.e_max
-        got = (principal_divisor(fan, m).coeffs, r.interp_divisor, r.CD, r.C2)
+        got = (_classes_equal(rep, C), r.interp_divisor, r.CD, r.C2)
         got += (r.conditions.surjectivity == PASS, r.conditions.h0_bound)
-        if got != (diff, D, CD, C2, h1 == 0, bound) or RR < 4 * r.lambda_value - 8:
+        if got != (True, D, CD, C2, h1 == 0, bound) or RR < 4 * r.lambda_value - 8:
             return f"fan={fan.name} C={C.coeffs} e={r.e_max}"
-        done += 1
 
 
 def _column_points(halfplanes, x0: int, x1: int) -> Iterator[Tuple[int, int]]:
     """The lattice points among the columns x0..x1 of a region bounded above
     and below, scanned one column at a time, each from the bottom: the first
-    is the lex-min point."""
+    is the lex-min point.  A vertical line u_x x >= c cuts the columns once,
+    to those from ceil(c/u_x) when u_x > 0 and up to floor(c/u_x) when u_x < 0;
+    in column x a line with u_y > 0 gives y >= ceil((c - u_x x)/u_y), and
+    one with u_y < 0 gives y <= floor((c - u_x x)/u_y)."""
+    below, above = [], []  # the lines with u_y > 0 and with u_y < 0
+    for (ux, uy), c in halfplanes:
+        if uy:
+            (below if uy > 0 else above).append((ux, uy, c))
+        elif ux > 0:
+            x0 = max(x0, -(-c // ux))
+        else:
+            x1 = min(x1, c // ux)
+    (bx, by, bc), *below = below  # the first line of each side starts its bound
+    (ax, ay, ac), *above = above
     for x in range(x0, x1 + 1):
-        if all(ux * x >= c for (ux, uy), c in halfplanes if uy == 0):
-            lo = max(-((ux * x - c) // uy) for (ux, uy), c in halfplanes if uy > 0)
-            hi = min((c - ux * x) // uy for (ux, uy), c in halfplanes if uy < 0)
-            yield from ((x, y) for y in range(lo, hi + 1))
+        lo, hi = -((bx * x - bc) // by), (ac - ax * x) // ay
+        for ux, uy, c in below:
+            lo = max(lo, -((ux * x - c) // uy))
+        for ux, uy, c in above:
+            hi = min(hi, (c - ux * x) // uy)
+        for y in range(lo, hi + 1):
+            yield x, y
 
 
 def suite_lexmin() -> Optional[str]:

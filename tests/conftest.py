@@ -2,11 +2,10 @@ import sys
 
 from hypothesis import strategies as st
 
-from toricpoints.fan import build_fan, hirzebruch, p1xp1, p2
+from toricpoints.fan import build_fan
+from toricpoints.selftest import _builtin_fans, _subdivide as subdivide
 
-from oracles import subdivide
-
-FANS = [p2(), hirzebruch(1), hirzebruch(2), p1xp1()]
+FANS = _builtin_fans()
 
 
 def count_calls(work, *functions):

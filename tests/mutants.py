@@ -154,6 +154,14 @@ MUTANTS = (
         "    return (d - isqrt(d * d - 4 * s)) // 2",
         ("test_plane.py",),
     ),
+    # d = 4 is the smallest degree in the plane report's range
+    Mutant(
+        "plane-degree-4-excluded",
+        "plane.py",
+        '"degree_at_least_4": PASS if d >= 4 else FAIL,',
+        '"degree_at_least_4": PASS if d > 4 else FAIL,',
+        ("test_plane.py", "test_cli.py"),
+    ),
     # e = 0 is out of the plane report's range
     Mutant(
         "plane-e-in-range-takes-zero",
@@ -468,6 +476,13 @@ MUTANTS = (
         "cohomology.py",
         "    if h1 < 0:",
         "    if h1 <= 0:",
+        ("test_cohomology.py",),
+    ),
+    Mutant(
+        "h1-check-deleted",
+        "cohomology.py",
+        '    if h1 < 0:\n        raise InternalInconsistency(f"negative h1 = {h1} for coeffs {D.coeffs}")\n',
+        "",
         ("test_cohomology.py",),
     ),
     # the interpolation report reads every number from C's pairing vector and

@@ -2,10 +2,10 @@
 clipped region's lattice points in one class mod 2, h0, h1 and h2 of a
 toric divisor by graded pieces, the plain-data copy of a result whose
 json.dumps(..., indent=2) is the text cli._json_text writes, the plane
-remark's squared comparison, random blowups, the dense pairing and the 2^n
-subset scan behind lambda(S), the test for a fan, and linear equivalence.
-pytest does not collect this file; the test files import it, and no test
-file imports another.  The oracles that `toricpoints selftest` runs too
+remark's squared comparison, random blowups of P^2, the dense pairing and
+the 2^n subset scan behind lambda(S), and the test for a fan.  pytest does
+not collect this file; the test files import it, and no test file imports
+another.  The oracles and samplers that `toricpoints selftest` runs too
 live in `toricpoints.selftest`."""
 
 import dataclasses
@@ -14,9 +14,10 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from toricpoints import geometry
-from toricpoints.divisor import ToricDivisor, principal_divisor
+from toricpoints.divisor import ToricDivisor
 from toricpoints.fan import build_fan, det
 from toricpoints.lowdeg import DegBTable
+from toricpoints.selftest import _subdivide as subdivide, _wall_numbers as wall_numbers
 
 
 def jsonable(obj):
@@ -124,13 +125,6 @@ def remark_squared(d, delta):
     return lhs >= 0 and lhs * lhs >= d * d * (d * d - 36 * delta)
 
 
-def subdivide(rays, i):
-    # stellar subdivision between rays i and i+1 keeps the fan smooth complete
-    u, v = rays[i], rays[(i + 1) % len(rays)]
-    w = (u[0] + v[0], u[1] + v[1])
-    return rays[: i + 1] + [w] + rays[i + 1 :]
-
-
 def blown_up_p2(rng, n):
     """P^2 blown up at random torus-fixed points until it has n rays."""
     rays = [(1, 0), (0, 1), (-1, -1)]
@@ -139,15 +133,10 @@ def blown_up_p2(rng, n):
     return build_fan(rays)
 
 
-def wall_numbers(rays):
-    # u_{i-1} + u_{i+1} = b_i u_i and det(u_i, u_{i+1}) = 1 give
-    # b_i = det(u_{i-1}, u_{i+1})
-    return [det(rays[i - 1], rays[(i + 1) % len(rays)]) for i in range(len(rays))]
-
-
 def intersection_matrix(fan):
     """Oracle: the dense n x n pairing of prime divisors.  D_i.D_j is 1 for
-    cyclic neighbours, 0 for other i != j, and D_i^2 = -b_i."""
+    cyclic neighbours, 0 for other i != j, and D_i^2 = -b_i: u_{i-1} + u_{i+1}
+    = b_i u_i and det(u_i, u_{i+1}) = 1 give b_i = det(u_{i-1}, u_{i+1})."""
     n = fan.n
     b = wall_numbers(fan.rays)
     return [
@@ -189,15 +178,5 @@ def is_fan(rays):
         and all(gcd(x, y) == 1 for x, y in rays)
         and len(set(rays)) == n
         and all(det(rays[i], rays[(i + 1) % n]) == 1 for i in range(n))
-        and sum(det(rays[i - 1], rays[(i + 1) % n]) for i in range(n)) == 3 * n - 12
+        and sum(wall_numbers(rays)) == 3 * n - 12
     )
-
-
-def classes_equal(D, E):
-    """Oracle: D ~ E iff D - E is a principal divisor div(chi^m).  The first
-    two rays form a lattice basis (their det is 1), so m is pinned by two
-    coordinates and then checked on all n."""
-    diff = (D - E).coeffs
-    (u1x, u1y), (u2x, u2y) = D.fan.rays[:2]
-    m = (diff[0] * u2y - diff[1] * u1y, u1x * diff[1] - u2x * diff[0])
-    return principal_divisor(D.fan, m).coeffs == diff

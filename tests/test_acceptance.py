@@ -6,10 +6,10 @@ as a checklist.
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from toricpoints import (
     CurveOnSurface,
-    Positivity,
     ToricDivisor,
     canonical_divisor,
     effective_representative,
@@ -19,13 +19,11 @@ from toricpoints import (
     lambda_invariant,
     p2,
     plane_theorem_report,
-    positivity,
     toric_theorem_report,
 )
 from toricpoints.lowdeg import NOT_CERTIFIED, PASS
-from toricpoints.selftest import SUITES
+from toricpoints.selftest import SUITES, _positive_reports
 
-from conftest import FANS
 from oracles import remark_squared
 
 
@@ -93,27 +91,17 @@ def test_criterion_5d_remark_inequality():
 
 
 def test_criterion_5e_positive_representations():
-    rng = random.Random(109)
-    checked = 0
-    while checked < 100:
-        fan = FANS[checked % len(FANS)]
-        C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
-        if positivity(C) is not Positivity.AMPLE:
-            continue
-        r = toric_theorem_report(CurveOnSurface(fan, C))
+    for C, r in islice(_positive_reports(random.Random(109)), 100):
         rep, D = r.positive_rep, r.interp_divisor
-        if rep is None:
-            continue
         # the report's shift is effective_representative's: C_rep = eff.rep(C + K) - K
-        K = canonical_divisor(fan)
+        K = canonical_divisor(C.fan)
         assert rep == effective_representative(C + K) - K
         # C - 2 floor(C/2) has 0/1 coefficients
         rest = tuple(a - 2 * b for a, b in zip(rep.coeffs, D.coeffs))
         assert all(x in (0, 1) for x in rest)
-        lam = lambda_invariant(fan).value
+        lam = lambda_invariant(C.fan).value
         for e in (1, 2, 6):  # the section bound at degree e
             assert r.conditions.h0_bound + r.e_max - e >= Fraction(r.C2, 4) + lam - e
-        checked += 1
     print("PASS criterion 5e: C-2D in {0,1}^n and section bound >= C^2/4 + lambda - e")
 
 

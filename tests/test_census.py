@@ -38,9 +38,9 @@ from toricpoints import geometry
 from toricpoints.divisor import _lexmin, _polygon, intersect_primes
 from toricpoints.lowdeg import PASS
 
-from toricpoints.selftest import _column_points
+from toricpoints.selftest import _column_points, _subdivide as subdivide
 
-from oracles import cech, cech_box, class_count, subdivide, subset_scan
+from oracles import cech, cech_box, class_count, subset_scan
 
 MAX_RAYS = 7
 BASES = [p2()] + [hirzebruch(a) for a in range(4)]

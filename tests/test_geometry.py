@@ -26,9 +26,10 @@ from toricpoints.geometry import (
 )
 
 from toricpoints.selftest import _column_points as column_points, _polygon_class as polygon_class
+from toricpoints.selftest import _subdivide as subdivide
 
 from conftest import GENERATORS, count_calls
-from oracles import blown_up_p2, class_count, subdivide
+from oracles import blown_up_p2, class_count
 
 
 def _feasible(halfplanes, p):

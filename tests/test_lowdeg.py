@@ -8,6 +8,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from itertools import islice
 from math import ceil, inf
 
 import pytest
@@ -40,12 +41,14 @@ from toricpoints.divisor import _polygon, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
 from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
-from toricpoints.selftest import _peeled_h0 as peeled_h0, _polygon_class as polygon_class
-from toricpoints.selftest import _random_blowup as random_blowup
+from toricpoints.selftest import _classes_equal as classes_equal, _peeled_h0 as peeled_h0
+from toricpoints.selftest import _polygon_class as polygon_class, _positive_reports as positive_reports
+from toricpoints.selftest import _random_blowup as random_blowup, _subdivide as subdivide
+from toricpoints.selftest import _wall_numbers as wall_numbers
 
-from conftest import FANS, blowup_fans, count_calls
-from oracles import blown_up_p2, class_count, classes_equal, intersection_matrix, jsonable
-from oracles import subdivide, subset_objective, subset_scan, wall_numbers
+from conftest import FANS, GENERATORS, blowup_fans, count_calls
+from oracles import blown_up_p2, class_count, intersection_matrix, jsonable, subset_objective
+from oracles import subset_scan
 
 
 
@@ -252,12 +255,6 @@ def test_lambda_has_no_ray_cap(n):
     check_large(blown_up_p2(random.Random(47), n))
 
 
-def test_lambda_p2():
-    res = lambda_invariant(p2())
-    assert res.value == Fraction(-1, 4)
-    assert res.inner_min == -9
-
-
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 10**6])
 def test_lambda_hirzebruch(m):
     assert lambda_invariant(hirzebruch(m)).value == Fraction(-m, 4)
@@ -414,21 +411,11 @@ def test_positive_curve_representation():
 
 
 def test_positive_representation_contract():
-    rng = random.Random(53)
-
-    checked = 0
-    while checked < 60:
-        fan = FANS[checked % len(FANS)]
-        C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
-        if positivity(C) is not Positivity.AMPLE:
-            continue
-        rep = positive_rep(C)
-        if rep is None:
-            continue
+    for C, r in islice(positive_reports(random.Random(53)), 60):
+        rep = r.positive_rep
         assert classes_equal(rep, C)
         assert all(a >= 1 for a in rep.coeffs)
         assert any(a >= 2 for a in rep.coeffs)
-        checked += 1
 
 
 def test_interpolation_divisor():
@@ -456,24 +443,13 @@ def test_mainprop_h0_bound_values():
 
 def test_mainprop_bound_dominates_lambda_bound():
     # at a degree e the section bound is h0_bound + (e_max - e)
-    rng = random.Random(59)
-
-    checked = 0
-    while checked < 60:
-        fan = FANS[checked % len(FANS)]
-        C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
-        if positivity(C) is not Positivity.AMPLE:
-            continue
-        r = toric_theorem_report(CurveOnSurface(fan, C))
-        if r.positive_rep is None:
-            continue
+    for _, r in islice(positive_reports(random.Random(59)), 60):
         rest = r.positive_rep - r.interp_divisor - r.interp_divisor
         assert set(rest.coeffs) <= {0, 1}
         for e in (1, 3, 7):
             bound = r.conditions.h0_bound + r.e_max - e
             assert bound >= Fraction(r.C2, 4) + r.lambda_value - e
         assert 2 * r.CD <= r.C2
-        checked += 1
 
 
 def verdicts_of(C_rep, D, e):
@@ -754,6 +730,36 @@ def test_the_section_bound_is_lambdas_objective_at_the_odd_rays():
         checked += 1
         wrapped += {0, fan.n - 1} <= set(odd)
     assert wrapped == 141
+
+
+def _invariants(rays, coeffs, mults):
+    fan = build_fan(rays)
+    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
+    return r.lambda_value, r.C2, r.blowup_C2, r.degree_bound, r.e_max, r.hypothesis_verdicts
+
+
+def test_the_reports_invariants_do_not_depend_on_the_coordinates():
+    """lambda, C^2, C~^2, the degree bound, e_max and the verdicts describe
+    (S, C): they are the same on the fan moved by each SL(2, Z) generator,
+    with the same coefficients, and on the ray list rotated with its
+    coefficients.  C.D and the section bound are left out: they read the
+    lex-min point of P_{C+K}, which moves with the coordinates."""
+    rng = random.Random(79)
+    seen = set()
+    for _ in range(300):
+        fan = random_blowup(rng)
+        C = polygon_class(fan, [rng.randint(1, 6) for _ in range(fan.n)])[0]
+        mults = tuple(rng.randint(2, 4) for _ in range(rng.randint(0, 2)))
+        want = _invariants(fan.rays, C.coeffs, mults)
+        for a, b, c, d in GENERATORS:
+            moved = [(a * x + b * y, c * x + d * y) for x, y in fan.rays]
+            assert _invariants(moved, C.coeffs, mults) == want
+        for k in range(1, fan.n):
+            rotated = fan.rays[k:] + fan.rays[:k]
+            assert _invariants(rotated, C.coeffs[k:] + C.coeffs[:k], mults) == want
+        seen.add((len(mults), want[4] is None, want[5]["blowup_ample"]))
+    # 0, 1 and 2 multiplicities, an e_max or none, certified or not
+    assert [len({case[i] for case in seen}) for i in range(3)] == [3, 2, 2]
 
 
 def _halved(fan, coeffs):

@@ -125,6 +125,17 @@ def test_plane_report_debarre_klassen():
     assert all(v == "pass" for v in r.hypotheses.values())
 
 
+def test_the_smallest_guaranteed_degree_is_4():
+    # d = 4 is in range: e_bound = max(16/9, 2) = 2, so only e = 1 lies below
+    # it, and no m meets the sandwich there
+    r = plane_theorem_report(4, 0, 1)
+    assert r.hypotheses == dict.fromkeys(
+        ["degree_at_least_4", "delta_small", "e_in_range", "blowup_ample_2delta_lt_d"], PASS
+    )
+    assert r.conclusion_guaranteed
+    assert (r.e_bound, r.m, r.degB) == (2, None, None)
+
+
 def test_plane_report_out_of_range_not_guaranteed():
     r = plane_theorem_report(8, 0, 20)
     assert not r.conclusion_guaranteed

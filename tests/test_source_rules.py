@@ -24,7 +24,10 @@ tests/.
 
 No file under tests/ imports a test module: shared oracles live in
 tests/oracles.py, or in toricpoints.selftest when the selftest command runs
-them too, and shared strategies in tests/conftest.py."""
+them too, and shared strategies in tests/conftest.py.  No function under
+tests/ has the body of a function of toricpoints.selftest, up to its
+docstring and the names it binds: a sampler or check that the self-test
+keeps has its one home there, and tests import it."""
 
 import ast
 import sys
@@ -43,6 +46,7 @@ POLYGON = {"fan.py", "geometry.py", "divisor.py"}
 CLIPPED = {"_clip", "_lexmin"}  # geometry's routines that take a clip
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "toricpoints").glob("*.py"))
+SELFTEST = next(path for path in SOURCES if path.name == "selftest.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -217,6 +221,40 @@ def imports_of_test_modules(tree):
                 break
 
 
+def body_key(fn):
+    """A function's body without its docstring, as an AST dump in which the
+    names it binds (parameters, assigned and loop names) are numbered in order
+    of first appearance, so a copy that renames them has the same key; None
+    for an empty body.  The tree is left as it was."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if not body:
+        return None
+    a = fn.args
+    bound = [p.arg for p in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if p]
+    names = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)]
+    bound += [node.id for node in names if isinstance(node.ctx, ast.Store)]
+    number = {name: f"_{k}" for k, name in enumerate(dict.fromkeys(bound))}
+    given = [node.id for node in names]
+    for node in names:
+        node.id = number.get(node.id, node.id)
+    key = ast.dump(ast.Module(body=body, type_ignores=[]))
+    for node, name in zip(names, given):
+        node.id = name
+    return key
+
+
+def copies(tree, home):
+    """(line, what) for each function under `tree` whose `body_key` is that
+    of a function under `home`, the tree of toricpoints.selftest."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    keys = {body_key(f): f.name for f in ast.walk(home) if isinstance(f, functions)}
+    keys.pop(None, None)
+    for node in ast.walk(tree):
+        key = body_key(node) if isinstance(node, functions) else None
+        if key in keys:
+            yield node.lineno, f"{node.name}() copies selftest.{keys[key]}(), its one home"
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"geometry.py", "cohomology.py", "cli.py"}
 
@@ -254,6 +292,15 @@ def test_the_test_import_rule_catches_each_form():
         "from toricpoints.selftest import _peeled_h0\nname = 'test_lowdeg'",
     ):
         assert list(imports_of_test_modules(ast.parse(check))) == [], check
+
+
+def test_no_test_function_copies_a_selftest_function():
+    home = ast.parse(SELFTEST.read_text(), filename=str(SELFTEST))
+    found = []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {what}" for line, what in copies(tree, home)]
+    assert found == []
 
 
 def test_every_private_function_has_a_caller_in_src():
@@ -371,6 +418,29 @@ def test_rules_catch_each_breach():
         ("a.py", "_oracle() has no caller in src, so it is a test oracle"),
         ("a.py", "_dead() has no caller in src, so it is a test oracle"),
     ]
+    # a test function with the body of a selftest function is a second copy,
+    # also under another name or docstring, nested in another function, or
+    # with its parameters and locals renamed
+    home = ast.parse(SELFTEST.read_text())
+    walls = "def walls(rays):\n    return [det(rays[i - 1], rays[(i + {}) % len(rays)]) for i in range(len(rays))]"
+    nef = (
+        "def test_it():\n    def nef(r, f):\n        'A copy.'\n        while True:\n"
+        "            E = ToricDivisor(f, tuple(r.randint(0, 9) for i in range(f.n)))\n"
+        "            if positivity(E) is not Positivity.NOT_NEF:\n                return E\n"
+    )
+    assert [what for _, what in copies(ast.parse(walls.format(1)), home)] == [
+        "walls() copies selftest._wall_numbers(), its one home"
+    ]
+    assert [what for _, what in copies(ast.parse(nef), home)] == [
+        "nef() copies selftest._random_nef(), its one home"
+    ]
+    for check in (  # another constant, global name or call, or no body at all
+        walls.format(2),
+        walls.format(1).replace("% len(rays)", "% n"),
+        "def walls(rays):\n    return _wall_numbers(rays)",
+        "def fans():\n    'Only a docstring.'",
+    ):
+        assert list(copies(ast.parse(check), home)) == [], check
 
 
 def test_a_fan_beside_a_divisor_is_refused_however_annotated():
