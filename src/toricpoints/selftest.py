@@ -8,14 +8,19 @@ on seeded random inputs, so a fresh build can be sanity-checked from the CLI
 without the dev test harness.  `SUITES` maps each suite's name to the suite
 and what it covers; a suite returns its first failing case as text, or None
 when it passes.  The oracles and samplers that the suites use live here
-alone: the tests import them from this module.
+alone: the tests import them from this module.  Among them is the report
+checker, `_report_fault`, which checks every field of an
+`InterpolationReport`, all but lambda and its subset by divisor arithmetic,
+and returns the first that differs.  The positive-representation suite, the
+census's report tests and the report tests of `tests/test_lowdeg.py` that
+go through its `checked` run their reports through it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import geometry
@@ -25,14 +30,22 @@ from .divisor import (
     ToricDivisor,
     canonical_divisor,
     effective_representative,
+    intersect_primes,
     intersection_number,
     positivity,
     principal_divisor,
 )
 from .fan import ToricSurfaceFan, build_fan, det, hirzebruch, p1xp1, p2
 from .lowdeg import (
+    ASSUMED,
+    CERTIFIED,
+    FAIL,
+    NOT_CERTIFIED,
     PASS,
+    ConditionVerdicts,
     CurveOnSurface,
+    DegBTable,
+    InterpolationReport,
     lambda_invariant,
     toric_theorem_report,
 )
@@ -197,35 +210,106 @@ def _classes_equal(D: ToricDivisor, E: ToricDivisor) -> bool:
     return principal_divisor(D.fan, m).coeffs == diff
 
 
-def _positive_reports(rng: random.Random) -> Iterator[tuple]:
-    """Pairs (C, its report) for ample C with coefficients 1..9 and a positive representation."""
+def _positive_reports(rng: random.Random) -> Iterator[Tuple[CurveOnSurface, InterpolationReport]]:
+    """Pairs (curve, report) for ample C with coefficients 1..9 and a positive representation."""
     fans, taken = _builtin_fans(), 0  # the builtin fans in turn, one per class taken
     while True:
         fan = fans[taken % len(fans)]
         C = ToricDivisor(fan, tuple(rng.randint(1, 9) for _ in range(fan.n)))
         if positivity(C) is Positivity.AMPLE:
-            r = toric_theorem_report(CurveOnSurface(fan, C))
+            curve = CurveOnSurface(fan, C)
+            r = toric_theorem_report(curve)
             if r.positive_rep is not None:
                 taken += 1
-                yield C, r
+                yield curve, r
+
+
+def _halved(E: ToricDivisor) -> ToricDivisor:
+    """floor(E/2), coefficient by coefficient."""
+    return ToricDivisor(E.fan, tuple(c // 2 for c in E.coeffs))
+
+
+def _condition_verdicts(C_rep: ToricDivisor, D: ToricDivisor, e: int) -> ConditionVerdicts:
+    """The verdicts on the three conditions for any C_rep, D and degree e, by
+    divisor arithmetic: C.D < C^2 by `intersection_number`, h1(D - C_rep) = 0
+    by `cohomology`, and the section bound R.(2K + R)/4 + 2 + C^2/4 - e > 0
+    for R = C_rep - 2D."""
+    K, R, C2 = canonical_divisor(C_rep.fan), C_rep - D - D, intersection_number(C_rep, C_rep)
+    bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - e
+    holds = (intersection_number(C_rep, D) < C2, cohomology(D - C_rep).h1 == 0, bound > 0)
+    return ConditionVerdicts(*(PASS if h else FAIL for h in holds), bound)
+
+
+def _report_fault(curve: CurveOnSurface, r: InterpolationReport) -> Optional[str]:
+    """The first field of r, the report on `curve`, that differs from its
+    value by divisor arithmetic, as text, or None; a number of another type
+    differs too, so C.D and C^2 are exact ints.  lambda and its subset are
+    `lambda_invariant`'s, which the report reads too: here they check only
+    the report's copy, and the lambda-hirzebruch suite and the tests' subset
+    scan check lambda itself.  Then the facts that the report's proofs rest
+    on: C_rep = effective_representative(C + K) - K is ~ C, with
+    coefficients >= 1; for an ample C, D = floor(C_rep/2) has 2 C.D <= C^2;
+    with an e_max too, the three conditions pass, C^2 > 9 and h0_bound >=
+    lambda + C^2/4 - e_max > 0, which says R.(2K + R) >= 4 lambda - 8 for
+    R = C_rep - 2D."""
+    fan, C, mults = curve.fan, curve.curve_class, curve.multiplicities
+    K, lam, low = canonical_divisor(fan), lambda_invariant(fan), min(intersect_primes(C))
+    C2 = intersection_number(C, C)
+    bl2 = C2 - sum(d * d for d in mults)
+    bound = min(Fraction(bl2, 9), Fraction(C2, 4) + lam.value)
+    e_max = ceil(bound) - 1 if bound > 1 else None  # the largest int >= 1 below the bound
+    E = effective_representative(C + K)
+    rep = E - K if E is not None and max(E.coeffs) > 0 else None  # some coefficient >= 2
+    verdicts = {
+        "geometrically_integral": ASSUMED,
+        "simple_singularities": ASSUMED,
+        "curve_ample": PASS if low > 0 else FAIL,  # toric Kleiman
+        "blowup_ample": CERTIFIED if sum(mults) < low else NOT_CERTIFIED,  # Seshadri
+        "C_plus_K_positive": FAIL if rep is None else PASS,
+    }
+    facts = {}
+    if rep is not None:
+        facts["C_rep ~ C, coefficients >= 1"] = min(rep.coeffs) >= 1 and _classes_equal(rep, C)
+    D = CD = conditions = None
+    table = DegBTable()
+    if rep is not None and low > 0:  # the gate: the interpolation is for ample C only
+        D = _halved(rep)
+        CD = intersection_number(C, D)
+        facts["2 C.D <= C^2"] = 2 * CD <= C2
+        if e_max is not None:
+            c = conditions = _condition_verdicts(rep, D, e_max)
+            table = DegBTable(CD, e_max)
+            passed = c.intersection_bound == c.surjectivity == c.section_lift == PASS
+            facts["the three conditions pass"] = passed
+            bounded = c.h0_bound >= lam.value + Fraction(C2, 4) - e_max > 0
+            facts["C^2 > 9, h0_bound >= lambda + C^2/4 - e_max > 0"] = C2 > 9 and bounded
+    checks = [  # (field, the report's, divisor arithmetic's); tests/test_selftest.py
+        # refutes each field of InterpolationReport in turn, so none can be left out
+        ("lambda_value", r.lambda_value, lam.value),
+        ("lambda_subset", r.lambda_subset, lam.argmin_subset),
+        ("C2", r.C2, C2),
+        ("blowup_C2", r.blowup_C2, bl2),
+        ("degree_bound", r.degree_bound, bound),
+        ("e_max", r.e_max, e_max),
+        ("hypothesis_verdicts", r.hypothesis_verdicts, verdicts),
+        ("positive_rep", r.positive_rep, rep),
+        ("interp_divisor", r.interp_divisor, D),
+        ("CD", r.CD, CD),
+        ("conditions", r.conditions, conditions),
+        ("degB_table", r.degB_table, table),
+    ]
+    for what, got, want in checks + [(what, holds, True) for what, holds in facts.items()]:
+        if type(got) is not type(want) or got != want:
+            return f"{what}: {got!r}, not {want!r}"
+    return None
 
 
 def suite_positive_representation() -> Optional[str]:
-    """For random ample C with C + K > 0, the report against divisor arithmetic:
-    C_rep ~ C, D = floor(C_rep/2), C.D and C^2 by intersection_number,
-    the section bound, which dominates C^2/4 + lambda - e_max, from R = C_rep - 2D,
-    and surjectivity "pass", stated by proof, as h1 = 0 by cohomology(D - C_rep)."""
-    for _, (C, r) in zip(range(120), _positive_reports(random.Random(SEED + 3))):
-        fan, rep = C.fan, r.positive_rep
-        D = ToricDivisor(fan, tuple(a // 2 for a in rep.coeffs))
-        R, K = rep - D - D, canonical_divisor(fan)
-        RR, C2 = intersection_number(R, K + K + R), intersection_number(C, C)
-        CD, h1 = intersection_number(C, D), cohomology(D - rep).h1
-        bound = Fraction(RR, 4) + 2 + Fraction(C2, 4) - r.e_max
-        got = (_classes_equal(rep, C), r.interp_divisor, r.CD, r.C2)
-        got += (r.conditions.surjectivity == PASS, r.conditions.h0_bound)
-        if got != (True, D, CD, C2, h1 == 0, bound) or RR < 4 * r.lambda_value - 8:
-            return f"fan={fan.name} C={C.coeffs} e={r.e_max}"
+    """Reports on random ample C with C + K > 0 against `_report_fault`."""
+    for _, (curve, r) in zip(range(120), _positive_reports(random.Random(SEED + 3))):
+        fault = _report_fault(curve, r)
+        if fault is not None:
+            return f"fan={curve.fan.name} C={curve.curve_class.coeffs} e={r.e_max}: {fault}"
 
 
 def _column_points(halfplanes, x0: int, x1: int) -> Iterator[Tuple[int, int]]:

@@ -31,12 +31,12 @@ GENERATORS = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 
 
 
 @st.composite
-def blowup_fans(draw):
-    """P^2 or F_m after up to 14 rays' worth of random blowups, under a
-    random SL(2, Z) image and a random rotation of the ray list."""
-    m = draw(st.integers(0, 6))
+def blowup_fans(draw, max_m=6, max_rays=14):
+    """P^2 or F_m for m <= max_m after random blowups up to max_rays rays,
+    under a random SL(2, Z) image and a random rotation of the ray list."""
+    m = draw(st.integers(0, max_m))
     rays = draw(st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]]))
-    for _ in range(draw(st.integers(0, 14 - len(rays)))):
+    for _ in range(draw(st.integers(0, max_rays - len(rays)))):
         rays = subdivide(rays, draw(st.integers(0, len(rays) - 1)))
     for a, b, c, d in draw(st.lists(st.sampled_from(GENERATORS), max_size=4)):
         rays = [(a * x + b * y, c * x + d * y) for x, y in rays]

@@ -651,6 +651,28 @@ MUTANTS = (
         '"ok": True',
         ("test_cli.py",),
     ),
+    # the report checker refutes a report field by field, each by value and type
+    Mutant(
+        "report-checker-refutes-every-field",
+        "selftest.py",
+        "type(got) is not type(want) or got != want:",
+        "type(got) is not type(want) or got == want:",
+        ("test_acceptance.py",),
+    ),
+    Mutant(
+        "report-checker-skips-interp-divisor",
+        "selftest.py",
+        '        ("interp_divisor", r.interp_divisor, D),\n',
+        "",
+        ("test_selftest.py",),
+    ),
+    Mutant(
+        "report-checker-takes-a-number-of-any-type",
+        "selftest.py",
+        "if type(got) is not type(want) or got",
+        "if got",
+        ("test_selftest.py",),
+    ),
 )
 
 

@@ -1,7 +1,8 @@
 """Every small surface and class, against oracles that share nothing with the
 report: the Cech count of h0, h1 and h2 by graded pieces (`oracles.cech`),
-the class count of a clip mod 2 (`oracles.class_count`), divisor arithmetic
-and scans.
+the class count of a clip mod 2 (`oracles.class_count`), scans, and the
+report checker (`selftest._report_fault`), which checks every field of a
+report in one place, all but lambda by divisor arithmetic.
 
 Every smooth complete toric surface is P^2 or some F_a blown up at
 torus-fixed points, and its fan is fixed up to GL_2(Z) by the cyclic
@@ -15,7 +16,6 @@ a_1 = a_2 = 0, and the census ranges over a box of the other coefficients.
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -28,7 +28,6 @@ from toricpoints import (
     euler_characteristic,
     hirzebruch,
     hirzebruch_counterexample,
-    intersection_number,
     lambda_invariant,
     p2,
     principal_divisor,
@@ -36,9 +35,9 @@ from toricpoints import (
 )
 from toricpoints import geometry
 from toricpoints.divisor import _lexmin, _polygon, intersect_primes
-from toricpoints.lowdeg import PASS
 
-from toricpoints.selftest import _column_points, _subdivide as subdivide
+from toricpoints.selftest import _column_points, _halved as halved, _report_fault as report_fault
+from toricpoints.selftest import _subdivide as subdivide
 
 from oracles import cech, cech_box, class_count, subset_scan
 
@@ -120,8 +119,7 @@ def h1_three_ways(C, rep):
     """h1(D - C_rep) for D = floor(C_rep/2): by cohomology, by the Cech
     count, and by the class count of the clip of P_{C+K} in the class of its
     lex-min point mod 2 (h0 = 0, h2 that count); all three agree."""
-    fan = C.fan
-    D = ToricDivisor(fan, tuple(c // 2 for c in rep.coeffs))
+    fan, D = C.fan, halved(rep)
     CK = C + canonical_divisor(fan)
     m = lexmin_of(CK)
     assert rep == C + principal_divisor(fan, m)
@@ -129,31 +127,25 @@ def h1_three_ways(C, rep):
     assert (h.h0, h.h1, h.h2) == cech(D - rep)
     assert h.h0 == 0 and class_count(*_polygon(fan, CK.coeffs), m) == h.h2
     assert h.h1 == h.h2 - euler_characteristic(D - rep)
-    return D, h.h1
+    return h.h1
 
 
 def test_every_ample_census_class_passes_the_three_conditions():
-    """On every report that reaches the conditions, the three verdicts pass,
-    h1(D - C_rep) = 0, which proof (2) gives, is the count of all three
-    oracles, and the report's numbers are those of divisor arithmetic.
-    Reports without conditions have no e_max: C^2 is too small."""
+    """Every report has the fields of divisor arithmetic (the report
+    checker).  On every report that reaches the conditions, the three
+    verdicts pass, and h1(D - C_rep) = 0, which proof (2) gives, is the count
+    of all three oracles.  Reports without conditions have no e_max: C^2 is
+    too small."""
     reached = 0
     for C, k, mults in itertools.product(AMPLE, MULTIPLES, MULTIPLICITIES):
-        C = C * k
-        fan = C.fan
-        r = toric_theorem_report(CurveOnSurface(fan, C, mults))
-        c = r.conditions
-        if c is None:
-            assert r.e_max is None and r.degree_bound <= 1
+        curve = CurveOnSurface(C.fan, C * k, mults)
+        r = toric_theorem_report(curve)
+        assert report_fault(curve, r) is None
+        if r.conditions is None:
+            assert r.e_max is None
             continue
         reached += 1
-        D, h1 = h1_three_ways(C, r.positive_rep)
-        R, K, C2 = r.positive_rep - D - D, canonical_divisor(fan), intersection_number(C, C)
-        bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - r.e_max
-        assert r.interp_divisor == D
-        assert (r.CD, r.C2, c.h0_bound) == (intersection_number(C, D), C2, bound)
-        assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
-        assert h1 == 0
+        assert h1_three_ways(curve.curve_class, r.positive_rep) == 0
     assert reached == 1458
 
 
@@ -237,19 +229,21 @@ F1_8C0_5F = ToricDivisor(hirzebruch(1), (5, 8, 0, 0))
 
 
 def test_classes_that_are_not_ample_get_no_conditions_and_the_oracles_agree():
-    """Where C is not ample the report states nothing about h1, and the
-    three counts of h1(floor(C_rep/2) - C_rep) still agree; there it can be
-    > 0.  Checked on every census box class on up to 6 rays that is not
-    ample and has a positive representation, and on F_1 8C0+5F."""
+    """Where C is not ample the report states nothing about h1 (the report
+    checker), and the three counts of h1(floor(C_rep/2) - C_rep) still
+    agree; there it can be > 0.  Checked on every census box class on up to
+    6 rays that is not ample and has a positive representation, and on F_1
+    8C0+5F."""
     checked = positive = 0
     for C in [F1_8C0_5F] + [C for f in SURFACES if f.n <= 6 for C in box_classes(f)]:
         if min(intersect_primes(C)) > 0:
             continue
-        r = toric_theorem_report(CurveOnSurface(C.fan, C))
+        curve = CurveOnSurface(C.fan, C)
+        r = toric_theorem_report(curve)
         if r.positive_rep is None:
             continue
-        assert (r.interp_divisor, r.CD, r.conditions) == (None, None, None)
-        _, h1 = h1_three_ways(C, r.positive_rep)
+        assert report_fault(curve, r) is None
+        h1 = h1_three_ways(C, r.positive_rep)
         checked += 1
         positive += h1 > 0
         if C is F1_8C0_5F:

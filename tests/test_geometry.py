@@ -26,9 +26,8 @@ from toricpoints.geometry import (
 )
 
 from toricpoints.selftest import _column_points as column_points, _polygon_class as polygon_class
-from toricpoints.selftest import _subdivide as subdivide
 
-from conftest import GENERATORS, count_calls
+from conftest import blowup_fans, count_calls
 from oracles import blown_up_p2, class_count
 
 
@@ -114,18 +113,8 @@ def check_against_oracles(halfplanes):
     return vertices
 
 
-@st.composite
-def fan_rays(draw):
-    """Rays of P^2 or F_m after random blowups, a random SL(2, Z) image and a
-    random rotation of the list."""
-    m = draw(st.integers(0, 3))
-    rays = draw(st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]]))
-    for _ in range(draw(st.integers(0, 4))):
-        rays = subdivide(rays, draw(st.integers(0, len(rays) - 1)))
-    for a, b, c, d in draw(st.lists(st.sampled_from(GENERATORS), max_size=4)):
-        rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
-    k = draw(st.integers(0, len(rays) - 1))
-    return build_fan(rays[k:] + rays[:k]).rays
+# the rays of P^2 or F_m, m <= 3, blown up to at most 8 rays
+FAN_RAYS = blowup_fans(max_m=3, max_rays=8).map(lambda fan: fan.rays)
 
 
 def _support_numbers(rays, points):
@@ -139,7 +128,7 @@ def regions(draw):
     """Half-planes over fan rays: small offsets (often empty, a point or a
     segment), wide ones, rational ones, or the support numbers of one to
     three rational points."""
-    rays = draw(fan_rays())
+    rays = draw(FAN_RAYS)
     small, wide = st.integers(-2, 2), st.integers(-15, 15)
     rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     kind = draw(st.sampled_from(["small", "wide", "rational", "points"]))
@@ -177,7 +166,7 @@ def mixed_regions(draw):
     to three such points shifted by a lattice vector of size about 10^20, so
     the offsets are huge while the region, and the box the oracle scans,
     stay small."""
-    rays = draw(fan_rays())
+    rays = draw(FAN_RAYS)
     if draw(st.booleans()):
         return [(u, draw(MIXED)) for u in rays]
     sx, sy = draw(HUGE), draw(HUGE)
@@ -222,11 +211,19 @@ def _clipped(halfplanes):
 def column_ranges(draw):
     """A region with int offsets, and a sub-range [a, b] of its integer
     columns whose ends are drawn anywhere in them or on the first integer
-    column of an envelope's line."""
+    column of an envelope's line.  A region whose x-extent holds no integer
+    is moved along x by the fraction t that takes its left end onto one:
+    <p - (t, 0), u> >= c is <p, u> >= c + t u_x.  Only an empty region is
+    drawn again."""
     halfplanes = integral(draw(st.one_of(regions(), mixed_regions())))
     lower, upper, ends = _clipped(halfplanes)
+    assume(ends)
     lo, hi = geometry._extent(ends)
-    assume(lo <= hi)
+    if lo > hi:
+        t = lo - Fraction(*ends[0][0])
+        halfplanes = integral([(u, c + t * u[0]) for u, c in halfplanes])
+        lower, upper, ends = _clipped(halfplanes)
+        lo, hi = geometry._extent(ends)
     starts = [s for _, _, ss in (lower, upper) for s in ss if lo <= s <= hi]
     on_a_start = st.sampled_from(starts) if starts else st.nothing()
     a = draw(st.integers(lo, hi) | on_a_start)
@@ -267,7 +264,7 @@ def _refuse_fraction(*args):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(fan_rays(), st.data())
+@given(FAN_RAYS, st.data())
 def test_the_integral_path_builds_no_fraction(rays, data):
     offsets = data.draw(st.lists(st.integers(-15, 15), min_size=len(rays), max_size=len(rays)))
     halfplanes = list(zip(rays, offsets))
@@ -282,7 +279,7 @@ def test_the_integral_path_builds_no_fraction(rays, data):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(fan_rays(), st.data())
+@given(FAN_RAYS, st.data())
 def test_positive_offsets_leave_the_region_empty(rays, data):
     # Normals that wind once, each turn under a half-turn, have a sum with
     # positive weights that is 0: no x has <x, u_i> > 0 for every i, and

@@ -8,8 +8,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import islice
-from math import ceil, inf
+from math import inf
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,10 +39,11 @@ from toricpoints import geometry, lowdeg
 from toricpoints.divisor import _polygon, intersect_primes
 from toricpoints.errors import ContractViolation, FanMismatch
 from toricpoints.fan import lower_arc_start
-from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS, ConditionVerdicts
-from toricpoints.selftest import _classes_equal as classes_equal, _peeled_h0 as peeled_h0
+from toricpoints.lowdeg import CERTIFIED, FAIL, NOT_CERTIFIED, PASS
+from toricpoints.selftest import _classes_equal as classes_equal, _condition_verdicts as condition_verdicts
+from toricpoints.selftest import _halved as halved, _peeled_h0 as peeled_h0
 from toricpoints.selftest import _polygon_class as polygon_class, _positive_reports as positive_reports
-from toricpoints.selftest import _random_blowup as random_blowup, _subdivide as subdivide
+from toricpoints.selftest import _random_blowup as random_blowup, _report_fault as report_fault
 from toricpoints.selftest import _wall_numbers as wall_numbers
 
 from conftest import FANS, GENERATORS, blowup_fans, count_calls
@@ -91,6 +91,15 @@ def test_lambda_matches_the_subset_scan(fan):
 def exact(value, want):
     """value equals want, and is an int."""
     return value == want and type(value) is int
+
+
+def checked(curve):
+    """The report on `curve`, once `selftest._report_fault` finds no field of
+    it that divisor arithmetic refutes."""
+    r = toric_theorem_report(curve)
+    fault = report_fault(curve, r)
+    assert fault is None, fault
+    return r
 
 
 def kleiman(pairings):
@@ -164,8 +173,8 @@ def test_half_curve_ample_matches_the_halved_class(fan, ample, data):
     C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
     r = toric_theorem_report(CurveOnSurface(fan, C))
     M = intersection_matrix(fan)
-    halved = [Fraction(sum(c * M[i][j] for i, c in enumerate(C.coeffs)), 2) for j in range(fan.n)]
-    half_ample = kleiman(halved) is Positivity.AMPLE
+    halves = [Fraction(sum(c * M[i][j] for i, c in enumerate(C.coeffs)), 2) for j in range(fan.n)]
+    half_ample = kleiman(halves) is Positivity.AMPLE
     assert half_ample == (r.hypothesis_verdicts["curve_ample"] == PASS)
     assert half_ample or not ample
 
@@ -194,14 +203,11 @@ def test_positive_representation_exists_iff_c_plus_k_is_effective_and_not_princi
     CK = C + K
     principal = classes_equal(CK, ToricDivisor(fan, (0,) * fan.n))
     assert principal or not anticanonical
-    r = toric_theorem_report(CurveOnSurface(fan, C))
-    rep = r.positive_rep
+    rep = checked(CurveOnSurface(fan, C)).positive_rep
     assert (rep is None) == (peeled_h0(CK, A) == 0 or principal)
     if rep is not None:
-        assert classes_equal(rep, C) and min(rep.coeffs) >= 1 and max(rep.coeffs) >= 2
         assert intersect_primes(rep) == intersect_primes(C)
         assert intersection_number(rep, rep) == intersection_number(C, C)
-        assert exact(r.C2, intersection_number(rep, rep))
 
 
 def test_a_fan_is_freed_after_use():
@@ -218,20 +224,23 @@ def test_a_fan_is_freed_after_use():
 
 
 def test_lambda_ties_take_the_lex_smallest_subset():
-    # on P1xP1 both {0, 2} and {1, 3} reach -8; random blowups of P^2 and
-    # F_m give many more ties between subsets with and without ray 0
+    """On P1xP1 both {0, 2} and {1, 3} reach -8.  On seeded random blowups
+    of P^2 and F_m, subsets as small as the minimiser tie with it both
+    across ray 0 (one holds ray 0, another does not) and past it (all agree
+    on ray 0), and lambda takes the lex-smallest of them."""
     assert lambda_invariant(p1xp1()).argmin_subset == (0, 2)
     rng = random.Random(61)
+    across = past = 0
     for _ in range(150):
-        m = rng.randint(0, 4)
-        rays = rng.choice([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, m), (0, -1)]])
-        n = rng.randint(3, 10)
-        while len(rays) < n:
-            rays = subdivide(rays, rng.randrange(len(rays)))
-        k = rng.randrange(len(rays))
-        fan = build_fan(rays[k:] + rays[:k])
+        fan = random_blowup(rng)
         res = lambda_invariant(fan)
         assert (res.inner_min, res.argmin_subset) == subset_scan(fan)
+        val, size = subset_objective(fan), len(res.argmin_subset)
+        tied = [R for R in itertools.combinations(range(fan.n), size) if val(R) == res.inner_min]
+        if len(tied) > 1:
+            across += len({0 in R for R in tied}) == 2
+            past += len({0 in R for R in tied}) == 1
+    assert (across, past) == (7, 7)
 
 
 def check_large(fan):
@@ -410,12 +419,12 @@ def test_positive_curve_representation():
     assert positive_rep(ToricDivisor(fan, (3, 0, 0))) is None
 
 
-def test_positive_representation_contract():
-    for C, r in islice(positive_reports(random.Random(53)), 60):
-        rep = r.positive_rep
-        assert classes_equal(rep, C)
-        assert all(a >= 1 for a in rep.coeffs)
-        assert any(a >= 2 for a in rep.coeffs)
+@pytest.mark.parametrize("seed", [53, 59])
+def test_positive_representations_pass_the_report_checker(seed):
+    """C_rep ~ C with coefficients >= 1, and the section bound at e_max is
+    >= lambda + C^2/4 - e_max, so also at each degree e: both gain e_max - e."""
+    for curve, r in itertools.islice(positive_reports(random.Random(seed)), 60):
+        assert report_fault(curve, r) is None, curve
 
 
 def test_interpolation_divisor():
@@ -441,36 +450,13 @@ def test_mainprop_h0_bound_values():
     assert (r.e_max, r.conditions.h0_bound) == (8, 12)
 
 
-def test_mainprop_bound_dominates_lambda_bound():
-    # at a degree e the section bound is h0_bound + (e_max - e)
-    for _, r in islice(positive_reports(random.Random(59)), 60):
-        rest = r.positive_rep - r.interp_divisor - r.interp_divisor
-        assert set(rest.coeffs) <= {0, 1}
-        for e in (1, 3, 7):
-            bound = r.conditions.h0_bound + r.e_max - e
-            assert bound >= Fraction(r.C2, 4) + r.lambda_value - e
-        assert 2 * r.CD <= r.C2
-
-
-def verdicts_of(C_rep, D, e):
-    """Oracle: the report's verdicts on the numbers of any C_rep, D and e, by
-    divisor arithmetic and the dense pairing, for a D that is not the
-    report's floor(C_rep/2)."""
-    K, R, C2 = canonical_divisor(C_rep.fan), C_rep - D - D, intersection_number(C_rep, C_rep)
-    CD = intersection_number(C_rep, D)
-    bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - e
-    h1 = cohomology(D - C_rep).h1
-    verdicts = (PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0))
-    return ConditionVerdicts(*verdicts, bound)
-
-
 def test_interpolation_conditions_quartic():
     fan = p2()
     r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (4, 0, 0))))
     v = r.conditions
     assert (v.intersection_bound, v.surjectivity, v.section_lift) == (PASS, PASS, PASS)
     assert cohomology(r.interp_divisor - r.positive_rep).h1 == 0
-    assert verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == v
+    assert condition_verdicts(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (1, 0, 0)), 1) == v
 
 
 @pytest.mark.parametrize(
@@ -480,29 +466,20 @@ def test_interpolation_conditions_quartic():
 )
 def test_the_section_bound_at_each_degree_is_h0_bound_plus_e_max_minus_e(fan, coeffs):
     # divisor arithmetic at every degree e <= e_max: only h0_bound moves with
-    # e, and proof (3) keeps it above lambda + C^2/4 - e > 0
-    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs)))
+    # e, by e_max - e, so the checker's h0_bound >= lambda + C^2/4 - e_max > 0
+    # (proof (3)) gives lambda + C^2/4 - e > 0 at each e
+    r = checked(CurveOnSurface(fan, ToricDivisor(fan, coeffs)))
     assert r.e_max >= 1
     for e in range(1, r.e_max + 1):
-        v = verdicts_of(r.positive_rep, r.interp_divisor, e)
+        v = condition_verdicts(r.positive_rep, r.interp_divisor, e)
         assert v.h0_bound == r.conditions.h0_bound + r.e_max - e
-        assert v.h0_bound >= r.lambda_value + Fraction(r.C2, 4) - e > 0
         assert v == dataclasses.replace(r.conditions, h0_bound=v.h0_bound)
 
 
 def test_interpolation_conditions_oversized_divisor():
     fan = p2()
-    v = verdicts_of(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1)
+    v = condition_verdicts(ToricDivisor(fan, (2, 1, 1)), ToricDivisor(fan, (5, 0, 0)), 1)
     assert v.intersection_bound == FAIL  # 20 >= 16
-
-
-def test_interpolation_conditions_f1_counterexample():
-    f1 = hirzebruch(1)
-    C = ToricDivisor(f1, (27, 26, 0, 0))
-    D = ToricDivisor(f1, (3, 1, 0, 0))
-    v = verdicts_of(C, D, 79)
-    assert v.surjectivity == FAIL and cohomology(D - C).h1 == 1
-    assert v.intersection_bound == PASS and v.section_lift == PASS
 
 
 def test_toric_report_quartic():
@@ -641,16 +618,6 @@ def test_toric_report_cubic_fails_positivity():
     assert r.positive_rep is None and r.interp_divisor is None
 
 
-def _interpolation_is_gated_on_ampleness(r):
-    ample = r.hypothesis_verdicts["curve_ample"] == PASS
-    has_divisor = ample and r.positive_rep is not None
-    assert (r.interp_divisor is not None, r.CD is not None) == (has_divisor, has_divisor)
-    if r.conditions is not None or r.degB_table:
-        assert has_divisor and r.e_max is not None
-    if has_divisor:
-        assert 2 * r.CD <= r.C2
-
-
 @pytest.mark.parametrize(
     "d, bound, e_max",
     [(1, 0, None), (2, Fraction(4, 9), None), (3, 1, None), (4, Fraction(16, 9), 1)],
@@ -674,9 +641,7 @@ def test_classes_that_are_not_ample_get_verdicts_and_no_interpolation():
     # every class aC0 + bF on F0-F4 with a, b in -3..11
     for m, a, b in itertools.product(range(5), range(-3, 12), range(-3, 12)):
         fan = hirzebruch(m)
-        _interpolation_is_gated_on_ampleness(
-            toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (b, a, 0, 0))))
-        )
+        checked(CurveOnSurface(fan, ToricDivisor(fan, (b, a, 0, 0))))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -684,29 +649,19 @@ def test_classes_that_are_not_ample_get_verdicts_and_no_interpolation():
 def test_a_report_on_any_class_raises_nothing(fan, data):
     coeffs = data.draw(st.lists(st.integers(-10, 20), min_size=fan.n, max_size=fan.n))
     mults = data.draw(st.lists(st.integers(2, 3), max_size=2))
-    C = ToricDivisor(fan, tuple(coeffs))
-    _interpolation_is_gated_on_ampleness(toric_theorem_report(CurveOnSurface(fan, C, tuple(mults))))
+    checked(CurveOnSurface(fan, ToricDivisor(fan, tuple(coeffs)), tuple(mults)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.data())
 def test_the_three_conditions_hold_on_every_ample_class_with_an_e_max(fan, data):
-    # the inequalities behind the verdicts, as proved in the
-    # ConditionVerdicts docstring
+    # the checker asserts the inequalities behind the verdicts, as proved in
+    # the ConditionVerdicts docstring
     lengths = data.draw(st.lists(st.integers(1, 6), min_size=fan.n, max_size=fan.n))
     m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     mults = tuple(data.draw(st.lists(st.integers(2, 3), max_size=2)))
     C = polygon_class(fan, lengths)[0] + principal_divisor(fan, m)
-    r = toric_theorem_report(CurveOnSurface(fan, C, mults))
-    assume(r.e_max is not None and r.positive_rep is not None)
-    c, lam, e = r.conditions, r.lambda_value, r.e_max
-    R = r.positive_rep - r.interp_divisor - r.interp_divisor
-    assert 2 * r.CD <= r.C2 == intersection_number(C, C) and r.C2 > 9
-    assert r.CD == intersection_number(C, r.interp_divisor)
-    assert intersection_number(R, canonical_divisor(fan) * 2 + R) >= 4 * lam - 8
-    assert c.h0_bound >= lam + Fraction(r.C2, 4) - e > 0
-    assert cohomology(r.interp_divisor - r.positive_rep).h1 == 0
-    assert (c.intersection_bound, c.surjectivity, c.section_lift) == (PASS, PASS, PASS)
+    assume(checked(CurveOnSurface(fan, C, mults)).conditions is not None)
 
 
 def test_the_section_bound_is_lambdas_objective_at_the_odd_rays():
@@ -762,11 +717,6 @@ def test_the_reports_invariants_do_not_depend_on_the_coordinates():
     assert [len({case[i] for case in seen}) for i in range(3)] == [3, 2, 2]
 
 
-def _halved(fan, coeffs):
-    # floor(E/2) componentwise
-    return ToricDivisor(fan, tuple(c // 2 for c in coeffs))
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.data())
 def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
@@ -780,7 +730,7 @@ def test_h0_of_half_a_class_counts_the_even_points_of_its_polygon(fan, data):
     E = ToricDivisor(fan, tuple(coeffs))
     doubled = [((2 * ux, 2 * uy), c) for (ux, uy), c in E.halfplanes]  # {q : 2q in P_E}
     even = class_count(*_polygon(fan, coeffs), (0, 0))
-    assert cohomology(_halved(fan, coeffs)).h0 == geometry.count_lattice_points(doubled) == even
+    assert cohomology(halved(E)).h0 == geometry.count_lattice_points(doubled) == even
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -811,7 +761,7 @@ def test_the_reports_h1_is_a_class_count_of_its_clip_on_ample_classes(fan, data)
     rep, D, K = r.positive_rep, r.interp_divisor, canonical_divisor(fan)
     assert all(d == -((c + 1) // 2) <= -1 for c, d in zip(rep.coeffs, (D - rep).coeffs))
     assert cohomology(D - rep).h0 == 0
-    assert K - D + rep == _halved(fan, (rep + K).coeffs)
+    assert K - D + rep == halved(rep + K)
     CK = C + K
     m = geometry.lexmin_lattice_point(CK.halfplanes)
     assert rep + K == CK + principal_divisor(fan, m)
@@ -835,7 +785,7 @@ def _report_h1_against_cohomology(C):
     # class mod 2), and by cohomology
     clip = _polygon(C.fan, [c - 1 for c in C.coeffs])
     rep = positive_rep(C)
-    D = _halved(C.fan, rep.coeffs)
+    D = halved(rep)
     got = class_count(*clip, geometry._lexmin(*clip)) - euler_characteristic(D - rep)
     assert got == cohomology(D - rep).h1
     return got
@@ -870,45 +820,21 @@ def test_the_class_count_gives_h1_on_classes_that_are_not_nef(fan, data):
     _report_h1_against_cohomology(C)
 
 
-def _check_report_against_divisor_arithmetic(C, mults):
-    """The report's numbers, recomputed from divisor objects: R = C_rep - 2D by
-    subtraction for D = floor(C_rep/2), C.D and C^2 by intersection_number on
-    C itself, the bound from R and K, and h1(D - C_rep) by cohomology.
-    Returns which branch the class took."""
-    fan = C.fan
-    r = toric_theorem_report(CurveOnSurface(fan, C, mults))
-    C2 = intersection_number(C, C)
-    assert exact(r.C2, C2) and r.blowup_C2 == C2 - sum(d * d for d in mults)
-    rep = r.positive_rep
-    if positivity(C) is not Positivity.AMPLE or rep is None:
-        assert (r.interp_divisor, r.CD, r.conditions) == (None, None, None)
-        return "not ample" if rep is not None else "no representation"
-    assert classes_equal(rep, C)
-    D = ToricDivisor(fan, tuple(c // 2 for c in rep.coeffs))
-    R = rep - D - D
-    assert set(R.coeffs) <= {0, 1}
-    CD = intersection_number(C, D)
-    assert r.interp_divisor == D and exact(r.CD, CD)
-    if r.e_max is None:
-        assert r.conditions is None
-        return "no e_max"
-    K = canonical_divisor(fan)
-    bound = Fraction(intersection_number(R, K + K + R), 4) + 2 + Fraction(C2, 4) - r.e_max
-    h1 = cohomology(D - rep).h1
-    c = r.conditions
-    assert (r.CD, r.C2, c.h0_bound) == (CD, C2, bound)
-    assert (c.intersection_bound, c.surjectivity, c.section_lift) == tuple(
-        PASS if holds else FAIL for holds in (CD < C2, h1 == 0, bound > 0)
-    )
-    return "conditions"
+def _checked_branch(C, mults):
+    """Which branch the report on C took, once the report checker finds no
+    fault in it."""
+    r = checked(CurveOnSurface(C.fan, C, mults))
+    if r.interp_divisor is None:
+        return "not ample" if r.positive_rep is not None else "no representation"
+    return "no e_max" if r.conditions is None else "conditions"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(blowup_fans(), st.booleans(), st.data())
 def test_the_reports_numbers_match_divisor_arithmetic(fan, polygon, data):
-    """An oracle for the report's pairing-vector arithmetic that shares none of
-    it.  Ample classes come from polygons; other draws are arbitrary, so most
-    are not ample or have no e_max."""
+    """The report checker, `selftest._report_fault`, on every branch of the
+    report: ample classes come from polygons; other draws are arbitrary, so
+    most are not ample or have no e_max."""
     if polygon:
         lengths = data.draw(st.lists(st.integers(1, 5), min_size=fan.n, max_size=fan.n))
         shift = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
@@ -917,7 +843,7 @@ def test_the_reports_numbers_match_divisor_arithmetic(fan, polygon, data):
         coeffs = data.draw(st.lists(st.integers(-4, 12), min_size=fan.n, max_size=fan.n))
         C = ToricDivisor(fan, tuple(coeffs))
     mults = tuple(data.draw(st.lists(st.integers(2, 6), max_size=2)))
-    _check_report_against_divisor_arithmetic(C, mults)
+    _checked_branch(C, mults)
 
 
 @pytest.mark.parametrize(
@@ -935,15 +861,14 @@ def test_the_reports_numbers_match_divisor_arithmetic(fan, polygon, data):
 )
 def test_the_reports_numbers_match_divisor_arithmetic_on_each_branch(rays, coeffs, mults, branch):
     C = ToricDivisor(build_fan(rays), coeffs)
-    assert _check_report_against_divisor_arithmetic(C, mults) == branch
+    assert _checked_branch(C, mults) == branch
 
 
 @pytest.mark.parametrize("d", range(4, 61))
 def test_p2_interpolation_degree_closed_form(d):
     fan = p2()
-    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0))))
+    r = checked(CurveOnSurface(fan, ToricDivisor(fan, (d, 0, 0))))  # with 2 C.D <= C^2
     assert sum(r.interp_divisor.coeffs) == d // 2 - 1
-    assert 2 * r.CD <= r.C2
 
 
 def test_hirzebruch_counterexample_26():
@@ -1052,16 +977,6 @@ def test_the_report_clips_only_where_c_plus_k_is_not_nef(fan, coeffs, clips):
     assert reports[0].positive_rep == (rep if rep and max(rep.coeffs) > 1 else None)
 
 
-def _check_degree_bound(r):
-    """degree_bound and e_max against the bound built from Fractions, and
-    the largest int strictly below it."""
-    bound = min(Fraction(r.blowup_C2, 9), Fraction(r.C2, 4) + r.lambda_value)
-    below = ceil(bound) - 1
-    assert r.degree_bound == bound and type(r.degree_bound) is Fraction
-    assert r.e_max == (below if below >= 1 else None)
-    return r.e_max
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(blowup_fans(), st.booleans(), st.data())
 def test_the_degree_bound_and_e_max_match_the_fraction_oracle(fan, polygon, data):
@@ -1072,7 +987,7 @@ def test_the_degree_bound_and_e_max_match_the_fraction_oracle(fan, polygon, data
         coeffs = data.draw(st.lists(st.integers(-10, 20), min_size=fan.n, max_size=fan.n))
         C = ToricDivisor(fan, tuple(coeffs))
     mults = tuple(data.draw(st.lists(st.integers(2, 7), max_size=3)))
-    _check_degree_bound(toric_theorem_report(CurveOnSurface(fan, C, mults)))
+    checked(CurveOnSurface(fan, C, mults))
 
 
 @pytest.mark.parametrize(
@@ -1087,9 +1002,8 @@ def test_the_degree_bound_and_e_max_match_the_fraction_oracle(fan, polygon, data
     ],
 )
 def test_an_integral_degree_bound_keeps_e_max_strictly_below_it(fan, coeffs, mults, bound, e_max):
-    r = toric_theorem_report(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
+    r = checked(CurveOnSurface(fan, ToricDivisor(fan, coeffs), mults))
     assert (r.degree_bound, r.e_max) == (bound, e_max)
-    assert _check_degree_bound(r) == e_max
 
 
 def wall_squares(rays):
@@ -1142,7 +1056,7 @@ def test_chi_and_the_h0_bound_match_the_pairing_formulas(fan, data):
     # the report's numbers from C's pairings and the coefficients, on any C:
     # C.D = d.p for D = floor(C/2), and R = C - 2D sums the D_j where C is odd,
     # so R.(2K + R) is lambda's objective at that subset
-    D = _halved(fan, C.coeffs)
+    D = halved(C)
     R = C - 2 * D
     odd = [j for j, c in enumerate(C.coeffs) if c % 2]
     assert exact(sum(d * p for d, p in zip(D.coeffs, intersect_primes(C))), intersection_number(C, D))

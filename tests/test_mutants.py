@@ -1,7 +1,9 @@
 """The mutation table in tests/mutants.py stays in step with the source: each
-snippet occurs exactly once in src/, in the file its entry names, and each
-entry names a real change and test files that exist."""
+snippet occurs exactly once in src/, in the file its entry names, each entry
+names a real change and test files that exist, and the mutated file still
+parses, so no mutant is killed by a SyntaxError alone."""
 
+import ast
 from collections import Counter
 
 import pytest
@@ -21,3 +23,4 @@ def test_each_snippet_occurs_exactly_once_in_src(mutant):
     assert mutant.snippet in SOURCES[mutant.file]
     assert mutant.replacement != mutant.snippet
     assert mutant.tests and all((ROOT / "tests" / name).is_file() for name in mutant.tests)
+    ast.parse(SOURCES[mutant.file].replace(mutant.snippet, mutant.replacement))
