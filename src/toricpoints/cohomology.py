@@ -11,16 +11,15 @@ keys, and the library's contracts (`ToricDivisor`, the fan) refuse the values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from . import geometry
 from .divisor import ToricDivisor, _polygon, intersect_primes
-from .errors import InternalInconsistency, require
+from .errors import InternalInconsistency, _record, require
 
 
-@dataclass(frozen=True)
+@_record
 class CohomologyProfile:
     h0: int
     h1: int

@@ -3,23 +3,25 @@
 Divisors are integer coefficient vectors over the prime toric divisors
 D_1..D_n of a fixed fan.  Everything is immutable and exact: a coefficient
 that is not an int (a Fraction, float, str or bool) is refused, and
-cross-fan operations raise FanMismatch rather than coerce.  A nef class's
-lex-min point is read off one cone vertex, any other class's clipped (`_lexmin`).
+cross-fan operations raise FanMismatch rather than coerce.  `ToricDivisor(fan,
+coeffs)` checks both; a divisor computed here from checked ints (a sum, a
+multiple, a principal or canonical divisor, a representative) is built by
+`_derived` and not checked again.  A nef class's lex-min point is read off
+one cone vertex, any other class's clipped (`_lexmin`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from . import geometry
-from .errors import ContractViolation, FanMismatch, require, require_int, require_ints
+from .errors import ContractViolation, FanMismatch, _record, require, require_int, require_ints
 from .fan import LatticePoint, ToricSurfaceFan, dot
 
 
-@dataclass(frozen=True)
+@_record
 class ToricDivisor:
     """Toric divisor sum(a_i D_i) with int coefficients."""
 
@@ -40,20 +42,31 @@ class ToricDivisor:
 
     def __add__(self, other):
         _check_same_fan(self, other)
-        return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _derived(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         _check_same_fan(self, other)
-        return ToricDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _derived(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return ToricDivisor(self.fan, tuple(-c for c in self.coeffs))
+        return _derived(self.fan, tuple(-c for c in self.coeffs))
 
     def __mul__(self, s):
         require_int(s, "scalar")
-        return ToricDivisor(self.fan, tuple(c * s for c in self.coeffs))
+        return _derived(self.fan, tuple(c * s for c in self.coeffs))
 
     __rmul__ = __mul__
+
+
+def _derived(fan: ToricSurfaceFan, coeffs: Tuple[int, ...]) -> ToricDivisor:
+    """The divisor sum(coeffs_i D_i) on `fan`, not checked again: the caller
+    computed the n int `coeffs` from a fan and ints already checked, so what
+    `ToricDivisor`'s own check would refuse cannot reach here."""
+    D = object.__new__(ToricDivisor)
+    values = D.__dict__  # as the record's own __init__ writes them
+    values["fan"] = fan
+    values["coeffs"] = coeffs
+    return D
 
 
 def _check_same_fan(D: ToricDivisor, E: ToricDivisor) -> None:
@@ -67,12 +80,12 @@ def principal_divisor(fan: ToricSurfaceFan, m: LatticePoint) -> ToricDivisor:
     m = require_ints(m, "lattice point coordinates")
     if len(m) != 2:
         raise ContractViolation(f"{m} is not a lattice point")
-    return ToricDivisor(fan, tuple(dot(m, u) for u in fan.rays))
+    return _derived(fan, tuple(dot(m, u) for u in fan.rays))
 
 
 def canonical_divisor(fan: ToricSurfaceFan) -> ToricDivisor:
     """K = -sum D_i."""
-    return ToricDivisor(fan, (-1,) * require(fan, ToricSurfaceFan).n)
+    return _derived(fan, (-1,) * require(fan, ToricSurfaceFan).n)
 
 
 def intersect_primes(D: ToricDivisor) -> List[int]:
@@ -137,4 +150,4 @@ def effective_representative(D: ToricDivisor) -> Optional[ToricDivisor]:
     m = _lexmin(require(D, ToricDivisor).fan, D.coeffs, min(intersect_primes(D)) >= 0)
     if m is None:
         return None
-    return ToricDivisor(D.fan, tuple(c + dot(m, u) for c, u in zip(D.coeffs, D.fan.rays)))
+    return _derived(D.fan, tuple(c + dot(m, u) for c, u in zip(D.coeffs, D.fan.rays)))

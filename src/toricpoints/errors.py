@@ -1,5 +1,8 @@
-"""Exception hierarchy for toricpoints, and the one home of the argument
-contracts whose breach raises ContractViolation."""
+"""Exception hierarchy for toricpoints, the one home of the argument
+contracts whose breach raises ContractViolation, and the one home of the
+record decorator that every result and input record of the library uses."""
+
+from dataclasses import dataclass
 
 
 class ToricError(Exception):
@@ -61,3 +64,35 @@ def require_ints(values, what: str) -> tuple:
         if type(v) is not int:  # is_int, inline on this hot path
             raise ContractViolation(f"{what} must be ints, got {v!r}")
     return values
+
+
+def _record(cls):
+    """`cls` as a frozen dataclass whose `__init__` writes every field straight
+    into the instance's `__dict__`, then runs `__post_init__` if the class has
+    one; dataclasses' own calls `object.__setattr__` once a field.  The
+    `__init__` takes the same parameters as dataclasses' would: the fields in
+    order, read from the class's own annotations, with their defaults and
+    annotations, so `inspect.signature` of the class is the same.  Equality,
+    hash, repr, pickling and `dataclasses.replace` are dataclasses'."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = list(annotations)
+    # dataclasses leaves each default, a field()'s too, as the class attribute
+    defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+    if any(name not in cls.__dict__ for name in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    values = "_values"  # the local that holds __dict__, named apart from every field
+    while values in names:
+        values += "_"
+    lines = [f"def __init__(self, {', '.join(names)}):", f"    {values} = self.__dict__"]
+    lines += [f"    {values}[{name!r}] = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {}
+    exec("\n".join(lines), {"__name__": cls.__module__}, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults
+    init.__annotations__ = {**annotations, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls

@@ -11,13 +11,14 @@ direction twice), so neither is checked apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
     ContractViolation,
     InputError,
     NotSmoothOrNotComplete,
+    _record,
     require,
     require_int,
     require_ints,
@@ -34,7 +35,7 @@ def det(a: LatticePoint, b: LatticePoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-@dataclass(frozen=True)
+@_record
 class ToricSurfaceFan:
     """Fan of a smooth complete toric surface, validated when it is made.
 

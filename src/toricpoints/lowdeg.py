@@ -8,22 +8,27 @@ P_{C+K}, one cone vertex when C + K is nef, gives the positive representation.
 h1(D - C) is 0 by proof wherever the report gives its conditions
 (`ConditionVerdicts`), so nothing counts it.  Every other number comes from
 p = (C.D_j), which each representation of C shares, and the coefficients:
-R.(2K + R) is lambda's objective at the rays where C_rep is odd.  Also
-reproduces the F_1 family where surjectivity of restriction fails.
+R.(2K + R) is lambda's objective at the rays where C_rep is odd.  The
+report pays only for that arithmetic: it takes lambda without its record
+(`_lambda`), finds C_rep, D, C.D and R.(2K + R) in one pass over the rays,
+builds C_rep and D with no second check (`divisor._derived`: their ints
+come from checked ones), and clips nothing for an ample C whose C + K is
+not nef.  Also reproduces the F_1 family where surjectivity of restriction
+fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 from typing import Dict, Optional, Tuple
 
 from .cohomology import cohomology
-from .divisor import ToricDivisor, _lexmin, intersect_primes, intersection_number
+from .divisor import ToricDivisor, _derived, _lexmin, intersect_primes, intersection_number
 from .errors import (
     ContractViolation,
     FanMismatch,
+    _record,
     require,
     require_int,
     require_ints,
@@ -38,7 +43,7 @@ CERTIFIED = "certified_ample"
 ASSUMED = "assumed"
 
 
-@dataclass(frozen=True)
+@_record
 class CurveOnSurface:
     """Ample curve class C on the surface of `fan`, with integer singularity
     multiplicities delta_i >= 2 (empty = smooth), kept as a tuple.  Ampleness
@@ -64,7 +69,7 @@ def _multiplicities(multiplicities) -> Tuple[int, ...]:
     return mults
 
 
-@dataclass(frozen=True)
+@_record
 class LambdaResult:
     value: Fraction
     inner_min: int
@@ -85,7 +90,13 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     holding it sorts first; a tie at ray 0 keeps it in.  So R is the
     lexicographically smallest sorted R of the minimisers.
     """
-    n = require(fan, ToricSurfaceFan).n
+    val, subset = _lambda(require(fan, ToricSurfaceFan))
+    return LambdaResult(Fraction(8 + val, 4), val, subset)
+
+
+def _lambda(fan: ToricSurfaceFan) -> Tuple[int, Tuple[int, ...]]:
+    """(min val(R), R) for `lambda_invariant` on a checked fan, with no record."""
+    n = fan.n
     # key = val * w + |R| orders like the pair (val, |R|), and sums of keys
     # stay exact because no partial |R| exceeds n < w
     w = n + 1
@@ -122,8 +133,7 @@ def lambda_invariant(fan: ToricSurfaceFan) -> LambdaResult:
     while linked:
         i, linked = linked
         subset.append(i)
-    val = best // w
-    return LambdaResult(value=Fraction(8 + val, 4), inner_min=val, argmin_subset=tuple(subset))
+    return best // w, tuple(subset)
 
 
 def _blowup(C2: int, low: int, total: int, squares: int) -> Tuple[int, bool]:
@@ -134,7 +144,7 @@ def _blowup(C2: int, low: int, total: int, squares: int) -> Tuple[int, bool]:
     return C2 - squares, total < low
 
 
-@dataclass(frozen=True)
+@_record
 class ConditionVerdicts:
     """Verdicts for the three defining conditions of a degree-e interpolation
     divisor at e = e_max, with h0_bound = (1/4)R.(2K+R) + 2 + C^2/4 - e for
@@ -157,7 +167,7 @@ class ConditionVerdicts:
     h0_bound: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class DegBTable:
     """The rows (e, CD - e) for e = 1..e_max: deg B = C.D - e for each
     admissible degree e.  A record of the two numbers that iterates its rows
@@ -184,7 +194,7 @@ class DegBTable:
 _NO_TABLE = DegBTable()
 
 
-@dataclass(frozen=True)
+@_record
 class InterpolationReport:
     """Everything `toric_theorem_report` decides for one curve class.
     `degB_table` holds CD and e_max and iterates the rows (e, CD - e), e =
@@ -213,24 +223,57 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
     """
     C = require(curve, CurveOnSurface).curve_class
     fan = curve.fan
-    lam = lambda_invariant(fan)
+    inner_min, subset = _lambda(fan)  # the curve checked its fan
     p = intersect_primes(C)  # every representation C + div(chi^m) of C shares it
     C2 = sum(map(mul, C.coeffs, p))
     mults = curve.multiplicities
     low = min(p)
     bl2, certified = _blowup(C2, low, sum(mults), sum(d * d for d in mults))
     ample = low > 0  # toric Kleiman: C is ample iff every C.D_j is > 0
+
+    # the bound min(bl2/9, C^2/4 + lambda) as num/den, as C^2/4 + lambda = top/4
+    top = C2 + 8 + inner_min
+    num, den = (bl2, 9) if 4 * bl2 <= 9 * top else (top, 4)
+    e = (num - 1) // den  # the largest int strictly below the bound
+    e_max = e if e >= 1 else None
+
     # rep = C + div(chi^m) = effective_representative(C + K) - K for the lex-min point m
     # of P_{C+K}, all coefficients >= 1 and some >= 2, exists iff C + K > 0: a principal
     # divisor >= 0 is 0 on a complete fan, so C + K is principal iff its representative
     # is 0.  (C + K).D_j = p_j - s_j - 2 for s_j = D_j^2, as K.D_j = -(2 + s_j).  If C is
     # ample, one is < 0 only where p_j >= 1 and s_j >= 0: then D_j is nef, E.D_j >= 0
-    # for an effective E, and C + K is not effective, so the clip finds no rep.
-    m = _lexmin(fan, [c - 1 for c in C.coeffs], min(map(sub, p, fan.self_intersections)) >= 2)
-    rep = None
+    # for an effective E, and C + K is not effective, so it is not clipped: no rep.
+    nef = min(map(sub, p, fan.self_intersections)) >= 2  # C + K is nef
+    m = _lexmin(fan, [c - 1 for c in C.coeffs], nef) if nef or not ample else None
+    rep = D = CD = conditions = None
+    table = _NO_TABLE
     if m is not None:
-        a = tuple(c + m[0] * ux + m[1] * uy for c, (ux, uy) in zip(C.coeffs, fan.rays))
-        rep = ToricDivisor(fan, a) if max(a) > 1 else None
+        # one pass over the rays gives rep's coefficients a_j, D's floor(a_j/2), C.D
+        # = d.p, and R.(2K + R) for R = rep - 2D, which sums the D_j where rep is odd,
+        # so it is lambda's objective there: b_j - 4 for each, 2 for each pair of neighbours
+        x, y = m
+        a, d, dp, RK, odd = [], [], 0, 0, 0
+        for c, (ux, uy), pj, s in zip(C.coeffs, fan.rays, p, fan.self_intersections):
+            c += x * ux + y * uy
+            h = c >> 1
+            a.append(c)
+            d.append(h)
+            dp += h * pj
+            if c & 1:
+                RK += 2 * odd - s - 4
+            odd = c & 1
+        RK += 2 * (a[0] & odd)  # ray n-1 neighbours ray 0
+        if max(a) > 1:
+            rep = _derived(fan, tuple(a))
+        if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
+            # rep is positive by construction, and 2 C.D <= C^2 as C is nef
+            D, CD = _derived(fan, tuple(d)), dp
+            if e_max is not None:
+                table = DegBTable(CD, e_max)
+                bound = RK + 8 + C2 - 4 * e_max  # 4 h0_bound
+                conditions = ConditionVerdicts(  # h1(D - C_rep) = 0 by proof (2)
+                    PASS if CD < C2 else FAIL, PASS, PASS if bound > 0 else FAIL, Fraction(bound, 4)
+                )
     verdicts: Dict[str, str] = {
         "geometrically_integral": ASSUMED,
         "simple_singularities": ASSUMED,
@@ -239,51 +282,13 @@ def toric_theorem_report(curve: CurveOnSurface) -> InterpolationReport:
         "blowup_ample": CERTIFIED if certified else NOT_CERTIFIED,
         "C_plus_K_positive": PASS if rep is not None else FAIL,
     }
-
-    # the bound min(bl2/9, C^2/4 + lambda) as num/den, as C^2/4 + lambda = top/4
-    top = C2 + 8 + lam.inner_min
-    num, den = (bl2, 9) if 4 * bl2 <= 9 * top else (top, 4)
-    e = (num - 1) // den  # the largest int strictly below the bound
-    e_max = e if e >= 1 else None
-
-    D = CD = conditions = None
-    table = _NO_TABLE
-    if ample and rep is not None:  # the interpolation is the theorem's, for ample C only
-        # rep is positive by construction, and 2 C.D <= C^2 as C is nef.  C.D = d.p,
-        # and R = rep - 2D sums the D_j where rep is odd, so R.(2K + R) is
-        # lambda's objective there: b_j - 4 for each, 2 for each pair of neighbours
-        d = tuple(c // 2 for c in rep.coeffs)
-        CD, RK, odd = 0, 0, rep.coeffs[-1] & 1  # ray n-1 neighbours ray 0
-        for c, h, pj, s in zip(rep.coeffs, d, p, fan.self_intersections):
-            CD += h * pj
-            if c & 1:
-                RK += 2 * odd - s - 4
-            odd = c & 1
-        D = ToricDivisor(fan, d)
-        if e_max is not None:
-            table = DegBTable(CD, e_max)
-            bound = RK + 8 + C2 - 4 * e_max  # 4 h0_bound
-            conditions = ConditionVerdicts(  # h1(D - C_rep) = 0 by proof (2)
-                PASS if CD < C2 else FAIL, PASS, PASS if bound > 0 else FAIL, Fraction(bound, 4)
-            )
-
-    return InterpolationReport(
-        lambda_value=lam.value,
-        lambda_subset=lam.argmin_subset,
-        positive_rep=rep,
-        interp_divisor=D,
-        CD=CD,
-        C2=C2,
-        blowup_C2=bl2,
-        degree_bound=Fraction(num, den),
-        e_max=e_max,
-        hypothesis_verdicts=verdicts,
-        degB_table=table,
-        conditions=conditions,
+    return InterpolationReport(  # positionally, in field order
+        Fraction(8 + inner_min, 4), subset, rep, D, CD, C2, bl2,
+        Fraction(num, den), e_max, verdicts, table, conditions,
     )
 
 
-@dataclass(frozen=True)
+@_record
 class HirzebruchExampleReport:
     """The F_1 family where the natural restriction map fails to surject:
     C = n C_0 + (n+1) F and D = C_0 + 3F."""

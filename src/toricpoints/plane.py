@@ -8,12 +8,11 @@ because the interesting values sit right at integer boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ContractViolation, HypothesisViolation, InternalInconsistency, require_int
+from .errors import ContractViolation, HypothesisViolation, InternalInconsistency, _record, require_int
 
 # verdict labels and the blowup numbers shared with the toric reports
 from .lowdeg import FAIL, PASS, _blowup
@@ -84,14 +83,14 @@ def find_m(d: int, delta: int, e: int) -> Optional[int]:
     return _level_m(d, delta, e)
 
 
-@dataclass(frozen=True)
+@_record
 class ChainLevel:
     level: int
     degree_bound: Fraction  # degrees at this level are <= (level 0) or < it
     m: Optional[int]
 
 
-@dataclass(frozen=True)
+@_record
 class PlaneReport:
     d: int
     delta: int

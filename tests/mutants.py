@@ -497,8 +497,8 @@ MUTANTS = (
     Mutant(
         "odd-set-edge-not-wrapped",
         "lowdeg.py",
-        "odd = 0, 0, rep.coeffs[-1] & 1",
-        "odd = 0, 0, 0",
+        "RK += 2 * (a[0] & odd)",
+        "RK += 0 * (a[0] & odd)",
         ("test_lowdeg.py",),
     ),
     Mutant(
@@ -550,8 +550,8 @@ MUTANTS = (
     Mutant(
         "lexmin-nef-test-takes-only-ample",
         "lowdeg.py",
-        "fan.self_intersections)) >= 2)",
-        "fan.self_intersections)) > 2)",
+        "fan.self_intersections)) >= 2  #",
+        "fan.self_intersections)) > 2  #",
         ("test_lowdeg.py",),
     ),
     Mutant(
@@ -567,6 +567,31 @@ MUTANTS = (
         "fan.rays[s - 1], fan.rays[s], a[s - 1], a[s]",
         "fan.rays[s], fan.rays[(s + 1) % len(a)], a[s], a[(s + 1) % len(a)]",
         ("test_lowdeg.py",),
+    ),
+    # for an ample C, a C + K that is not nef is not effective and is not
+    # clipped; a class that is not ample may still have a rep there
+    Mutant(
+        "no-clip-shortcut-takes-a-class-that-is-not-ample",
+        "lowdeg.py",
+        "if nef or not ample else None",
+        "if nef else None",
+        ("test_lowdeg.py",),
+    ),
+    # every record is made by one decorator, whose __init__ still runs the
+    # class's check, and a divisor is built unchecked only from checked ints
+    Mutant(
+        "record-init-skips-post-init",
+        "errors.py",
+        '        lines.append("    self.__post_init__()")',
+        "        pass",
+        ("test_records.py",),
+    ),
+    Mutant(
+        "principal-divisor-built-before-its-check",
+        "divisor.py",
+        '    m = require_ints(m, "lattice point coordinates")\n',
+        "    return _derived(fan, tuple(dot(m, u) for u in fan.rays))\n",
+        ("test_divisor.py",),
     ),
     # census fans all start at (1, 0), (0, 1), so arc start 1: only the
     # tests that rotate the ray list see a vertex read from a fixed cone

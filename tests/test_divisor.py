@@ -33,6 +33,47 @@ def test_principal_divisor_examples():
     assert principal_divisor(f1, (0, 1)).coeffs == (0, 1, 1, -1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda fan: principal_divisor(fan, (0.5, 1)),
+        lambda fan: principal_divisor(fan, (True, 0)),
+        lambda fan: principal_divisor(fan, ("1", 0)),
+        lambda fan: principal_divisor(fan, (1,)),
+        lambda fan: principal_divisor(None, (1, 0)),
+        lambda fan: canonical_divisor(fan.rays),
+        lambda fan: ToricDivisor(fan, (1,) * fan.n) * 1.5,
+        lambda fan: True * ToricDivisor(fan, (1,) * fan.n),
+        lambda fan: ToricDivisor(fan, (1,) * fan.n) + (1,) * fan.n,
+        lambda fan: effective_representative(fan),
+    ],
+)
+def test_a_derived_divisor_refuses_what_its_inputs_refuse(make):
+    """Sums, multiples, principal and canonical divisors and effective
+    representatives are not checked again once made, so their inputs are."""
+    for fan in FANS:
+        with pytest.raises(ContractViolation):
+            make(fan)
+
+
+def test_a_derived_divisor_is_the_checked_one():
+    for fan in FANS:
+        D = ToricDivisor(fan, tuple(range(fan.n)))
+        K = canonical_divisor(fan)
+        for derived, coeffs in [
+            (D + K, tuple(c - 1 for c in D.coeffs)),
+            (D - K, tuple(c + 1 for c in D.coeffs)),
+            (-D, tuple(-c for c in D.coeffs)),
+            (3 * D, tuple(3 * c for c in D.coeffs)),
+            (principal_divisor(fan, (2, -1)), tuple(2 * x - y for x, y in fan.rays)),
+        ]:
+            checked = ToricDivisor(fan, coeffs)
+            assert derived == checked and hash(derived) == hash(checked) and repr(derived) == repr(checked)
+            assert type(derived.coeffs) is tuple and vars(derived) == vars(checked)
+        rep = effective_representative(D)
+        assert rep == ToricDivisor(fan, rep.coeffs) and min(rep.coeffs) >= 0
+
+
 def test_classes_equal():
     fan = p2()
     lines = [ToricDivisor(fan, c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]

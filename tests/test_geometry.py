@@ -211,10 +211,13 @@ def _clipped(halfplanes):
 def column_ranges(draw):
     """A region with int offsets, and a sub-range [a, b] of its integer
     columns whose ends are drawn anywhere in them or on the first integer
-    column of an envelope's line.  A region whose x-extent holds no integer
-    is moved along x by the fraction t that takes its left end onto one:
-    <p - (t, 0), u> >= c is <p, u> >= c + t u_x.  Only an empty region is
-    drawn again."""
+    column of an envelope's line.  In a region of two or more columns, a
+    range spans two or more (a < b) unless a draw from 0..4 is 4, so the
+    multi-column sum is what most of them check; the rest, and every region
+    of one column, take one column.  A region whose x-extent holds no
+    integer is moved along x by the fraction t that takes its left end onto
+    one: <p - (t, 0), u> >= c is <p, u> >= c + t u_x.  Only an empty region
+    is drawn again."""
     halfplanes = integral(draw(st.one_of(regions(), mixed_regions())))
     lower, upper, ends = _clipped(halfplanes)
     assume(ends)
@@ -226,8 +229,11 @@ def column_ranges(draw):
         lo, hi = geometry._extent(ends)
     starts = [s for _, _, ss in (lower, upper) for s in ss if lo <= s <= hi]
     on_a_start = st.sampled_from(starts) if starts else st.nothing()
-    a = draw(st.integers(lo, hi) | on_a_start)
-    b = draw(st.integers(a, hi) | on_a_start.filter(lambda s: s >= a))
+    if hi > lo and draw(st.integers(0, 4)) < 4:
+        a = draw(st.integers(lo, hi - 1) | on_a_start.filter(lambda s: s < hi))
+        b = draw(st.integers(a + 1, hi) | on_a_start.filter(lambda s: s > a))
+    else:
+        a = b = draw(st.integers(lo, hi) | on_a_start)
     return halfplanes, a, b
 
 

@@ -915,6 +915,7 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         intersect_primes,
         positivity,
         ToricDivisor.__post_init__,
+        lowdeg.LambdaResult.__init__,
         geometry._columns,
         geometry._clip,
         geometry._envelope,
@@ -925,7 +926,8 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     )
     # built: the pairing vector p of C, which C_rep shares (C.D = d.p, and
     # R.(2K + R) is lambda's objective at the rays where C_rep is odd), and
-    # the two divisors returned, C_rep and D; ampleness and the Seshadri
+    # the two divisors returned, C_rep and D, made from checked ints and not
+    # checked again; lambda's value and subset come with no record; ampleness and the Seshadri
     # bound both read min(p), so no class is classified; C + K = 67H is nef,
     # read off p, so its lex-min point is the vertex of the cone at the fan's
     # arc start and nothing is clipped or counted, as h1(D - C) = 0
@@ -936,7 +938,8 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
     assert counts == {
         "intersect_primes": 1,
         "positivity": 0,
-        "ToricDivisor.__post_init__": 2,
+        "ToricDivisor.__post_init__": 0,
+        "LambdaResult.__init__": 0,
         "_columns": 0,
         "_clip": 0,
         "_envelope": 0,
@@ -954,15 +957,19 @@ def test_the_report_pairs_each_class_once_and_finds_its_point_in_one_probe():
         (hirzebruch(1), (4, 2, 0, 0), 0),  # 2C0 + 4F: C + K = F, nef, not ample
         (hirzebruch(1), (5, 8, 0, 0), 1),  # 8C0 + 5F: C + K is not nef, yet effective
         (hirzebruch(1), (1, 1, 0, 0), 1),  # C0 + F: C + K = -C0 - 2F, not effective
+        (hirzebruch(1), (2, 1, 0, 0), 0),  # C0 + 2F, ample: C + K = -C0 - F, not effective
     ],
 )
-def test_the_report_clips_only_where_c_plus_k_is_not_nef(fan, coeffs, clips):
+def test_the_report_clips_only_where_c_plus_k_is_not_nef_and_c_is_not_ample(fan, coeffs, clips):
     """P_{C+K} of a nef C + K is read from its cone vertices, with no clip
-    and no column count; any other C + K is clipped once.  The positive
-    representation is the shift by the checked clip's lex-min point."""
+    and no column count; for an ample C, a C + K that is not nef is not
+    effective, so it is not clipped either; any other C + K is clipped
+    once.  The positive representation is the shift by the checked clip's
+    lex-min point."""
     C = ToricDivisor(fan, coeffs)
     CK = C + canonical_divisor(fan)
-    assert (min(intersect_primes(CK)) >= 0) == (clips == 0)
+    nef, ample = min(intersect_primes(CK)) >= 0, positivity(C) is Positivity.AMPLE
+    assert (nef or ample) == (clips == 0)
     reports = []
     counts = count_calls(
         lambda: reports.append(toric_theorem_report(CurveOnSurface(fan, C))),

@@ -12,7 +12,10 @@ the one home of the rule that an argument must be an int, and a bool is not
 one.  No module calls json.dumps: cli._json_text is the one JSON writer,
 and no other function walks a dataclass's fields (dataclasses.fields, asdict
 or astuple, or __dataclass_fields__), so a second writer cannot come back.
-No module imports argparse, and cli.py holds no `raise SystemExit`: the
+Only errors._record names dataclasses.dataclass, and only errors.py imports
+it: every record is made by that one decorator, whose `__init__` stores the
+fields straight into the instance's `__dict__`.  No module imports argparse,
+and cli.py holds no `raise SystemExit`: the
 COMMANDS table is the one parser of the command line, and `main` returns
 every exit code.  Outside fan.py and geometry.py, only divisor.py reads a
 fan's `_arc_start` or calls `geometry._clip` or `geometry._lexmin`: it is the
@@ -41,6 +44,7 @@ CONTRACTS = "errors.py"
 CLI = "cli.py"
 JSON_WRITER = "_json_text"  # the one function of cli.py that walks a dataclass's fields
 FIELD_WALKS = {"fields", "asdict", "astuple"}  # dataclasses' walks over the fields
+RECORD_MAKER = "_record"  # the one function of errors.py that names dataclasses.dataclass
 # where _arc_start, geometry._clip and geometry._lexmin may appear
 POLYGON = {"fan.py", "geometry.py", "divisor.py"}
 CLIPPED = {"_clip", "_lexmin"}  # geometry's routines that take a clip
@@ -109,6 +113,15 @@ def _field_walk(node):
     return isinstance(node, ast.Constant) and node.value == "__dataclass_fields__"
 
 
+def _dataclass(node):
+    # dataclasses.dataclass, called, named (a decorator too) or imported
+    if isinstance(node, ast.Attribute):
+        return node.attr == "dataclass" and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses" and any(a.name == "dataclass" for a in node.names)
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
 def _polygon_internal(node):
     # a fan's kept arc start, read, or geometry._clip or _lexmin, called or only named
     return node.attr == "_arc_start" or (
@@ -121,6 +134,12 @@ def breaches(tree, module=""):
         id(sub)
         for stmt in tree.body
         if module == CLI and isinstance(stmt, ast.FunctionDef) and stmt.name == JSON_WRITER
+        for sub in ast.walk(stmt)
+    }
+    maker = {  # the nodes of errors._record, which may name dataclasses.dataclass
+        id(sub)
+        for stmt in tree.body
+        if module == CONTRACTS and isinstance(stmt, ast.FunctionDef) and stmt.name == RECORD_MAKER
         for sub in ast.walk(stmt)
     }
     for node in ast.walk(tree):
@@ -151,6 +170,10 @@ def breaches(tree, module=""):
             yield node.lineno, f"{node.attr} outside divisor.py, which makes each class's polygon"
         elif _field_walk(node) and id(node) not in writer:
             yield node.lineno, f"a walk over a dataclass's fields outside {CLI}'s {JSON_WRITER}"
+        elif _dataclass(node) and id(node) not in maker and not (
+            module == CONTRACTS and isinstance(node, ast.ImportFrom)
+        ):
+            yield node.lineno, f"dataclass outside {CONTRACTS}'s {RECORD_MAKER}, which makes every record"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 if node.module == "geometry" and module not in POLYGON:
@@ -367,8 +390,26 @@ def test_rules_catch_each_breach():
     walk = "def _json_text(obj):\n    if hasattr(type(obj), '__dataclass_fields__'):\n        return list(obj.__dataclass_fields__)"
     assert list(breaches(ast.parse(walk), "cli.py")) == []
     assert len(list(breaches(ast.parse(walk), "selftest.py"))) == 2
-    for check in ("from dataclasses import dataclass, field", "dataclasses.is_dataclass(r)", "r.fields"):
+    for check in ("from dataclasses import field", "dataclasses.is_dataclass(r)", "r.fields"):
         assert list(breaches(ast.parse(check), "lowdeg.py")) == [], check
+    # only errors._record makes a record, so every record's __init__ is its one;
+    # errors.py imports dataclass for it, and no other module does
+    for check in (
+        "@dataclass(frozen=True)\nclass R:\n    x: int",
+        "@dataclass\nclass R:\n    x: int",
+        "@dataclasses.dataclass(frozen=True)\nclass R:\n    x: int",
+        "R = dataclasses.dataclass(R)",
+        "from dataclasses import dataclass, field",
+        "from dataclasses import field, dataclass as record",
+        "def _record(cls):\n    return dataclass(frozen=True, init=False)(cls)",
+    ):
+        assert [what for _, what in breaches(ast.parse(check), "lowdeg.py")] == [
+            "dataclass outside errors.py's _record, which makes every record"
+        ], check
+    maker = "from dataclasses import dataclass\ndef _record(cls):\n    return dataclass(frozen=True, init=False)(cls)"
+    assert list(breaches(ast.parse(maker), "errors.py")) == []
+    assert len(list(breaches(ast.parse(maker), "lowdeg.py"))) == 2
+    assert len(list(breaches(ast.parse("def record(cls):\n    return dataclass(cls)"), "errors.py"))) == 1
     # argparse is refused everywhere, however imported
     for check in ("from argparse import ArgumentParser", "import argparse as ap"):
         assert len(list(breaches(ast.parse(check), "selftest.py"))) == 1
