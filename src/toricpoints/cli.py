@@ -16,11 +16,15 @@ a stderr closed either way changes no exit code.  Rationals are printed as
 exact "p/q" strings, never floats, so outputs are stable goldens.
 _json_text is the one JSON writer: the --json text of a result r is written
 in one walk from r itself, and equals json.dumps(jsonable(r), indent=2) for
-the plain-data oracle in tests/oracles.py.
+the plain-data oracle in tests/oracles.py.  It keeps one layout per record
+class, its quoted keys and one attrgetter of its fields, made the first time
+it meets the class, and writes a divisor's coefficients and a deg B table's
+rows by one join each.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -28,6 +32,7 @@ import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import cohomology
@@ -54,40 +59,59 @@ _SCALARS = {
     type(None): lambda _: "null",
     Fraction: lambda f: _quote(str(f)),
 }
+# The layout of each record class _json_text has met: its quoted keys and
+# one getter of its field values in order
+_LAYOUTS: Dict[type, Tuple[List[str], Callable[[object], tuple]]] = {}
 
 
 def _json_text(obj, pad: str = "\n") -> str:
     """The JSON text of obj with an indent of 2, written in one walk from obj
     itself with no plain-data copy (CPython's C encoder skips indent); `pad`
-    is the line break and indent of obj's level."""
-    write = _SCALARS.get(type(obj))
+    is the line break and indent of obj's level.  A record is written from
+    its class's layout, and a divisor's coefficients and a deg B table's
+    rows by one join each; exact types are tried before isinstance."""
+    cls = type(obj)
+    write = _SCALARS.get(cls)
     if write is not None:
         return write(obj)
     inner = pad + "  "
-    scalar = _SCALARS.get  # scalars written in place, saving a call each
-    pairs = None  # the (key, value) pairs of an object, None for an array
-    if isinstance(obj, dict):
-        pairs = obj.items()
-    elif isinstance(obj, ToricDivisor):
-        obj = obj.coeffs
-    elif isinstance(obj, (list, tuple, DegBTable)):  # an array; a table is its rows
-        pass
-    elif hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance, in field order
-        pairs = [(name, getattr(obj, name)) for name in obj.__dataclass_fields__]
+    layout = _LAYOUTS.get(cls)
+    if layout is not None:  # a record of a class met before
+        keys, get = layout
+        pairs = zip(keys, get(obj))
+    elif cls is list or cls is tuple or isinstance(obj, (list, tuple)):
+        pairs = None  # an array
+    elif cls is dict or isinstance(obj, dict):
+        pairs = zip([_quote(k) + ": " for k in obj], obj.values())
+    elif isinstance(obj, ToricDivisor):  # its checked int coefficients, three or more
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj.coeffs)) + pad + "]"
+    elif isinstance(obj, DegBTable):  # its rows (e, C.D - e) of two ints each
+        if not obj:
+            return "[]"
+        row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+        return "[" + inner + ("," + inner).join(map(row.__mod__, obj)) + pad + "]"
+    elif hasattr(cls, "__dataclass_fields__"):  # a dataclass instance, in field order
+        names = tuple(cls.__dataclass_fields__)
+        keys = [_quote(name) + ": " for name in names]
+        get = attrgetter(*names) if len(names) > 1 else (
+            lambda r: tuple(getattr(r, n) for n in names)  # attrgetter of one name gives no tuple
+        )
+        _LAYOUTS[cls] = keys, get
+        pairs = zip(keys, get(obj))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    # loops, not comprehensions, which cost a call each
+    items: List[str] = []
+    scalar, add = _SCALARS.get, items.append
     if pairs is not None:
-        if not pairs:
-            return "{}"
-        items = [
-            _quote(k) + ": " + (w(v) if (w := scalar(type(v))) else _json_text(v, inner))
-            for k, v in pairs
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if not obj:
-        return "[]"
-    items = [w(v) if (w := scalar(type(v))) else _json_text(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+        for key, value in pairs:
+            write = scalar(type(value))
+            add(key + (write(value) if write is not None else _json_text(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    for value in obj:
+        write = scalar(type(value))
+        add(write(value) if write is not None else _json_text(value, inner))
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def jsonable(obj):
@@ -97,18 +121,27 @@ def jsonable(obj):
 
 def parse_surface(text: str) -> ToricSurfaceFan:
     """A builtin name (P2, P1xP1, F<m>), else the path of a JSON surface
-    descriptor, read in one unbuffered binary read as UTF-8 with text mode's
-    newlines, if it is a regular file: a FIFO's open does not wait for a
-    writer.  Builtin names win, so a file named P2 is given as ./P2."""
+    descriptor, read by os.read as UTF-8 with text mode's newlines, if it is
+    a regular file: a FIFO's open does not wait for a writer.  Builtin names
+    win, so a file named P2 is given as ./P2."""
     try:
         return builtin_surface(text)
     except InputError:
         pass
     try:
-        with open(text, "rb", buffering=0, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a FIFO or a device
+        fd = os.open(text, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):  # os.open opens one, where open() refuses it
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISREG(st.st_mode):  # a FIFO or a device
                 raise InputError(f"cannot read {text}: not a regular file")
-            data = fh.readall()
+            chunks = []  # read to the end, however the file changed since the fstat
+            while chunk := os.read(fd, st.st_size + 1):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         if not os.path.exists(text):  # a stat only here, to tell "no such path" apart
             raise InputError(
@@ -143,19 +176,22 @@ def surface_from_descriptor(desc) -> ToricSurfaceFan:
     raise InputError('surface descriptor needs "rays" or "builtin"')
 
 
-# ASCII digits only: int() and \d would also take "1_0" and non-ASCII digits
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+# ASCII digits only: int() and \d would also take "1_0" and non-ASCII digits;
+# \s is the whitespace that int() and str.strip() skip
+_INT = r"\s*[+-]?[0-9]+\s*"
+_INT_RE = re.compile(_INT)
+_INT_LIST_RE = re.compile(f"{_INT}(?:,{_INT})*")
 # dH: terms such as H, 4H, -H or +4H, signed as an aC0+bF term is
 _H_RE = re.compile(r"([+-]?)([0-9]*)H")
 # aC0+bF: terms such as 2C0, -F or +3F, with a sign between any two terms
-_FC_TERM = r"([+-]?)([0-9]*)(C0|F)"
+_FC_TERM = re.compile(r"([+-]?)([0-9]*)(C0|F)")
 _FC_RE = re.compile(r"[+-]?[0-9]*(?:C0|F)(?:[+-][0-9]*(?:C0|F))*")
 
 
 def _ascii_int(text: str) -> int:
     """An optionally signed run of ASCII digits with whitespace around it;
     also the reader of the integer options."""
-    if not _INT_RE.fullmatch(text.strip()):
+    if not _INT_RE.fullmatch(text):
         raise InputError(f"not an integer: {text!r}")
     try:
         return int(text)
@@ -164,10 +200,13 @@ def _ascii_int(text: str) -> int:
 
 
 def _int_list(text: str, what: str) -> List[int]:
+    """A comma list of what _ascii_int reads, checked by one match."""
     try:
-        return [_ascii_int(v) for v in text.split(",")]
-    except InputError:
-        raise InputError(f"{what} must be integers: {text!r}") from None
+        if _INT_LIST_RE.fullmatch(text):
+            return list(map(int, text.split(",")))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InputError(f"{what} must be integers: {text!r}")
 
 
 def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
@@ -188,7 +227,7 @@ def parse_divisor(fan: ToricSurfaceFan, text: str) -> ToricDivisor:
         if not _FC_RE.fullmatch(terms):
             raise InputError(f"cannot parse divisor {text!r} as aC0+bF")
         coeff = {"C0": 0, "F": 0}
-        for sign, digits, name in re.findall(_FC_TERM, terms):
+        for sign, digits, name in _FC_TERM.findall(terms):
             coeff[name] += _int_list(sign + (digits or "1"), "divisor coefficients")[0]
         return ToricDivisor(fan, (coeff["F"], coeff["C0"], 0, 0))
     if text.startswith("["):

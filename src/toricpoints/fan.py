@@ -3,7 +3,8 @@
 A surface is described by its cyclically ordered primitive rays u_1,...,u_n
 (counterclockwise).  Smoothness and completeness together amount to
 det(u_i, u_{i+1}) = +1 for every consecutive pair and rays that wind once
-around the origin; `ToricSurfaceFan` checks both when it is made.  They
+around the origin; `ToricSurfaceFan` checks both when it is made, in one
+walk over the rays that also finds the arc start and D_i^2.  They
 also make the rays primitive (a common factor of u_i divides det(u_i, u_{i+1}))
 and distinct (one winding whose turns are all under a half-turn meets no
 direction twice), so neither is checked apart.
@@ -12,6 +13,7 @@ direction twice), so neither is checked apart.
 from __future__ import annotations
 
 from dataclasses import field
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -59,30 +61,36 @@ class ToricSurfaceFan:
 
     def __post_init__(self):
         try:
-            rays = tuple((x, y) for x, y in self.rays)
+            rays = tuple([(x, y) for x, y in self.rays])
         except (TypeError, ValueError):  # not a sequence of pairs
             raise ContractViolation(f"rays must be pairs of ints, got {self.rays!r}") from None
-        require_ints((c for u in rays for c in u), "ray coordinates")
+        require_ints(chain.from_iterable(rays), "ray coordinates")
         if self.name is not None:
             require(self.name, str)
         n = len(rays)
         if n < 3:
             raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
-        for i in range(n):
-            d = det(rays[i], rays[(i + 1) % n])
-            if d != 1:
+        # One walk from i = 0, with (a, b), (x, y), (c, d) = u_{i-1}, u_i, u_{i+1}:
+        # it names the first det(u_i, u_{i+1}) != 1, finds each entry into the
+        # upper half-plane as lower_arc_start does, and D_i^2 = -det(u_{i-1}, u_{i+1}).
+        starts, squares = [], []
+        (a, b), (x, y) = rays[-1], rays[0]
+        for i, (c, d) in enumerate(rays[1:] + rays[:1]):
+            if x * d - y * c != 1:
                 raise NotSmoothOrNotComplete(
-                    f"det(u_{i}, u_{(i + 1) % n}) = {d} != 1 for rays "
-                    f"{rays[i]}, {rays[(i + 1) % n]}"
+                    f"det(u_{i}, u_{(i + 1) % n}) = {x * d - y * c} != 1 "
+                    f"for rays {(x, y)}, {(c, d)}"
                 )
+            if y > 0 >= b:
+                starts.append(i)
+            squares.append(b * c - a * d)
+            a, b, x, y = x, y, c, d
         # Consecutive dets of +1 still allow rays that wind more than once.
-        start = lower_arc_start(rays)
-        if start is None:
+        if len(starts) != 1:
             raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
         object.__setattr__(self, "rays", rays)
-        squares = tuple(-det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
-        object.__setattr__(self, "self_intersections", squares)
-        object.__setattr__(self, "_arc_start", start)
+        object.__setattr__(self, "self_intersections", tuple(squares))
+        object.__setattr__(self, "_arc_start", starts[0])
 
     @property
     def n(self) -> int:

@@ -1,7 +1,6 @@
 import dataclasses
 import enum
 import inspect
-import io
 import json
 import os
 import subprocess
@@ -31,7 +30,7 @@ from toricpoints.cli import (
     surface_from_descriptor,
 )
 from toricpoints.errors import ContractViolation, InputError, InternalInconsistency, ToricError
-from toricpoints.fan import builtin_surface, p2
+from toricpoints.fan import build_fan, builtin_surface, p2
 
 from conftest import blowup_fans, count_calls
 from oracles import jsonable
@@ -477,22 +476,32 @@ def test_divisor_json_coefficients_must_be_integers(capsys, text):
     assert err.startswith("error:")
 
 
+COEFFS = "divisor coefficients must be integers: {!r}"
+MULTS = "multiplicities must be integers: {!r}"
+NOT_FC = "cannot parse divisor {!r} as aC0+bF"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "surface, option, text, says",
     [
-        ["cohomology", "--surface", "P2", "--divisor=1_0,0,0"],  # comma list
-        ["cohomology", "--surface", "P2", "--divisor=٣,0,0"],
-        ["cohomology", "--surface", "P2", "--divisor=٣H"],  # dH shorthand
-        ["cohomology", "--surface", "F1", "--divisor=1_0C0+F"],  # aC0+bF terms
-        ["cohomology", "--surface", "F1", "--divisor=C0+٣F"],
-        ["check-toric", "--surface", "P2", "--curve=9H", "--multiplicities", "2_0"],
-        ["check-toric", "--surface", "P2", "--curve=9H", "--multiplicities", "2,٣"],
+        ("P2", "--divisor", "1_0,0,0", COEFFS),  # comma list
+        ("P2", "--divisor", "٣,0,0", COEFFS),
+        ("P2", "--divisor", "1,,0", COEFFS),  # an empty item
+        ("P2", "--divisor", "1,0,0,", COEFFS),  # a trailing comma
+        ("P2", "--divisor", "٣H", COEFFS),  # dH shorthand, read as a comma list
+        ("F1", "--divisor", "1_0C0+F", NOT_FC),  # aC0+bF terms
+        ("F1", "--divisor", "C0+٣F", NOT_FC),
+        ("P2", "--multiplicities", "2_0", MULTS),
+        ("P2", "--multiplicities", "2,٣", MULTS),
+        ("P2", "--multiplicities", "2,,2", MULTS),
+        ("P2", "--multiplicities", "2,", MULTS),
     ],
 )
-def test_text_integers_are_ascii_digits_only(capsys, argv):
-    code, out, err = run(capsys, *argv, "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
+def test_text_integers_are_ascii_digits_only(capsys, surface, option, text, says):
+    argv = ["check-toric", "--surface", surface, "--curve=9H", option, text]
+    if option == "--divisor":
+        argv = ["cohomology", "--surface", surface, f"--divisor={text}"]
+    assert refused(capsys, *argv, "--json", says="error: " + says.format(text) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -667,6 +676,22 @@ def test_each_surface_argument_gets_its_exact_error_line(tmp_path, capsys, case)
         assert (code, out, err) == (2, "", "error: " + want.format(surface) + "\n")
 
 
+def test_a_descriptor_over_64_kib_with_crlf_reads_as_the_compact_file(tmp_path):
+    # a read sized by the fstat must still take all of a file, however long
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    for i in range(60):
+        rays = selftest._subdivide(rays, (7 * i) % len(rays))
+    desc = {"rays": [list(u) for u in rays], "name": "blowup"}
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(desc, separators=(",", ":")))
+    padded = tmp_path / "padded.json"
+    padded.write_bytes(json.dumps(desc, indent=200).replace("\n", "\r\n").encode())
+    assert padded.stat().st_size > 64 * 1024
+    fan = parse_surface(str(padded))
+    assert fan == parse_surface(str(compact)) == build_fan(rays)
+    assert (fan.rays, fan.name) == (tuple(rays), "blowup")
+
+
 def test_a_fifo_surface_is_refused_without_waiting_for_a_writer(tmp_path):
     # in a subprocess, so an open that waits for a writer fails on the timeout
     fifo = tmp_path / "fan.json"
@@ -808,6 +833,19 @@ def test_one_walk_writes_the_selftest_result_as_json_dumps_of_jsonable():
 )
 def test_one_walk_writes_empty_containers_as_jsonable_does(value):
     same_text(value)
+
+
+def test_a_record_class_is_written_alike_where_it_is_first_met(monkeypatch):
+    # a layout is kept per class, so one first met nested serves at the top
+    # level and the other way round, for fields of one, none and many
+    one, none = dataclasses.make_dataclass("One", ["x"]), dataclasses.make_dataclass("None_", [])
+    report = plane_theorem_report(40, 3, 150)
+    outer = [report, {"k": (one(report.chain), none())}]
+    for order in ([outer, report.chain[0], one(5), none()], [report.chain[0], one(5), none(), outer]):
+        monkeypatch.setattr(cli, "_LAYOUTS", {})
+        for value in order:
+            same_text(value)
+        assert set(cli._LAYOUTS) == {type(report), type(report.chain[0]), one, none}
 
 
 @pytest.mark.parametrize(
@@ -1033,36 +1071,6 @@ def test_help_lists_the_commands_or_one_commands_options(capsys):
         "usage: toricpoints check-toric --surface SURFACE --curve CURVE"
         " [--multiplicities MULTIPLICITIES] [--json] [--strict]\n"
     )
-
-
-class ClosedPipe(io.StringIO):
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-
-def test_a_closed_stdout_exits_2_with_one_error_line(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    code = main(["check-toric", "--surface", "P2", "--curve", "9H", "--json"])
-    err = capsys.readouterr().err
-    assert (code, err) == (2, "error: cannot print the result: stdout is closed\n")
-
-
-def test_a_closed_pipe_exits_2_without_a_traceback():
-    # 300H prints about 370 KB, far more than a pipe holds, so the write fails
-    src = Path(toricpoints.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["check-toric", "--surface", "P2", "--curve", "300H", "--json"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "toricpoints", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.read(10) == b'{\n  "lambd'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
-    assert err == b"error: cannot print the result: stdout is closed\n"
 
 
 @pytest.mark.parametrize("name", VALID)

@@ -17,6 +17,7 @@ from toricpoints.errors import (
     NotSmoothOrNotComplete,
     ToricError,
 )
+from toricpoints.fan import lower_arc_start
 
 from conftest import WINDS_TWICE
 from oracles import is_fan
@@ -127,6 +128,35 @@ def test_direct_construction_refuses_what_build_fan_refuses(rays, name, error):
         ToricSurfaceFan(rays=rays, name=name)
     assert type(direct.value) is type(built.value)
     assert str(direct.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "rays, says",
+    [
+        # the first failing pair from (u_0, u_1) on is named, before the wrap pair
+        ([(2, 0), (0, 1), (-1, -1)], "det(u_0, u_1) = 2 != 1 for rays (2, 0), (0, 1)"),
+        ([(-1, -1), (0, 1), (1, 0)], "det(u_0, u_1) = -1 != 1 for rays (-1, -1), (0, 1)"),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)], "det(u_4, u_0) = 0 != 1 for rays (1, 0), (1, 0)"),
+        # and before a winding that is not one
+        ([*WINDS_TWICE, (1, 0)], "det(u_7, u_0) = 0 != 1 for rays (1, 0), (1, 0)"),
+        (WINDS_TWICE, "rays do not wind exactly once around the origin"),
+    ],
+    ids=["two-dets", "clockwise", "wrap-pair", "det-before-winding", "winds-twice"],
+)
+def test_a_refused_fan_names_its_first_failing_pair(rays, says):
+    with pytest.raises(NotSmoothOrNotComplete) as refused:
+        build_fan(rays)
+    assert str(refused.value) == says
+
+
+def test_lower_arc_start_finds_the_one_entry_into_the_upper_half_plane():
+    # geometry checks a winding by it; a fan's own walk keeps the same start
+    assert lower_arc_start([(1, 0), (0, 1), (-1, -1)]) == 1
+    assert lower_arc_start([(0, -1), (1, 0), (0, 1), (-1, 0)]) == 2
+    assert lower_arc_start(WINDS_TWICE) is None
+    assert lower_arc_start([(1, 0), (-1, 0)]) is None  # no entry, on the axis
+    for fan in (p2(), p1xp1(), hirzebruch(3), build_fan([(1, 0), (1, 1), (0, 1), (-1, -1)])):
+        assert fan._arc_start == lower_arc_start(fan.rays)
 
 
 def small_ray_lists():
