@@ -1,11 +1,10 @@
 """Alternating pairs of benchmark runs on two checkouts of this repository.
 
     python3 perf/pairs.py BASE CHANGE --workload cli-mix --pairs 10 --seed 701
-    python3 perf/pairs.py BASE CHANGE --workload report-deep --seconds 3 --out pairs.json
 
 BASE and CHANGE are two checkouts, for example a `git archive` of the parent
 commit and the working tree.  Pair k runs `python3 bench/run.py --workload W
---seed SEED+k --seconds S --trace 0` once in each checkout, as a subprocess
+--seed SEED+k --seconds 25 --trace 0` once in each checkout, as a subprocess
 with the checkout as its working directory, BASE first when k is even and
 CHANGE first when k is odd.  Each run's metrics are the JSON object that it
 prints last.  The benchmark itself is read from each checkout and not
@@ -15,8 +14,8 @@ Per metric the script prints each side's median and quartiles (the
 inclusive method of `statistics.quantiles`), the change of the median
 relative to BASE, BASE's interquartile range, and the pairs that CHANGE
 won, by the direction that BASE's BENCHMARK.json gives the metric; a tie
-counts for neither.  `--out` also writes every run's metrics as JSON.  The
-exit code is 1 when a run fails or reports `correct: false`, else 0.
+counts for neither.  Each pair's line gives both throughputs.  The exit
+code is 1 when a run fails or reports `correct: false`, else 0.
 """
 
 from __future__ import annotations
@@ -28,12 +27,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+SECONDS = 25  # the timed length of every run
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The last JSON line that one benchmark run in `checkout` prints."""
     command = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -70,8 +71,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="the seed of pair 0; pair k takes seed + k")
-    p.add_argument("--seconds", type=int, default=25)
-    p.add_argument("--out", type=Path, help="write every run's metrics here as JSON")
     args = p.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed + k, args.seconds)
+            result = run_once(sides[side], args.workload, args.seed + k)
             bad += result["failed"] > 0 or not result["correct"]
             runs[side].append(result)
         line = ", ".join(
@@ -95,8 +94,6 @@ def main(argv=None) -> int:
     failed = {s: sum(r["failed"] for r in runs[s]) for s in runs}
     print(f"failed operations: base {failed['base']}, change {failed['change']}; "
           f"runs with a failure or correct false: {bad}")
-    if args.out:
-        args.out.write_text(json.dumps({"workload": args.workload, "seed": args.seed, **runs}, indent=1))
     return 1 if bad else 0
 
 

@@ -60,7 +60,9 @@ _SCALARS = {
     Fraction: lambda f: _quote(str(f)),
 }
 # The layout of each record class _json_text has met: its quoted keys and
-# one getter of its field values in order
+# one getter of its field values in order.  It is the one process-wide
+# cache that the source rules allow: its keys are record classes, a finite
+# set in src/, and never an argument's value
 _LAYOUTS: Dict[type, Tuple[List[str], Callable[[object], tuple]]] = {}
 
 

@@ -3,11 +3,11 @@
 A surface is described by its cyclically ordered primitive rays u_1,...,u_n
 (counterclockwise).  Smoothness and completeness together amount to
 det(u_i, u_{i+1}) = +1 for every consecutive pair and rays that wind once
-around the origin; `ToricSurfaceFan` checks both when it is made, in one
-walk over the rays that also finds the arc start and D_i^2.  They
-also make the rays primitive (a common factor of u_i divides det(u_i, u_{i+1}))
-and distinct (one winding whose turns are all under a half-turn meets no
-direction twice), so neither is checked apart.
+around the origin; `ToricSurfaceFan` checks both when it is made: one
+walk over the rays checks every det and finds D_i^2, and `lower_arc_start`
+checks the winding.  They also make the rays primitive (a common factor of
+u_i divides det(u_i, u_{i+1})) and distinct (one winding whose turns are all
+under a half-turn meets no direction twice), so neither is checked apart.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class ToricSurfaceFan:
         if n < 3:
             raise NotSmoothOrNotComplete(f"need at least 3 rays, got {n}")
         # One walk from i = 0, with (a, b), (x, y), (c, d) = u_{i-1}, u_i, u_{i+1}:
-        # it names the first det(u_i, u_{i+1}) != 1, finds each entry into the
-        # upper half-plane as lower_arc_start does, and D_i^2 = -det(u_{i-1}, u_{i+1}).
-        starts, squares = [], []
+        # it names the first det(u_i, u_{i+1}) != 1 and finds D_i^2 =
+        # -det(u_{i-1}, u_{i+1}).
+        squares = []
         (a, b), (x, y) = rays[-1], rays[0]
         for i, (c, d) in enumerate(rays[1:] + rays[:1]):
             if x * d - y * c != 1:
@@ -81,16 +81,15 @@ class ToricSurfaceFan:
                     f"det(u_{i}, u_{(i + 1) % n}) = {x * d - y * c} != 1 "
                     f"for rays {(x, y)}, {(c, d)}"
                 )
-            if y > 0 >= b:
-                starts.append(i)
             squares.append(b * c - a * d)
             a, b, x, y = x, y, c, d
         # Consecutive dets of +1 still allow rays that wind more than once.
-        if len(starts) != 1:
+        start = lower_arc_start(rays)
+        if start is None:
             raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "self_intersections", tuple(squares))
-        object.__setattr__(self, "_arc_start", starts[0])
+        object.__setattr__(self, "_arc_start", start)
 
     @property
     def n(self) -> int:

@@ -324,8 +324,9 @@ MUTANTS = (
     Mutant(
         "fan-without-the-winding-check",
         "fan.py",
-        "        if len(starts) != 1:\n",
-        "        if False:\n",
+        "        if start is None:\n"
+        '            raise NotSmoothOrNotComplete("rays do not wind exactly once around the origin")\n',
+        "",
         ("test_fan.py",),
     ),
     Mutant(

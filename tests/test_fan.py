@@ -17,7 +17,6 @@ from toricpoints.errors import (
     NotSmoothOrNotComplete,
     ToricError,
 )
-from toricpoints.fan import lower_arc_start
 
 from conftest import WINDS_TWICE
 from oracles import is_fan
@@ -147,16 +146,6 @@ def test_a_refused_fan_names_its_first_failing_pair(rays, says):
     with pytest.raises(NotSmoothOrNotComplete) as refused:
         build_fan(rays)
     assert str(refused.value) == says
-
-
-def test_lower_arc_start_finds_the_one_entry_into_the_upper_half_plane():
-    # geometry checks a winding by it; a fan's own walk keeps the same start
-    assert lower_arc_start([(1, 0), (0, 1), (-1, -1)]) == 1
-    assert lower_arc_start([(0, -1), (1, 0), (0, 1), (-1, 0)]) == 2
-    assert lower_arc_start(WINDS_TWICE) is None
-    assert lower_arc_start([(1, 0), (-1, 0)]) is None  # no entry, on the axis
-    for fan in (p2(), p1xp1(), hirzebruch(3), build_fan([(1, 0), (1, 1), (0, 1), (-1, -1)])):
-        assert fan._arc_start == lower_arc_start(fan.rays)
 
 
 def small_ray_lists():

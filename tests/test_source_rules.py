@@ -2,7 +2,9 @@
 literal, no float() call), no `assert` (python -O strips it), no
 dependency outside the standard library, no process-wide cache
 (functools.cache or lru_cache) on a function that takes parameters, since
-such a cache keeps every argument it has seen alive, and no function that
+such a cache keeps every argument it has seen alive (cli._LAYOUTS is the one
+allowed exception: it is keyed by record class, of which src/ has a finite
+set, and never by an argument's value), and no function that
 takes a ToricSurfaceFan beside a ToricDivisor, since the divisor carries
 its fan and a second one could disagree with it.  The divisor and
 cohomology modules import nothing from fractions: a divisor's coefficients
