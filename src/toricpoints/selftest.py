@@ -283,21 +283,13 @@ def _report_fault(curve: CurveOnSurface, r: InterpolationReport) -> Optional[str
             facts["the three conditions pass"] = passed
             bounded = c.h0_bound >= lam.value + Fraction(C2, 4) - e_max > 0
             facts["C^2 > 9, h0_bound >= lambda + C^2/4 - e_max > 0"] = C2 > 9 and bounded
-    checks = [  # (field, the report's, divisor arithmetic's); tests/test_selftest.py
-        # refutes each field of InterpolationReport in turn, so none can be left out
-        ("lambda_value", r.lambda_value, lam.value),
-        ("lambda_subset", r.lambda_subset, lam.argmin_subset),
-        ("C2", r.C2, C2),
-        ("blowup_C2", r.blowup_C2, bl2),
-        ("degree_bound", r.degree_bound, bound),
-        ("e_max", r.e_max, e_max),
-        ("hypothesis_verdicts", r.hypothesis_verdicts, verdicts),
-        ("positive_rep", r.positive_rep, rep),
-        ("interp_divisor", r.interp_divisor, D),
-        ("CD", r.CD, CD),
-        ("conditions", r.conditions, conditions),
-        ("degB_table", r.degB_table, table),
-    ]
+    # the fields in the record's order, given by position, so that a new field
+    # of InterpolationReport fails this call, or meets its default, until it is
+    # worked out here
+    expected = InterpolationReport(
+        lam.value, lam.argmin_subset, rep, D, CD, C2, bl2, bound, e_max, verdicts, table, conditions
+    )
+    checks = [(what, getattr(r, what), want) for what, want in vars(expected).items()]
     for what, got, want in checks + [(what, holds, True) for what, holds in facts.items()]:
         if type(got) is not type(want) or got != want:
             return f"{what}: {got!r}, not {want!r}"

@@ -3,10 +3,11 @@
     python tests/mutants.py              # every mutant in the table
     python tests/mutants.py NAME ...     # only the named ones
 
-For each mutant the runner copies src/, tests/ and pytest.ini to a
-temporary directory, replaces the mutant's snippet (which occurs exactly
-once) with its replacement, and runs `python -m pytest -x -q <files>` there.
-The mutant is killed when that run fails.  A run that outlives TIMEOUT_S
+For each mutant the runner copies src/, tests/, bench/ (which
+tests/test_source_rules.py reads and runs) and pytest.ini to a temporary
+directory, replaces the mutant's snippet (which occurs exactly once) with
+its replacement, and runs `python -m pytest -x -q <files>` there.  The
+mutant is killed when that run fails.  A run that outlives TIMEOUT_S
 seconds is stopped and does not count as a kill: a test that hangs on a
 fault has to be made to fail instead.  The runner prints one line per
 mutant, killed, SURVIVED or TIMEOUT with the seconds taken, and exits 1
@@ -773,8 +774,8 @@ MUTANTS = (
     Mutant(
         "report-checker-skips-interp-divisor",
         "selftest.py",
-        '        ("interp_divisor", r.interp_divisor, D),\n',
-        "",
+        "lam.argmin_subset, rep, D, CD",
+        "lam.argmin_subset, rep, r.interp_divisor, CD",
         ("test_selftest.py",),
     ),
     Mutant(
@@ -783,6 +784,65 @@ MUTANTS = (
         "if type(got) is not type(want) or got",
         "if got",
         ("test_selftest.py",),
+    ),
+    # P2 and P1xP1 are built once, on import, and shared
+    Mutant(
+        "p2-built-per-call",
+        "fan.py",
+        "    return _P2\n",
+        '    return build_fan(_P2.rays, name="P2")\n',
+        ("test_fan.py",),
+    ),
+    # each refused command line is pinned to its exact error line, by the
+    # REFUSED table: one entry per line that no other test pins
+    Mutant(
+        "descriptor-two-surfaces-reworded",
+        "cli.py",
+        'takes no "builtin" or "m" beside it',
+        'takes no "builtin" beside it',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "divisor-json-error-reworded",
+        "cli.py",
+        'f"malformed divisor JSON: {exc}"',
+        'f"malformed JSON: {exc}"',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "descriptor-not-an-object-reworded",
+        "cli.py",
+        '"surface descriptor must be a JSON object"',
+        '"surface descriptor must be an object"',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "descriptor-m-not-an-integer-reworded",
+        "cli.py",
+        '"m" must be an integer',
+        '"m" must be an int',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "unknown-builtin-unquoted",
+        "fan.py",
+        'f"unknown builtin surface {name!r}"',
+        'f"unknown builtin surface {name}"',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "hirzebruch-without-m-reworded",
+        "fan.py",
+        '"hirzebruch surface needs the parameter m"',
+        '"hirzebruch surface needs m"',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "hirzebruch-digits-counted-with-the-f",
+        "fan.py",
+        "parameter of {len(digits)} digits",
+        "parameter of {len(key)} digits",
+        ("test_cli.py",),
     ),
 )
 
@@ -794,9 +854,10 @@ def run(mutant: Mutant) -> Tuple[str, float]:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(
-            ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
-        )
+        for tree in ("tests", "bench"):
+            shutil.copytree(
+                ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+            )
         shutil.copy(ROOT / "pytest.ini", copy / "pytest.ini")
         path = copy / "src" / "toricpoints" / mutant.file
         source = path.read_text()

@@ -32,7 +32,17 @@ from toricpoints.cli import (
 from toricpoints.errors import ContractViolation, InputError, InternalInconsistency, ToricError
 from toricpoints.fan import build_fan, builtin_surface, p2
 
-from conftest import blowup_fans, count_calls
+from conftest import (
+    BIG,
+    F2_RAYS,
+    FAN_JSON,
+    NOT_REGULAR,
+    P2_RAYS,
+    REFUSED,
+    blowup_fans,
+    count_calls,
+    refused_command_line,
+)
 from oracles import jsonable
 
 
@@ -40,12 +50,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def refused(capsys, *argv, says=""):
-    """main(argv) exits 2 with empty stdout and one `error:` line holding `says`."""
-    code, out, err = run(capsys, *argv)
-    return (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error:") and says in err
 
 
 def test_lambda_p2(capsys):
@@ -127,19 +131,6 @@ def test_json_output_deterministic(capsys):
     assert out1 == out2
 
 
-def test_bad_surface_exits_2(capsys):
-    code, _, err = run(capsys, "lambda", "--surface", "P5")
-    assert code == 2
-    assert "error" in err
-
-
-def test_bad_divisor_length_exits_2(capsys):
-    code, _, _ = run(
-        capsys, "cohomology", "--surface", "P2", "--divisor", "1,2,3,4"
-    )
-    assert code == 2
-
-
 def test_surface_from_json_file(tmp_path, capsys):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, 1], [0, -1]]}))
@@ -154,13 +145,6 @@ def test_builtin_descriptor_file(tmp_path, capsys):
     code, out, _ = run(capsys, "lambda", "--surface", str(path))
     assert code == 0
     assert "lambda = -3/4" in out
-
-
-def test_malformed_json_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "fan.json"
-    path.write_text("{not json")
-    code, _, _ = run(capsys, "lambda", "--surface", str(path))
-    assert code == 2
 
 
 def test_parse_divisor_shorthands():
@@ -184,15 +168,6 @@ def test_parse_divisor_shorthands():
     assert parse_divisor(f1, "12C0-7F").coeffs == (-7, 12, 0, 0)
 
 
-@pytest.mark.parametrize("text", ["C0+", "2C0++F", "2C0+-F", "C0F"])
-def test_hirzebruch_shorthand_needs_one_sign_between_terms(capsys, text):
-    with pytest.raises(InputError):
-        parse_divisor(parse_surface("F1"), text)
-    code, out, err = run(capsys, "cohomology", "--surface", "F1", f"--divisor={text}", "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
 def intersections_of_c0_and_f(capsys, surface):
     """What `intersect` prints for C0.C0, F.F and C0.F."""
     return [
@@ -207,9 +182,6 @@ def descriptor_file(tmp_path, rays):
     return str(path)
 
 
-F2_RAYS = [[1, 0], [0, 1], [-1, 2], [0, -1]]  # D_i^2 = (0, -2, 0, 2): F, C0, F, C_inf
-
-
 @pytest.mark.parametrize(
     "surface, m",
     [("F0", 0), ("F1", 1), ("F2", 2), ("F3", 3), ("P1xP1", 0), (F2_RAYS, 2),
@@ -220,55 +192,6 @@ def test_hirzebruch_shorthand_reads_f_as_d1_and_c0_as_d2(tmp_path, capsys, surfa
         surface = descriptor_file(tmp_path, surface)
     assert intersections_of_c0_and_f(capsys, surface) == [f"D.E = {-m}\n", "D.E = 0\n", "D.E = 1\n"]
     assert parse_divisor(parse_surface(surface), "2C0+3F").coeffs == (3, 2, 0, 0)
-
-
-@pytest.mark.parametrize(
-    "rays",
-    [
-        F2_RAYS[1:] + F2_RAYS[:1],  # D_i^2 = (-2, 0, 2, 0): D_1 is C0, D_2 is F
-        F2_RAYS[3:] + F2_RAYS[:3],  # (2, 0, -2, 0)
-        F2_RAYS[2:] + F2_RAYS[:2],  # (0, 2, 0, -2): D_2 is C_inf
-    ],
-)
-def test_hirzebruch_shorthand_is_refused_where_d1_and_d2_are_not_f_and_c0(tmp_path, capsys, rays):
-    surface = descriptor_file(tmp_path, rays)
-    for D, E in (("C0", "C0"), ("F", "F")):
-        assert refused(
-            capsys, "intersect", "--surface", surface, "--divisor", D, "--curve", E, says="aC0+bF"
-        )
-    with pytest.raises(InputError, match="D_i\\^2 = \\(0, -m, 0, m\\)"):
-        parse_divisor(parse_surface(surface), "2C0+3F")
-
-
-@pytest.mark.parametrize(
-    "surface, divisor, says",
-    [("F1", "9H", '"dH" shorthand only applies to P2'), ("P2", "C0+F", '"aC0+bF" shorthand')],
-)
-def test_a_shorthand_is_refused_on_the_wrong_surface(capsys, surface, divisor, says):
-    assert refused(capsys, "cohomology", "--surface", surface, "--divisor", divisor, says=says)
-
-
-@pytest.mark.parametrize(
-    "argv", [["--d", "10", "--delta=-1", "--e", "3"], ["--d=-10", "--e", "3"]]
-)
-def test_plane_refuses_negative_d_and_delta(capsys, argv):
-    code, out, err = run(capsys, "plane", *argv, "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["lambda", "--surface", "P2"],
-        ["cohomology", "--surface", "P2", "--divisor", "2H"],
-        ["intersect", "--surface", "P2", "--divisor", "H", "--curve", "H"],
-        ["selftest"],
-    ],
-)
-def test_strict_is_refused_where_it_means_nothing(capsys, argv):
-    # only check-toric, plane and hirzebruch-example have a hypothesis to fail
-    assert refused(capsys, *argv, "--strict", says="'--strict'")
 
 
 @pytest.mark.parametrize(
@@ -307,22 +230,6 @@ def test_a_failing_suite_fails_the_selftest_command(monkeypatch, capsys):
     assert [row["ok"] for row in rows] == [True] * 3 + [False] + [True] * 3
 
 
-def test_descriptor_with_string_m_exits_2(tmp_path, capsys):
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps({"builtin": "hirzebruch", "m": "3"}))
-    code, out, err = run(capsys, "lambda", "--surface", str(path), "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
-def test_descriptor_with_float_ray_exits_2(tmp_path, capsys):
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps({"rays": [[1.7, 0], [0, 1], [-1, -1]]}))
-    code, out, err = run(capsys, "lambda", "--surface", str(path), "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
 def test_descriptor_field_types_are_strict():
     # the descriptor's own keys are the CLI's to check; the values of the
     # rays and the builtin name are refused by the fan's contracts
@@ -340,47 +247,6 @@ def test_descriptor_field_types_are_strict():
         assert type(refused.value) is error, desc
     assert surface_from_descriptor({"rays": p2_rays, "name": "P2"}).name == "P2"
     assert surface_from_descriptor({"builtin": "hirzebruch", "m": 3}).name == "F3"
-
-
-@pytest.mark.parametrize(
-    "desc",
-    [
-        {"rays": [[1, 0], [0, 1], [-1, -1]], "builtin": "F1"},  # answered for P^2
-        {"rays": [[1, 0], [0, 1], [-1, -1]], "m": 1},
-        {"builtin": "F2", "m": 5},  # answered for F_2
-        {"builtin": "P2", "m": 0},
-    ],
-)
-def test_a_descriptor_that_names_two_surfaces_exits_2(tmp_path, capsys, desc):
-    with pytest.raises(InputError):
-        surface_from_descriptor(desc)
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps(desc))
-    code, out, err = run(capsys, "lambda", "--surface", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize(
-    "desc, word",
-    [
-        # misspelt keys were ignored, and the answer was for P^2
-        ({"rays": [[1, 0], [0, 1], [-1, -1]], "Builtin": "F1", "M": 3}, "'Builtin', 'M'"),
-        ({"builtin": "F1", "mm": 3}, "'mm'"),
-        ({"rays": [[1, 0], [0, 1], [-1, -1]], "comment": "P2"}, "'comment'"),
-        # a builtin surface has a fixed name, and another one was dropped
-        ({"builtin": "F1", "name": "Q"}, '"name"'),
-        ({"builtin": "hirzebruch", "m": 1, "name": "F1"}, '"name"'),
-    ],
-)
-def test_a_descriptor_key_that_is_not_read_exits_2(tmp_path, capsys, desc, word):
-    with pytest.raises(InputError, match=word):
-        surface_from_descriptor(desc)
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps(desc))
-    code, out, err = run(capsys, "lambda", "--surface", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and word in err
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -463,59 +329,6 @@ def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsy
     assert "lambda = -1/4" in out
 
 
-@pytest.mark.parametrize("text", ['["3",0,0]', "[true,0,0]", "[3.0,0,0]", "[[3],0,0]", '{"a": 1}'])
-def test_divisor_json_coefficients_must_be_integers(capsys, text):
-    # a JSON list's values reach ToricDivisor's contract; '{"a": 1}' is not
-    # a JSON list, so it is read as a comma list, which is text the CLI parses
-    error = InputError if text.startswith("{") else ContractViolation
-    with pytest.raises(ToricError) as refused:
-        parse_divisor(p2(), text)
-    assert type(refused.value) is error
-    code, out, err = run(capsys, "cohomology", "--surface", "P2", f"--divisor={text}", "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:")
-
-
-COEFFS = "divisor coefficients must be integers: {!r}"
-MULTS = "multiplicities must be integers: {!r}"
-NOT_FC = "cannot parse divisor {!r} as aC0+bF"
-
-
-@pytest.mark.parametrize(
-    "surface, option, text, says",
-    [
-        ("P2", "--divisor", "1_0,0,0", COEFFS),  # comma list
-        ("P2", "--divisor", "٣,0,0", COEFFS),
-        ("P2", "--divisor", "1,,0", COEFFS),  # an empty item
-        ("P2", "--divisor", "1,0,0,", COEFFS),  # a trailing comma
-        ("P2", "--divisor", "٣H", COEFFS),  # dH shorthand, read as a comma list
-        ("F1", "--divisor", "1_0C0+F", NOT_FC),  # aC0+bF terms
-        ("F1", "--divisor", "C0+٣F", NOT_FC),
-        ("P2", "--multiplicities", "2_0", MULTS),
-        ("P2", "--multiplicities", "2,٣", MULTS),
-        ("P2", "--multiplicities", "2,,2", MULTS),
-        ("P2", "--multiplicities", "2,", MULTS),
-    ],
-)
-def test_text_integers_are_ascii_digits_only(capsys, surface, option, text, says):
-    argv = ["check-toric", "--surface", surface, "--curve=9H", option, text]
-    if option == "--divisor":
-        argv = ["cohomology", "--surface", surface, f"--divisor={text}"]
-    assert refused(capsys, *argv, "--json", says="error: " + says.format(text) + "\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["plane", "--d", "1_0", "--e", "3"],
-        ["plane", "--d", "9", "--e", "٣"],
-        ["hirzebruch-example", "--n", "2_6"],
-    ],
-)
-def test_integer_options_are_ascii_digits_only(capsys, argv):
-    assert refused(capsys, *argv, says="not an integer")
-
-
 def test_text_integers_take_signs_and_spaces(capsys):
     f1 = parse_surface("F1")
     assert parse_divisor(p2(), " 10, -2 ,+0").coeffs == (10, -2, 0)
@@ -548,132 +361,84 @@ def test_each_call_reads_only_its_own_command_line(capsys):
     assert [run(capsys, *argv) for argv, _ in SEQUENCE[::-1]] == first[::-1]
 
 
-BIG = "9" * 5000  # more digits than int() converts
-LONG = "7" * 2200  # converts, but its square does not
+@pytest.mark.parametrize("case", REFUSED)
+def test_each_refused_command_line_exits_2_with_its_exact_error_line(tmp_path, capsys, case):
+    argv, line = refused_command_line(case, tmp_path)
+    assert run(capsys, *argv) == (2, "", "error: " + line + "\n")
 
 
-@pytest.mark.parametrize("name", ["F²", "F٣", "F" + BIG], ids=["superscript", "arabic", "long"])
-def test_hirzebruch_names_take_ascii_digits_only(tmp_path, capsys, name):
-    with pytest.raises(InputError):
-        builtin_surface(name)
-    assert refused(capsys, "lambda", "--surface", name)
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps({"builtin": name}))
-    assert refused(capsys, "lambda", "--surface", str(path), "--json")
+def parsed_on(surface, text):
+    """parse_divisor of `text` on the surface that `surface` names, {tmp} read as `tmp`."""
+    return lambda tmp: parse_divisor(parse_surface(surface.replace("{tmp}", tmp)), text)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cohomology", "--surface", "P2", f"--divisor={BIG},0,0"],
-        ["cohomology", "--surface", "P2", f"--divisor={BIG}H"],
-        ["cohomology", "--surface", "F1", f"--divisor={BIG}C0+F"],
-        ["cohomology", "--surface", "F1", f"--divisor=C0-{BIG}F"],
-        ["cohomology", "--surface", "P2", f"--divisor=[{BIG},0,0]"],
-        ["intersect", "--surface", "P2", "--divisor=H", f"--curve=0,{BIG},0"],
-        ["check-toric", "--surface", "P2", "--curve=9H", f"--multiplicities=2,{BIG}"],
-    ],
-)
-def test_over_long_integers_exit_2(capsys, argv):
-    assert refused(capsys, *argv, "--json")
+def descriptor_of(case):
+    """surface_from_descriptor of the JSON in REFUSED[case]'s fan.json."""
+    return lambda tmp: surface_from_descriptor(json.loads(REFUSED[case][1]))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"builtin": "hirzebruch", "m": %s}' % BIG,
-        '{"rays": [[1, 0], [0, 1], [-1, -%s]]}' % BIG,
-        "[" * 100000,
-    ],
-    ids=["long-m", "long-ray", "deep"],
-)
-def test_descriptors_json_cannot_read_exit_2(tmp_path, capsys, text):
-    path = tmp_path / "fan.json"
-    path.write_text(text)
-    assert refused(capsys, "lambda", "--surface", str(path))
-
-
-def test_deeply_nested_divisor_json_exits_2(capsys):
-    assert refused(capsys, "cohomology", "--surface", "P2", "--divisor=" + "[" * 100000)
-
-
-@pytest.mark.parametrize(
-    "argv", [["plane", "--d", BIG, "--e", "5"], ["hirzebruch-example", "--n", BIG]], ids=["d", "n"]
-)
-def test_over_long_integer_options_exit_2(capsys, argv):
-    assert refused(capsys, *argv, says="integer too long: 5000 characters")
-
-
-def test_unreadable_surface_files_exit_2(tmp_path, capsys):
-    assert refused(capsys, "lambda", "--surface", str(tmp_path))  # a directory
-    path = tmp_path / "fan.json"
-    path.write_bytes(b'{"builtin": "P2"\xff}')  # not UTF-8
-    assert refused(capsys, "lambda", "--surface", str(path), "--json")
-    for text in (str(tmp_path), str(path)):
-        with pytest.raises(InputError):
-            parse_surface(text)
-
-
-P2_RAYS = b'{"rays": [[1,0],[0,1],[-1,-1]]}'
-UNKNOWN = "unknown surface {!r}: expected P2, P1xP1, F<m> or a JSON file path"
-MALFORMED = "malformed JSON in {}: "
-CRLF_ERROR = MALFORMED + "Expecting ',' delimiter: line 4 column 3 (char 29)"
-NOT_REGULAR = "cannot read {}: not a regular file"
-
-
-def descriptor(tmp_path, data: bytes) -> str:
-    path = tmp_path / "fan.json"
-    path.write_bytes(data)
-    return str(path)
-
-
-# id: (the --surface argument made from tmp_path, the error line after
-# "error: " with the argument put in, or the "surface" the JSON report names)
-SURFACE_ARGUMENTS = {
-    "missing-file": (lambda t: str(t / "none.json"), UNKNOWN),
-    "directory": (str, "cannot read {}: Is a directory"),
-    "device": (lambda t: os.devnull, NOT_REGULAR),  # read as empty, were it read
-    "path-under-a-file": (lambda t: descriptor(t, P2_RAYS) + "/x", UNKNOWN),
-    "nul-in-path": (lambda t: str(t / "a\0b"), UNKNOWN),
-    "utf8-bom": (
-        lambda t: descriptor(t, b"\xef\xbb\xbf" + P2_RAYS),
-        MALFORMED + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
-    ),
-    "invalid-utf8": (
-        lambda t: descriptor(t, b'{"rays": [[1,0],[0,1],[-1,-1]], "name": "\xff"}'),
-        MALFORMED + "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte",
-    ),
-    "utf16": (
-        lambda t: descriptor(t, P2_RAYS.decode().encode("utf-16")),
-        MALFORMED + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-    ),
-    "empty-file": (
-        lambda t: descriptor(t, b""), MALFORMED + "Expecting value: line 1 column 1 (char 0)"
-    ),
-    # CRLF and a lone CR each count as one line break, as a text-mode read has them
-    "crlf": (lambda t: descriptor(t, b'{\r\n  "rays": [[1,0],\r\n [0,1]\r\n  x'), CRLF_ERROR),
-    "cr": (lambda t: descriptor(t, b'{\r  "rays": [[1,0],\r [0,1]\r  x'), CRLF_ERROR),
-    "hirzebruch-without-m": (lambda t: "hirzebruch", UNKNOWN),
-    "F-and-5000-digits": (lambda t: "F" + BIG, UNKNOWN),
-    "5000-character-name": (lambda t: "x" * 5000, UNKNOWN),
-    "p2-rays": (lambda t: descriptor(t, P2_RAYS), "custom"),
-    "non-ascii-name": (
-        lambda t: descriptor(t, '{"rays": [[1,0],[0,1],[-1,-1]], "name": "café"}'.encode()),
-        "café",
-    ),
+# The library call behind some REFUSED rows, given the directory that {tmp}
+# stands for, and the class of the error it raises, whose text is the row's line
+RAISES = {
+    **{
+        f"F1-divisor-{text}": (InputError, parsed_on("F1", text))
+        for text in ("C0+", "2C0++F", "2C0+-F", "C0F")
+    },
+    **{
+        f"F2-from-{start}-C0.C0": (InputError, parsed_on(FAN_JSON, "2C0+3F"))
+        for start in ("C0", "C_inf", "F")
+    },
+    **{
+        case: (InputError, descriptor_of(case))
+        for case in (
+            "rays-and-builtin",
+            "rays-and-m",
+            "F2-and-m",
+            "P2-and-m",
+            "misspelt-keys",
+            "key-mm",
+            "key-comment",
+            "F1-and-name",
+            "hirzebruch-and-name",
+        )
+    },
+    # a JSON list's values reach ToricDivisor's contract, and a comma list the CLI's parser
+    **{
+        f"divisor-json-{case}": (ContractViolation, parsed_on("P2", text))
+        for case, text in (
+            ("string", '["3",0,0]'), ("bool", "[true,0,0]"), ("float", "[3.0,0,0]"), ("list", "[[3],0,0]")
+        )
+    },
+    "divisor-json-object": (InputError, parsed_on("P2", '{"a": 1}')),
+    **{
+        f"builtin-F-{case}": (InputError, lambda tmp, name=name: builtin_surface(name))
+        for case, name in (("superscript", "F²"), ("arabic", "F٣"), ("5000-digits", "F" + BIG))
+    },
+    "directory": (InputError, parse_surface),
+    "not-utf8": (InputError, lambda tmp: parse_surface(tmp + "/fan.json")),
 }
 
 
-@pytest.mark.parametrize("case", SURFACE_ARGUMENTS)
-def test_each_surface_argument_gets_its_exact_error_line(tmp_path, capsys, case):
-    make, want = SURFACE_ARGUMENTS[case]
-    surface = make(tmp_path)
-    code, out, err = run(capsys, "lambda", "--surface", surface, "--json")
-    if case in ("p2-rays", "non-ascii-name"):
-        assert (code, err) == (0, "")
-        assert f'"surface": {json.dumps(want)},' in out  # café as "caf\u00e9"
-    else:
-        assert (code, out, err) == (2, "", "error: " + want.format(surface) + "\n")
+@pytest.mark.parametrize("case", RAISES)
+def test_the_library_call_behind_a_refused_line_raises_it(tmp_path, case):
+    error, call = RAISES[case]
+    _, line = refused_command_line(case, tmp_path)
+    with pytest.raises(ToricError) as raised:
+        call(str(tmp_path))
+    assert (type(raised.value), str(raised.value)) == (error, line)
+
+
+@pytest.mark.parametrize(
+    "made, name",
+    [(P2_RAYS, "custom"), ('{"rays": [[1,0],[0,1],[-1,-1]], "name": "café"}'.encode(), "café")],
+    ids=["p2-rays", "non-ascii-name"],
+)
+def test_a_descriptor_file_is_read_and_named(tmp_path, capsys, made, name):
+    path = tmp_path / "fan.json"
+    path.write_bytes(made)
+    code, out, err = run(capsys, "lambda", "--surface", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert f'"surface": {json.dumps(name)},' in out  # café as "caf\u00e9"
 
 
 def test_a_descriptor_over_64_kib_with_crlf_reads_as_the_compact_file(tmp_path):
@@ -706,6 +471,9 @@ def test_a_fifo_surface_is_refused_without_waiting_for_a_writer(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: " + NOT_REGULAR.format(fifo) + "\n"
+
+
+LONG = "7" * 2200  # converts, but its square does not
 
 
 @pytest.mark.parametrize(
@@ -990,6 +758,17 @@ COMMAND_LINES = (
         (["lambda", "--surface="], {**READ["lambda"], "surface": ""}),
         (["plane", "--d=", "--e", "7"], "error: not an integer: ''"),
         (["lambda", "--surface", "-h"], HELP),
+        # argparse answered for the last copy: F1, and 3H
+        (["lambda", "--surface", "P2", "--surface", "F1"], "error: --surface is given twice"),
+        (
+            ["cohomology", "--surface", "P2", "--divisor", "2H", "--divisor", "3H"],
+            "error: --divisor is given twice",
+        ),
+        # and took an abbreviation for the option it starts
+        (["lambda", "--surf", "P2"], not_taken("lambda", "--surf")),
+        (["cohomology", "--surface", "P2", "--div", "2H"], not_taken("cohomology", "--div")),
+        # argparse refused this one by raising SystemExit, with its usage on stderr
+        (["lambda", "--surface", "P2", "--json=1"], "error: --json takes no value"),
     ]
 )
 
@@ -1012,26 +791,6 @@ def test_main_reads_each_command_line_by_the_grammar(monkeypatch, capsys, argv, 
         assert got == (0, out + "\n", "")
     else:
         assert got == (2, "", then + "\n")
-
-
-TWO_WAYS = [
-    # argparse answered for the last copy: F1, and 3H
-    (["lambda", "--surface", "P2", "--surface", "F1"], "--surface is given twice"),
-    (
-        ["cohomology", "--surface", "P2", "--divisor", "2H", "--divisor", "3H"],
-        "--divisor is given twice",
-    ),
-    # and took an abbreviation for the option it starts
-    (["lambda", "--surf", "P2"], "does not take '--surf'"),
-    (["cohomology", "--surface", "P2", "--div", "2H"], "does not take '--div'"),
-    # argparse refused this one by raising SystemExit, with its usage on stderr
-    (["lambda", "--surface", "P2", "--json=1"], "--json takes no value"),
-]
-
-
-@pytest.mark.parametrize("argv, says", TWO_WAYS, ids=[" ".join(argv) for argv, _ in TWO_WAYS])
-def test_a_command_line_that_could_be_read_two_ways_exits_2(capsys, argv, says):
-    assert refused(capsys, *argv, says=says)
 
 
 def test_help_lists_the_commands_or_one_commands_options(capsys):

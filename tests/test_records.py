@@ -70,13 +70,22 @@ def samples():
     ]
 
 
+@_record
+class Shadowing:
+    """A record whose fields take the name of the local that the decorator's
+    `__init__` writes the fields through, and then the next name it tries."""
+
+    _values: int
+    _values_: int = 0
+
+
 def test_every_record_is_made_by_the_decorator_and_sampled():
     names = [cls.__name__ for cls in RECORDS]
     assert len(names) == 11
     assert sorted(type(value).__name__ for value in samples()) == names
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [*RECORDS, Shadowing], ids=lambda cls: cls.__name__)
 def test_a_record_has_the_signature_and_fields_of_a_plain_dataclass(cls):
     plain = twin(cls)
     assert inspect.signature(cls) == inspect.signature(plain)
@@ -101,6 +110,8 @@ def test_a_record_is_made_by_keyword_position_and_default():
     C = ToricDivisor(f1, (3, 1, 0, 0))
     assert CurveOnSurface(f1, C).multiplicities == ()
     assert CurveOnSurface(curve_class=C, fan=f1, multiplicities=[2]).multiplicities == (2,)
+    assert Shadowing(1, 2) == Shadowing(_values_=2, _values=1) != Shadowing(1)
+    assert vars(Shadowing(1)) == {"_values": 1, "_values_": 0}
 
 
 @pytest.mark.parametrize(
@@ -138,7 +149,9 @@ def test_post_init_runs_however_a_record_is_made():
     assert dataclasses.replace(DegBTable(7, 3), e_max=-1) == DegBTable()
 
 
-@pytest.mark.parametrize("value", samples(), ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize(
+    "value", [*samples(), Shadowing(1, 2)], ids=lambda value: type(value).__name__
+)
 def test_a_record_pickles_compares_and_is_frozen(value):
     again = pickle.loads(pickle.dumps(value))
     assert again == value and repr(again) == repr(value) and type(again) is type(value)

@@ -29,7 +29,9 @@ a closed stream.  Every module-level private function is named by some code
 in src/ outside its own definition: a routine that only tests call is a
 test oracle, and lives in tests/.  The public functions that no code in
 src/ reads are exactly the keys of BENCH_ONLY, and bench/ reads each of
-them: src/ keeps them for the benchmark alone.
+them: src/ keeps them for the benchmark alone.  The tests of
+bench/test_bench.py that fail, run in a subprocess, are exactly the keys of
+KNOWN_BENCH_FAILURES.
 
 No file under tests/ imports a test module: shared oracles live in
 tests/oracles.py, or in toricpoints.selftest when the selftest command runs
@@ -39,6 +41,8 @@ docstring and the names it binds: a sampler or check that the self-test
 keeps has its one home there, and tests import it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -389,6 +393,42 @@ def test_src_keeps_exactly_the_bench_only_functions_and_bench_reads_each():
     assert bench_only(trees) == set(BENCH_ONLY)
     read = {name for path in BENCH for name in _names(ast.parse(path.read_text(), filename=str(path)))}
     assert [key for key in BENCH_ONLY if key.split(".")[1] not in read] == []
+
+
+# The tests of bench/test_bench.py that fail, each with why.  A new failure
+# fails the test below, and so does a known one that starts to pass, so the
+# table stays exact until bench/ catches up with src/.
+KNOWN_BENCH_FAILURES = {
+    "bench/test_bench.py::test_every_cli_op_checks_out_except_the_known_faults": (
+        "it expects 3 x 2 failed calls from the two KNOWN_FAULTS descriptors, a string m and a "
+        "float ray, but the CLI refuses both with exit 2, as it does the MALFORMED inputs, so no "
+        "call fails"
+    ),
+    "bench/test_bench.py::test_tracer_self_time_and_layer_metrics": (
+        "lowdeg.lambda_invariant.subsets reads 0, as the report computes lambda with the private "
+        "lowdeg._lambda, which the tracer does not wrap; geometry.lattice_points.hit_ratio reads "
+        "0.0, as the box scan it measured is gone"
+    ),
+    "bench/test_bench.py::test_plane_inputs_left_out_are_exactly_those_that_trip_an_assert": (
+        "plane_theorem_report(9, 2, 6) raises InternalInconsistency (deg B = 3 is not below e/2), "
+        "not the AssertionError it expects"
+    ),
+}
+
+
+def test_bench_fails_exactly_its_known_failures():
+    # -p no:cacheprovider and no bytecode, so the run leaves no file behind
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench/test_bench.py", "-q", "-rf", "-p", "no:cacheprovider"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    lines = done.stdout.splitlines() or [""]
+    failed = {line[len("FAILED "):].split(" - ")[0] for line in lines if line.startswith("FAILED ")}
+    assert (failed, "error" in lines[-1]) == (set(KNOWN_BENCH_FAILURES), False), done.stdout[-3000:]
 
 
 def test_rules_catch_each_breach():
