@@ -116,14 +116,8 @@ def build_fan(rays: Sequence[LatticePoint], name: Optional[str] = None) -> Toric
     return ToricSurfaceFan(rays, name)
 
 
-# P2 and P1xP1 are built once, on import, and shared, as a fan is immutable;
-# hirzebruch(m) builds one per call, as a cache keyed on m keeps every m alive.
-_P2 = build_fan([(1, 0), (0, 1), (-1, -1)], name="P2")
-_P1XP1 = build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], name="P1xP1")
-
-
 def p2() -> ToricSurfaceFan:
-    return _P2
+    return build_fan([(1, 0), (0, 1), (-1, -1)], name="P2")
 
 
 def hirzebruch(m: int) -> ToricSurfaceFan:
@@ -133,7 +127,7 @@ def hirzebruch(m: int) -> ToricSurfaceFan:
 
 
 def p1xp1() -> ToricSurfaceFan:
-    return _P1XP1
+    return build_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], name="P1xP1")
 
 
 def builtin_surface(name: str, m: Optional[int] = None) -> ToricSurfaceFan:

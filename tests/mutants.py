@@ -785,14 +785,6 @@ MUTANTS = (
         "if got",
         ("test_selftest.py",),
     ),
-    # P2 and P1xP1 are built once, on import, and shared
-    Mutant(
-        "p2-built-per-call",
-        "fan.py",
-        "    return _P2\n",
-        '    return build_fan(_P2.rays, name="P2")\n',
-        ("test_fan.py",),
-    ),
     # each refused command line is pinned to its exact error line, by the
     # REFUSED table: one entry per line that no other test pins
     Mutant(

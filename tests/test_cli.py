@@ -33,9 +33,7 @@ from toricpoints.errors import ContractViolation, InputError, InternalInconsiste
 from toricpoints.fan import build_fan, builtin_surface, p2
 
 from conftest import (
-    BIG,
     F2_RAYS,
-    FAN_JSON,
     NOT_REGULAR,
     P2_RAYS,
     REFUSED,
@@ -367,30 +365,18 @@ def test_each_refused_command_line_exits_2_with_its_exact_error_line(tmp_path, c
     assert run(capsys, *argv) == (2, "", "error: " + line + "\n")
 
 
-def parsed_on(surface, text):
-    """parse_divisor of `text` on the surface that `surface` names, {tmp} read as `tmp`."""
-    return lambda tmp: parse_divisor(parse_surface(surface.replace("{tmp}", tmp)), text)
-
-
-def descriptor_of(case):
-    """surface_from_descriptor of the JSON in REFUSED[case]'s fan.json."""
-    return lambda tmp: surface_from_descriptor(json.loads(REFUSED[case][1]))
-
-
-# The library call behind some REFUSED rows, given the directory that {tmp}
-# stands for, and the class of the error it raises, whose text is the row's line
+# The class of the error that the library raises for some REFUSED rows, when
+# it reads the row's --surface and then, if the row has one, its --divisor;
+# the error's text is the row's line
 RAISES = {
+    **{f"F1-divisor-{text}": InputError for text in ("C0+", "2C0++F", "2C0+-F", "C0F")},
     **{
-        f"F1-divisor-{text}": (InputError, parsed_on("F1", text))
-        for text in ("C0+", "2C0++F", "2C0+-F", "C0F")
-    },
-    **{
-        f"F2-from-{start}-C0.C0": (InputError, parsed_on(FAN_JSON, "2C0+3F"))
+        f"F2-from-{start}-{D}.{D}": InputError
         for start in ("C0", "C_inf", "F")
+        for D in ("C0", "F")
     },
-    **{
-        case: (InputError, descriptor_of(case))
-        for case in (
+    **dict.fromkeys(
+        (
             "rays-and-builtin",
             "rays-and-m",
             "F2-and-m",
@@ -400,32 +386,39 @@ RAISES = {
             "key-comment",
             "F1-and-name",
             "hirzebruch-and-name",
-        )
-    },
+            "builtin-F-superscript",
+            "builtin-F-arabic",
+            "builtin-F-5000-digits",
+            "directory",
+            "not-utf8",
+        ),
+        InputError,
+    ),
     # a JSON list's values reach ToricDivisor's contract, and a comma list the CLI's parser
-    **{
-        f"divisor-json-{case}": (ContractViolation, parsed_on("P2", text))
-        for case, text in (
-            ("string", '["3",0,0]'), ("bool", "[true,0,0]"), ("float", "[3.0,0,0]"), ("list", "[[3],0,0]")
-        )
-    },
-    "divisor-json-object": (InputError, parsed_on("P2", '{"a": 1}')),
-    **{
-        f"builtin-F-{case}": (InputError, lambda tmp, name=name: builtin_surface(name))
-        for case, name in (("superscript", "F²"), ("arabic", "F٣"), ("5000-digits", "F" + BIG))
-    },
-    "directory": (InputError, parse_surface),
-    "not-utf8": (InputError, lambda tmp: parse_surface(tmp + "/fan.json")),
+    **{f"divisor-json-{case}": ContractViolation for case in ("string", "bool", "float", "list")},
+    "divisor-json-object": InputError,
 }
+
+
+def value_of(argv, flag):
+    """The value of `flag` in argv, given as `flag=value` or `flag value`; None if absent."""
+    for token, after in zip(argv, argv[1:] + [None]):
+        if token == flag:
+            return after
+        if token.startswith(flag + "="):
+            return token[len(flag) + 1 :]
+    return None
 
 
 @pytest.mark.parametrize("case", RAISES)
 def test_the_library_call_behind_a_refused_line_raises_it(tmp_path, case):
-    error, call = RAISES[case]
-    _, line = refused_command_line(case, tmp_path)
+    argv, line = refused_command_line(case, tmp_path)
+    divisor = value_of(argv, "--divisor")
     with pytest.raises(ToricError) as raised:
-        call(str(tmp_path))
-    assert (type(raised.value), str(raised.value)) == (error, line)
+        surface = parse_surface(value_of(argv, "--surface"))
+        if divisor is not None:
+            parse_divisor(surface, divisor)
+    assert (type(raised.value), str(raised.value)) == (RAISES[case], line)
 
 
 @pytest.mark.parametrize(

@@ -204,15 +204,6 @@ def test_builtin_surfaces():
             builtin_surface(name, 5)
 
 
-def test_p2_and_p1xp1_are_built_once_and_shared():
-    # a fan is immutable; hirzebruch(m) builds its own, as a cache keyed on m would keep each m
-    assert p2() is p2() is builtin_surface("P2") is builtin_surface(" p2 ")
-    assert p1xp1() is p1xp1() is builtin_surface("P1xP1")
-    assert hirzebruch(2) is not hirzebruch(2) and hirzebruch(2) == builtin_surface("F2")
-    assert (p2().name, p1xp1().name, hirzebruch(0).name) == ("P2", "P1xP1", "F0")
-    assert p1xp1() == hirzebruch(0) and hash(p1xp1()) == hash(hirzebruch(0))
-
-
 def test_prime_self_intersections_p2():
     # (0,1) + (-1,-1) = -1*(1,0) etc: all lines, self-intersection 1
     assert p2().self_intersections == (1, 1, 1)
